@@ -12,7 +12,7 @@ The package implements ICDB -- a component server for behavioral synthesis
   length-prefixed JSON wire protocol, the threaded
   :class:`~repro.net.server.ICDBServer` (one connection = one session,
   pipelined batches, ``python -m repro.net.server``) and the
-  :class:`~repro.net.client.RemoteClient` mirroring the full session
+  :class:`~repro.net.client.RemoteClient` with the same classic session
   surface over TCP or an in-process loopback (see ``docs/net.md``);
 * :mod:`repro.iif` -- the IIF component description language (parser and
   macro expander);
@@ -32,7 +32,7 @@ The package implements ICDB -- a component server for behavioral synthesis
 * :mod:`repro.db` -- the relational store (INGRES substitute) and the
   design-data file store;
 * :mod:`repro.core` -- the backward-compatible :class:`~repro.core.icdb.ICDB`
-  facade (a thin shim over a default service session) plus generation,
+  facade (a session of its own private service) plus generation,
   instance and knowledge management;
 * :mod:`repro.synthesis` -- a small behavioral-synthesis client showing how
   the server is used (Figure 1) and the Figure 13 simple computer.

@@ -1,4 +1,5 @@
-"""The ICDB component service: shared engine state plus per-client sessions.
+"""The ICDB component service: shared engine state, per-client sessions
+and the one handler of each request kind.
 
 The paper's ICDB is a component server that many synthesis tools call
 concurrently.  :class:`ComponentService` is that server: it owns the state
@@ -8,6 +9,11 @@ and the result cache) and executes the typed requests of
 :mod:`repro.api.messages`, wrapping every result or failure in a
 :class:`~repro.api.messages.Response` envelope with timing metadata.
 
+Each CQL command has one program that executes it (Section 2.3): here
+each request kind has one function in :data:`HANDLERS`, and
+:meth:`ComponentService.execute` -- the funnel every request passes,
+local or remote -- dispatches with one table lookup.
+
 Each client holds a :class:`Session`: a lightweight object owning the
 *per-client* state -- the current design and its transaction context --
 that the old monolithic facade kept in a single server-global
@@ -15,10 +21,12 @@ that the old monolithic facade kept in a single server-global
 registration are serialized by the shared
 :class:`~repro.core.instances.InstanceManager`, database writes by the
 service lock, and design isolation follows from each instance recording
-the design of the session that created it.
+the design of the session that created it.  The classic operations a
+session offers are the shared :class:`~repro.api.surface.ClassicOps`
+surface, the same methods a :class:`~repro.net.client.RemoteClient` has.
 
-The legacy :class:`~repro.core.icdb.ICDB` facade is a thin shim over one
-default session of a private service.
+:class:`ICDB`, the paper's single-client facade, is a session of its own
+private service.
 """
 
 from __future__ import annotations
@@ -27,14 +35,14 @@ import threading
 import time
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..components.catalog import (
     ComponentCatalog,
     ComponentImplementation,
     standard_catalog,
 )
-from ..constraints import Constraints, PortPosition
+from ..constraints import Constraints
 from ..core.gencache import GenerationCache
 from ..core.generation import EmbeddedGenerator, ToolManager, default_tool_manager
 from ..core.icdb import IcdbError
@@ -57,7 +65,6 @@ from ..db import (
 )
 from ..layout.generator import ComponentLayout, generate_layout
 from ..netlist.cif import layout_to_cif
-from ..netlist.structural import StructuralNetlist
 from ..techlib import CellLibrary, standard_cells
 from .cache import DEFAULT_CONSTRAINTS, ResultCache, clone_instance
 from .errors import (
@@ -111,8 +118,6 @@ from .planner import (
     PlanResult,
     match_implementations,
     select_implementation,
-    tradeoff_rows,
-    tradeoff_spec,
     validate_attribute_names,
 )
 from .query import (
@@ -121,6 +126,7 @@ from .query import (
     QuerySpec,
     TypePredicate,
 )
+from .surface import ClassicOps
 
 
 def instance_summary(
@@ -261,15 +267,20 @@ class RequestDedupe:
             return len(self._entries)
 
 
-class Session:
+class Session(ClassicOps):
     """One client's view of the component service.
 
     A session owns the per-client design context (``current_design`` and
     its transaction state) while sharing the service's catalog, database,
-    store, instance registry and result cache.  All the classic ICDB
-    operations are methods here; the typed entry point is
-    :meth:`execute`.
+    store, instance registry and result cache.  The classic ICDB
+    operations come from :class:`~repro.api.surface.ClassicOps` and run
+    through :meth:`execute` like every other request; the bodies that
+    execute them are the :data:`HANDLERS` of this module.
     """
+
+    #: Local answers are the registered instances themselves, so a
+    #: ``request_component`` never pays for the full wire render.
+    component_detail = "summary"
 
     def __init__(self, service: "ComponentService", session_id: str, client: str = ""):
         self.service = service
@@ -303,512 +314,486 @@ class Session:
         """Execute a typed request in this session's context."""
         return self.service.execute(request, self)
 
-    # ------------------------------------------------------------------- jobs
-
     def submit(self, request: Request, label: str = "") -> "LocalJobHandle":
         """Submit ``request`` as an asynchronous job of this session."""
         descriptor = self.service.jobs.submit(request, self, label=label)
         return LocalJobHandle(self, descriptor)
 
-    def submit_component(self, **kwargs: Any) -> "LocalJobHandle":
-        """Asynchronous ``request_component``: submit and return a handle.
+    # ------------------------------------------------------------ local hooks
 
-        Accepts the :class:`~repro.api.messages.ComponentRequest` fields
-        (``component_name``, ``implementation``, ``functions``,
-        ``attributes``, ``constraints``, ``parameters`` ...); the handle's
-        :meth:`LocalJobHandle.instance` waits and answers the registered
-        :class:`~repro.core.instances.ComponentInstance`.
-        """
-        return self.submit(_component_request_from_kwargs(kwargs))
+    def _component_instance(self, summary: Dict[str, Any]) -> ComponentInstance:
+        return self.instances.get(str(summary["instance"]))
 
-    def job_status(
-        self,
-        job_id: str,
-        wait: bool = False,
-        timeout_ms: Optional[float] = None,
-        include_events: bool = False,
-        events_since: int = 0,
-    ) -> Dict[str, object]:
-        return self.service.jobs.status(
-            job_id,
-            wait=wait,
-            timeout_ms=timeout_ms,
-            include_events=include_events,
-            events_since=events_since,
-            session=self,
-        )
-
-    def cancel_job(self, job_id: str) -> Dict[str, object]:
-        return self.service.jobs.cancel(job_id, session=self)
-
-    # ----------------------------------------------------------------- query
-
-    def function_query(
-        self, functions: Sequence[str], want: str = "implementation"
-    ) -> List[str]:
-        """Components or implementations that execute *all* given functions.
-
-        Lowers to a single :class:`~repro.api.query.FunctionPredicate` of
-        the query IR -- the same matching a planner's enumerate stage runs.
-        """
-        if want not in FUNCTION_QUERY_WANTS:
-            raise IcdbError(
-                f"unknown function_query want {want!r}; "
-                f"expected one of {FUNCTION_QUERY_WANTS}"
-            )
-        matches = match_implementations(
-            self.catalog, (FunctionPredicate(tuple(functions)),)
-        )
-        if want == "component":
-            seen: List[str] = []
-            for implementation in matches:
-                if implementation.component_type not in seen:
-                    seen.append(implementation.component_type)
-            return seen
-        return [implementation.name for implementation in matches]
-
-    def component_query(
-        self,
-        component: Optional[str] = None,
-        implementation: Optional[str] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, object]] = None,
-    ) -> Dict[str, List[str]]:
-        """The CQL ``component_query`` (see :class:`~repro.core.icdb.ICDB`).
-
-        The filter terms lower to query-IR predicates: ``component`` to a
-        :class:`~repro.api.query.TypePredicate`, ``functions`` to a
-        :class:`~repro.api.query.FunctionPredicate`, and ``attributes`` to
-        an :class:`~repro.api.query.AttributePredicate` -- candidates must
-        support every named attribute, and a name no catalog
-        implementation defines raises ``E_INVALID`` (it used to be
-        silently dropped).  Both answer lists are sorted, so the result is
-        deterministic whatever order the catalog was populated in.
-        """
-        result: Dict[str, List[str]] = {}
-        if attributes:
-            # Validate on every branch -- the functions-of-one-implementation
-            # answer ignores attribute *values*, but a name outside the
-            # catalog vocabulary is a typo either way.
-            validate_attribute_names(self.catalog, attributes)
-        if implementation is not None:
-            if implementation in self.instances:
-                result["function"] = list(self.instances.get(implementation).functions)
-            else:
-                result["function"] = list(self.catalog.get(implementation).functions)
-            return result
-        predicates: List[object] = []
-        if component is not None:
-            predicates.append(TypePredicate(component=component))
-        if functions:
-            predicates.append(FunctionPredicate(tuple(functions)))
-        if attributes:
-            # The predicate filters on attribute *support*; the values ride
-            # along untouched (they only matter at generation time).
-            predicates.append(AttributePredicate(attributes=dict(attributes)))
-        candidates = match_implementations(self.catalog, predicates)
-        result["implementation"] = sorted(impl.name for impl in candidates)
-        result["component"] = sorted({impl.component_type for impl in candidates})
-        return result
-
-    def functions_of(self, name: str) -> List[str]:
-        """Functions a generated instance or an implementation can execute."""
-        if name in self.instances:
-            return list(self.instances.get(name).functions)
-        return list(self.catalog.get(name).functions)
-
-    # ------------------------------------------------------------------- plans
+    def _layout_answer(self, value: Dict[str, Any]) -> ComponentLayout:
+        return self.instances.get(str(value["instance"])).layout
 
     def plan(self, spec: QuerySpec) -> PlanResult:
-        """Run a declarative component query (see :mod:`repro.api.query`).
-
-        Enumerates candidate ``(implementation, parameters)`` points from
-        the catalog, prunes with cheap pre-generation checks, generates
-        the survivors through the cached engine -- in parallel over the
-        service's job workers when possible -- and answers the ranked
-        :class:`~repro.api.planner.PlanResult` with its ``explain()``
-        report.  The typed wire form is
-        :class:`~repro.api.messages.PlanQuery`.
-        """
+        """Plan in process: the live result keeps each failed candidate's
+        original exception, which ``area_time_tradeoff`` re-raises."""
         return Planner(self).plan(spec)
 
-    def implementations_of_type(self, component_type: str) -> List[str]:
-        return [impl.name for impl in self.catalog.by_component_type(component_type)]
-
-    # --------------------------------------------------------------- request
-
-    def request_component(
-        self,
-        component_name: Optional[str] = None,
-        implementation: Optional[str] = None,
-        iif: Optional[str] = None,
-        structure: Optional[StructuralNetlist] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, object]] = None,
-        constraints: Optional[Constraints] = None,
-        strategy: Optional[str] = None,
-        target: str = TARGET_LOGIC,
-        instance_name: Optional[str] = None,
-        parameters: Optional[Mapping[str, int]] = None,
-        use_cache: bool = True,
-    ) -> ComponentInstance:
-        """The CQL ``request_component``: generate a component instance.
-
-        Catalog-based requests are memoized: an identical implementation /
-        parameters / constraints / target signature reuses the synthesized
-        netlist and estimates under a fresh instance name (``use_cache=False``
-        forces a full generator run).
-        """
-        service = self.service
-        # Constraints are immutable by convention (with_updates returns
-        # copies), so the no-constraints case shares one default object.
-        constraints = constraints if constraints is not None else DEFAULT_CONSTRAINTS
-        if strategy is not None:
-            constraints = constraints.with_updates(strategy=strategy)
-        if target not in (TARGET_LOGIC, TARGET_LAYOUT):
-            raise IcdbError(f"unknown generation target {target!r}")
-
-        if iif is not None:
-            name = instance_name or self.instances.new_name("custom")
-            instance = service.generator.generate_from_iif(
-                iif, parameters, constraints, name, target, functions or ()
-            )
-        elif structure is not None:
-            name = instance_name or self.instances.new_name(structure.name)
-            instance = service.generator.generate_from_structure(
-                structure,
-                lambda ref: self.instances.get(ref.component).netlist,
-                constraints,
-                name,
-                target,
-            )
-        else:
-            chosen = service.choose_implementation(
-                component_name, implementation, functions
-            )
-            overrides = dict(parameters or {})
-            overrides.update(chosen.attributes_to_parameters(attributes))
-            key = (
-                service.cache.signature(chosen.name, overrides, constraints, target)
-                if use_cache
-                else None
-            )
-            template = service.cache.lookup(key) if key is not None else None
-            name = instance_name or self.instances.new_name(chosen.name)
-            if template is not None:
-                instance = clone_instance(template, name)
-            else:
-                # Cold generation: let the fleet compute the heavy stages
-                # out of process first.  On success the generator call
-                # below replays as a warm memo hit; on any failure (no
-                # workers, death, timeout) it simply runs cold here --
-                # the dispatcher never raises into this path.
-                if service.fleet is not None:
-                    service.fleet.prewarm(chosen, overrides, constraints, name)
-                instance = service.generator.generate_from_implementation(
-                    chosen, overrides, constraints, name, target
-                )
-                if key is not None:
-                    service.cache.store(key, instance)
-
-        instance.design = self.current_design
-        service.register_instance(instance)
-        return instance
-
-    # --------------------------------------------------------- instance query
+    # ------------------------------------------------------ registry lookups
 
     def instance(self, name: str) -> ComponentInstance:
         return self.instances.get(name)
 
-    def instance_query(
-        self, name: str, fields: Optional[Sequence[str]] = None
-    ) -> Dict[str, object]:
-        """The CQL ``instance_query``: everything known about an instance.
+    def implementations_of_type(self, component_type: str) -> List[str]:
+        return [impl.name for impl in self.catalog.by_component_type(component_type)]
 
-        ``fields`` restricts the answer to the named reports; only those are
-        rendered (``connect_component`` asks for ``("connect",)`` and never
-        pays for the VHDL netlist).  Asking for ``files`` materializes any
-        lazily deferred artifacts first, so the returned paths are readable.
-        """
-        instance = self.instances.get(name)
-        if not fields or "files" in fields:
-            self.service.materialize_artifacts(name)
-        producers = {
-            "function": lambda: list(instance.functions),
-            "delay": instance.render_delay,
-            "area": instance.render_area_records,
-            "shape_function": instance.render_shape,
-            "clock_width": lambda: instance.clock_width,
-            "VHDL_net_list": instance.vhdl_netlist,
-            "VHDL_head": instance.vhdl_head,
-            "connect": lambda: instance.connection_info,
-            "files": lambda: dict(instance.files),
-            "met_constraints": instance.met_constraints,
-            "violations": lambda: list(instance.constraint_violations),
-        }
-        if fields:
-            unknown = [field for field in fields if field not in producers]
-            if unknown:
-                raise IcdbError(
-                    f"unknown instance_query fields {unknown}", code=E_NOT_FOUND
-                )
-            return {field: producers[field]() for field in fields}
-        return {key: produce() for key, produce in producers.items()}
 
-    def connect_component(self, name: str) -> str:
-        """The CQL ``connect_component``: connection information string."""
-        return self.instances.get(name).connection_info
+# ---------------------------------------------------------------------------
+# The request handlers: one program per request kind
+# ---------------------------------------------------------------------------
 
-    # ------------------------------------------------- simulation / verification
 
-    def simulate(
-        self,
-        name: str,
-        vectors: Sequence[Mapping[str, int]],
-        engine: str = "gates",
-        clock: Optional[str] = None,
-    ) -> Dict[str, object]:
-        """The ``simulate`` request: batch vector simulation of an instance.
+def _component_query(service: "ComponentService", session: Session, request: ComponentQuery):
+    # The filter terms lower to query-IR predicates: component to a
+    # TypePredicate, functions to a FunctionPredicate, attributes to an
+    # AttributePredicate (a name no catalog implementation defines raises
+    # E_INVALID).
+    attributes = request.attributes
+    if attributes:
+        # Validate on every branch -- the functions-of-one-implementation
+        # answer ignores attribute *values*, but a name outside the
+        # catalog vocabulary is a typo either way.
+        validate_attribute_names(service.catalog, attributes)
+    name = request.implementation
+    if name is not None:
+        registry = service.instances if name in service.instances else service.catalog
+        return {"function": list(registry.get(name).functions)}, False
+    predicates: List[object] = []
+    if request.component is not None:
+        predicates.append(TypePredicate(component=request.component))
+    if request.functions:
+        predicates.append(FunctionPredicate(tuple(request.functions)))
+    if attributes:
+        # The predicate filters on attribute *support*; the values ride
+        # along untouched (they only matter at generation time).
+        predicates.append(AttributePredicate(attributes=dict(attributes)))
+    candidates = match_implementations(service.catalog, predicates)
+    return {
+        "implementation": sorted(impl.name for impl in candidates),
+        "component": sorted({impl.component_type for impl in candidates}),
+    }, False
 
-        Runs the bit-parallel engine over the vectors (one lane per
-        vector; a single serial trace when ``clock`` is given) and answers
-        one output assignment per vector.
-        """
-        instance = self.instances.get(name)
-        outputs = simulate_vectors(
-            instance.flat,
-            instance.netlist,
-            vectors,
-            engine=engine,
-            clock=clock,
+
+def _function_query(service: "ComponentService", session: Session, request: FunctionQuery):
+    # One FunctionPredicate: the same matching a plan's enumerate stage runs.
+    if request.want not in FUNCTION_QUERY_WANTS:
+        raise IcdbError(
+            f"unknown function_query want {request.want!r}; "
+            f"expected one of {FUNCTION_QUERY_WANTS}"
         )
-        return {
-            "instance": name,
-            "engine": engine,
-            "clock": clock,
-            "vectors": outputs,
-        }
+    matches = match_implementations(
+        service.catalog, (FunctionPredicate(tuple(request.functions)),)
+    )
+    if request.want == "component":
+        seen: List[str] = []
+        for implementation in matches:
+            if implementation.component_type not in seen:
+                seen.append(implementation.component_type)
+        return seen, False
+    return [implementation.name for implementation in matches], False
 
-    def check_equivalence(
-        self,
-        name: str,
-        reference: Optional[str] = None,
-        mode: str = "auto",
-        clock: Optional[str] = None,
-        max_exhaustive: int = 10,
-        samples: int = 256,
-        cycles: int = 32,
-        lanes: int = 64,
-        seed: int = 1990,
-    ) -> Dict[str, object]:
-        """The ``check_equivalence`` request: verify an instance's netlist.
 
-        The candidate's gate netlist is checked against the flat IIF form
-        of ``reference`` (another instance; defaults to the candidate
-        itself, i.e. "did synthesis preserve the specified function?").
-        """
-        candidate = self.instances.get(name)
-        specification = (
-            self.instances.get(reference) if reference else candidate
-        )
-        result = check_equivalence(
-            specification.flat,
-            candidate.netlist,
-            mode=mode,
-            clock=clock,
-            max_exhaustive=max_exhaustive,
-            samples=samples,
-            cycles=cycles,
-            lanes=lanes,
-            seed=seed,
-        )
-        answer: Dict[str, object] = {
-            "instance": name,
-            "reference": reference or name,
-        }
-        answer.update(result.to_dict())
-        return answer
-
-    def request_layout(
-        self,
-        name: str,
-        alternative: Optional[int] = None,
-        strips: Optional[int] = None,
-        port_positions: Sequence[PortPosition] = (),
-    ) -> ComponentLayout:
-        """Generate (and store) the layout of an existing instance."""
-        instance = self.instances.get(name)
-        if strips is None and alternative is not None:
-            strips = instance.shape.alternative(alternative).strips
-        layout = generate_layout(
-            instance.netlist,
-            strips=strips,
-            port_positions=port_positions,
-            # The netlist may be a shared template (a result-cache clone or
-            # a generation-cache flow hit); the layout and its CIF must
-            # carry *this* instance's name.
-            name=name,
-        )
-        instance.layout = layout
-        instance.target = TARGET_LAYOUT
-        service = self.service
-        cif_path = service.store.write(name, "cif", layout_to_cif(layout))
-        instance.files["cif"] = str(cif_path)
-        with service.lock:
-            files_table = service.database.table(DESIGN_FILES)
-            # One DESIGN_FILES row per (instance, kind): a regenerated layout
-            # replaces the recorded path instead of inserting a duplicate.
-            if files_table.select({"instance": name, "kind": "cif"}):
-                files_table.update(
-                    {"instance": name, "kind": "cif"}, path=str(cif_path)
-                )
-            else:
-                files_table.insert(instance=name, kind="cif", path=str(cif_path))
-            service.database.table(INSTANCES).update(
-                {"name": name},
-                area=float(layout.area),
-                width=float(layout.width),
-                height=float(layout.height),
-                strips=int(layout.strips),
-                target=TARGET_LAYOUT,
+def _instance_query(service: "ComponentService", session: Session, request: InstanceQuery):
+    # Only the asked-for reports are rendered: connect_component asks for
+    # ("connect",) and never pays for the VHDL netlist.
+    name, fields = request.name, request.fields
+    instance = service.instances.get(name)
+    if not fields or "files" in fields:
+        service.materialize_artifacts(name)
+    producers = {
+        "function": lambda: list(instance.functions),
+        "delay": instance.render_delay,
+        "area": instance.render_area_records,
+        "shape_function": instance.render_shape,
+        "clock_width": lambda: instance.clock_width,
+        "VHDL_net_list": instance.vhdl_netlist,
+        "VHDL_head": instance.vhdl_head,
+        "connect": lambda: instance.connection_info,
+        "files": lambda: dict(instance.files),
+        "met_constraints": instance.met_constraints,
+        "violations": lambda: list(instance.constraint_violations),
+    }
+    if fields:
+        unknown = [field for field in fields if field not in producers]
+        if unknown:
+            raise IcdbError(
+                f"unknown instance_query fields {unknown}", code=E_NOT_FOUND
             )
-        return layout
+        return {field: producers[field]() for field in fields}, False
+    return {key: produce() for key, produce in producers.items()}, False
 
-    # ----------------------------------------------------design transactions
 
-    def start_a_design(self, design: str) -> None:
-        if not design:
+def _request_component(
+    service: "ComponentService", session: Session, request: ComponentRequest
+):
+    if request.detail not in COMPONENT_DETAILS:
+        raise IcdbError(
+            f"unknown request detail {request.detail!r}; "
+            f"expected one of {COMPONENT_DETAILS}",
+            code=E_BAD_REQUEST,
+        )
+    # Constraints are immutable by convention (with_updates returns
+    # copies), so the no-constraints case shares one default object.
+    constraints = (
+        request.constraints if request.constraints is not None else DEFAULT_CONSTRAINTS
+    )
+    if request.strategy is not None:
+        constraints = constraints.with_updates(strategy=request.strategy)
+    target = request.target
+    if target not in (TARGET_LOGIC, TARGET_LAYOUT):
+        raise IcdbError(f"unknown generation target {target!r}")
+    instances = service.instances
+    functions = list(request.functions) or None
+
+    if request.iif is not None:
+        name = request.instance_name or instances.new_name("custom")
+        instance = service.generator.generate_from_iif(
+            request.iif, request.parameters, constraints, name, target, functions or ()
+        )
+    elif request.structure is not None:
+        name = request.instance_name or instances.new_name(request.structure.name)
+        instance = service.generator.generate_from_structure(
+            request.structure,
+            lambda ref: instances.get(ref.component).netlist,
+            constraints,
+            name,
+            target,
+        )
+    else:
+        chosen = service.choose_implementation(
+            request.component_name, request.implementation, functions
+        )
+        overrides = dict(request.parameters or {})
+        overrides.update(chosen.attributes_to_parameters(request.attributes))
+        key = (
+            service.cache.signature(chosen.name, overrides, constraints, target)
+            if request.use_cache
+            else None
+        )
+        template = service.cache.lookup(key) if key is not None else None
+        name = request.instance_name or instances.new_name(chosen.name)
+        if template is not None:
+            instance = clone_instance(template, name)
+        else:
+            # Cold generation: let the fleet compute the heavy stages
+            # out of process first.  On success the generator call
+            # below replays as a warm memo hit; on any failure (no
+            # workers, death, timeout) it simply runs cold here --
+            # the dispatcher never raises into this path.
+            if service.fleet is not None:
+                service.fleet.prewarm(chosen, overrides, constraints, name)
+            instance = service.generator.generate_from_implementation(
+                chosen, overrides, constraints, name, target
+            )
+            if key is not None:
+                service.cache.store(key, instance)
+
+    instance.design = session.current_design
+    service.register_instance(instance)
+    return instance_summary(instance, detail=request.detail), instance.cached
+
+
+def _plan_query(service: "ComponentService", session: Session, request: PlanQuery):
+    return session.plan(request.query).to_dict(), False
+
+
+def _request_layout(service: "ComponentService", session: Session, request: LayoutRequest):
+    name = request.name
+    instance = service.instances.get(name)
+    strips = request.strips
+    if strips is None and request.alternative is not None:
+        strips = instance.shape.alternative(request.alternative).strips
+    layout = generate_layout(
+        instance.netlist,
+        strips=strips,
+        port_positions=request.port_positions,
+        # The netlist may be a shared template (a result-cache clone or
+        # a generation-cache flow hit); the layout and its CIF must
+        # carry *this* instance's name.
+        name=name,
+    )
+    instance.layout = layout
+    instance.target = TARGET_LAYOUT
+    cif = layout_to_cif(layout)
+    cif_path = service.store.write(name, "cif", cif)
+    instance.files["cif"] = str(cif_path)
+    with service.lock:
+        files_table = service.database.table(DESIGN_FILES)
+        # One DESIGN_FILES row per (instance, kind): a regenerated layout
+        # replaces the recorded path instead of inserting a duplicate.
+        if files_table.select({"instance": name, "kind": "cif"}):
+            files_table.update({"instance": name, "kind": "cif"}, path=str(cif_path))
+        else:
+            files_table.insert(instance=name, kind="cif", path=str(cif_path))
+        service.database.table(INSTANCES).update(
+            {"name": name},
+            area=float(layout.area),
+            width=float(layout.width),
+            height=float(layout.height),
+            strips=int(layout.strips),
+            target=TARGET_LAYOUT,
+        )
+    return {
+        "instance": name,
+        "cif_layout": cif,
+        "area": float(layout.area),
+        "width": float(layout.width),
+        "height": float(layout.height),
+        "strips": int(layout.strips),
+    }, False
+
+
+def _simulate(service: "ComponentService", session: Session, request: Simulate):
+    service.metrics.counter("sim.requests").inc()
+    service.metrics.counter("sim.vectors").inc(len(request.vectors))
+    instance = service.instances.get(request.name)
+    outputs = simulate_vectors(
+        instance.flat,
+        instance.netlist,
+        request.vectors,
+        engine=request.engine,
+        clock=request.clock,
+    )
+    return {
+        "instance": request.name,
+        "engine": request.engine,
+        "clock": request.clock,
+        "vectors": outputs,
+    }, False
+
+
+def _check_equivalence(
+    service: "ComponentService", session: Session, request: CheckEquivalence
+):
+    service.metrics.counter("verify.checks").inc()
+    candidate = service.instances.get(request.name)
+    specification = (
+        service.instances.get(request.reference) if request.reference else candidate
+    )
+    result = check_equivalence(
+        specification.flat,
+        candidate.netlist,
+        mode=request.mode,
+        clock=request.clock,
+        max_exhaustive=request.max_exhaustive,
+        samples=request.samples,
+        cycles=request.cycles,
+        lanes=request.lanes,
+        seed=request.seed,
+    )
+    answer: Dict[str, object] = {
+        "instance": request.name,
+        "reference": request.reference or request.name,
+    }
+    answer.update(result.to_dict())
+    return answer, False
+
+
+def _design_op(service: "ComponentService", session: Session, request: DesignOp):
+    op = request.op
+    design = request.design or session.current_design
+    database = service.database
+    if op == "start_design":
+        if not request.design:
             raise IcdbError("a design name is required")
-        with self.service.lock:
-            table = self.service.database.table(DESIGNS)
-            if table.get(name=design) is not None:
-                raise IcdbError(f"design {design!r} already exists", code=E_CONFLICT)
-            table.insert(name=design, status="open", transaction_open=False)
-        self.current_design = design
-
-    def start_a_transaction(self, design: Optional[str] = None) -> None:
-        design = design or self.current_design
-        with self.service.lock:
-            row = self.service.database.table(DESIGNS).get(name=design)
-            if row is None:
+        with service.lock:
+            table = database.table(DESIGNS)
+            if table.get(name=request.design) is not None:
                 raise IcdbError(
-                    f"design {design!r} has not been started", code=E_NOT_FOUND
+                    f"design {request.design!r} already exists", code=E_CONFLICT
                 )
-            self.service.database.table(DESIGNS).update(
-                {"name": design}, transaction_open=True
-            )
-        self.current_design = design
-
-    def put_in_component_list(self, instance: str, design: Optional[str] = None) -> None:
-        design = design or self.current_design
+            table.insert(name=request.design, status="open", transaction_open=False)
+        session.current_design = request.design
+        return {"design": request.design}, False
+    if op == "put_in_list":
         if not design:
             raise IcdbError("no design is active")
-        self.instances.get(instance)  # raises if unknown
-        with self.service.lock:
-            table = self.service.database.table(DESIGN_INSTANCES)
-            rows = table.select({"design": design, "instance": instance})
-            if rows:
-                table.update({"design": design, "instance": instance}, kept=True)
+        service.instances.get(request.instance)  # raises if unknown
+        with service.lock:
+            table = database.table(DESIGN_INSTANCES)
+            key = {"design": design, "instance": request.instance}
+            if table.select(key):
+                table.update(key, kept=True)
             else:
-                table.insert(design=design, instance=instance, kept=True)
-
-    def component_list(self, design: Optional[str] = None) -> List[str]:
-        design = design or self.current_design
-        rows = self.service.database.table(DESIGN_INSTANCES).select(
-            {"design": design, "kept": True}
-        )
-        return [row["instance"] for row in rows]
-
-    def end_a_transaction(self, design: Optional[str] = None) -> List[str]:
-        """End a transaction: delete the design's instances not in the list."""
-        design = design or self.current_design
-        service = self.service
-        with service.lock:
-            row = service.database.table(DESIGNS).get(name=design)
-            if row is None:
-                raise IcdbError(
-                    f"design {design!r} has not been started", code=E_NOT_FOUND
-                )
-            doomed = service.database.table(DESIGN_INSTANCES).select(
-                {"design": design, "kept": False}
-            )
-            removed = []
-            for entry in doomed:
-                service.delete_instance(entry["instance"])
-                removed.append(entry["instance"])
-            service.database.table(DESIGN_INSTANCES).delete(
-                {"design": design, "kept": False}
-            )
-            service.database.table(DESIGNS).update(
-                {"name": design}, transaction_open=False
-            )
-        return removed
-
-    def end_a_design(self, design: Optional[str] = None) -> List[str]:
-        """End a design: delete every remaining instance of its component list."""
-        design = design or self.current_design
-        service = self.service
-        with service.lock:
-            row = service.database.table(DESIGNS).get(name=design)
-            if row is None:
-                raise IcdbError(
-                    f"design {design!r} has not been started", code=E_NOT_FOUND
-                )
-            removed = []
-            for entry in service.database.table(DESIGN_INSTANCES).select(
-                {"design": design}
-            ):
-                service.delete_instance(entry["instance"])
-                removed.append(entry["instance"])
-            service.database.table(DESIGN_INSTANCES).delete({"design": design})
-            service.database.table(DESIGNS).update(
+                table.insert(design=design, instance=request.instance, kept=True)
+        return {"design": design, "instance": request.instance}, False
+    if op == "component_list":
+        rows = database.table(DESIGN_INSTANCES).select({"design": design, "kept": True})
+        return {"design": design, "instances": [row["instance"] for row in rows]}, False
+    with service.lock:
+        if database.table(DESIGNS).get(name=design) is None:
+            raise IcdbError(f"design {design!r} has not been started", code=E_NOT_FOUND)
+        if op == "start_transaction":
+            database.table(DESIGNS).update({"name": design}, transaction_open=True)
+            session.current_design = design
+            return {"design": design}, False
+        # Ending a transaction deletes the design's instances not in its
+        # component list; ending the design deletes every one left.
+        doomed = {"design": design}
+        if op == "end_transaction":
+            doomed["kept"] = False
+        removed = []
+        for entry in database.table(DESIGN_INSTANCES).select(doomed):
+            service.delete_instance(entry["instance"])
+            removed.append(entry["instance"])
+        database.table(DESIGN_INSTANCES).delete(doomed)
+        if op == "end_transaction":
+            database.table(DESIGNS).update({"name": design}, transaction_open=False)
+        else:
+            database.table(DESIGNS).update(
                 {"name": design}, status="closed", transaction_open=False
             )
-        if self.current_design == design:
-            self.current_design = ""
-        return removed
-
-    # ---------------------------------------------------------------- helpers
-
-    def area_time_tradeoff(
-        self,
-        component_name: str,
-        configurations: Sequence[Tuple[str, Mapping[str, int]]],
-        constraints: Optional[Constraints] = None,
-        delay_output: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Generate several configurations of a component and tabulate the
-        (delay, area) tradeoff -- the Figure 5 experiment.
-
-        A thin wrapper over the planner: the labelled configurations lower
-        to explicit plan points (:func:`~repro.api.planner.tradeoff_spec`)
-        and generate through the parallel candidate fan-out instead of a
-        serial ``request_component`` loop.  The row schema -- ``label`` /
-        ``instance`` / ``delay`` / ``clock_width`` / ``area`` / ``cells``,
-        in configuration order -- the instance names and the generated
-        artifacts are unchanged.  On a failed configuration the original
-        exception is re-raised, but -- unlike the serial loop, which
-        stopped there -- the remaining configurations have already
-        generated by the time it surfaces.
-        """
-        result = self.plan(
-            tradeoff_spec(component_name, configurations, constraints, delay_output)
-        )
-        return tradeoff_rows(result)
+    if op == "end_design" and session.current_design == design:
+        session.current_design = ""
+    return {"design": design, "removed": removed}, False
 
 
-def _component_request_from_kwargs(kwargs: Mapping[str, Any]) -> ComponentRequest:
-    """Build a :class:`ComponentRequest` from ``request_component`` kwargs."""
-    fields = dict(kwargs)
-    functions = fields.pop("functions", None)
-    attributes = fields.pop("attributes", None)
-    parameters = fields.pop("parameters", None)
-    return ComponentRequest(
-        functions=tuple(functions or ()),
-        attributes=dict(attributes) if attributes else None,
-        parameters=dict(parameters) if parameters else None,
-        **fields,
-    )
+def _batch(service: "ComponentService", session: Session, request: BatchRequest):
+    responses = service.execute_batch(request.flattened(), session)
+    return [response.to_dict() for response in responses], False
+
+
+def _submit_job(service: "ComponentService", session: Session, request: SubmitJob):
+    assert request.request is not None  # enforced by __post_init__
+    return service.jobs.submit(request.request, session, label=request.label), False
+
+
+def _job_status(service: "ComponentService", session: Session, request: JobStatus):
+    # The wait happens on the *calling* thread (a connection thread or an
+    # in-process client), never on a job worker slot; the session scopes
+    # the lookup to its own jobs.
+    return service.jobs.status(
+        request.job_id,
+        wait=request.wait,
+        timeout_ms=request.timeout_ms,
+        include_events=request.include_events,
+        events_since=request.events_since,
+        session=session,
+    ), False
+
+
+def _cancel_job(service: "ComponentService", session: Session, request: CancelJob):
+    return service.jobs.cancel(request.job_id, session=session), False
+
+
+def _get_metrics(service: "ComponentService", session: Session, request: GetMetrics):
+    # Snapshot is taken before execute() counts this request, so an
+    # otherwise-idle snapshot is internally consistent.
+    return service.metrics.snapshot(
+        prefixes=request.prefixes,
+        include_histograms=request.include_histograms,
+    ), False
+
+
+def _ping(service: "ComponentService", session: Session, request: Ping):
+    health = service.health()
+    if request.echo:
+        health["echo"] = request.echo
+    return health, False
+
+
+def _warm_cache(service: "ComponentService", session: Session, request: WarmCache):
+    """Prime stage memos, optionally fleet-wide.
+
+    Each entry resolves to one or more catalog implementations (an
+    explicit ``implementation`` name, or a ``component`` / ``functions``
+    region) and warms every one through the normal memoized pipeline.
+    Nothing is registered; re-warming is a no-op beyond the memo lookups,
+    which is why the kind is idempotent.  Unresolvable entries are
+    reported, not fatal: warming is an optimization, a typo must not fail
+    the batch around it.
+    """
+    catalog = service.catalog
+    warmed = 0
+    errors: List[str] = []
+    for entry in request.entries:
+        implementations: List[ComponentImplementation] = []
+        try:
+            if entry.get("implementation"):
+                implementations = [catalog.get(str(entry["implementation"]))]
+            else:
+                if entry.get("component"):
+                    implementations = catalog.by_component_type(str(entry["component"]))
+                else:
+                    implementations = catalog.implementations()
+                functions = entry.get("functions")
+                if functions:
+                    implementations = [
+                        impl for impl in implementations if impl.performs(functions)
+                    ]
+                if not entry.get("component") and not functions:
+                    raise IcdbError(
+                        "a warm_cache entry needs 'implementation', "
+                        "'component' or 'functions'"
+                    )
+            if not implementations:
+                raise IcdbError("no catalog implementation matches")
+            constraints = (
+                Constraints.from_dict(entry["constraints"])
+                if entry.get("constraints")
+                else DEFAULT_CONSTRAINTS
+            )
+            for implementation in implementations:
+                overrides = dict(entry.get("parameters") or {})
+                overrides.update(
+                    implementation.attributes_to_parameters(entry.get("attributes"))
+                )
+                service.generator.warm_implementation(
+                    implementation, overrides, constraints, name=entry.get("name")
+                )
+                warmed += 1
+        except Exception as exc:  # noqa: BLE001 - per-entry reporting
+            errors.append(str(exc))
+    workers_warmed = 0
+    if request.fanout and service.fleet is not None:
+        workers_warmed = service.fleet.broadcast_warm(request)
+    return {
+        "warmed": warmed,
+        "workers_warmed": workers_warmed,
+        "errors": errors,
+    }, False
+
+
+def _fleet_generate(service: "ComponentService", session: Session, request: FleetGenerate):
+    # Local import: the fleet package imports the network stack, which
+    # imports this module.
+    from ..fleet.bundle import compute_bundle
+
+    implementation = service.catalog.get(request.implementation)
+    return compute_bundle(
+        service.generator,
+        implementation,
+        request.parameters,
+        request.constraints,
+        name=request.name,
+    ), False
+
+
+#: The one program that executes each request kind, keyed like
+#: :data:`~repro.api.messages.REQUEST_TYPES`: ``(service, session,
+#: request) -> (value, cached)``.  ``cached`` marks a result-cache hit.
+HANDLERS: Dict[str, Callable[["ComponentService", Session, Any], Tuple[Any, bool]]] = {
+    ComponentQuery.kind: _component_query,
+    FunctionQuery.kind: _function_query,
+    InstanceQuery.kind: _instance_query,
+    ComponentRequest.kind: _request_component,
+    PlanQuery.kind: _plan_query,
+    LayoutRequest.kind: _request_layout,
+    Simulate.kind: _simulate,
+    CheckEquivalence.kind: _check_equivalence,
+    DesignOp.kind: _design_op,
+    BatchRequest.kind: _batch,
+    SubmitJob.kind: _submit_job,
+    JobStatus.kind: _job_status,
+    CancelJob.kind: _cancel_job,
+    GetMetrics.kind: _get_metrics,
+    Ping.kind: _ping,
+    WarmCache.kind: _warm_cache,
+    FleetGenerate.kind: _fleet_generate,
+}
 
 
 class ComponentService:
@@ -857,9 +842,8 @@ class ComponentService:
         #: over the caches' and job manager's own accounting (so the
         #: export always equals the in-process counters, see repro.obs).
         self.metrics = metrics or MetricsRegistry(clock=self.clock)
-        #: Optional per-request structured log (one JSON line per request
-        #: on both the connection fast path and the job worker path --
-        #: every request funnels through :meth:`execute`).
+        #: Optional per-request structured log (one JSON line per request,
+        #: local or remote -- every request funnels through :meth:`execute`).
         self.request_log = request_log
         # Hot-path instrument handles, resolved once: execute() runs per
         # request (batch members included), so it must not pay a registry
@@ -950,10 +934,12 @@ class ComponentService:
 
     def create_session(self, client: str = "") -> Session:
         """A new session with its own design context."""
+        return Session(self, self._next_session_id(), client=client)
+
+    def _next_session_id(self) -> str:
         with self.lock:
             self._session_counter += 1
-            session_id = f"session-{self._session_counter}"
-        return Session(self, session_id, client=client)
+            return f"session-{self._session_counter}"
 
     @property
     def default_session(self) -> Session:
@@ -968,10 +954,10 @@ class ComponentService:
     def execute(self, request: Request, session: Optional[Session] = None) -> Response:
         """Execute one typed request; never raises, always an envelope.
 
-        This is also the observability funnel: both the connection fast
-        path and the job worker path come through here, so the request
-        counters, the latency histogram and the structured request log
-        see every request exactly once.
+        This is also the observability funnel: the connection fast path,
+        the job worker path and the local classic operations all come
+        through here, so the request counters, the latency histogram and
+        the structured request log see every request exactly once.
         """
         session = session or self.default_session
         cache = self.cache
@@ -1047,201 +1033,10 @@ class ComponentService:
             )
 
     def _dispatch(self, request: Request, session: Session):
-        if isinstance(request, ComponentRequest):
-            return self._component_request(request, session)
-        if isinstance(request, ComponentQuery):
-            return (
-                session.component_query(
-                    component=request.component,
-                    implementation=request.implementation,
-                    functions=list(request.functions) or None,
-                    attributes=request.attributes,
-                ),
-                False,
-            )
-        if isinstance(request, FunctionQuery):
-            return (
-                session.function_query(list(request.functions), want=request.want),
-                False,
-            )
-        if isinstance(request, InstanceQuery):
-            return session.instance_query(request.name, request.fields or None), False
-        if isinstance(request, PlanQuery):
-            return session.plan(request.query).to_dict(), False
-        if isinstance(request, LayoutRequest):
-            layout = session.request_layout(
-                request.name,
-                alternative=request.alternative,
-                strips=request.strips,
-                port_positions=request.port_positions,
-            )
-            return (
-                {
-                    "instance": request.name,
-                    "cif_layout": layout_to_cif(layout),
-                    "area": float(layout.area),
-                    "width": float(layout.width),
-                    "height": float(layout.height),
-                    "strips": int(layout.strips),
-                },
-                False,
-            )
-        if isinstance(request, Simulate):
-            self.metrics.counter("sim.requests").inc()
-            self.metrics.counter("sim.vectors").inc(len(request.vectors))
-            return (
-                session.simulate(
-                    request.name,
-                    request.vectors,
-                    engine=request.engine,
-                    clock=request.clock,
-                ),
-                False,
-            )
-        if isinstance(request, CheckEquivalence):
-            self.metrics.counter("verify.checks").inc()
-            return (
-                session.check_equivalence(
-                    request.name,
-                    reference=request.reference,
-                    mode=request.mode,
-                    clock=request.clock,
-                    max_exhaustive=request.max_exhaustive,
-                    samples=request.samples,
-                    cycles=request.cycles,
-                    lanes=request.lanes,
-                    seed=request.seed,
-                ),
-                False,
-            )
-        if isinstance(request, DesignOp):
-            return self._design_op(request, session), False
-        if isinstance(request, BatchRequest):
-            responses = self.execute_batch(request.flattened(), session)
-            return [response.to_dict() for response in responses], False
-        if isinstance(request, SubmitJob):
-            assert request.request is not None  # enforced by __post_init__
-            return self.jobs.submit(request.request, session, label=request.label), False
-        if isinstance(request, JobStatus):
-            # The wait happens on the *calling* thread (a connection thread
-            # or an in-process client), never on a job worker slot; the
-            # session scopes the lookup to its own jobs.
-            return (
-                self.jobs.status(
-                    request.job_id,
-                    wait=request.wait,
-                    timeout_ms=request.timeout_ms,
-                    include_events=request.include_events,
-                    events_since=request.events_since,
-                    session=session,
-                ),
-                False,
-            )
-        if isinstance(request, CancelJob):
-            return self.jobs.cancel(request.job_id, session=session), False
-        if isinstance(request, GetMetrics):
-            # Snapshot is taken before execute() counts this request, so
-            # an otherwise-idle snapshot is internally consistent.
-            return (
-                self.metrics.snapshot(
-                    prefixes=request.prefixes,
-                    include_histograms=request.include_histograms,
-                ),
-                False,
-            )
-        if isinstance(request, Ping):
-            health = self.health()
-            if request.echo:
-                health["echo"] = request.echo
-            return health, False
-        if isinstance(request, WarmCache):
-            return self._warm_cache(request), False
-        if isinstance(request, FleetGenerate):
-            # Local import: the fleet package imports the network stack,
-            # which imports this module.
-            from ..fleet.bundle import compute_bundle
-
-            implementation = self.catalog.get(request.implementation)
-            return (
-                compute_bundle(
-                    self.generator,
-                    implementation,
-                    request.parameters,
-                    request.constraints,
-                    name=request.name,
-                ),
-                False,
-            )
-        raise IcdbError(f"unsupported request type {type(request).__name__!r}")
-
-    def _warm_cache(self, request: WarmCache) -> Dict[str, Any]:
-        """Execute a ``warm_cache``: prime stage memos, optionally fleet-wide.
-
-        Each entry resolves to one or more catalog implementations (an
-        explicit ``implementation`` name, or a ``component`` /
-        ``functions`` region) and warms every one through the normal
-        memoized pipeline.  Nothing is registered; re-warming is a no-op
-        beyond the memo lookups, which is why the kind is idempotent.
-        Unresolvable entries are reported, not fatal: warming is an
-        optimization, a typo must not fail the batch around it.
-        """
-        warmed = 0
-        errors: List[str] = []
-        for entry in request.entries:
-            implementations: List[ComponentImplementation] = []
-            try:
-                if entry.get("implementation"):
-                    implementations = [self.catalog.get(str(entry["implementation"]))]
-                else:
-                    if entry.get("component"):
-                        implementations = self.catalog.by_component_type(
-                            str(entry["component"])
-                        )
-                    else:
-                        implementations = self.catalog.implementations()
-                    functions = entry.get("functions")
-                    if functions:
-                        implementations = [
-                            impl
-                            for impl in implementations
-                            if impl.performs(functions)
-                        ]
-                    if not entry.get("component") and not functions:
-                        raise IcdbError(
-                            "a warm_cache entry needs 'implementation', "
-                            "'component' or 'functions'"
-                        )
-                if not implementations:
-                    raise IcdbError("no catalog implementation matches")
-                constraints = (
-                    Constraints.from_dict(entry["constraints"])
-                    if entry.get("constraints")
-                    else DEFAULT_CONSTRAINTS
-                )
-                for implementation in implementations:
-                    overrides = dict(entry.get("parameters") or {})
-                    overrides.update(
-                        implementation.attributes_to_parameters(
-                            entry.get("attributes")
-                        )
-                    )
-                    self.generator.warm_implementation(
-                        implementation,
-                        overrides,
-                        constraints,
-                        name=entry.get("name"),
-                    )
-                    warmed += 1
-            except Exception as exc:  # noqa: BLE001 - per-entry reporting
-                errors.append(str(exc))
-        workers_warmed = 0
-        if request.fanout and self.fleet is not None:
-            workers_warmed = self.fleet.broadcast_warm(request)
-        return {
-            "warmed": warmed,
-            "workers_warmed": workers_warmed,
-            "errors": errors,
-        }
+        handler = HANDLERS.get(request.kind)
+        if handler is None:
+            raise IcdbError(f"unsupported request type {type(request).__name__!r}")
+        return handler(self, session, request)
 
     # ----------------------------------------------------------------- health
 
@@ -1284,29 +1079,6 @@ class ComponentService:
             info["status"] = "draining"
         return info
 
-    def _component_request(self, request: ComponentRequest, session: Session):
-        if request.detail not in COMPONENT_DETAILS:
-            raise IcdbError(
-                f"unknown request detail {request.detail!r}; "
-                f"expected one of {COMPONENT_DETAILS}",
-                code=E_BAD_REQUEST,
-            )
-        instance = session.request_component(
-            component_name=request.component_name,
-            implementation=request.implementation,
-            iif=request.iif,
-            structure=request.structure,
-            functions=list(request.functions) or None,
-            attributes=request.attributes,
-            constraints=request.constraints,
-            strategy=request.strategy,
-            target=request.target,
-            instance_name=request.instance_name,
-            parameters=request.parameters,
-            use_cache=request.use_cache,
-        )
-        return instance_summary(instance, detail=request.detail), instance.cached
-
     def execute_batch(
         self, requests: Sequence[Request], session: Optional[Session] = None
     ) -> List[Response]:
@@ -1322,23 +1094,6 @@ class ComponentService:
         session = session or self.default_session
         with self.lock:
             return [self.execute(request, session) for request in requests]
-
-    def _design_op(self, request: DesignOp, session: Session) -> Dict[str, object]:
-        design = request.design or session.current_design
-        if request.op == "start_design":
-            session.start_a_design(request.design)
-            return {"design": request.design}
-        if request.op == "start_transaction":
-            session.start_a_transaction(request.design or None)
-            return {"design": session.current_design}
-        if request.op == "put_in_list":
-            session.put_in_component_list(request.instance, request.design or None)
-            return {"design": design, "instance": request.instance}
-        if request.op == "component_list":
-            return {"design": design, "instances": session.component_list(design)}
-        if request.op == "end_transaction":
-            return {"design": design, "removed": session.end_a_transaction(request.design or None)}
-        return {"design": design, "removed": session.end_a_design(request.design or None)}
 
     # -------------------------------------------------------- engine internals
 
@@ -1534,6 +1289,47 @@ class ComponentService:
             f"{len(self.instances)} generated instances, "
             f"{len(self.cell_library)} library cells"
         )
+
+
+class ICDB(Session):
+    """The intelligent component database system (single-client facade).
+
+    The component server of the paper's Figure 1 as one object: a session
+    of its own private :class:`ComponentService`.  It keeps the classic
+    eager artifact persistence -- its callers read ``instance.files``
+    paths straight off the disk -- and the accessors those callers read
+    beyond the session's.
+    """
+
+    def __init__(
+        self,
+        catalog: Optional[ComponentCatalog] = None,
+        cell_library: Optional[CellLibrary] = None,
+        database: Optional[Database] = None,
+        store: Optional[DesignDataStore] = None,
+        store_root: Optional[Union[str, Path]] = None,
+        clone_artifacts: str = "eager",
+    ):
+        service = ComponentService(
+            catalog=catalog,
+            cell_library=cell_library,
+            database=database,
+            store=store,
+            store_root=store_root,
+            clone_artifacts=clone_artifacts,
+        )
+        super().__init__(service, service._next_session_id(), client="icdb-facade")
+
+    @property
+    def knowledge(self) -> KnowledgeServer:
+        return self.service.knowledge
+
+    @property
+    def cache(self) -> ResultCache:
+        return self.service.cache
+
+    def summary(self) -> str:
+        return self.service.summary()
 
 
 # ---------------------------------------------------------------------------

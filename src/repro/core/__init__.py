@@ -1,6 +1,7 @@
 """ICDB core: the component server, generation manager, instance and
 knowledge management."""
 
+from ..lazy import lazy_exports
 from .generation import (
     EmbeddedGenerator,
     GenerationError,
@@ -9,7 +10,7 @@ from .generation import (
     ToolManager,
     default_tool_manager,
 )
-from .icdb import ICDB, IcdbError
+from .icdb import IcdbError
 from .instances import (
     ComponentInstance,
     InstanceError,
@@ -18,6 +19,10 @@ from .instances import (
     TARGET_LOGIC,
 )
 from .knowledge import KnowledgeError, KnowledgeServer
+
+# ICDB is a Session subclass in repro.api.service, which imports this
+# package while it loads: resolve it on first access.
+__getattr__, __dir__ = lazy_exports(globals(), {"repro.api.service": ("ICDB",)})[:2]
 
 __all__ = [
     "ComponentInstance",

@@ -1,31 +1,24 @@
-"""The ICDB component server facade.
+"""The ICDB error type and the component server facade.
+
+:class:`IcdbError` is what every layer raises for an invalid request; its
+structured ``code`` lets a transport map failures without parsing
+messages.
 
 :class:`ICDB` is the facade the paper's synthesis tools talk to (through
 CQL or directly): it answers component / function queries, generates
 component instances on request, answers instance queries (delay, area,
 shape function, connection information, VHDL netlists), generates layouts,
-and manages the per-design component lists and transactions.
-
-Since the service-layer redesign the actual engine lives in
-:mod:`repro.api`: a :class:`~repro.api.service.ComponentService` owns the
-shared state (catalog, cell library, database, file store, instance
-registry, result cache) and per-client
-:class:`~repro.api.service.Session` objects own the design context and
-transaction state.  ``ICDB`` is a thin backward-compatible shim: it
-constructs one service plus one default session and delegates every call,
-so existing single-client code keeps working unchanged while multi-client
-tools talk to the service directly.
+and manages the per-design component lists and transactions.  It is a
+:class:`~repro.api.service.Session` of its own private
+:class:`~repro.api.service.ComponentService`, defined in
+:mod:`repro.api.service`.  That module imports this one while it loads,
+so ``ICDB`` is re-exported here lazily: ``from repro.core.icdb import
+ICDB`` resolves it on first access.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-from ..constraints import Constraints, PortPosition
-from ..layout.generator import ComponentLayout
-from ..netlist.structural import StructuralNetlist
-from .instances import ComponentInstance, TARGET_LOGIC
+from ..lazy import lazy_exports
 
 
 class IcdbError(RuntimeError):
@@ -45,229 +38,4 @@ class IcdbError(RuntimeError):
         self.retry_after_ms = retry_after_ms
 
 
-class ICDB:
-    """The intelligent component database system (single-client facade)."""
-
-    def __init__(
-        self,
-        catalog=None,
-        cell_library=None,
-        database=None,
-        store=None,
-        store_root: Optional[Union[str, Path]] = None,
-        clone_artifacts: str = "eager",
-    ):
-        # Imported lazily: repro.api.service imports repro.core at module
-        # level, so a module-level import here would be circular.
-        from ..api.service import ComponentService
-
-        # The facade predates lazy artifact materialization, and its
-        # callers read instance.files paths straight off the disk; keep
-        # the classic eager persistence unless asked otherwise.
-        self.service = ComponentService(
-            catalog=catalog,
-            cell_library=cell_library,
-            database=database,
-            store=store,
-            store_root=store_root,
-            clone_artifacts=clone_artifacts,
-        )
-        self.session = self.service.create_session(client="icdb-facade")
-
-    # ===================================================== shared-state access
-
-    @property
-    def catalog(self):
-        return self.service.catalog
-
-    @property
-    def cell_library(self):
-        return self.service.cell_library
-
-    @property
-    def database(self):
-        return self.service.database
-
-    @property
-    def store(self):
-        return self.service.store
-
-    @property
-    def instances(self):
-        return self.service.instances
-
-    @property
-    def tool_manager(self):
-        return self.service.tool_manager
-
-    @property
-    def generator(self):
-        return self.service.generator
-
-    @property
-    def knowledge(self):
-        return self.service.knowledge
-
-    @property
-    def cache(self):
-        return self.service.cache
-
-    @property
-    def current_design(self) -> str:
-        return self.session.current_design
-
-    @current_design.setter
-    def current_design(self, design: str) -> None:
-        self.session.current_design = design
-
-    # =================================================================== query
-
-    def function_query(
-        self, functions: Sequence[str], want: str = "implementation"
-    ) -> List[str]:
-        """Components or implementations that execute *all* given functions.
-
-        ``want`` is ``"implementation"`` (implementation names) or
-        ``"component"`` (component-type names); anything else raises
-        :class:`IcdbError`.
-        """
-        return self.session.function_query(functions, want=want)
-
-    def component_query(
-        self,
-        component: Optional[str] = None,
-        implementation: Optional[str] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, object]] = None,
-    ) -> Dict[str, List[str]]:
-        """The CQL ``component_query``.
-
-        * with ``component`` (and optionally ``functions`` / ``attribute``):
-          returns the matching ICDB implementations;
-        * with ``implementation`` or a generated-instance name: returns the
-          functions it can execute.
-        """
-        return self.session.component_query(
-            component=component,
-            implementation=implementation,
-            functions=functions,
-            attributes=attributes,
-        )
-
-    def functions_of(self, name: str) -> List[str]:
-        """Functions a generated instance or an implementation can execute."""
-        return self.session.functions_of(name)
-
-    def implementations_of_type(self, component_type: str) -> List[str]:
-        return self.session.implementations_of_type(component_type)
-
-    # ================================================================= request
-
-    def request_component(
-        self,
-        component_name: Optional[str] = None,
-        implementation: Optional[str] = None,
-        iif: Optional[str] = None,
-        structure: Optional[StructuralNetlist] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, object]] = None,
-        constraints: Optional[Constraints] = None,
-        strategy: Optional[str] = None,
-        target: str = TARGET_LOGIC,
-        instance_name: Optional[str] = None,
-        parameters: Optional[Mapping[str, int]] = None,
-    ) -> ComponentInstance:
-        """The CQL ``request_component``: generate a component instance.
-
-        Exactly one of the three specification types of Section 3.2.2 must be
-        provided: a component / implementation name plus attributes, an IIF
-        description, or a structural netlist of existing instances.
-        """
-        return self.session.request_component(
-            component_name=component_name,
-            implementation=implementation,
-            iif=iif,
-            structure=structure,
-            functions=functions,
-            attributes=attributes,
-            constraints=constraints,
-            strategy=strategy,
-            target=target,
-            instance_name=instance_name,
-            parameters=parameters,
-        )
-
-    # ========================================================== instance query
-
-    def instance(self, name: str) -> ComponentInstance:
-        return self.session.instance(name)
-
-    def instance_query(self, name: str) -> Dict[str, object]:
-        """The CQL ``instance_query``: everything known about an instance."""
-        return self.session.instance_query(name)
-
-    def connect_component(self, name: str) -> str:
-        """The CQL ``connect_component``: connection information string."""
-        return self.session.connect_component(name)
-
-    def request_layout(
-        self,
-        name: str,
-        alternative: Optional[int] = None,
-        strips: Optional[int] = None,
-        port_positions: Sequence[PortPosition] = (),
-    ) -> ComponentLayout:
-        """Generate (and store) the layout of an existing instance.
-
-        ``alternative`` is the 1-based index into the instance's shape
-        function, as in the paper's ``alternative:3`` layout request.
-        """
-        return self.session.request_layout(
-            name,
-            alternative=alternative,
-            strips=strips,
-            port_positions=port_positions,
-        )
-
-    # ===================================================== design transactions
-
-    def start_a_design(self, design: str) -> None:
-        self.session.start_a_design(design)
-
-    def start_a_transaction(self, design: Optional[str] = None) -> None:
-        self.session.start_a_transaction(design)
-
-    def put_in_component_list(self, instance: str, design: Optional[str] = None) -> None:
-        self.session.put_in_component_list(instance, design)
-
-    def component_list(self, design: Optional[str] = None) -> List[str]:
-        return self.session.component_list(design)
-
-    def end_a_transaction(self, design: Optional[str] = None) -> List[str]:
-        """End a transaction: delete the design's instances not in the list."""
-        return self.session.end_a_transaction(design)
-
-    def end_a_design(self, design: Optional[str] = None) -> List[str]:
-        """End a design: delete every remaining instance of its component list."""
-        return self.session.end_a_design(design)
-
-    # ================================================================= helpers
-
-    def area_time_tradeoff(
-        self,
-        component_name: str,
-        configurations: Sequence[Tuple[str, Mapping[str, int]]],
-        constraints: Optional[Constraints] = None,
-        delay_output: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Generate several configurations of a component and tabulate the
-        (delay, area) tradeoff -- the Figure 5 experiment."""
-        return self.session.area_time_tradeoff(
-            component_name,
-            configurations,
-            constraints=constraints,
-            delay_output=delay_output,
-        )
-
-    def summary(self) -> str:
-        return self.service.summary()
+__getattr__, __dir__ = lazy_exports(globals(), {"repro.api.service": ("ICDB",)})[:2]

@@ -16,8 +16,8 @@ remote transport would use) and hands it to the
 original engine exception, keeping the legacy error behavior intact.
 
 The executor binds to any object exposing ``execute(request) -> Response``:
-the legacy :class:`~repro.core.icdb.ICDB` facade (through its default
-session), a local :class:`~repro.api.service.Session`, or a
+the legacy :class:`~repro.core.icdb.ICDB` facade (itself a session), a
+local :class:`~repro.api.service.Session`, or a
 :class:`~repro.net.client.RemoteClient` -- CQL scripts run against a
 network ICDB server unchanged.
 """
@@ -66,7 +66,6 @@ from ..constraints import (
     parse_delay_constraints,
     parse_port_positions,
 )
-from ..core.icdb import ICDB
 from ..core.instances import TARGET_LAYOUT, TARGET_LOGIC
 from ..netlist.structural import StructuralNetlist
 from .parser import CqlCommand, CqlSyntaxError, CqlTerm, VariableSlot, parse_command
@@ -103,20 +102,14 @@ def _as_float(value, keyword: str) -> float:
 class CqlExecutor:
     """Binds parsed CQL commands to the ICDB component service.
 
-    ``server`` is the legacy :class:`~repro.core.icdb.ICDB` facade
-    (commands run in its default session), a
-    :class:`~repro.api.service.Session` (commands run in that client's own
-    design context), or a :class:`~repro.net.client.RemoteClient`
-    (commands run in the connection's server-side session).
+    ``server`` is a :class:`~repro.api.service.Session` -- the legacy
+    :class:`~repro.core.icdb.ICDB` facade or one client's own design
+    context -- or a :class:`~repro.net.client.RemoteClient` (commands run
+    in the connection's server-side session).
     """
 
-    def __init__(self, server: Union[ICDB, Session, "RemoteClient"]):
+    def __init__(self, server: Union[Session, "RemoteClient"]):
         self.server = server
-        #: The object requests execute against: an ICDB facade contributes
-        #: its default session; sessions and remote clients bind directly.
-        self.session: Union[Session, "RemoteClient"] = getattr(
-            server, "session", server
-        )
 
     # ------------------------------------------------------------------ entry
 
@@ -158,7 +151,7 @@ class CqlExecutor:
         :class:`~repro.core.icdb.IcdbError` otherwise (remote clients).
         """
         wire = request_from_dict(json.loads(json.dumps(request.to_dict())))
-        response = self.session.execute(wire)
+        response = self.server.execute(wire)
         if not response.ok:
             if response.exception is not None:
                 raise response.exception

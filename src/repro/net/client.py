@@ -1,22 +1,23 @@
-"""Remote ICDB clients: the full :class:`~repro.api.service.Session`
-surface over a transport.
+"""Remote ICDB clients: the classic session surface over a transport.
 
 :class:`RemoteClient` speaks the :mod:`repro.net.protocol` frame codec to
-an :class:`~repro.net.server.ICDBServer` and mirrors every classic session
-method (`request_component`, queries, layout, design transactions), so the
-legacy call sites -- CQL executors, the datapath builders, the Figure 13
-simple computer -- bind to a network server exactly like to a local
-session.  ``request_component`` answers a :class:`RemoteInstance`: a
-client-side view of the generated instance that rebuilds the shape
-function and delay report from the wire summary and fetches the heavier
-renders (VHDL, connection info) on demand.
+an :class:`~repro.net.server.ICDBServer`.  Its classic operations
+(`request_component`, queries, layout, simulation, design transactions)
+are the shared :class:`~repro.api.surface.ClassicOps` methods a local
+:class:`~repro.api.service.Session` has too -- written once, sent through
+:meth:`RemoteClient.execute` -- so the legacy call sites (CQL executors,
+the datapath builders, the Figure 13 simple computer) bind to a network
+server exactly like to a local session.  ``request_component`` answers a
+:class:`RemoteInstance`: a client-side view of the generated instance that
+rebuilds the shape function and delay report from the wire summary and
+fetches the heavier renders (VHDL, connection info) on demand.
 
 Since protocol v2 the client also exposes the asynchronous job surface:
-:meth:`RemoteClient.submit` / :meth:`RemoteClient.submit_component`
-answer a :class:`JobHandle` (futures-style ``result(timeout)`` /
-``cancel()`` / ``events()``), server-pushed ``job_event`` frames keep
-handles live between replies, and :func:`attach` resumes a session -- with
-its jobs -- on a fresh connection after a disconnect.
+:meth:`RemoteClient.submit` / ``submit_component`` answer a
+:class:`JobHandle` (futures-style ``result(timeout)`` / ``cancel()`` /
+``events()``), server-pushed ``job_event`` frames keep handles live
+between replies, and :func:`attach` resumes a session -- with its jobs --
+on a fresh connection after a disconnect.
 
 Two transports share the codec:
 
@@ -45,7 +46,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..api.errors import E_UNAVAILABLE, IcdbErrorInfo, error_from_exception
 from ..api.messages import (
@@ -54,36 +55,25 @@ from ..api.messages import (
     PROTOCOL_VERSION,
     AttachSession,
     BatchRequest,
-    CancelJob,
-    CheckEquivalence,
-    ComponentQuery,
-    ComponentRequest,
-    DesignOp,
-    FunctionQuery,
     GetMetrics,
     Hello,
-    InstanceQuery,
     JobEvent,
-    JobStatus,
-    LayoutRequest,
     Ping,
     PlanQuery,
     Request,
     Response,
-    Simulate,
     SubmitJob,
     Welcome,
 )
-from ..api.planner import PlanResult, tradeoff_rows, tradeoff_spec
+from ..api.planner import PlanResult
 from ..api.query import QuerySpec
-from ..api.service import ComponentService, _component_request_from_kwargs
-from ..constraints import Constraints, PortPosition
+from ..api.service import ComponentService
+from ..api.surface import ClassicOps
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LOGIC
 from ..estimation.area import AreaRecord
 from ..estimation.delay import DelayReport
 from ..estimation.shape import ShapeFunction
-from ..netlist.structural import StructuralNetlist
 from .protocol import (
     FRAME_BYE,
     FRAME_ERROR,
@@ -91,8 +81,6 @@ from .protocol import (
     FRAME_JOB_EVENT,
     FRAME_META,
     FRAME_META_RESULT,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     FRAME_WELCOME,
@@ -528,12 +516,13 @@ class JobHandle:
             return [event for event in self._events if event.seq > since]
 
 
-class RemoteClient:
-    """A connected ICDB client mirroring the local session surface.
+class RemoteClient(ClassicOps):
+    """A connected ICDB client with the classic session surface.
 
-    The classic blocking calls execute as submit+wait on the server's job
-    scheduler; :meth:`submit` / :meth:`submit_component` expose the
-    asynchronous path directly, answering a :class:`JobHandle`.
+    The classic blocking calls are the shared
+    :class:`~repro.api.surface.ClassicOps` methods over :meth:`execute`;
+    :meth:`submit` / ``submit_component`` expose the asynchronous path
+    directly, answering a :class:`JobHandle`.
     ``session_token`` is the resume credential: after losing the
     connection, :meth:`RemoteClient.attach` binds a fresh connection to
     the same server-side session with its design context and jobs intact.
@@ -648,20 +637,11 @@ class RemoteClient:
 
         Travels the full request path (codec, dispatcher, service), so a
         finite answer means the server is actually serving -- not merely
-        echoing frames.  Use :meth:`frame_ping` for the codec-only probe
-        and :meth:`health` for the structured health payload.
+        echoing frames.  Use :meth:`health` for the structured health
+        payload.
         """
         start = time.perf_counter()
         self.execute(Ping()).unwrap()
-        return (time.perf_counter() - start) * 1000.0
-
-    def frame_ping(self) -> float:
-        """Round-trip time of an empty frame, in milliseconds."""
-        start = time.perf_counter()
-        reply = self.transport.send_payload({"type": FRAME_PING})
-        self._raise_on_error(reply)
-        if reply.get("type") != FRAME_PONG:
-            raise ProtocolError(f"expected pong, got {reply.get('type')!r}")
         return (time.perf_counter() - start) * 1000.0
 
     def health(self, echo: str = "") -> Dict[str, Any]:
@@ -788,116 +768,18 @@ class RemoteClient:
         self._register_handle(handle)
         return handle
 
-    def submit_component(self, **kwargs: Any) -> JobHandle:
-        """Asynchronous ``request_component``; the handle's
-        :meth:`JobHandle.instance` waits and answers a
-        :class:`RemoteInstance`."""
-        return self.submit(_component_request_from_kwargs(kwargs))
-
     def job_handle(self, job_id: str) -> JobHandle:
         """A handle for an already-submitted job (e.g. after attach)."""
         handle = JobHandle(self, self.job_status(job_id))
         self._register_handle(handle)
         return handle
 
-    def job_status(
-        self,
-        job_id: str,
-        wait: bool = False,
-        timeout_ms: Optional[float] = None,
-        include_events: bool = False,
-        events_since: int = 0,
-    ) -> Dict[str, Any]:
-        return self.execute(
-            JobStatus(
-                job_id=job_id,
-                wait=wait,
-                timeout_ms=timeout_ms,
-                include_events=include_events,
-                events_since=events_since,
-            )
-        ).unwrap()
+    # ------------------------------------------------------------ remote hooks
 
-    def cancel_job(self, job_id: str) -> Dict[str, Any]:
-        return self.execute(CancelJob(job_id=job_id)).unwrap()
-
-    # ------------------------------------------------------- session surface
-
-    def function_query(
-        self, functions: Sequence[str], want: str = "implementation"
-    ) -> List[str]:
-        return list(
-            self.execute(
-                FunctionQuery(functions=tuple(functions), want=want)
-            ).unwrap()
-        )
-
-    def component_query(
-        self,
-        component: Optional[str] = None,
-        implementation: Optional[str] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, Any]] = None,
-    ) -> Dict[str, List[str]]:
-        return self.execute(
-            ComponentQuery(
-                component=component,
-                implementation=implementation,
-                functions=tuple(functions or ()),
-                attributes=dict(attributes) if attributes else None,
-            )
-        ).unwrap()
-
-    def functions_of(self, name: str) -> List[str]:
-        result = self.component_query(implementation=name)
-        return list(result.get("function", []))
-
-    def request_component(
-        self,
-        component_name: Optional[str] = None,
-        implementation: Optional[str] = None,
-        iif: Optional[str] = None,
-        structure: Optional[StructuralNetlist] = None,
-        functions: Optional[Sequence[str]] = None,
-        attributes: Optional[Mapping[str, Any]] = None,
-        constraints: Optional[Constraints] = None,
-        strategy: Optional[str] = None,
-        target: str = TARGET_LOGIC,
-        instance_name: Optional[str] = None,
-        parameters: Optional[Mapping[str, int]] = None,
-        use_cache: bool = True,
-        detail: str = "full",
-    ) -> RemoteInstance:
-        """The remote ``request_component``; answers a :class:`RemoteInstance`."""
-        request = ComponentRequest(
-            component_name=component_name,
-            implementation=implementation,
-            iif=iif,
-            structure=structure,
-            functions=tuple(functions or ()),
-            attributes=dict(attributes) if attributes else None,
-            constraints=constraints,
-            strategy=strategy,
-            target=target,
-            instance_name=instance_name,
-            parameters=dict(parameters) if parameters else None,
-            use_cache=use_cache,
-            detail=detail,
-        )
-        summary = self.execute(request).unwrap()
+    def _component_instance(self, summary: Dict[str, Any]) -> RemoteInstance:
         return RemoteInstance(self, summary)
 
-    def plan(self, spec: QuerySpec) -> PlanResult:
-        """Run a declarative component query server-side.
-
-        The spec travels as a :class:`~repro.api.messages.PlanQuery`
-        frame; the server enumerates, prunes, generates (fanning
-        candidates out over its job workers) and answers the full
-        :class:`~repro.api.planner.PlanResult` -- candidates, ranked
-        winners, Pareto front and the ``explain()`` report -- rebuilt
-        here from the wire form.
-        """
-        return PlanResult.from_dict(self.execute(PlanQuery(query=spec)).unwrap())
+    # ------------------------------------------------------------------ plans
 
     def submit_plan(self, spec: QuerySpec, label: str = "") -> JobHandle:
         """Run a plan as an asynchronous server-side job.
@@ -915,153 +797,6 @@ class RemoteClient:
         """Rebuild a :class:`~repro.api.planner.PlanResult` from a job's
         result value."""
         return PlanResult.from_dict(value)
-
-    def instance_query(
-        self, name: str, fields: Optional[Sequence[str]] = None
-    ) -> Dict[str, Any]:
-        return self.execute(
-            InstanceQuery(name=name, fields=tuple(fields or ()))
-        ).unwrap()
-
-    def connect_component(self, name: str) -> str:
-        return str(self.instance_query(name, fields=("connect",))["connect"])
-
-    def request_layout(
-        self,
-        name: str,
-        alternative: Optional[int] = None,
-        strips: Optional[int] = None,
-        port_positions: Sequence[PortPosition] = (),
-    ) -> Dict[str, Any]:
-        """Generate a layout remotely; answers the wire summary (CIF text,
-        area, width, height, strips)."""
-        return self.execute(
-            LayoutRequest(
-                name=name,
-                alternative=alternative,
-                strips=strips,
-                port_positions=tuple(port_positions),
-            )
-        ).unwrap()
-
-    # ------------------------------------------- simulation / verification
-
-    def simulate(
-        self,
-        name: str,
-        vectors: Sequence[Mapping[str, int]],
-        engine: str = "gates",
-        clock: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Batch-simulate test vectors on a server-side instance.
-
-        Answers the wire dict (``instance`` / ``engine`` / ``clock`` /
-        ``vectors``, the last one output assignment per input vector) --
-        identical to :meth:`~repro.api.service.Session.simulate`.
-        """
-        return self.execute(
-            Simulate(
-                name=name,
-                vectors=tuple(dict(vector) for vector in vectors),
-                engine=engine,
-                clock=clock,
-            )
-        ).unwrap()
-
-    def check_equivalence(
-        self,
-        name: str,
-        reference: Optional[str] = None,
-        mode: str = "auto",
-        clock: Optional[str] = None,
-        max_exhaustive: int = 10,
-        samples: int = 256,
-        cycles: int = 32,
-        lanes: int = 64,
-        seed: int = 1990,
-    ) -> Dict[str, Any]:
-        """Equivalence-check an instance's netlist server-side.
-
-        Answers the wire dict embedding the
-        :class:`~repro.sim.vectors.EquivalenceResult` fields -- identical
-        to :meth:`~repro.api.service.Session.check_equivalence`.
-        """
-        return self.execute(
-            CheckEquivalence(
-                name=name,
-                reference=reference,
-                mode=mode,
-                clock=clock,
-                max_exhaustive=max_exhaustive,
-                samples=samples,
-                cycles=cycles,
-                lanes=lanes,
-                seed=seed,
-            )
-        ).unwrap()
-
-    # --------------------------------------------------- design transactions
-
-    def start_a_design(self, design: str) -> None:
-        self.execute(DesignOp(op="start_design", design=design)).unwrap()
-        self.current_design = design
-
-    def start_a_transaction(self, design: Optional[str] = None) -> None:
-        value = self.execute(
-            DesignOp(op="start_transaction", design=design or "")
-        ).unwrap()
-        self.current_design = str(value["design"])
-
-    def put_in_component_list(
-        self, instance: str, design: Optional[str] = None
-    ) -> None:
-        self.execute(
-            DesignOp(op="put_in_list", design=design or "", instance=instance)
-        ).unwrap()
-
-    def component_list(self, design: Optional[str] = None) -> List[str]:
-        value = self.execute(
-            DesignOp(op="component_list", design=design or "")
-        ).unwrap()
-        return list(value["instances"])
-
-    def end_a_transaction(self, design: Optional[str] = None) -> List[str]:
-        value = self.execute(
-            DesignOp(op="end_transaction", design=design or "")
-        ).unwrap()
-        return list(value["removed"])
-
-    def end_a_design(self, design: Optional[str] = None) -> List[str]:
-        value = self.execute(
-            DesignOp(op="end_design", design=design or "")
-        ).unwrap()
-        if self.current_design == (design or self.current_design):
-            self.current_design = ""
-        return list(value["removed"])
-
-    # ---------------------------------------------------------------- helpers
-
-    def area_time_tradeoff(
-        self,
-        component_name: str,
-        configurations: Sequence[Tuple[str, Mapping[str, int]]],
-        constraints: Optional[Constraints] = None,
-        delay_output: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """The Figure 5 experiment, driven over the wire.
-
-        One :class:`~repro.api.messages.PlanQuery` round trip: the
-        configurations lower to plan points and the *server* fans the
-        generations out across its job workers, instead of N blocking
-        request/response pairs.  Row schema, instance names and values
-        are unchanged; on a failed configuration the structured error is
-        raised after the remaining configurations have generated (the
-        old loop stopped at the first failure).
-        """
-        result = self.plan(
-            tradeoff_spec(component_name, configurations, constraints, delay_output)
-        )
-        return tradeoff_rows(result)
 
     def summary(self) -> str:
         return str(self.meta("summary"))

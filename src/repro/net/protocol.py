@@ -21,7 +21,6 @@ frame type      meaning
                 ``new_name`` -- the remote mirror of the shared
                 :class:`~repro.core.instances.InstanceManager` surface
 ``meta_result`` the ``value`` answering a ``meta`` frame
-``ping``        liveness probe; answered with ``pong``
 ``goodbye``     **server-pushed**: the server is draining (planned
                 shutdown); in-flight replies still arrive, then the
                 connection closes cleanly -- clients should reconnect
@@ -65,8 +64,6 @@ FRAME_RESPONSE = "response"
 FRAME_JOB_EVENT = "job_event"
 FRAME_META = "meta"
 FRAME_META_RESULT = "meta_result"
-FRAME_PING = "ping"
-FRAME_PONG = "pong"
 FRAME_GOODBYE = "goodbye"
 FRAME_ERROR = "error"
 FRAME_BYE = "bye"

@@ -57,7 +57,6 @@ from .protocol import (
     FRAME_ERROR,
     FRAME_HELLO,
     FRAME_REQUEST,
-    FRAME_RESPONSE,
     MAX_FRAME_BYTES,
     ProtocolError,
 )
@@ -527,13 +526,8 @@ class ResilientClient(RemoteClient):
         return self.transport.metrics
 
     def execute(self, request: Request) -> Response:
-        payload: Dict[str, Any] = {
-            "type": FRAME_REQUEST,
-            "request": request.to_dict(),
-        }
-        if request.kind not in IDEMPOTENT_KINDS:
-            # One id for all replays of this call: the dedupe key.
-            payload["request_id"] = uuid.uuid4().hex
+        # Mutations carry one id for all replays of this call: the dedupe key.
+        request_id = None if request.kind in IDEMPOTENT_KINDS else uuid.uuid4().hex
         policy = getattr(self.transport, "policy", None) or RetryPolicy()
         rng = getattr(self.transport, "_rng", None) or policy.rng()
         deadline = (
@@ -544,13 +538,7 @@ class ResilientClient(RemoteClient):
         attempt = 0
         while True:
             attempt += 1
-            reply = self.transport.send_payload(payload)
-            self._raise_on_error(reply)
-            if reply.get("type") != FRAME_RESPONSE:
-                raise ProtocolError(
-                    f"expected a response frame, got {reply.get('type')!r}"
-                )
-            response = Response.from_dict(reply.get("response") or {})
+            response = super().execute(request, request_id)
             error = response.error
             if response.ok or error is None or error.code != E_BUSY:
                 return response

@@ -86,8 +86,6 @@ from .protocol import (
     FRAME_JOB_EVENT,
     FRAME_META,
     FRAME_META_RESULT,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     FRAME_WELCOME,
@@ -344,8 +342,6 @@ class FrameDispatcher:
             return self._request(payload)
         if frame_type == FRAME_META:
             return self._meta(payload)
-        if frame_type == FRAME_PING:
-            return {"type": FRAME_PONG}
         if frame_type == FRAME_BYE:
             self.closed = True
             return {"type": FRAME_BYE}
@@ -571,24 +567,10 @@ class FrameDispatcher:
             return len(instances)
         if op == "contains":
             return str(args.get("name", "")) in instances
-        if op == "cache_stats":
-            return self.service.cache.stats()
-        if op == "generation_stats":
-            # Per-stage generation-cache counters: what a plan's explain()
-            # reports deltas of (see docs/performance.md).
-            return self.service.generation_stats()
-        if op == "job_stats":
-            return self.service.jobs.stats()
         if op == "session_token":
             return self.session_token
         if op == "summary":
             return self.service.summary()
-        if op == "db_tables":
-            with self.service.lock:
-                return {
-                    name: len(self.service.database.table(name))
-                    for name in self.service.database.table_names()
-                }
         if op == "db_rows":
             table = str(args.get("table", ""))
             where = args.get("where")
@@ -604,14 +586,6 @@ class FrameDispatcher:
                 return json.loads(
                     json.dumps(self.service.database.to_payload())
                 )
-        if op == "store_stats":
-            store = self.service.durable_store
-            return store.stats() if store is not None else {}
-        if op == "materialize":
-            name = args.get("name")
-            return self.service.materialize_artifacts(
-                str(name) if name is not None else None
-            )
         raise IcdbError(f"unknown meta op {op!r}", code=E_BAD_REQUEST)
 
 

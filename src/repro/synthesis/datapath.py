@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Tuple
 from ..components.counters import counter_parameters, TYPE_SYNCHRONOUS, UP_ONLY
 from ..api.service import Session
 from ..constraints import Constraints
-from ..core.icdb import ICDB
 from ..core.instances import ComponentInstance
 from ..estimation.shape import ShapeFunction
 from ..layout.floorplan import Block, FloorplanResult, floorplan, row, stack
@@ -36,10 +35,10 @@ from .scheduling import Schedule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.client import RemoteClient
 
-#: Builders accept the legacy facade, one client's service session, or a
-#: network :class:`~repro.net.client.RemoteClient`; all three expose
-#: ``request_component`` and the shared instance registry's naming surface.
-IcdbClient = Union[ICDB, Session, "RemoteClient"]
+#: Builders accept a service session (the legacy facade is one) or a
+#: network :class:`~repro.net.client.RemoteClient`; both expose the classic
+#: surface and the shared instance registry's naming surface.
+IcdbClient = Union[Session, "RemoteClient"]
 
 
 def _generate_components(
@@ -51,17 +50,14 @@ def _generate_components(
 
     ``specs`` is an ordered ``(key, request_component kwargs)`` list; every
     spec must carry an explicit ``instance_name`` so the result is
-    identical whichever path runs.  With ``parallel`` and a client that
-    exposes ``submit_component`` (sessions and remote clients -- the
-    legacy facade falls back to sequential calls), all specs are submitted
-    to the job scheduler first and collected in order afterwards, so
-    independent generations overlap while the answer dict keeps the spec
-    order.
+    identical whichever path runs.  With ``parallel``, all specs are
+    submitted to the job scheduler first (``submit_component``) and
+    collected in order afterwards, so independent generations overlap
+    while the answer dict keeps the spec order.
     """
-    submit = getattr(icdb, "submit_component", None) if parallel else None
-    if submit is None:
+    if not parallel:
         return {key: icdb.request_component(**kwargs) for key, kwargs in specs}
-    handles = [(key, submit(**kwargs)) for key, kwargs in specs]
+    handles = [(key, icdb.submit_component(**kwargs)) for key, kwargs in specs]
     return {key: handle.instance() for key, handle in handles}
 
 
@@ -177,9 +173,9 @@ def build_datapath(
 ) -> Datapath:
     """Assemble the microarchitecture for a scheduled, allocated DFG.
 
-    With ``parallel`` (and a job-capable client) the independent register
-    and multiplexer generations are submitted as concurrent jobs and
-    collected in order -- same instances, overlapped generation time.
+    With ``parallel`` the independent register and multiplexer
+    generations are submitted as concurrent jobs and collected in order
+    -- same instances, overlapped generation time.
     """
     dfg = schedule.dfg
     datapath_name = name or f"{dfg.name}_datapath"
@@ -318,9 +314,9 @@ def build_simple_computer(
 ) -> SimpleComputer:
     """Generate the components of the Figure 13 simple computer.
 
-    With ``parallel`` (and a job-capable client) the five datapath parts
-    are submitted as concurrent jobs; instance names are pre-allocated, so
-    the resulting computer is identical to the sequential build.
+    With ``parallel`` the five datapath parts are submitted as concurrent
+    jobs; instance names are pre-allocated, so the resulting computer is
+    identical to the sequential build.
     """
     constraints = constraints or Constraints()
     specs = [

@@ -17,10 +17,17 @@ from repro.api import (
     request_from_dict,
 )
 from repro.api.errors import E_CONFLICT, E_NOT_FOUND
+from repro.api.messages import REQUEST_TYPES
+from repro.api.service import HANDLERS, Session
+from repro.api.surface import ClassicOps
+from repro.components import standard_catalog
 from repro.constraints import Constraints
 from repro.core import ICDB, IcdbError
+from repro.core.instances import InstanceError
 from repro.cql import CqlExecutor
 from repro.db import DESIGN_FILES, INSTANCES
+from repro.net.client import RemoteClient
+from repro.net.resilience import ResilientClient
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +126,67 @@ def test_design_ops_through_typed_requests(service):
     assert listed["instances"] == [keep]
     removed = session.execute(DesignOp(op="end_design", design="proj")).unwrap()
     assert keep in removed["removed"]
+
+
+# ---------------------------------------------------------------------------
+# One handler per request kind, one classic surface for every client
+# ---------------------------------------------------------------------------
+
+
+def test_every_kind_has_exactly_one_handler():
+    """The twin of the retry-safety classification: a new request type
+    cannot ship without the one program that executes it."""
+    missing = set(REQUEST_TYPES) - set(HANDLERS)
+    assert not missing, f"request kinds without a handler: {sorted(missing)}"
+    unknown = set(HANDLERS) - set(REQUEST_TYPES)
+    assert not unknown, f"handlers for unregistered kinds: {sorted(unknown)}"
+
+
+#: What each surface may define for itself; everything else ClassicOps
+#: writes once.
+SURFACE_HOOKS = {"_component_instance", "_layout_answer", "plan"}
+
+
+def test_classic_ops_are_written_once_for_every_surface():
+    shared = [
+        name
+        for name, member in vars(ClassicOps).items()
+        if callable(member) and not name.startswith("__") and name not in SURFACE_HOOKS
+    ]
+    assert {"request_component", "request_layout", "end_a_design"} <= set(shared)
+    for surface in (Session, ICDB, RemoteClient, ResilientClient):
+        mirrored = [
+            name for name in shared if getattr(surface, name) is not getattr(ClassicOps, name)
+        ]
+        assert not mirrored, f"{surface.__name__} re-mirrors {mirrored}"
+
+
+def test_local_classic_ops_are_counted_like_remote_ones(service):
+    session = service.create_session()
+    instance = session.request_component(implementation="register", attributes={"size": 2})
+    session.simulate(instance.name, [{name: 0 for name in instance.flat.inputs}])
+    counters = service.metrics.snapshot()["counters"]
+    assert counters["requests.kind.request_component"] == 1
+    assert counters["requests.kind.simulate"] == 1
+    assert counters["sim.requests"] == 1
+
+    icdb = ICDB(catalog=standard_catalog(fresh=True))
+    icdb.request_component(implementation="register", attributes={"size": 2})
+    counters = icdb.service.metrics.snapshot()["counters"]
+    assert counters["requests.kind.request_component"] == 1
+
+
+def test_local_op_on_unknown_instance_raises_the_original_exception(service):
+    session = service.create_session()
+    for call in (
+        lambda: session.instance_query("missing"),
+        lambda: session.request_layout("missing"),
+        lambda: session.simulate("missing", []),
+        lambda: session.check_equivalence("missing"),
+        lambda: session.put_in_component_list("missing", design="proj"),
+    ):
+        with pytest.raises(InstanceError):
+            call()
 
 
 # ---------------------------------------------------------------------------

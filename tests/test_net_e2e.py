@@ -204,8 +204,10 @@ def test_meta_surface_and_ping(client):
     assert instance.name in client.instances
     assert instance.name in client.instances.names()
     assert "generated instances" in client.summary()
-    stats = client.meta("cache_stats")
-    assert set(stats) >= {"entries", "hits", "misses", "lookups"}
+    stats = client.metrics(prefixes=("cache.result.",))["counters"]
+    assert set(stats) >= {
+        f"cache.result.{name}" for name in ("entries", "hits", "misses", "lookups")
+    }
     with pytest.raises(IcdbError):
         client.meta("no_such_op")
 
@@ -319,11 +321,15 @@ def test_unknown_frame_type_keeps_connection_open(server):
     stream = _raw_stream(server)
     stream.send({"type": "hello", "protocol": PROTOCOL_VERSION})
     assert stream.recv()["type"] == "welcome"
-    stream.send({"type": "frobnicate"})
+    # A bare "ping" frame (an older client's probe) is an unknown frame
+    # type too; the liveness probe is the typed ping request.
+    for frame_type in ("frobnicate", "ping"):
+        stream.send({"type": frame_type})
+        reply = stream.recv()
+        assert reply["type"] == "error" and reply["error"]["code"] == "PROTOCOL"
+    stream.send({"type": "request", "request": {"kind": "ping"}})
     reply = stream.recv()
-    assert reply["type"] == "error" and reply["error"]["code"] == "PROTOCOL"
-    stream.send({"type": "ping"})
-    assert stream.recv()["type"] == "pong"
+    assert reply["type"] == "response" and reply["response"]["ok"]
     stream.close()
 
 

@@ -324,7 +324,7 @@ def test_goodbye_then_close_raises_server_drained():
         # drain() does first) while the server still answers.
         for send in list(server._senders.values()):
             send({"type": FRAME_GOODBYE, "reason": "server draining"})
-        assert client.frame_ping() >= 0.0  # goodbye consumed, still served
+        assert client.ping() >= 0.0  # goodbye consumed, still served
         server.stop()
         with pytest.raises(ServerDrained) as excinfo:
             client.health()
@@ -362,7 +362,6 @@ def test_health_reports_uptime_jobs_and_drain_state():
         assert set(report["jobs"]) >= {"queued", "running", "workers"}
         assert report["net"]["draining"] is False
         assert client.ping() >= 0.0
-        assert client.frame_ping() >= 0.0
         client.close()
     finally:
         server.stop()

@@ -154,7 +154,9 @@ def test_snapshot_bounds_replay_after_crash(data_dir):
     time.sleep(1.0)  # let at least one snapshot land
     client.request_component(implementation="register", attributes={"size": 5})
     golden = canonical(client.meta("db_dump"))
-    total_seq = client.meta("store_stats")["last_seq"]
+    total_seq = client.metrics(prefixes=("store.last_seq",))["counters"][
+        "store.last_seq"
+    ]
     client.close()
     first.kill()
 
