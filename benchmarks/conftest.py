@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -22,6 +23,21 @@ from repro.core import ICDB
 #: Where the machine-readable benchmark results land (committed, so the
 #: perf trajectory is tracked across PRs).
 BENCH_RESULTS_DIR = Path(__file__).parent
+
+
+def _git_rev():
+    """The checkout's commit (``-dirty`` with local edits), or None."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=BENCH_RESULTS_DIR,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
 
 
 def record_bench_results(name: str, key: str, payload: dict) -> Path:
@@ -43,6 +59,7 @@ def record_bench_results(name: str, key: str, payload: dict) -> Path:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "git_rev": _git_rev(),
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,12 +1,11 @@
 """Scaling cold generation across worker processes with ``repro.fleet``.
 
-One server, four spawned worker processes, the documented
-warm-then-sweep flow:
+One server, four worker children, the documented warm-then-sweep flow:
 
-* spawn a fleet and attach it to the service (what
+* start a fleet and attach it to the service (what
   ``python -m repro.net.server --fleet-workers 4`` does);
-* ``WarmCache`` a catalog region so every worker holds the component
-  family's shared slices before traffic arrives (CDN-style warming);
+* ``WarmCache`` a catalog entry: the fleet computes it in a child and
+  the server installs it before traffic arrives (CDN-style warming);
 * run a cold parameter sweep twice -- once on a plain single-process
   service, once through the fleet -- and print the scaling numbers;
 * verify the two runs answered byte-identical envelopes (only the
@@ -57,23 +56,21 @@ def main() -> None:
     baseline_elapsed = time.perf_counter() - start
     assert all(response.ok for response in baseline_responses)
 
-    # ------------------------------------------------------- spawn a fleet
+    # ------------------------------------------------------- start a fleet
     service = ComponentService(
         catalog=standard_catalog(fresh=True), store_root=root / "fleet"
     )
-    fleet = FleetDispatcher(service)
-    workers = fleet.spawn_workers(4)
+    start = time.perf_counter()
+    fleet = FleetDispatcher(service, 4)
     service.attach_fleet(fleet)
-    print(f"fleet: {', '.join(handle.address for handle in workers)}")
+    print(f"fleet: {fleet.stats()['workers_live']} workers ready in "
+          f"{time.perf_counter() - start:.2f}s")
 
-    # Warm the ALU region on the server *and* (fanout) every worker.
+    # Warm the first sweep point through the fleet.
     warm = service.execute(
         WarmCache(entries=({"implementation": "alu", "parameters": {"size": SIZES[0]}},))
     )
-    print(
-        f"warmed {warm.value['warmed']} region(s) locally, "
-        f"{warm.value['workers_warmed']} worker(s) via fanout"
-    )
+    print(f"warmed {warm.value['warmed']} entry through the fleet")
 
     # ------------------------------------------------- the same sweep, fleet
     fleet_session = service.create_session(client="fleet-example")
@@ -99,7 +96,7 @@ def main() -> None:
     print(f"  4-worker fleet : {fleet_elapsed:6.2f}s  ({points / fleet_elapsed:5.1f} req/s)")
     print(f"  speedup        : {baseline_elapsed / fleet_elapsed:5.2f}x "
           f"on {os.cpu_count()} cpu(s)")
-    print(f"  dispatched {stats['dispatched']}, stolen {stats['steals']}, "
+    print(f"  dispatched {stats['dispatched']}, "
           f"installed {stats['installs']} stage entries, "
           f"fallbacks {stats['fallbacks']}")
     print(f"  byte-identical results: {identical}")

@@ -134,7 +134,8 @@ terminal dashboard ``python -m repro.obs.admin`` --
 from .lazy import lazy_exports
 
 # Resolved on first access: importing one subsystem (``python -m
-# repro.net.server``, a fleet worker) must not load all the others.
+# repro.net.server``, ``python -m repro.fleet.worker``) must not load
+# all the others.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".api": (
         "BatchRequest",

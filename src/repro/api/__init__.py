@@ -98,7 +98,6 @@ from .messages import (
     DesignOp,
     FunctionQuery,
     GetMetrics,
-    FleetGenerate,
     Hello,
     IDEMPOTENT_KINDS,
     InstanceQuery,
@@ -154,7 +153,6 @@ __all__ = [
     "E_UNAVAILABLE",
     "ERROR_CODES",
     "FUNCTION_QUERY_WANTS",
-    "FleetGenerate",
     "FunctionPredicate",
     "FunctionQuery",
     "GetMetrics",

@@ -19,8 +19,7 @@ request type              server operation
 :class:`SubmitJob`        run any request as an asynchronous server job
 :class:`JobStatus`        poll (or wait for) a job; fetch its events
 :class:`CancelJob`        cooperatively cancel a queued / running job
-:class:`WarmCache`        prime generation-stage memos (optionally fleet-wide)
-:class:`FleetGenerate`    compute one generation's stage bundle (fleet worker)
+:class:`WarmCache`        prime generation-stage memos
 ========================  =================================================
 
 Two more wire dataclasses are not requests: :class:`JobEvent` is the
@@ -890,22 +889,17 @@ class WarmCache(Request):
     the way the eventual requester would.  Warming runs the expand /
     synth / size / estimate stages through the normal memo *without*
     registering anything, so it is idempotent and safe to retry blindly.
-
-    ``fanout`` asks a fleet-attached server to also broadcast the warm to
-    its workers so their local caches prime too; a worker (or a server
-    with no fleet) warms only itself.
+    A fleet-attached server computes each entry in a worker child.
     """
 
     kind: ClassVar[str] = "warm_cache"
 
     entries: Tuple[Dict[str, Any], ...] = ()
-    fanout: bool = True
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "entries": [dict(entry) for entry in self.entries],
-            "fanout": self.fanout,
         }
 
     @classmethod
@@ -913,57 +907,7 @@ class WarmCache(Request):
         raw = data.get("entries") or ()
         if isinstance(raw, Mapping):
             raw = (raw,)
-        return cls(
-            entries=tuple(dict(entry) for entry in raw),
-            fanout=bool(data.get("fanout", True)),
-        )
-
-
-@dataclass(frozen=True)
-class FleetGenerate(Request):
-    """A fleet worker's unit of work: compute one generation's stage bundle.
-
-    The dispatcher sends this to a worker process; the worker runs the
-    catalog elaboration (expand, synthesize, size, estimate) through its
-    own generation cache and answers with the pickled stage entries --
-    the server installs them and replays the original request locally as
-    a warm hit.  The work is pure cache priming: nothing is registered
-    or persisted on the worker, so re-executing after an ambiguous
-    failure is harmless and the kind is classified idempotent.
-    """
-
-    kind: ClassVar[str] = "fleet_generate"
-
-    implementation: str = ""
-    parameters: Optional[Dict[str, int]] = None
-    constraints: Optional[Constraints] = None
-    name: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "implementation": self.implementation,
-            "parameters": dict(self.parameters) if self.parameters else None,
-            "constraints": self.constraints.to_dict() if self.constraints else None,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetGenerate":
-        return cls(
-            implementation=str(data.get("implementation") or ""),
-            parameters=(
-                {key: int(value) for key, value in data["parameters"].items()}
-                if data.get("parameters")
-                else None
-            ),
-            constraints=(
-                Constraints.from_dict(data["constraints"])
-                if data.get("constraints")
-                else None
-            ),
-            name=data.get("name"),
-        )
+        return cls(entries=tuple(dict(entry) for entry in raw))
 
 
 #: Request kinds that control jobs rather than doing work themselves.
@@ -993,7 +937,6 @@ IDEMPOTENT_KINDS = (
     GetMetrics.kind,
     Ping.kind,
     WarmCache.kind,
-    FleetGenerate.kind,
 )
 
 
@@ -1035,7 +978,6 @@ REQUEST_TYPES: Dict[str, Type[Request]] = {
         GetMetrics,
         Ping,
         WarmCache,
-        FleetGenerate,
     )
 }
 

@@ -97,7 +97,6 @@ from .messages import (
     ComponentQuery,
     ComponentRequest,
     DesignOp,
-    FleetGenerate,
     FunctionQuery,
     GetMetrics,
     InstanceQuery,
@@ -696,7 +695,7 @@ def _ping(service: "ComponentService", session: Session, request: Ping):
 
 
 def _warm_cache(service: "ComponentService", session: Session, request: WarmCache):
-    """Prime stage memos, optionally fleet-wide.
+    """Prime stage memos, in fleet workers when a fleet is attached.
 
     Each entry resolves to one or more catalog implementations (an
     explicit ``implementation`` name, or a ``component`` / ``functions``
@@ -741,35 +740,19 @@ def _warm_cache(service: "ComponentService", session: Session, request: WarmCach
                 overrides.update(
                     implementation.attributes_to_parameters(entry.get("attributes"))
                 )
-                service.generator.warm_implementation(
-                    implementation, overrides, constraints, name=entry.get("name")
-                )
+                name = entry.get("name")
+                # Through the fleet when one is attached, so its warm-skip
+                # set learns the entry; locally when it cannot take it.
+                if service.fleet is None or not service.fleet.prewarm(
+                    implementation, overrides, constraints, name
+                ):
+                    service.generator.warm_implementation(
+                        implementation, overrides, constraints, name=name
+                    )
                 warmed += 1
         except Exception as exc:  # noqa: BLE001 - per-entry reporting
             errors.append(str(exc))
-    workers_warmed = 0
-    if request.fanout and service.fleet is not None:
-        workers_warmed = service.fleet.broadcast_warm(request)
-    return {
-        "warmed": warmed,
-        "workers_warmed": workers_warmed,
-        "errors": errors,
-    }, False
-
-
-def _fleet_generate(service: "ComponentService", session: Session, request: FleetGenerate):
-    # Local import: the fleet package imports the network stack, which
-    # imports this module.
-    from ..fleet.bundle import compute_bundle
-
-    implementation = service.catalog.get(request.implementation)
-    return compute_bundle(
-        service.generator,
-        implementation,
-        request.parameters,
-        request.constraints,
-        name=request.name,
-    ), False
+    return {"warmed": warmed, "errors": errors}, False
 
 
 #: The one program that executes each request kind, keyed like
@@ -792,7 +775,6 @@ HANDLERS: Dict[str, Callable[["ComponentService", Session, Any], Tuple[Any, bool
     GetMetrics.kind: _get_metrics,
     Ping.kind: _ping,
     WarmCache.kind: _warm_cache,
-    FleetGenerate.kind: _fleet_generate,
 }
 
 
@@ -902,8 +884,8 @@ class ComponentService:
         )
         #: Optional :class:`~repro.fleet.dispatcher.FleetDispatcher` --
         #: attached via :meth:`attach_fleet`, never constructed here (the
-        #: service must not import the fleet, which imports the network
-        #: stack).  ``None`` means every generation runs in-process.
+        #: dispatcher imports this package and starts worker processes).
+        #: ``None`` means every generation runs in-process.
         self.fleet = None
         # Export the accounting the stack already keeps: the collectors
         # read the caches' / manager's own counters at snapshot time

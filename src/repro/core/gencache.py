@@ -80,9 +80,9 @@ class CountedLruCache:
     def peek(self, key: Hashable) -> Optional[Any]:
         """The value for ``key`` without touching counters or LRU order.
 
-        Presence probes (the fleet dispatcher asking "is this flow
-        already warm?") must not distort the hit/miss accounting the
-        stress suite and the observability surface rely on.
+        Presence probes (packing and installing fleet bundles) must not
+        distort the hit/miss accounting the stress suite and the
+        observability surface rely on.
         """
         with self._lock:
             return self._entries.get(key)

@@ -1,30 +1,20 @@
 """Component Query Language: parser, executor, ``ICDB()`` call interface and
 interactive session."""
 
-from .executor import CqlExecutionError, CqlExecutor
-from .icdb_call import IcdbCall, OutParam, make_icdb_call
-from .interactive import InteractiveSession, format_result
-from .parser import (
-    CqlCommand,
-    CqlSyntaxError,
-    CqlTerm,
-    VariableSlot,
-    parse_command,
-    split_terms,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CqlCommand",
-    "CqlExecutionError",
-    "CqlExecutor",
-    "CqlSyntaxError",
-    "CqlTerm",
-    "IcdbCall",
-    "InteractiveSession",
-    "OutParam",
-    "VariableSlot",
-    "format_result",
-    "make_icdb_call",
-    "parse_command",
-    "split_terms",
-]
+# Resolved on first access, so ``python -m repro.cql.interactive`` runs
+# its module once instead of finding it already imported by the package.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".executor": ("CqlExecutionError", "CqlExecutor"),
+    ".icdb_call": ("IcdbCall", "OutParam", "make_icdb_call"),
+    ".interactive": ("InteractiveSession", "format_result"),
+    ".parser": (
+        "CqlCommand",
+        "CqlSyntaxError",
+        "CqlTerm",
+        "VariableSlot",
+        "parse_command",
+        "split_terms",
+    ),
+})

@@ -1,39 +1,34 @@
 """Stage-cache bundles: how generation work travels between fleet processes.
 
-A bundle is the serialized form of the expand / synth / flows memo
-entries of exactly one catalog elaboration.  A worker computes one by
-running the elaboration through its own
+A bundle is the pickled expand / synth / flows memo entries of exactly
+one catalog elaboration.  A worker child computes one by running the
+elaboration through its own
 :class:`~repro.core.gencache.GenerationCache`; the server installs it and
-then replays the original request locally as a warm hit.  The entries are
-pickled: the expression IR re-interns on unpickling (every node type
-defines ``__reduce__`` in terms of the hash-consing constructors), and
-the standard cell library and its cells pickle as references --
-``(library fingerprint, cell name)`` -- that resolve to the receiver's
-own objects, so an unpickled netlist is indistinguishable from a locally
-synthesized one, and the keys -- built from content fingerprints,
-canonical constraints JSON and structural signatures -- match
-bit-for-bit across processes.  A reference whose fingerprint differs
-from the receiver's standard library fails the whole install.
+then replays the original request locally as a warm hit.  The expression
+IR re-interns on unpickling (every node type defines ``__reduce__`` in
+terms of the hash-consing constructors), and the standard cell library
+and its cells pickle as references -- ``(library fingerprint, cell
+name)`` -- that resolve to the receiver's own objects, so an unpickled
+netlist is indistinguishable from a locally synthesized one, and the
+keys -- built from content fingerprints, canonical constraints JSON and
+structural signatures -- match bit-for-bit across processes.  A
+reference whose fingerprint differs from the receiver's standard library
+fails the whole install.
 
 Pickle is only safe among mutually trusting processes; a bundle is a
-code-execution vector.  The fleet only ever ships bundles between a
-server and the workers it spawned (or was explicitly pointed at), over
-the same trusted links as the rest of the wire protocol -- never from
-anonymous clients: the ``fleet_generate`` handler *answers* bundles but
-no request kind carries one inbound.
+code-execution vector.  Bundles therefore travel only over the pipes
+between a server and the worker children it spawned itself
+(:mod:`repro.fleet.dispatcher`): no request kind carries or returns one.
 """
 
 from __future__ import annotations
 
-import base64
 import pickle
-import zlib
-from typing import Any, Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..components.catalog import ComponentImplementation
 from ..constraints import Constraints
 from ..core.generation import EmbeddedGenerator
-from ..core.icdb import IcdbError
 
 __all__ = ["BUNDLE_STAGES", "compute_bundle", "install_bundle"]
 
@@ -49,45 +44,26 @@ def compute_bundle(
     parameters: Optional[Mapping[str, int]],
     constraints: Optional[Constraints],
     name: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run one elaboration to warmth and pack its stage entries.
+) -> bytes:
+    """Run one elaboration to warmth and pickle its stage entries.
 
     ``name`` labels the synthesized template the way the eventual
     requester would (flow templates keep their creator's name), which is
-    what makes warmed results byte-identical to unwarmed ones.  The
-    answer is JSON-safe: ``blob`` is base64-over-pickle, ``entries``
-    counts what it carries.
+    what makes warmed results byte-identical to unwarmed ones.
     """
     cache = generator.generation_cache
-    if cache is None:
-        raise IcdbError("fleet bundles require a generation cache")
     constraints = constraints if constraints is not None else Constraints()
-    expand_key, synth_key, flow_key = generator.stage_keys(
-        implementation, parameters, constraints
-    )
+    keys = generator.stage_keys(implementation, parameters, constraints)
     generator.warm_implementation(implementation, parameters, constraints, name=name)
     entries = []
-    for stage, key in (
-        ("expand", expand_key),
-        ("synth", synth_key),
-        ("flows", flow_key),
-    ):
+    for stage, key in zip(BUNDLE_STAGES, keys):
         value = cache.stage(stage).peek(key)
         if value is not None:
             entries.append((stage, key, value))
-    # zlib before base64: netlist pickles compress ~8x, and the whole
-    # blob rides inside one JSON wire frame the server must also parse.
-    blob = base64.b64encode(
-        zlib.compress(pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL), 6)
-    ).decode("ascii")
-    return {
-        "implementation": implementation.name,
-        "entries": len(entries),
-        "blob": blob,
-    }
+    return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def install_bundle(generator: EmbeddedGenerator, payload: Mapping[str, Any]) -> int:
+def install_bundle(generator: EmbeddedGenerator, bundle: bytes) -> int:
     """Install a bundle's stage entries; the number actually stored.
 
     First-writer-wins: an entry whose key is already present is skipped,
@@ -99,11 +75,8 @@ def install_bundle(generator: EmbeddedGenerator, payload: Mapping[str, Any]) -> 
     anything -- when the bundle was mapped onto another standard library.
     """
     cache = generator.generation_cache
-    if cache is None:
-        return 0
-    entries = pickle.loads(zlib.decompress(base64.b64decode(payload.get("blob") or b"")))
     installed = 0
-    for stage, key, value in entries:
+    for stage, key, value in pickle.loads(bundle):
         if stage not in BUNDLE_STAGES:
             continue
         store = cache.stage(stage)

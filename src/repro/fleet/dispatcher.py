@@ -1,442 +1,277 @@
-"""Server-side fleet dispatch: per-worker queues, stealing, survival.
+"""Server-side fleet dispatch: pipe-fed worker children, one shared queue.
 
 :class:`FleetDispatcher` sits next to a :class:`~repro.api.service.ComponentService`
-and owns a set of worker processes (spawned or externally attached).
+and owns its worker children (``python -m repro.fleet.worker``).
 Eligible generation work -- the CPU-heavy expand / synth / size /
 estimate middle of a cold catalog request, whether it arrived directly,
-as a job, or as plan fan-out -- is wrapped in a
-:class:`~repro.api.messages.FleetGenerate`, queued on a worker, and the
-returned stage bundle is installed into the server's generation cache so
-the normal in-process path replays the request as a warm hit.
+as a job, or as plan fan-out -- becomes one task on a single shared
+queue, and the returned stage bundle is installed into the server's
+generation cache so the normal in-process path replays the request as a
+warm hit.
 
-Scheduling is per-worker queues with work stealing: each worker's pump
-thread drains its own queue first and steals the oldest unpinned task
-from the longest busy sibling's queue when idle, so one slow elaboration
-never strands work behind it.  A worker death (connection error
-mid-request, or a failed heartbeat after a full idle interval) marks the
-worker dead and requeues its work
--- inflight task included -- onto surviving workers, up to a bounded
-attempt count.  Requeued sends carry the task's ``request_id`` so a
-worker that already saw the task (ambiguous failure between send and
-reply) answers its recorded response instead of recomputing; either way
-the work is pure cache priming, and installation on the server is
-first-writer-wins, so application stays at-most-once.
+One feed thread per child takes the next task, pickles it onto the
+child's stdin and reads the bundle off its stdout, so the next idle
+child always gets the next task.  A child that dies shows up as EOF or
+a broken pipe: its thread requeues the task (up to :data:`MAX_ATTEMPTS`
+sends), reaps the child and starts a new one.  Bundles are pure and
+installs first-writer-wins, so a task that ran twice still applies once.
 
-When no worker is live (or dispatch fails terminally) callers fall back
-to plain in-process generation -- the fleet degrades to the PR-3 server,
+When no child is left, or a task fails for good, callers fall back to
+plain in-process generation -- the fleet degrades to the plain server,
 it never becomes a new failure mode.
 """
 
 from __future__ import annotations
 
 import os
-import re
+import pickle
+import select
 import subprocess
 import sys
 import threading
 import time
-import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..api.cache import DEFAULT_CONSTRAINTS
-from ..api.messages import (
-    ComponentRequest,
-    FleetGenerate,
-    Request,
-    Response,
-    WarmCache,
-)
+from ..api.messages import ComponentRequest, Request
 from ..components.catalog import ComponentImplementation
-from ..constraints import Constraints
+from ..constraints import DEFAULT_CONSTRAINTS, Constraints
 from ..core.icdb import IcdbError
 from ..obs.reqlog import get_logger
 from .bundle import install_bundle
+from .worker import READY
 
-__all__ = ["FleetDispatcher", "WorkerHandle", "WORKER_BANNER"]
+__all__ = ["FleetDispatcher", "MAX_ATTEMPTS", "TASK_TIMEOUT"]
 
 _LOG = get_logger("repro.fleet.dispatcher")
 
-#: The stdout line a fleet worker announces itself with; the dispatcher
-#: and the chaos harness both parse it.
-WORKER_BANNER = re.compile(
-    r"icdb fleet worker listening on ([\d.]+):(\d+) pid=(\d+)"
-)
+#: Sends a task gets; after the last one dies with its child the task
+#: counts as failed and its caller generates locally.
+MAX_ATTEMPTS = 3
+#: Seconds a caller (or a whole :meth:`~FleetDispatcher.prewarm_requests`
+#: batch) waits for bundles before it falls back to local generation.
+TASK_TIMEOUT = 120.0
+#: Seconds a child has to build its catalog and generator and report ready.
+BOOT_TIMEOUT = 60.0
+#: Seconds :meth:`~FleetDispatcher.close` lets running tasks finish.
+CLOSE_GRACE = 2.0
+
+#: The ``src`` root a child needs on ``PYTHONPATH`` to import this package.
+_SRC_ROOT = str(Path(__file__).resolve().parents[2])
 
 
-class _FleetTask:
-    """One unit of dispatched work and its completion latch."""
+class _Task:
+    """One elaboration: the child's answer, then the owner's install."""
 
-    __slots__ = (
-        "request",
-        "request_id",
-        "pinned_to",
-        "attempts",
-        "event",
-        "response",
-        "error",
+    __slots__ = ("job", "attempts", "bundle", "answered", "warmed", "settled")
+
+    def __init__(self, job: tuple):
+        #: ``(implementation name, parameters, constraints, name)``.
+        self.job = job
+        self.attempts = 0
+        #: The pickled stage entries; None while (or if) no child delivers.
+        self.bundle: Optional[bytes] = None
+        self.answered = threading.Event()
+        #: Whether the owner installed the bundle; coalesced callers read
+        #: it once ``settled`` is set.
+        self.warmed = False
+        self.settled = threading.Event()
+
+
+def _spawn() -> subprocess.Popen:
+    """Start one worker child in this process group, stderr inherited."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (_SRC_ROOT, env.get("PYTHONPATH")) if path
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.fleet.worker"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=env,
     )
 
-    def __init__(self, request: Request, pinned_to: Optional[str] = None):
-        self.request = request
-        #: Stable across requeues: a worker that already executed this id
-        #: on the same session answers its recorded response (PR-9 dedupe).
-        self.request_id = uuid.uuid4().hex
-        #: Worker name this task must run on (warm broadcasts); an
-        #: unpinned task may be executed -- or stolen -- by any worker.
-        self.pinned_to = pinned_to
-        self.attempts = 0
-        self.event = threading.Event()
-        self.response: Optional[Response] = None
-        self.error: Optional[BaseException] = None
 
-    def resolve(self, response: Response) -> None:
-        self.response = response
-        self.event.set()
+def _receive(child: subprocess.Popen, timeout: float):
+    """The next object ``child`` writes, unpickled from its stdout.
 
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.event.set()
+    The only place the server unpickles a child's output.  A child that
+    stays silent for ``timeout`` seconds raises :class:`TimeoutError`, as
+    a dead one raises :class:`EOFError`.
+    """
+    if not select.select([child.stdout], [], [], max(0.0, timeout))[0]:
+        raise TimeoutError(f"fleet worker silent for {timeout:g} s")
+    return pickle.load(child.stdout)
 
 
-class WorkerHandle:
-    """One fleet worker: its connection, queue, pump thread and process."""
+def _await_ready(child: subprocess.Popen, deadline: float) -> None:
+    """Return once ``child`` reports ready; raise if it dies or is late."""
+    try:
+        marker = _receive(child, deadline - time.monotonic())
+    except (EOFError, OSError, pickle.UnpicklingError):  # died booting
+        marker = None
+    if marker != READY:
+        raise IcdbError(f"fleet worker failed to start (exit {child.poll()})")
 
-    def __init__(
-        self,
-        name: str,
-        host: str,
-        port: int,
-        client,
-        process: Optional[subprocess.Popen] = None,
-    ):
-        self.name = name
-        self.host = host
-        self.port = port
-        self.client = client
-        #: The spawning server reaps this on close; externally attached
-        #: workers have no process here.
-        self.process = process
-        self.pid: Optional[int] = process.pid if process is not None else None
-        self.alive = True
-        self.queue: Deque[_FleetTask] = deque()
-        self.inflight: Optional[_FleetTask] = None
-        #: The pump is blocked in a heartbeat ``Ping``.
-        self.pinging = False
-        self.thread: Optional[threading.Thread] = None
-        self.completed = 0
 
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    @property
-    def busy(self) -> bool:
-        """The pump is on the wire (a task or a ping), not at its queue."""
-        return self.inflight is not None or self.pinging
+def _reap(child: subprocess.Popen, grace: float = 0.0) -> None:
+    """Close ``child``'s stdin, give it ``grace`` seconds, kill, wait."""
+    try:
+        child.stdin.close()
+    except OSError:
+        pass  # unflushed bytes for a child that is already gone
+    try:
+        child.wait(grace)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.wait()
+    child.stdout.close()
 
 
 class FleetDispatcher:
-    """Routes generation work from one service onto a worker fleet."""
+    """Routes generation work from one service onto ``workers`` children."""
 
-    def __init__(
-        self,
-        service,
-        max_attempts: int = 3,
-        task_timeout: float = 120.0,
-        heartbeat_interval: float = 2.0,
-    ):
+    def __init__(self, service, workers: int):
+        """Start every child side by side; return once all are ready.
+
+        All or nothing, against one deadline: if any child fails to
+        start, every child is killed and reaped and the error raised.
+        """
         self.service = service
-        self.max_attempts = max_attempts
-        #: Ceiling a caller waits for one dispatched task before falling
-        #: back to local generation (covers send + remote compute + reply).
-        self.task_timeout = task_timeout
-        #: Idle pump threads ping their worker this often, so a worker
-        #: that died *between* tasks is noticed without waiting for the
-        #: next dispatch to hit a broken socket.
-        self.heartbeat_interval = heartbeat_interval
         self._cond = threading.Condition()
-        self._workers: Dict[str, WorkerHandle] = {}
-        self._worker_seq = 0
+        self._queue: Deque[_Task] = deque()
         self._closed = False
-        #: prewarm signature -> inflight task: concurrent requests for
-        #: one signature share a single dispatch (plan sweeps with
-        #: duplicate points would otherwise fan the same elaboration out
-        #: N times).
-        self._inflight_keys: Dict[Any, _FleetTask] = {}
+        #: prewarm signature -> the task computing it: concurrent requests
+        #: for one signature share a single dispatch and its install.
+        self._inflight: Dict[Tuple, _Task] = {}
         #: Signatures whose bundles already installed: the dispatcher's
         #: own warm-skip memo, deliberately *not* a generation-cache
         #: probe -- probing the flow memo would require an expansion,
         #: and routing must stay cheap on the server.
         self._warmed: set = set()
-        self._counters: Dict[str, int] = {
-            "workers_spawned": 0,
-            "workers_connected": 0,
-            "workers_dead": 0,
-            "dispatched": 0,
-            "completed": 0,
-            "failed": 0,
-            "requeues": 0,
-            "steals": 0,
-            "fallbacks": 0,
-            "coalesced": 0,
-            "installs": 0,
-            "warm_fanouts": 0,
-            "heartbeats": 0,
-            "heartbeat_failures": 0,
-        }
-
-    # ------------------------------------------------------------- membership
-
-    def spawn_workers(
-        self,
-        count: int,
-        job_workers: int = 2,
-        python: Optional[str] = None,
-        stderr=None,
-    ) -> List[WorkerHandle]:
-        """Start ``count`` worker processes and attach them.
-
-        Workers bind an ephemeral port and announce it on stdout
-        (:data:`WORKER_BANNER`); each gets a small job pool of its own so
-        pipelined fleet requests overlap I/O with compute.  Every process
-        starts before any banner is read, so the workers boot side by
-        side.  All or nothing: if any worker fails to start or attach,
-        every process this call started is killed and reaped, and the
-        ones already attached are marked dead.
-        """
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
+        self._counters: Dict[str, int] = dict.fromkeys(
+            (
+                "dispatched",
+                "completed",
+                "failed",
+                "requeues",
+                "restarts",
+                "fallbacks",
+                "coalesced",
+                "installs",
+            ),
+            0,
         )
-        processes: List[subprocess.Popen] = []
-        spawned: List[WorkerHandle] = []
+        children: List[Optional[subprocess.Popen]] = []
         try:
-            for _ in range(count):
-                processes.append(
-                    subprocess.Popen(
-                        [
-                            python or sys.executable,
-                            "-m",
-                            "repro.fleet.worker",
-                            "--port",
-                            "0",
-                            "--workers",
-                            str(job_workers),
-                        ],
-                        stdout=subprocess.PIPE,
-                        stderr=stderr if stderr is not None else subprocess.DEVNULL,
-                        env=env,
-                        text=True,
-                    )
-                )
-            addresses: List[Tuple[str, int]] = []
-            for proc in processes:
-                banner = proc.stdout.readline() if proc.stdout else ""
-                match = WORKER_BANNER.search(banner or "")
-                if match is None:
-                    raise IcdbError(
-                        f"fleet worker failed to start (got {banner!r})"
-                    )
-                addresses.append((match.group(1), int(match.group(2))))
-            for proc, (host, port) in zip(processes, addresses):
-                spawned.append(self._attach(host, port, process=proc))
-                with self._cond:
-                    self._counters["workers_spawned"] += 1
-        except BaseException as exc:
-            for handle in spawned:
-                self._worker_died(handle, exc)
-            for proc in processes:
-                proc.kill()
-                proc.wait()
-                if proc.stdout is not None:
-                    proc.stdout.close()
+            for _ in range(workers):
+                children.append(_spawn())
+            deadline = time.monotonic() + BOOT_TIMEOUT
+            for child in children:
+                _await_ready(child, deadline)
+        except BaseException:
+            for child in children:
+                _reap(child)
             raise
-        return spawned
+        #: slot -> its current child; ``None`` once the slot retired.
+        self._children = children
+        self._threads = [
+            threading.Thread(
+                target=self._feed, args=(slot,), name=f"fleet-{slot}", daemon=True
+            )
+            for slot in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    def connect_worker(self, host: str, port: int) -> WorkerHandle:
-        """Attach an externally managed worker (``--fleet-connect``)."""
-        return self._attach(host, port, process=None)
+    # -------------------------------------------------------------- children
 
-    def _attach(
-        self, host: str, port: int, process: Optional[subprocess.Popen]
-    ) -> WorkerHandle:
-        from ..net.client import RemoteClient
-
-        client = RemoteClient.connect(
-            host, port, client="fleet-dispatcher", timeout=self.task_timeout
-        )
-        with self._cond:
-            if self._closed:
-                client.close()
-                raise IcdbError("fleet dispatcher is closed")
-            self._worker_seq += 1
-            name = f"worker-{self._worker_seq}"
-            handle = WorkerHandle(name, host, port, client, process=process)
-            self._workers[name] = handle
-            self._counters["workers_connected"] += 1
-        handle.thread = threading.Thread(
-            target=self._pump, args=(handle,), name=f"fleet-{name}", daemon=True
-        )
-        handle.thread.start()
-        return handle
-
-    def workers(self) -> List[WorkerHandle]:
-        with self._cond:
-            return list(self._workers.values())
-
-    def live_workers(self) -> List[WorkerHandle]:
-        with self._cond:
-            return [h for h in self._workers.values() if h.alive]
-
-    # ------------------------------------------------------------- scheduling
-
-    def _submit(self, task: _FleetTask) -> bool:
-        """Queue ``task`` on the least-loaded live worker; False if none."""
-        with self._cond:
-            if self._closed:
-                return False
-            target: Optional[WorkerHandle] = None
-            if task.pinned_to is not None:
-                handle = self._workers.get(task.pinned_to)
-                if handle is not None and handle.alive:
-                    target = handle
-            else:
-                live = [h for h in self._workers.values() if h.alive]
-                if live:
-                    target = min(
-                        live,
-                        key=lambda h: len(h.queue) + (1 if h.busy else 0),
-                    )
-            if target is None:
-                return False
-            task.attempts += 1
-            target.queue.append(task)
-            self._counters["dispatched"] += 1
-            self._cond.notify_all()
-            return True
-
-    def _next_task(self, handle: WorkerHandle) -> Optional[_FleetTask]:
-        """Pop own work, else steal the oldest unpinned sibling task.
-
-        Only a *busy* sibling (mid-task or mid-ping) is stolen from: an
-        idle one's pump takes its queued task itself, and must -- if that
-        worker died, the failed send is what detects the death and
-        requeues the task.  A ping that stalls does not strand its queue.
-
-        Caller holds the condition lock.
-        """
-        if handle.queue:
-            return handle.queue.popleft()
-        victim: Optional[WorkerHandle] = None
-        for other in self._workers.values():
-            if other is handle or not other.alive or not other.busy:
-                continue
-            stealable = any(t.pinned_to is None for t in other.queue)
-            if stealable and (
-                victim is None or len(other.queue) > len(victim.queue)
-            ):
-                victim = other
-        if victim is None:
-            return None
-        for index, task in enumerate(victim.queue):
-            if task.pinned_to is None:
-                del victim.queue[index]
-                self._counters["steals"] += 1
-                return task
-        return None
-
-    def _pump(self, handle: WorkerHandle) -> None:
-        """One worker's dispatch loop (its own daemon thread)."""
-        last_active = time.monotonic()
-        while True:
+    def _feed(self, slot: int) -> None:
+        """One child's loop: take the next task, send it, read the bundle."""
+        child = self._children[slot]
+        while child is not None:
             with self._cond:
-                while True:
-                    if self._closed or not handle.alive:
-                        return
-                    task = self._next_task(handle)
-                    if task is not None:
-                        handle.inflight = task
-                        break
-                    # Every submit wakes every pump; only a full
-                    # heartbeat interval without work is idleness.
-                    idle = time.monotonic() - last_active
-                    if idle >= self.heartbeat_interval:
-                        handle.pinging = True
-                        break
-                    self._cond.wait(timeout=self.heartbeat_interval - idle)
-            if task is None:
-                # Idle a full interval: probe the worker is still there.
-                try:
-                    handle.client.ping()
-                    with self._cond:
-                        handle.pinging = False
-                        self._counters["heartbeats"] += 1
-                except Exception as exc:  # noqa: BLE001 - any failure = dead
-                    with self._cond:
-                        handle.pinging = False
-                        self._counters["heartbeat_failures"] += 1
-                    self._worker_died(handle, exc)
-                    return
-                last_active = time.monotonic()
+                while not self._queue and not self._closed:
+                    self._cond.wait()
+                if self._closed:
+                    break
+            if child.poll() is not None:
+                # Died while idle: replace it before a task is charged.
+                child = self._restart(slot, child)
                 continue
+            with self._cond:
+                if not self._queue:
+                    continue
+                task = self._queue.popleft()
+                task.attempts += 1
+                self._counters["dispatched"] += 1
             try:
-                response = handle.client.execute(
-                    task.request, request_id=task.request_id
-                )
-            except Exception as exc:  # noqa: BLE001 - connection-level failure
-                self._worker_died(handle, exc, inflight=task)
-                return
-            last_active = time.monotonic()
-            with self._cond:
-                handle.inflight = None
-                handle.completed += 1
-                self._counters["completed"] += 1
-            # A structured service error still resolves the task: the
-            # worker is healthy, the work itself failed deterministically
-            # and would fail locally too -- no point retrying elsewhere.
-            task.resolve(response)
-
-    def _worker_died(
-        self,
-        handle: WorkerHandle,
-        error: BaseException,
-        inflight: Optional[_FleetTask] = None,
-    ) -> None:
-        """Mark ``handle`` dead and redistribute everything it owed."""
-        with self._cond:
-            if not handle.alive:
-                return
-            handle.alive = False
-            handle.inflight = None
-            self._counters["workers_dead"] += 1
-            orphans: List[_FleetTask] = []
-            if inflight is not None:
-                orphans.append(inflight)
-            orphans.extend(handle.queue)
-            handle.queue.clear()
-            self._cond.notify_all()
-        try:
-            handle.client.close()
-        except Exception:  # noqa: BLE001 - already dead
-            pass
-        for task in orphans:
-            requeued = False
-            if task.pinned_to is None and task.attempts < self.max_attempts:
-                requeued = self._submit(task)
-                if requeued:
-                    with self._cond:
+                pickle.dump(task.job, child.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                child.stdin.flush()
+                ok, value = _receive(child, TASK_TIMEOUT)
+            except Exception as exc:  # noqa: BLE001 - EOF, broken pipe, silence
+                # Whatever broke the exchange, this child is replaced.
+                _LOG.warning("fleet_worker_lost", slot=slot, error=repr(exc))
+                with self._cond:
+                    retry = task.attempts < MAX_ATTEMPTS and not self._closed
+                    if retry:
+                        self._queue.appendleft(task)
                         self._counters["requeues"] += 1
-            if not requeued:
-                task.fail(
-                    IcdbError(
-                        f"fleet worker {handle.name} died: {error!r}"
-                    )
-                )
+                        self._cond.notify()
+                if not retry:
+                    self._fail(task)
+                child = self._restart(slot, child)
+                continue
+            with self._cond:
+                self._counters["completed"] += 1
+            # An error answer is deterministic: it would fail locally too,
+            # so the caller falls back instead of retrying elsewhere.
+            task.bundle = value if ok else None
+            task.answered.set()
+        if child is not None:
+            _reap(child, CLOSE_GRACE)
+            with self._cond:
+                self._children[slot] = None
+
+    def _restart(
+        self, slot: int, old: subprocess.Popen
+    ) -> Optional[subprocess.Popen]:
+        """Reap ``old`` and boot its replacement; ``None`` retires the slot.
+
+        When the last slot retires, every queued task fails at once and
+        later calls fall back without waiting.
+        """
+        _reap(old)
+        child: Optional[subprocess.Popen] = None
+        try:
+            with self._cond:
+                # Registered before it boots, so close() can kill it.
+                if not self._closed:
+                    child = self._children[slot] = _spawn()
+            if child is not None:
+                _await_ready(child, time.monotonic() + BOOT_TIMEOUT)
+        except (OSError, IcdbError) as exc:  # the slot retires
+            _LOG.warning("fleet_restart_failed", slot=slot, error=repr(exc))
+            if child is not None:
+                _reap(child)
+            child = None
+        orphans: List[_Task] = []
+        with self._cond:
+            self._children[slot] = child
+            if child is not None:
+                self._counters["restarts"] += 1
+            elif not any(self._children):
+                orphans = list(self._queue)
+                self._queue.clear()
+        for task in orphans:
+            self._fail(task)
+        return child
+
+    def _fail(self, task: _Task) -> None:
+        with self._cond:
+            self._counters["failed"] += 1
+        task.answered.set()
 
     # ------------------------------------------------------------ public work
 
@@ -447,99 +282,32 @@ class FleetDispatcher:
         constraints: Optional[Constraints],
         name: Optional[str] = None,
     ) -> bool:
-        """Offload one cold elaboration; True if a worker warmed the memo.
+        """Offload one cold elaboration; True if a child warmed the memo.
 
         False means the caller should just generate locally: no live
-        worker, the flow is already warm, or the dispatch failed (the
+        child, the flow is already warm, or the dispatch failed (the
         failure is counted, never raised -- the fleet must not introduce
         a failure mode in-process generation does not have).
         """
-        generator = self.service.generator
-        if generator.generation_cache is None:
+        claim = self._claim(implementation, parameters, constraints, name)
+        if claim is None:
             return False
-        constraints = (
-            constraints if constraints is not None else DEFAULT_CONSTRAINTS
-        )
-        try:
-            flow_key = generator.prewarm_signature(
-                implementation, parameters, constraints
-            )
-        except Exception:  # noqa: BLE001 - let the real path raise it
-            return False
-        with self._cond:
-            if flow_key in self._warmed:
-                return False
-        request = FleetGenerate(
-            implementation=implementation.name,
-            parameters=dict(parameters) if parameters else None,
-            constraints=constraints,
-            name=name,
-        )
-        with self._cond:
-            task = self._inflight_keys.get(flow_key)
-            if task is not None:
-                self._counters["coalesced"] += 1
-            owner = task is None
-        if owner:
-            task = _FleetTask(request)
-            with self._cond:
-                self._inflight_keys[flow_key] = task
-            if not self._submit(task):
-                with self._cond:
-                    self._inflight_keys.pop(flow_key, None)
-                    self._counters["fallbacks"] += 1
-                return False
-        try:
-            if not task.event.wait(self.task_timeout) or task.error is not None:
-                with self._cond:
-                    self._counters["fallbacks"] += 1
-                return False
-            response = task.response
-            if response is None or not response.ok:
-                with self._cond:
-                    self._counters["fallbacks"] += 1
-                return False
-            if owner:
-                try:
-                    installed = install_bundle(generator, response.value or {})
-                except Exception as exc:  # noqa: BLE001 - never into the request
-                    # A worker on another cell library (or a corrupt
-                    # blob): its entries would be wrong here, so none
-                    # install and the caller generates locally.
-                    _LOG.warning(
-                        "fleet_install_failed",
-                        implementation=implementation.name,
-                        error=repr(exc),
-                    )
-                    with self._cond:
-                        self._counters["fallbacks"] += 1
-                    return False
-                with self._cond:
-                    self._counters["installs"] += installed
-            with self._cond:
-                if len(self._warmed) > 65536:  # runaway-signature backstop
-                    self._warmed.clear()
-                self._warmed.add(flow_key)
-            return True
-        finally:
-            if owner:
-                with self._cond:
-                    self._inflight_keys.pop(flow_key, None)
+        return self._settle(*claim, deadline=time.monotonic() + TASK_TIMEOUT)
 
     def prewarm_requests(self, requests: Sequence[Request]) -> int:
         """Bulk-offload the catalog generations of a request fan-out.
 
         Used by the planner before it hands candidates to the job pool:
-        every eligible :class:`ComponentRequest` dispatches concurrently
-        across the fleet, and the pool then replays them as warm hits.
-        Ineligible requests (IIF / structural, unknown names) are left
-        for the normal path untouched.  Returns how many warmed.
+        every eligible :class:`ComponentRequest` is queued at once, the
+        children work through them side by side, and the pool then
+        replays them as warm hits.  Ineligible requests (IIF /
+        structural, unknown names) are left for the normal path
+        untouched.  Returns how many warmed.
         """
-        if not self.live_workers():
-            return 0
-        resolved: List[
-            Tuple[ComponentImplementation, Dict[str, int], Constraints, Optional[str]]
-        ] = []
+        with self._cond:
+            if self._closed or not any(self._children):
+                return 0
+        claims = []
         for request in requests:
             if not isinstance(request, ComponentRequest):
                 continue
@@ -562,57 +330,101 @@ class FleetDispatcher:
             )
             if request.strategy is not None:
                 constraints = constraints.with_updates(strategy=request.strategy)
-            resolved.append(
-                (chosen, overrides, constraints, request.instance_name)
-            )
-        if not resolved:
-            return 0
-        warmed = 0
-        threads: List[threading.Thread] = []
-        results: List[bool] = [False] * len(resolved)
+            claim = self._claim(chosen, overrides, constraints, request.instance_name)
+            if claim is not None:
+                claims.append(claim)
+        deadline = time.monotonic() + TASK_TIMEOUT
+        return sum(self._settle(*claim, deadline=deadline) for claim in claims)
 
-        def _one(index: int, item) -> None:
-            chosen, overrides, constraints, name = item
-            results[index] = self.prewarm(
-                chosen, overrides, constraints, name=name
-            )
+    def _claim(
+        self,
+        implementation: ComponentImplementation,
+        parameters: Optional[Mapping[str, int]],
+        constraints: Optional[Constraints],
+        name: Optional[str],
+    ) -> Optional[Tuple[Tuple, _Task, bool]]:
+        """Queue one elaboration, or join the task already computing it.
 
-        for index, item in enumerate(resolved):
-            thread = threading.Thread(
-                target=_one, args=(index, item), daemon=True
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join(self.task_timeout)
-        warmed = sum(1 for flag in results if flag)
-        return warmed
-
-    def broadcast_warm(self, warm: WarmCache) -> int:
-        """Fan a warm request out to every live worker; workers warmed.
-
-        Each worker gets its own pinned (non-stealable) copy with
-        ``fanout=False`` so it warms only itself.  Best effort: a dead or
-        slow worker just misses the warmth.
+        Returns ``(signature, task, owner)``, or ``None`` when there is
+        nothing to wait for: the flow is warm, or no child can take work.
+        The warm-skip check, the in-flight check and the owner's insert
+        share one lock hold, so racing callers dispatch once.
         """
-        request = WarmCache(entries=warm.entries, fanout=False)
-        tasks: List[_FleetTask] = []
-        for handle in self.live_workers():
-            task = _FleetTask(request, pinned_to=handle.name)
-            if self._submit(task):
-                tasks.append(task)
+        generator = self.service.generator
+        if generator.generation_cache is None:
+            return None
+        if constraints is None:
+            constraints = DEFAULT_CONSTRAINTS
+        try:
+            flow_key = generator.prewarm_signature(
+                implementation, parameters, constraints
+            )
+        except Exception:  # noqa: BLE001 - let the real path raise it
+            return None
         with self._cond:
-            self._counters["warm_fanouts"] += 1 if tasks else 0
-        warmed = 0
-        for task in tasks:
-            if (
-                task.event.wait(self.task_timeout)
-                and task.error is None
-                and task.response is not None
-                and task.response.ok
-            ):
-                warmed += 1
-        return warmed
+            if flow_key in self._warmed:
+                return None
+            task = self._inflight.get(flow_key)
+            if task is not None:
+                self._counters["coalesced"] += 1
+                return flow_key, task, False
+            if self._closed or not any(self._children):
+                self._counters["fallbacks"] += 1
+                return None
+            job = (
+                implementation.name,
+                dict(parameters) if parameters else None,
+                constraints,
+                name,
+            )
+            task = self._inflight[flow_key] = _Task(job)
+            self._queue.append(task)
+            self._cond.notify()
+        return flow_key, task, True
+
+    def _settle(
+        self, flow_key: Tuple, task: _Task, owner: bool, deadline: float
+    ) -> bool:
+        """Wait for ``task``; its owner installs the bundle.  True if warm.
+
+        Coalesced callers wait for the owner's install, not just for the
+        child's answer, so every caller that returns True replays warm.
+        """
+        if owner:
+            try:
+                task.answered.wait(max(0.0, deadline - time.monotonic()))
+                bundle = task.bundle
+                task.warmed = bundle is not None and self._install(
+                    flow_key, task, bundle
+                )
+            finally:
+                with self._cond:
+                    self._inflight.pop(flow_key, None)
+                task.settled.set()
+        else:
+            task.settled.wait(max(0.0, deadline - time.monotonic()))
+        if not task.warmed:
+            with self._cond:
+                self._counters["fallbacks"] += 1
+        return task.warmed
+
+    def _install(self, flow_key: Tuple, task: _Task, bundle: bytes) -> bool:
+        try:
+            installed = install_bundle(self.service.generator, bundle)
+        except Exception as exc:  # noqa: BLE001 - never into the request
+            # A child on another cell library (or a corrupt bundle): its
+            # entries would be wrong here, so none install and the caller
+            # generates locally.
+            _LOG.warning(
+                "fleet_install_failed", implementation=task.job[0], error=repr(exc)
+            )
+            return False
+        with self._cond:
+            self._counters["installs"] += installed
+            if len(self._warmed) > 65536:  # runaway-signature backstop
+                self._warmed.clear()
+            self._warmed.add(flow_key)
+        return True
 
     # ------------------------------------------------------------------ admin
 
@@ -620,41 +432,30 @@ class FleetDispatcher:
         """Counter snapshot (the service's ``fleet`` metrics collector)."""
         with self._cond:
             out = dict(self._counters)
-            out["workers_live"] = sum(
-                1 for h in self._workers.values() if h.alive
-            )
-            out["queued"] = sum(len(h.queue) for h in self._workers.values())
-            out["inflight"] = sum(
-                1 for h in self._workers.values() if h.inflight is not None
-            )
+            out["workers_live"] = sum(child is not None for child in self._children)
         return out
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop pumps, fail queued work, close clients, reap processes."""
+    def close(self) -> None:
+        """Refuse new work, fail queued tasks, stop and reap every child.
+
+        Running tasks get :data:`CLOSE_GRACE` seconds to finish (and their
+        callers to install); a child still busy after that is killed.
+        """
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            orphans: List[_FleetTask] = []
-            for handle in self._workers.values():
-                orphans.extend(handle.queue)
-                handle.queue.clear()
-                if handle.inflight is not None:
-                    orphans.append(handle.inflight)
+            orphans = list(self._queue)
+            self._queue.clear()
             self._cond.notify_all()
         for task in orphans:
-            task.fail(IcdbError("fleet dispatcher closed"))
-        for handle in self.workers():
-            try:
-                handle.client.close()
-            except Exception:  # noqa: BLE001 - teardown
-                pass
-            if handle.thread is not None:
-                handle.thread.join(timeout)
-            if handle.process is not None:
-                handle.process.terminate()
-                try:
-                    handle.process.wait(timeout)
-                except subprocess.TimeoutExpired:
-                    handle.process.kill()
-                    handle.process.wait()
+            self._fail(task)
+        deadline = time.monotonic() + CLOSE_GRACE
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        with self._cond:
+            late = [child for child in self._children if child is not None]
+        for child in late:
+            child.kill()
+        for thread in self._threads:
+            thread.join(CLOSE_GRACE)

@@ -1,80 +1,48 @@
-"""The fleet worker process: ``python -m repro.fleet.worker``.
+"""A fleet worker child: ``python -m repro.fleet.worker``.
 
-A worker is a deliberately stripped-down ICDB server: the same
-:class:`~repro.api.service.ComponentService`, the same wire protocol and
-frame dispatcher, but *no durable store and nothing worth persisting*.
-Its purpose is answering :class:`~repro.api.messages.FleetGenerate` (and
-:class:`~repro.api.messages.WarmCache`) from a dispatching server: run a
-catalog elaboration through its own generation cache and reply with the
-pickled stage entries.  It registers nothing the fleet relies on --
-instances a worker creates exist only in its own memory and die with it,
-which is exactly why SIGKILLing a worker mid-job loses no state: the
-dispatcher requeues the task and the server's store never saw the
-worker at all.
-
-It speaks the full protocol (it *is* an ICDB server), so the chaos
-harness, admin console and plain clients can talk to one directly; the
-banner line is the only difference::
-
-    icdb fleet worker listening on HOST:PORT pid=PID
-
-The pid in the banner is what fault-injection tests aim their SIGKILL
-at.  Run with ``--port 0`` to bind an ephemeral port (how the
-dispatcher spawns them).
+Started by :class:`~repro.fleet.dispatcher.FleetDispatcher`, never by
+hand.  It builds its own catalog and generator, writes :data:`READY`,
+then answers one pickled ``(implementation, parameters, constraints,
+name)`` task on stdin with one pickled ``(ok, bundle or error text)`` on
+stdout, until stdin closes.  It owns no store and registers nothing,
+which is why a SIGKILL mid-task loses no state.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import pickle
 import signal
 import sys
-import threading
-from typing import List, Optional
 
-from ..api.service import ComponentService
-from ..net.server import serve
+from ..components.catalog import standard_catalog
+from ..core.generation import EmbeddedGenerator
+from .bundle import compute_bundle
+
+#: The first object a child writes: its catalog and generator are built.
+READY = "icdb-fleet-ready"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """The ``python -m repro.fleet.worker`` command line."""
-    parser = argparse.ArgumentParser(
-        prog="repro.fleet.worker",
-        description="Serve a stateless ICDB generation worker over TCP.",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 for ephemeral)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="job worker pool size of this worker process (>= 1)",
-    )
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-
-    # No durable store, no file store root: a worker owns no state a
-    # server would miss.  Everything it computes ships back as bundles.
-    service = ComponentService(job_workers=args.workers)
-    server = serve(service=service, host=args.host, port=args.port)
-
-    def _shutdown(signum, frame) -> None:  # pragma: no cover - signal path
-        # Off this thread: it may hold the lock of the event stop() sets.
-        threading.Thread(target=server.stop, name="icdb-stop", daemon=True).start()
-
-    signal.signal(signal.SIGINT, _shutdown)
-    signal.signal(signal.SIGTERM, _shutdown)
-    print(
-        f"icdb fleet worker listening on {server.host}:{server.port} "
-        f"pid={os.getpid()}",
-        flush=True,
-    )
-    server.serve_forever()
-    print("icdb fleet worker stopped", flush=True)
-    return 0
+def main() -> int:
+    # The server decides when a child stops: by closing its stdin.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    tasks, answers = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print lands in the server's log, not in a bundle
+    catalog, generator = standard_catalog(fresh=True), EmbeddedGenerator()
+    answer = READY
+    while True:
+        pickle.dump(answer, answers, protocol=pickle.HIGHEST_PROTOCOL)
+        answers.flush()
+        try:
+            implementation, parameters, constraints, name = pickle.load(tasks)
+        except EOFError:
+            return 0
+        try:
+            answer = (True, compute_bundle(
+                generator, catalog.get(implementation), parameters, constraints, name
+            ))
+        except Exception as exc:  # noqa: BLE001 - the server falls back
+            answer = (False, repr(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry point

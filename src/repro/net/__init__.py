@@ -52,8 +52,8 @@ failure story (reconnect, retry, dedupe, breaker, drain) in
 
 from ..lazy import lazy_exports
 
-# Resolved on first access, so ``python -m repro.net.server`` and the
-# fleet worker load only the modules a server uses.
+# Resolved on first access, so ``python -m repro.net.server`` loads only
+# the modules a server uses.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".client": (
         "JobHandle",

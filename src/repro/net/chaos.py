@@ -313,14 +313,7 @@ class ManagedServer:
     need -- :meth:`restart` on the **same port** over the same data
     directory, so a client holding a dead connection can reconnect to
     the address it already knows.
-
-    Subclasses override :attr:`banner` and :meth:`_argv` to manage other
-    banner-announcing subprocesses (:class:`ManagedWorker`).
     """
-
-    #: The stdout line announcing readiness; groups are (host, port) and
-    #: optionally a third pid group (fleet workers announce theirs).
-    banner = BANNER
 
     def __init__(self, data_dir: Any, *extra_args: str, port: int = 0):
         self.data_dir = data_dir
@@ -328,27 +321,20 @@ class ManagedServer:
         self.proc: Optional[subprocess.Popen] = None
         self.host: str = ""
         self.port = port
-        #: The pid the banner announced (when it carries one) -- what a
-        #: kill-the-right-process test aims its SIGKILL at.  Falls back
-        #: to the subprocess pid.
-        self.pid: Optional[int] = None
         self.recovery: Optional[Tuple[int, int, int]] = None
         self.start()
-
-    def _argv(self) -> list:
-        return [
-            sys.executable, "-m", "repro.net.server",
-            "--port", str(self.port),
-            "--data-dir", str(self.data_dir),
-            "--journal-fsync", "always",
-            *self.extra_args,
-        ]
 
     def start(self) -> None:
         if self.proc is not None and self.proc.poll() is None:
             raise AssertionError("server already running")
         self.proc = subprocess.Popen(
-            self._argv(),
+            [
+                sys.executable, "-m", "repro.net.server",
+                "--port", str(self.port),
+                "--data-dir", str(self.data_dir),
+                "--journal-fsync", "always",
+                *self.extra_args,
+            ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -362,11 +348,9 @@ class ManagedServer:
             match = RECOVERY.search(line)
             if match:
                 self.recovery = tuple(int(g) for g in match.groups())
-            match = self.banner.search(line)
+            match = BANNER.search(line)
             if match:
                 self.host, self.port = match.group(1), int(match.group(2))
-                groups = match.groups()
-                self.pid = int(groups[2]) if len(groups) > 2 else self.proc.pid
                 return
         raise AssertionError("no listening banner within 30s")
 
@@ -407,29 +391,3 @@ class ManagedServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class ManagedWorker(ManagedServer):
-    """A fleet worker subprocess built to be killed.
-
-    Same lifecycle helpers as :class:`ManagedServer`, but wrapping
-    ``python -m repro.fleet.worker``: no data directory (workers own no
-    durable state -- that is the point), and the banner carries the
-    worker's pid, captured as :attr:`pid` for SIGKILL-mid-generation
-    tests.  A dispatcher attaches to one with
-    ``FleetDispatcher.connect_worker(worker.host, worker.port)``.
-    """
-
-    banner = re.compile(
-        r"icdb fleet worker listening on ([\d.]+):(\d+) pid=(\d+)"
-    )
-
-    def __init__(self, *extra_args: str, port: int = 0):
-        super().__init__(None, *extra_args, port=port)
-
-    def _argv(self) -> list:
-        return [
-            sys.executable, "-m", "repro.fleet.worker",
-            "--port", str(self.port),
-            *self.extra_args,
-        ]

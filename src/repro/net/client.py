@@ -218,9 +218,9 @@ class LoopbackTransport:
         self.description = "loopback"
         #: Callback receiving each pushed job-event dict (or None to drop).
         self.on_event: Optional[Callable[[Dict[str, Any]], None]] = None
-        # Local import: a process that only *talks* to servers (a fleet
-        # dispatcher inside ``python -m repro.net.server``, a benchmark
-        # driver) never needs the server module.
+        # Local import: a process that only *talks* to servers (a
+        # benchmark driver, the admin console) never needs the server
+        # module.
         from .server import FrameDispatcher
 
         self._dispatcher = FrameDispatcher(
@@ -666,9 +666,8 @@ class RemoteClient(ClassicOps):
 
         ``request_id`` opts into the server's session-scoped dedupe: a
         retry of the same id after an ambiguous failure answers the
-        recorded response instead of re-executing (the fleet dispatcher
-        uses this when it re-sends a task to a worker whose connection
-        dropped mid-reply).
+        recorded response instead of re-executing (the resilient client
+        uses this when it re-sends after a connection dropped mid-reply).
         """
         payload: Dict[str, Any] = {
             "type": FRAME_REQUEST,

@@ -1026,16 +1026,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--fleet-connect",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "attach an externally started fleet worker (repeatable); "
-            "combines with --fleet-workers"
-        ),
-    )
-    parser.add_argument(
         "--metrics-path",
         default=None,
         metavar="PATH",
@@ -1089,24 +1079,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             flush=True,
         )
     fleet = None
-    if args.fleet_workers or args.fleet_connect:
-        # Local import: the fleet imports this module (workers are served
-        # by the same ICDBServer class).
+    if args.fleet_workers:
+        # Local import: only a fleet server loads the dispatcher.  It
+        # returns once every child is ready and raises if any is not,
+        # so a broken fleet exits before the banner.
         from ..fleet.dispatcher import FleetDispatcher
 
-        fleet = FleetDispatcher(service)
-        if args.fleet_workers:
-            fleet.spawn_workers(args.fleet_workers)
-        for spec in args.fleet_connect or ():
-            host, _, port_text = spec.rpartition(":")
-            try:
-                fleet.connect_worker(host or "127.0.0.1", int(port_text))
-            except (ValueError, OSError) as exc:
-                fleet.close()
-                parser.error(f"cannot attach fleet worker {spec!r}: {exc}")
+        fleet = FleetDispatcher(service, args.fleet_workers)
         service.attach_fleet(fleet)
-        addresses = ", ".join(h.address for h in fleet.workers())
-        print(f"icdb fleet attached: {addresses}", flush=True)
+        print(f"icdb fleet ready: {args.fleet_workers} workers", flush=True)
     exporter: Optional[MetricsExporter] = None
     if args.metrics_path is not None:
         exporter = MetricsExporter(

@@ -109,19 +109,17 @@ def render_dashboard(
     )
     if "fleet.workers_live" in counters:
         lines.append(
-            f"fleet      workers {c('fleet.workers_live'):>3,.0f}"
-            f"/{c('fleet.workers_connected'):,.0f}   "
-            f"dead {c('fleet.workers_dead'):>3,.0f}   "
+            f"fleet      workers {c('fleet.workers_live'):>3,.0f}   "
+            f"restarts {c('fleet.restarts'):>3,.0f}   "
             f"dispatched {c('fleet.dispatched'):>7,.0f}   "
             f"done {c('fleet.completed'):>7,.0f}   "
-            f"steals {c('fleet.steals'):>5,.0f}"
+            f"failed {c('fleet.failed'):>4,.0f}"
         )
         lines.append(
             f"           requeues {c('fleet.requeues'):>4,.0f}   "
             f"fallbacks {c('fleet.fallbacks'):>5,.0f}   "
             f"installs {c('fleet.installs'):>7,.0f}   "
-            f"coalesced {c('fleet.coalesced'):>5,.0f}   "
-            f"warm fanouts {c('fleet.warm_fanouts'):>4,.0f}"
+            f"coalesced {c('fleet.coalesced'):>5,.0f}"
         )
     lines.append("")
 

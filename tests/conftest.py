@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,18 @@ class GoldenComparator:
 @pytest.fixture()
 def golden(request) -> GoldenComparator:
     return GoldenComparator(update=request.config.getoption("--update-golden"))
+
+
+@pytest.fixture()
+def started_processes(monkeypatch):
+    """Every subprocess started while the test runs, in start order (the
+    fleet tests check that each one was reaped)."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return started

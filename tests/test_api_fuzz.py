@@ -23,7 +23,6 @@ from repro.api import (
     CancelJob,
     CheckEquivalence,
     ComponentQuery,
-    FleetGenerate,
     WarmCache,
     ComponentRequest,
     ComponentService,
@@ -373,16 +372,6 @@ def _warm_entry(rng: random.Random) -> dict:
 def _warm_cache(rng: random.Random) -> WarmCache:
     return WarmCache(
         entries=tuple(_warm_entry(rng) for _ in range(rng.randint(0, 3))),
-        fanout=rng.random() < 0.5,
-    )
-
-
-def _fleet_generate(rng: random.Random) -> FleetGenerate:
-    return FleetGenerate(
-        implementation=_name(rng),
-        parameters=_maybe(rng, lambda: {_name(rng): rng.randint(1, 16)}),
-        constraints=_maybe(rng, lambda: _constraints(rng), 0.4),
-        name=_maybe(rng, lambda: _name(rng), 0.4),
     )
 
 
@@ -390,7 +379,6 @@ GENERATORS["submit_job"] = _submit_job
 GENERATORS["job_status"] = _job_status
 GENERATORS["cancel_job"] = _cancel_job
 GENERATORS["warm_cache"] = _warm_cache
-GENERATORS["fleet_generate"] = _fleet_generate
 # Registered after _WRAPPABLE_KINDS is frozen: plans cannot ride in
 # batches (they fan out over the job workers a batch would starve).
 GENERATORS["plan_query"] = _plan_query

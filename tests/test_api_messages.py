@@ -11,7 +11,6 @@ from repro.api import (
     ComponentQuery,
     ComponentRequest,
     DesignOp,
-    FleetGenerate,
     FunctionQuery,
     GetMetrics,
     IDEMPOTENT_KINDS,
@@ -91,12 +90,6 @@ SAMPLE_REQUESTS = [
             {"implementation": "alu", "parameters": {"size": 8}},
             {"component": "counter", "attributes": {"size": 4}, "name": "c1"},
         ),
-        fanout=False,
-    ),
-    FleetGenerate(implementation="alu", parameters={"size": 8}, name="alu_1"),
-    FleetGenerate(
-        implementation="register",
-        constraints=Constraints(clock_width=40.0),
     ),
 ]
 
@@ -126,7 +119,6 @@ def test_registry_covers_every_cql_operation():
         "get_metrics",
         "ping",
         "warm_cache",
-        "fleet_generate",
     }
 
 

@@ -1,16 +1,18 @@
 """Tests for :mod:`repro.fleet`: bundles, dispatch, warming, survival.
 
-Most tests attach the dispatcher to workers served *in-thread* (a fleet
-worker is just a stateless :class:`ComponentService` behind the normal
-TCP server), so the scheduling and caching behaviour is exercised over
-real sockets without subprocess spawn cost.  One test spawns real
-``python -m repro.fleet.worker`` processes to cover the banner handshake
-and process reaping; the SIGKILL-mid-generation story lives in
+The dispatcher runs real ``python -m repro.fleet.worker`` children (a
+fleet starts in a few hundred milliseconds), so dispatch, coalescing,
+restart and shutdown are exercised over the same pipes a server uses.
+The SIGKILL-every-child-mid-generation story lives in
 ``test_fleet_chaos.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -18,15 +20,15 @@ import time
 
 import pytest
 
-from repro.api import ComponentRequest, ComponentService, FleetGenerate, WarmCache
+from repro.api import ComponentRequest, ComponentService, WarmCache
 from repro.components import standard_catalog
 from repro.constraints import Constraints
 from repro.core import IcdbError
-from repro.fleet import FleetDispatcher, compute_bundle, install_bundle
-from repro.fleet import bundle as bundle_module
+from repro.fleet import BUNDLE_STAGES, FleetDispatcher, compute_bundle, install_bundle
 from repro.fleet import dispatcher as dispatcher_module
-from repro.net.server import serve
+from repro.fleet.worker import READY
 from repro.techlib import standard_cells
+from repro.techlib.cells import CellLibraryError
 
 
 def _service(tmp_path, tag="store", **kwargs):
@@ -35,24 +37,14 @@ def _service(tmp_path, tag="store", **kwargs):
     )
 
 
-def _worker_server():
-    """An in-thread stateless worker (what repro.fleet.worker serves)."""
-    return serve(service=ComponentService(catalog=standard_catalog(fresh=True)))
-
-
 @pytest.fixture()
 def fleet_rig(tmp_path):
-    """A service + dispatcher attached to two in-thread workers."""
+    """A service with a two-child fleet attached."""
     service = _service(tmp_path)
-    workers = [_worker_server(), _worker_server()]
-    fleet = FleetDispatcher(service, heartbeat_interval=30.0)
-    for worker in workers:
-        fleet.connect_worker(worker.host, worker.port)
+    fleet = FleetDispatcher(service, 2)
     service.attach_fleet(fleet)
-    yield service, fleet, workers
+    yield service, fleet
     fleet.close()
-    for worker in workers:
-        worker.stop()
     service.jobs.shutdown()
 
 
@@ -72,12 +64,10 @@ def test_bundle_roundtrip_is_byte_identical(tmp_path):
     bundle = compute_bundle(
         producer.generator, implementation, {"size": 6}, constraints, name="alu_x"
     )
-    assert bundle["implementation"] == "alu"
-    assert bundle["entries"] >= 2  # synth + flows at minimum
-    assert isinstance(bundle["blob"], str)
+    assert isinstance(bundle, bytes)
 
     installed = install_bundle(consumer.generator, bundle)
-    assert installed >= 2
+    assert installed >= 2  # synth + flows at minimum
 
     warm = consumer.create_session().request_component(
         implementation="alu",
@@ -128,20 +118,23 @@ def test_bundle_references_the_standard_library(tmp_path):
         assert not hasattr(gate, "__dict__")
 
 
-def test_fleet_generate_request_answers_installable_bundle(tmp_path):
-    """The wire kind a dispatcher sends a worker is a plain request."""
-    worker = ComponentService(catalog=standard_catalog(fresh=True))
-    response = worker.execute(
-        FleetGenerate(implementation="alu", parameters={"size": 5}, name="alu_w")
-    )
-    assert response.ok
+def test_foreign_library_bundle_raises_before_storing(tmp_path, monkeypatch):
+    """A bundle mapped onto another standard library stores nothing."""
+    producer = ComponentService(catalog=standard_catalog(fresh=True))
     consumer = _service(tmp_path, "consumer")
-    assert install_bundle(consumer.generator, response.value) >= 2
-    instance = consumer.create_session().request_component(
-        implementation="alu", parameters={"size": 5}, instance_name="alu_w"
-    )
-    assert instance.name == "alu_w"
-    assert consumer.generation_stats()["flows"]["misses"] == 0
+    library = standard_cells()
+    with monkeypatch.context() as patch:
+        # Producer and consumer share this process's library object: a
+        # different fingerprint while it packs is what a child built on
+        # another library ships.
+        patch.setattr(library, "_fingerprint", library.fingerprint() ^ 1)
+        bundle = compute_bundle(
+            producer.generator, producer.catalog.get("alu"), {"size": 5}, None
+        )
+    with pytest.raises(CellLibraryError):
+        install_bundle(consumer.generator, bundle)
+    stats = consumer.generation_stats()
+    assert [stats[stage]["entries"] for stage in BUNDLE_STAGES] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def test_fleet_generate_request_answers_installable_bundle(tmp_path):
 
 def test_prewarm_without_workers_falls_back(tmp_path):
     service = _service(tmp_path)
-    fleet = FleetDispatcher(service)
+    fleet = FleetDispatcher(service, 0)
     service.attach_fleet(fleet)
     try:
         session = service.create_session()
@@ -169,14 +162,14 @@ def test_prewarm_without_workers_falls_back(tmp_path):
 
 
 def test_request_component_dispatches_and_replays_warm(fleet_rig, tmp_path):
-    service, fleet, _ = fleet_rig
+    service, fleet = fleet_rig
     session = service.create_session()
     instance = session.request_component(
         implementation="alu", parameters={"size": 7}, instance_name="fleet_a"
     )
     stats = fleet.stats()
-    assert stats["dispatched"] >= 1
-    assert stats["completed"] >= 1
+    assert stats["dispatched"] == 1
+    assert stats["completed"] == 1
     assert stats["installs"] >= 1
     assert stats["fallbacks"] == 0
     # The server replayed the generation as a warm hit: zero flow misses.
@@ -192,24 +185,15 @@ def test_request_component_dispatches_and_replays_warm(fleet_rig, tmp_path):
     assert session.instances.names() == ["fleet_a"]
 
 
-def test_foreign_library_bundle_falls_back_to_local_generation(
-    fleet_rig, tmp_path, monkeypatch
-):
-    """A bundle mapped onto another standard library installs nothing;
-    the request generates locally, counted as a fallback."""
-    service, fleet, _ = fleet_rig
-    library = standard_cells()
-    compute = bundle_module.compute_bundle
+def test_failed_install_is_a_counted_fallback(fleet_rig, tmp_path, monkeypatch):
+    """A bundle that does not install leaves the request to local
+    generation, byte-identical, counted as a fallback."""
+    service, fleet = fleet_rig
 
-    def foreign_compute(*args, **kwargs):
-        # The in-thread worker shares this process's library object: a
-        # different fingerprint while it packs is what a worker on another
-        # library ships.
-        with monkeypatch.context() as patch:
-            patch.setattr(library, "_fingerprint", library.fingerprint() ^ 1)
-            return compute(*args, **kwargs)
+    def foreign(generator, bundle):
+        raise CellLibraryError("bundle mapped onto another standard library")
 
-    monkeypatch.setattr(bundle_module, "compute_bundle", foreign_compute)
+    monkeypatch.setattr(dispatcher_module, "install_bundle", foreign)
     instance = service.create_session().request_component(
         implementation="alu", parameters={"size": 5}, instance_name="alien"
     )
@@ -225,41 +209,19 @@ def test_foreign_library_bundle_falls_back_to_local_generation(
     assert instance.vhdl_netlist() == reference.vhdl_netlist()
 
 
-def test_dispatch_burst_sends_no_heartbeats(fleet_rig):
-    """Pumps ping only after a full idle interval, not on every wake-up."""
-    service, fleet, _ = fleet_rig
-    implementation = service.catalog.get("alu")
-    for size in range(2, 8):
-        # Each submit wakes both pumps; one of them finds nothing to do.
-        assert fleet.prewarm(implementation, {"size": size}, None, name=f"b{size}")
-    assert fleet.stats()["completed"] == 6
-    assert fleet.stats()["heartbeats"] == 0
-
-
-def test_siblings_steal_only_from_a_busy_pump(tmp_path):
-    """An idle pump keeps its own queue; one stuck on the wire -- a task
-    or a heartbeat ping -- has its queue stolen."""
-    service = _service(tmp_path)
-    fleet = FleetDispatcher(service)
-    try:
-        victim = dispatcher_module.WorkerHandle("victim", "127.0.0.1", 1, None)
-        thief = dispatcher_module.WorkerHandle("thief", "127.0.0.1", 2, None)
-        fleet._workers.update(victim=victim, thief=thief)
-        task = dispatcher_module._FleetTask(FleetGenerate(implementation="alu"))
-        victim.queue.append(task)
-        with fleet._cond:
-            assert fleet._next_task(thief) is None
-            victim.pinging = True
-            assert fleet._next_task(thief) is task
-        assert fleet.stats()["steals"] == 1
-    finally:
-        fleet._workers.clear()
-        fleet.close()
-        service.jobs.shutdown()
+def test_error_answer_falls_back_without_retry(fleet_rig):
+    """A task the child cannot compute would fail locally too: no retry."""
+    service, fleet = fleet_rig
+    ghost = dataclasses.replace(service.catalog.get("alu"), name="no_such_alu")
+    assert fleet.prewarm(ghost, {"size": 4}, None) is False
+    stats = fleet.stats()
+    assert stats["completed"] == 1
+    assert stats["fallbacks"] == 1
+    assert stats["requeues"] == 0 and stats["restarts"] == 0
 
 
 def test_prewarm_skips_already_warm_flows(fleet_rig):
-    service, fleet, _ = fleet_rig
+    service, fleet = fleet_rig
     session = service.create_session()
     session.request_component(
         implementation="mux2", parameters={"size": 2}, instance_name="m1"
@@ -277,88 +239,213 @@ def test_prewarm_skips_already_warm_flows(fleet_rig):
 
 
 def test_concurrent_identical_prewarms_coalesce(fleet_rig):
-    service, fleet, _ = fleet_rig
+    service, fleet = fleet_rig
     implementation = service.catalog.get("alu")
     constraints = Constraints(clock_width=200.0)
+    barrier = threading.Barrier(8)
     results = []
 
     def warm():
+        barrier.wait()
         results.append(
             fleet.prewarm(implementation, {"size": 64}, constraints, name="big")
         )
 
-    first = threading.Thread(target=warm)
-    second = threading.Thread(target=warm)
-    first.start()
-    time.sleep(0.05)  # let the owner win the race and go inflight
-    second.start()
-    first.join(60)
-    second.join(60)
-    assert results == [True, True]
-    stats = fleet.stats()
-    assert stats["coalesced"] == 1
-    # One elaboration shipped, not two.
-    assert stats["dispatched"] == 1
-
-
-def test_worker_death_requeues_to_survivor(tmp_path):
-    service = _service(tmp_path)
-    # Long heartbeat: death must be discovered by the failed dispatch
-    # itself, which is the requeue path under test.
-    fleet = FleetDispatcher(service, heartbeat_interval=30.0)
+    threads = [threading.Thread(target=warm) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the racing claims finely
     try:
-        spawned = fleet.spawn_workers(2)
-        assert len(fleet.live_workers()) == 2
-        # Kill the first worker's process; ties in the least-loaded pick
-        # break by attach order, so the next dispatch aims at the corpse.
-        spawned[0].process.kill()
-        spawned[0].process.wait()
-        implementation = service.catalog.get("alu")
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = fleet.stats()
+    # One elaboration shipped, not eight.
+    assert stats["dispatched"] == 1
+    assert stats["fallbacks"] == 0
+    # The owner and every caller that joined it report the install; a
+    # caller arriving after it found the flow warm and had nothing to do.
+    assert len(results) == 8
+    assert results.count(True) == 1 + stats["coalesced"]
+    before = service.generation_stats()["flows"]["misses"]
+    service.create_session().request_component(
+        implementation="alu",
+        parameters={"size": 64},
+        constraints=constraints,
+        instance_name="big",
+    )
+    assert service.generation_stats()["flows"]["misses"] == before
+
+
+def test_idle_child_death_restarts_without_charging_the_task(tmp_path):
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 1)
+    try:
+        child = fleet._children[0]
+        child.kill()
+        child.wait()
         warmed = fleet.prewarm(
-            implementation, {"size": 9}, Constraints(clock_width=200.0), name="x"
+            service.catalog.get("alu"),
+            {"size": 9},
+            Constraints(clock_width=200.0),
+            name="x",
         )
         assert warmed is True
         stats = fleet.stats()
-        assert stats["workers_dead"] == 1
+        assert stats["restarts"] == 1
+        # Replaced before the send: one attempt, no requeue.
+        assert stats["dispatched"] == 1
+        assert stats["requeues"] == 0
+        assert stats["completed"] == 1
         assert stats["workers_live"] == 1
-        assert stats["requeues"] >= 1
-        assert stats["completed"] >= 1
     finally:
         fleet.close()
         service.jobs.shutdown()
 
 
-def test_failed_spawn_reaps_every_started_worker(tmp_path, monkeypatch):
-    """The second worker dies before its banner: no child outlives the call."""
+def test_task_fails_after_max_attempts_and_falls_back(tmp_path, monkeypatch):
+    """Children that die on every task: the task is sent MAX_ATTEMPTS
+    times, then fails, and the caller falls back."""
+    ready = pickle.dumps(READY)
+    script = (
+        f"import os, sys; sys.stdout.buffer.write({ready!r}); "
+        "sys.stdout.flush(); sys.stdin.buffer.read(1); os._exit(1)"
+    )
+    monkeypatch.setattr(
+        dispatcher_module,
+        "_spawn",
+        lambda: subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+        ),
+    )
     service = _service(tmp_path)
-    fleet = FleetDispatcher(service)
-    popen = subprocess.Popen
-    started = []
+    fleet = FleetDispatcher(service, 1)
+    try:
+        assert fleet.prewarm(service.catalog.get("mux2"), {"size": 2}, None) is False
+        stats = fleet.stats()
+        assert stats["dispatched"] == dispatcher_module.MAX_ATTEMPTS
+        assert stats["requeues"] == dispatcher_module.MAX_ATTEMPTS - 1
+        assert stats["failed"] == 1
+        assert stats["fallbacks"] == 1
+        assert stats["completed"] == 0
+        assert stats["restarts"] >= dispatcher_module.MAX_ATTEMPTS - 1
+    finally:
+        fleet.close()
+        service.jobs.shutdown()
 
-    def second_fails(args, **kwargs):
-        if started:
-            args = [sys.executable, "-c", "pass"]
-        started.append(popen(args, **kwargs))
-        return started[-1]
 
-    monkeypatch.setattr(dispatcher_module.subprocess, "Popen", second_fails)
+def test_silent_child_is_replaced_after_the_task_timeout(
+    tmp_path, monkeypatch, started_processes
+):
+    """A child that never answers is killed like a dead one; its caller
+    falls back once the task timeout passes."""
+    ready = pickle.dumps(READY)
+    script = (
+        f"import sys, time; sys.stdout.buffer.write({ready!r}); "
+        "sys.stdout.flush(); time.sleep(60)"
+    )
+    monkeypatch.setattr(dispatcher_module, "TASK_TIMEOUT", 0.5)
+    monkeypatch.setattr(
+        dispatcher_module,
+        "_spawn",
+        lambda: subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+        ),
+    )
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 1)
+    try:
+        begun = time.monotonic()
+        assert fleet.prewarm(service.catalog.get("mux2"), {"size": 2}, None) is False
+        assert time.monotonic() - begun < 5.0
+        deadline = time.monotonic() + 10.0
+        while fleet.stats()["restarts"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fleet.stats()["restarts"] >= 1
+        assert started_processes[0].returncode is not None  # killed and reaped
+    finally:
+        fleet.close()
+        service.jobs.shutdown()
+    assert all(child.returncode is not None for child in started_processes)
+
+
+def test_slot_that_cannot_restart_retires(tmp_path, monkeypatch):
+    """With no slot left, queued work fails at once and later calls fall
+    back without queueing."""
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 1)
+    try:
+        child = fleet._children[0]
+        child.kill()
+        child.wait()
+        monkeypatch.setattr(sys, "executable", "/bin/false")
+        alu = service.catalog.get("alu")
+        assert fleet.prewarm(alu, {"size": 9}, None, name="x") is False
+        stats = fleet.stats()
+        assert stats["workers_live"] == 0
+        assert stats["restarts"] == 0
+        assert stats["dispatched"] == 0
+        assert stats["failed"] == 1
+        assert stats["fallbacks"] == 1
+        assert fleet.prewarm(alu, {"size": 10}, None, name="y") is False
+        stats = fleet.stats()
+        assert stats["failed"] == 1
+        assert stats["fallbacks"] == 2
+    finally:
+        fleet.close()
+        service.jobs.shutdown()
+
+
+def test_child_that_cannot_start_fails_the_constructor(
+    tmp_path, monkeypatch, started_processes
+):
+    """All or nothing: one child that never reports ready fails the
+    constructor, and no child outlives it."""
+    monkeypatch.setattr(sys, "executable", "/bin/false")
+    service = _service(tmp_path)
     try:
         with pytest.raises(IcdbError, match="failed to start"):
-            fleet.spawn_workers(2)
-        assert len(started) == 2
-        assert all(proc.poll() is not None for proc in started)
-        assert fleet.live_workers() == []
+            FleetDispatcher(service, 2)
+        assert len(started_processes) == 2
+        assert all(child.returncode is not None for child in started_processes)
     finally:
-        fleet.close()
         service.jobs.shutdown()
 
 
-def test_close_fails_pending_work_and_reaps(tmp_path):
+def test_children_share_the_process_group_and_ignore_sigint(
+    tmp_path, started_processes
+):
+    """A server's group kill reaches its children; Ctrl-C does not stop
+    them mid-task, closing their stdin does (exit 0)."""
     service = _service(tmp_path)
-    fleet = FleetDispatcher(service)
-    spawned = fleet.spawn_workers(1)
+    fleet = FleetDispatcher(service, 2)
+    try:
+        for child in started_processes:
+            assert os.getpgid(child.pid) == os.getpgid(0)
+            child.send_signal(signal.SIGINT)
+        assert fleet.prewarm(
+            service.catalog.get("alu"), {"size": 6}, None, name="s"
+        ) is True
+        assert fleet.stats()["restarts"] == 0
+    finally:
+        fleet.close()
+        service.jobs.shutdown()
+    assert [child.returncode for child in started_processes] == [0, 0]
+
+
+def test_close_fails_pending_work_and_reaps(tmp_path, started_processes):
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 1)
     fleet.close()
-    assert spawned[0].process.poll() is not None  # reaped
+    assert started_processes[0].returncode == 0  # exited on stdin EOF, reaped
+    assert fleet.stats()["workers_live"] == 0
     # Closed dispatcher degrades to local generation, never raises.
     assert (
         fleet.prewarm(
@@ -367,6 +454,41 @@ def test_close_fails_pending_work_and_reaps(tmp_path):
         is False
     )
     service.jobs.shutdown()
+
+
+def test_close_mid_batch_returns_callers_at_once(tmp_path):
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 1)
+    requests = [
+        ComponentRequest(
+            implementation="alu", parameters={"size": size}, instance_name=f"c{size}"
+        )
+        for size in range(100, 108)
+    ]
+    outcome = {}
+
+    def batch():
+        outcome["warmed"] = fleet.prewarm_requests(requests)
+
+    runner = threading.Thread(target=batch)
+    runner.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while fleet.stats()["dispatched"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert fleet.stats()["dispatched"] >= 1
+        started = time.monotonic()
+        fleet.close()
+        runner.join(30)
+        assert not runner.is_alive()
+        # Queued tasks failed at once; the running one got the close grace.
+        assert time.monotonic() - started < dispatcher_module.CLOSE_GRACE + 5.0
+        # Every request either warmed or fell back: none was left waiting.
+        assert outcome["warmed"] + fleet.stats()["fallbacks"] == len(requests)
+    finally:
+        fleet.close()
+        runner.join(30)
+        service.jobs.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +510,6 @@ def test_warm_cache_in_process(tmp_path):
     assert response.ok
     assert response.value["errors"] == []
     assert response.value["warmed"] >= 2
-    assert response.value["workers_warmed"] == 0
     before = service.generation_stats()["flows"]
     service.create_session().request_component(
         implementation="alu", parameters={"size": 6}, instance_name="warm_1"
@@ -414,23 +535,27 @@ def test_warm_cache_reports_bad_entries(tmp_path):
     service.jobs.shutdown()
 
 
-def test_warm_cache_fans_out_to_every_worker(fleet_rig):
-    service, fleet, workers = fleet_rig
+def test_warm_cache_warms_through_the_fleet(fleet_rig):
+    """On a fleet server a warmed entry is computed by a child, and the
+    warm-skip set learns it: the later request dispatches nothing."""
+    service, fleet = fleet_rig
     response = service.execute(
         WarmCache(entries=({"implementation": "alu", "parameters": {"size": 6}},))
     )
     assert response.ok
-    assert response.value["warmed"] == 1
-    assert response.value["workers_warmed"] == 2
-    assert fleet.stats()["warm_fanouts"] == 1
-    # Each worker really warmed its own memo: its flow stage holds an entry.
-    for worker in workers:
-        stats = worker.service.generation_stats()["flows"]
-        assert stats["entries"] >= 1
+    assert response.value == {"warmed": 1, "errors": []}
+    stats = fleet.stats()
+    assert stats["dispatched"] == 1
+    assert stats["installs"] >= 1
+    service.create_session().request_component(
+        implementation="alu", parameters={"size": 6}, instance_name="after_warm"
+    )
+    assert fleet.stats()["dispatched"] == 1
+    assert service.generation_stats()["flows"]["misses"] == 0
 
 
 def test_plan_fanout_prewarms_through_fleet(fleet_rig):
-    service, fleet, _ = fleet_rig
+    service, fleet = fleet_rig
     requests = [
         ComponentRequest(
             implementation="alu",

@@ -1,15 +1,15 @@
-"""Fault injection for the fleet: SIGKILL a worker mid-generation.
+"""Fault injection for the fleet: SIGKILL every child mid-generation.
 
-The survival contract under test: a worker process dying *while it is
-computing a dispatched elaboration* must not fail the request, must not
-register the instance twice, and must not leave artifacts from the dead
-worker's half-finished work in the server's store (workers own no store,
-so there is nothing to leak -- this test proves that end to end).
+The survival contract under test: worker children dying *while one of
+them computes a dispatched elaboration* must not fail the request, must
+not register the instance twice, must not leave artifacts from the dead
+child's half-finished work in the server's store (children own no
+store, so there is nothing to leak -- this test proves that end to end),
+and must leave no child behind once the dispatcher closes.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -17,29 +17,19 @@ import time
 from repro.api import ComponentRequest, ComponentService
 from repro.components import standard_catalog
 from repro.fleet import FleetDispatcher
-from repro.net.chaos import ManagedWorker
 
 
-def test_sigkill_worker_mid_generation_completes_elsewhere(tmp_path):
+def test_sigkill_every_child_mid_generation_still_answers(tmp_path, started_processes):
     store_root = tmp_path / "store"
     service = ComponentService(
         catalog=standard_catalog(fresh=True), store_root=store_root
     )
-    # Heartbeats off (effectively): the death must be discovered by the
-    # broken dispatch itself, the worst-case timing.
-    fleet = FleetDispatcher(service, heartbeat_interval=60.0)
-    workers = [ManagedWorker(), ManagedWorker()]
+    fleet = FleetDispatcher(service, 2)
     try:
-        handles = {
-            (worker.host, worker.port): worker
-            for worker in workers
-        }
-        for worker in workers:
-            fleet.connect_worker(worker.host, worker.port)
         service.attach_fleet(fleet)
         session = service.create_session()
 
-        # Big enough that the SIGKILL lands while the worker is still
+        # Big enough that the SIGKILL lands while a child is still
         # elaborating (about half a second of compute).
         request = ComponentRequest(
             implementation="alu", parameters={"size": 128}, instance_name="victim"
@@ -52,21 +42,14 @@ def test_sigkill_worker_mid_generation_completes_elsewhere(tmp_path):
         runner = threading.Thread(target=run)
         runner.start()
 
-        # Spin until the task is inflight on some worker, then SIGKILL
-        # that worker's announced pid -- mid-generation by construction.
-        target = None
+        # Spin until the task is on a child's stdin, then SIGKILL every
+        # child -- mid-generation by construction.
         deadline = time.monotonic() + 30.0
-        while target is None and time.monotonic() < deadline:
-            for handle in fleet.workers():
-                if handle.inflight is not None:
-                    target = handle
-                    break
-            else:
-                time.sleep(0.001)
-        assert target is not None, "dispatch never went inflight"
-        doomed = handles[(target.host, target.port)]
-        os.kill(doomed.pid, signal.SIGKILL)
-        doomed.proc.wait(timeout=10)
+        while fleet.stats()["dispatched"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert fleet.stats()["dispatched"] == 1, "dispatch never went inflight"
+        for child in list(started_processes):
+            child.send_signal(signal.SIGKILL)
 
         runner.join(120)
         assert not runner.is_alive()
@@ -74,10 +57,10 @@ def test_sigkill_worker_mid_generation_completes_elsewhere(tmp_path):
         assert response.ok, response.error
 
         stats = fleet.stats()
-        assert stats["workers_dead"] == 1
-        assert stats["workers_live"] == 1
-        assert stats["requeues"] >= 1  # the orphaned task moved on
+        assert stats["requeues"] >= 1  # the orphaned task went to a new child
+        assert stats["restarts"] >= 1
         assert stats["completed"] >= 1
+        assert stats["workers_live"] == 2
 
         # Exactly one registered instance -- the retry never double-applied.
         assert session.instances.names() == ["victim"]
@@ -98,6 +81,7 @@ def test_sigkill_worker_mid_generation_completes_elsewhere(tmp_path):
         assert generated == {"victim"}
     finally:
         fleet.close()
-        for worker in workers:
-            worker.close()
         service.jobs.shutdown()
+    # No child outlives close(): every one was reaped by the dispatcher.
+    assert len(started_processes) >= 3
+    assert all(child.returncode is not None for child in started_processes)

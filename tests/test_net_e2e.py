@@ -356,7 +356,10 @@ def test_timed_out_transport_is_poisoned_not_desynced(server):
     """A recv timeout leaves the server's late reply in flight; the
     transport must refuse further use instead of misreading that reply as
     the answer to the next request."""
-    client = RemoteClient(SocketTransport(server.host, server.port, timeout=0.005))
+    client = RemoteClient(SocketTransport(server.host, server.port))
+    # The handshake above ran with the default timeout; only the request
+    # under test gets 5 ms.
+    client.transport._socket.settimeout(0.005)
     with pytest.raises(IcdbError) as excinfo:
         # A cold 16-bit ALU generation (fresh server, nothing memoized)
         # takes far longer than the 5 ms timeout.
@@ -498,17 +501,40 @@ def test_cli_server_serves_and_shuts_down_on_sigint(tmp_path):
     assert "icdb server stopped" in out
 
 
-@pytest.mark.parametrize("module", ["repro.net.server", "repro.fleet.worker"])
-def test_cli_entry_points_run_their_module_once(module):
+@pytest.mark.parametrize(
+    "module, args",
+    [
+        ("repro.net.server", ["--help"]),
+        # Both exit 0 at end of input.
+        ("repro.fleet.worker", []),
+        ("repro.cql.interactive", []),
+    ],
+)
+def test_cli_entry_points_run_their_module_once(module, args):
     """runpy warns (an error here) when the package already imported the
     ``-m`` target, which then executes twice."""
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
+        stdin=subprocess.DEVNULL,
         capture_output=True,
-        text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_worker_import_loads_only_the_generation_stack():
+    """A fleet child imports what generation needs, none of the server."""
+    probe = (
+        "import sys, repro.fleet.worker; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['repro', 'api'], ['repro', 'net'], ['repro', 'obs'], "
+        "['repro', 'store'], ['repro', 'cql'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_server_import_loads_no_client_side_subsystem():
@@ -526,9 +552,11 @@ def test_server_import_loads_no_client_side_subsystem():
 
 def test_lazy_package_exports_resolve():
     import repro
+    import repro.cql
+    import repro.fleet
     import repro.net
 
-    for package in (repro, repro.net):
+    for package in (repro, repro.cql, repro.fleet, repro.net):
         for name in package.__all__:
             assert getattr(package, name) is not None, (package.__name__, name)
         assert set(package.__all__) <= set(dir(package))

@@ -650,28 +650,27 @@ def test_render_dashboard_fleet_section():
             "requests.total": 10,
             "jobs.inline_overflows": 3,
             "fleet.workers_live": 4,
-            "fleet.workers_connected": 5,
-            "fleet.workers_dead": 1,
+            "fleet.restarts": 1,
             "fleet.dispatched": 120,
             "fleet.completed": 118,
-            "fleet.steals": 7,
+            "fleet.failed": 1,
             "fleet.requeues": 2,
             "fleet.fallbacks": 1,
             "fleet.installs": 236,
             "fleet.coalesced": 9,
-            "fleet.warm_fanouts": 2,
         },
         "gauges": {},
         "histograms": {},
     }
     text = render_dashboard(snapshot, address="example:7361")
-    assert "fleet      workers   4/5" in text
-    assert "dead   1" in text
+    assert "fleet      workers   4" in text
+    assert "restarts   1" in text
     assert "dispatched     120" in text
-    assert "steals     7" in text
+    assert "done     118" in text
+    assert "failed    1" in text
     assert "requeues    2" in text
     assert "installs     236" in text
-    assert "warm fanouts    2" in text
+    assert "coalesced     9" in text
     assert "inline    3" in text
 
 
