@@ -9,39 +9,40 @@ wire protocol against a live server:
   mix (resets, torn frames, delays) must keep at least half the
   fault-free goodput.  Every request must still succeed -- errors do not
   count as goodput -- so this bounds the total retry/reconnect/backoff
-  tax, not just the happy path.
+  tax, not just the happy path.  The ratio is the median over
+  back-to-back fault-free/faulted pairs in alternating order
+  (:func:`conftest.paired_median`).
 * **Reconnect-to-recovered, <= 2 s median** -- with the server stopped
   and restarted on the same port, the median time from the moment the
   replacement is listening to the client's first successful request
   (reconnect + session re-establishment + backoff scheduling) must stay
   within two seconds.
 
-``BENCH_RESILIENCE_SMOKE=1`` shrinks counts for CI; both gates stay
-enforced.  Results land in ``BENCH_resilience.json``.
+Results land in ``BENCH_resilience.json``.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
-from conftest import record_bench_results, run_once
+from conftest import paired_median, record_bench_results, run_once
 
 from repro.api import ComponentRequest, ComponentService
 from repro.net import serve
 from repro.net.chaos import ChaosConfig, ChaosProxy
 from repro.net.resilience import CircuitBreaker, ResilientClient, RetryPolicy
 
-SMOKE = os.environ.get("BENCH_RESILIENCE_SMOKE", "") not in ("", "0")
-
 #: Acceptance floor: faulted goodput / fault-free goodput.
 MIN_FAULTED_RATIO = 0.5
 #: Acceptance ceiling: median reconnect-to-recovered latency, seconds.
 MAX_RECONNECT_S = 2.0
 
-ROUNDS = 25 if SMOKE else 100
-RECONNECT_ROUNDS = 3 if SMOKE else 7
+#: Bursts per goodput measurement.
+ROUNDS = 100
+#: Fault-free/faulted goodput pairs.
+PAIRS = 7
+RECONNECT_ROUNDS = 7
 
 #: 5 % of forwarded chunks are faulted (2 % reset + 1 % torn + 2 % delay).
 FAULT_MIX = ChaosConfig(
@@ -89,31 +90,39 @@ def test_goodput_under_five_percent_faults(benchmark):
     service = ComponentService()
     server = serve(service=service)
     try:
-        direct = _client(server.host, server.port)
-        plain = _goodput(direct, ROUNDS)
-        direct.close()
-
         with ChaosProxy(server.host, server.port, FAULT_MIX) as proxy:
+            direct = _client(server.host, server.port)
             faulted_client = _client(proxy.host, proxy.port)
-            faulted = run_once(benchmark, lambda: _goodput(faulted_client, ROUNDS))
-            counters = faulted_client.resilience.snapshot()["counters"]
-            faulted_client.close()
+            try:
+                result = run_once(
+                    benchmark,
+                    lambda: paired_median(
+                        lambda: _goodput(direct, ROUNDS),
+                        lambda: _goodput(faulted_client, ROUNDS),
+                        PAIRS,
+                    ),
+                )
+                counters = faulted_client.resilience.snapshot()["counters"]
+            finally:
+                direct.close()
+                faulted_client.close()
             injected = dict(proxy.faults)
     finally:
         server.stop()
 
-    ratio = faulted / plain
+    ratio = result["ratio"]
     payload = {
         "requests": ROUNDS * BURST,
         "burst": BURST,
-        "plain_goodput_rps": round(plain, 1),
-        "faulted_goodput_rps": round(faulted, 1),
+        "pairs": PAIRS,
+        "plain_goodput_rps": round(result["a"], 1),
+        "faulted_goodput_rps": round(result["b"], 1),
         "ratio": round(ratio, 3),
+        "pair_ratios": [round(value, 3) for value in result["ratios"]],
         "min_ratio": MIN_FAULTED_RATIO,
         "injected_faults": injected,
         "client_counters": {k: v for k, v in counters.items()
                             if k.startswith("resilience.")},
-        "smoke": SMOKE,
     }
     benchmark.extra_info.update(payload)
     record_bench_results("resilience", "goodput_under_faults", payload)
@@ -155,7 +164,6 @@ def test_reconnect_to_recovered_latency(benchmark):
         "max_s": round(max(latencies), 4),
         "all_s": [round(value, 4) for value in latencies],
         "max_median_s": MAX_RECONNECT_S,
-        "smoke": SMOKE,
     }
     benchmark.extra_info.update(payload)
     record_bench_results("resilience", "reconnect_latency", payload)

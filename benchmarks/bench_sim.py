@@ -12,74 +12,37 @@ in.  Measured:
   ripple-carry adder netlist, scalar ``GateSimulator`` vs 64-lane
   ``BatchGateSimulator`` blocks (the equivalence checker's shape);
 * **sequential** -- lock-step clocked simulation of the 4-bit up/down
-  counter, 64 scalar machines vs one 64-lane batch machine;
-* **catalog_verify** -- wall-clock of ``check_equivalence`` across every
-  catalog implementation (the service-level verification sweep).
+  counter, 64 scalar machines vs one 64-lane batch machine.
 
-Acceptance: the 64-lane combinational sweep sustains at least 20x the
-naive scalar vectors/second.
-
-``BENCH_SIM_SMOKE=1`` shrinks the repeat counts for CI smoke runs; the
-speedup assertion still holds (the ratio is compute-bound, not
-repeat-bound).
+Each gate is the median of per-pair ratios over back-to-back pairs of
+one scalar run and one batch run, in alternating order
+(:func:`conftest.paired_median`).  Acceptance: the 64-lane combinational
+sweep sustains at least 20x the naive scalar vectors/second, lock-step
+simulation at least 5x.  Results land in ``BENCH_sim.json``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
-from conftest import record_bench_results, run_once
+from conftest import paired_median, record_bench_results, run_once
 
 from repro.components import standard_catalog
-from repro.components.counters import (
-    TYPE_RIPPLE,
-    TYPE_SYNCHRONOUS,
-    UP_DOWN,
-    UP_ONLY,
-    counter_parameters,
-)
+from repro.components.counters import TYPE_SYNCHRONOUS, UP_DOWN, counter_parameters
 from repro.logic.milo import synthesize
-from repro.sim import (
-    BatchGateSimulator,
-    GateSimulator,
-    check_equivalence,
-    pack_vectors,
-)
+from repro.sim import BatchGateSimulator, GateSimulator, pack_vectors
 from repro.techlib import standard_cells
-
-SMOKE = os.environ.get("BENCH_SIM_SMOKE", "") not in ("", "0")
 
 #: Lane width of the batch runs (vectors per bitwise operation).
 LANES = 64
-#: Timed repetitions of each sweep (more repeats stabilize the ratio).
-REPEATS = 1 if SMOKE else 5
+#: Scalar/batch pairs per gate.
+PAIRS = 5
+#: Exhaustive sweeps per timed comb run (one batch sweep takes ~2 ms,
+#: too short to time on its own).
+SWEEPS = 5
 #: Lock-step clock cycles per sequential run.
-CYCLES = 8 if SMOKE else 32
-#: Acceptance floor: batch vectors/s over naive scalar vectors/s.
-MIN_SPEEDUP = 20.0
-
-#: Parameters that elaborate every catalog implementation (small sizes:
-#: the sweep measures verification overhead, not component size).
-CATALOG_PARAMS = {
-    "counter": counter_parameters(size=2, load=True, enable=True, up_or_down=UP_DOWN),
-    "up_counter": counter_parameters(size=2, up_or_down=UP_ONLY),
-    "ripple_counter": counter_parameters(size=2, style=TYPE_RIPPLE),
-    "register_file": {"size": 2, "awidth": 1},
-    "shifter": {"size": 4, "shift_distance": 1},
-    "barrel_shifter": {"size": 4, "awidth": 2},
-    "clock_driver": {"fanout": 4},
-    "delay_element": {"size": 1, "amount": 2},
-    "concat": {"high_size": 2, "low_size": 2},
-    "extract": {"size": 4, "offset": 1, "width": 2},
-    "alu": {"size": 2},
-    "array_multiplier": {"size": 2},
-    "mux_scg2": {"size": 2},
-    "logic_unit": {"size": 2},
-    "tri_state": {"size": 2},
-    "schmitt_trigger": {"size": 1},
-}
+CYCLES = 32
 
 
 def _adder_netlist():
@@ -95,54 +58,67 @@ def _all_vectors(inputs):
     ]
 
 
+def _rate(count, run) -> float:
+    start = time.perf_counter()
+    run()
+    return count / (time.perf_counter() - start)
+
+
+def _record_and_gate(benchmark, key, unit, result, floor, **shape):
+    speedup = result["ratio"]
+    print()
+    print(f"scalar:  {result['a']:>12.0f} {unit}/s")
+    print(f"batch:   {result['b']:>12.0f} {unit}/s")
+    print(f"speedup: {speedup:>12.1f}x median over {PAIRS} pairs (floor {floor}x)")
+    measured = {
+        **shape,
+        "lanes": LANES,
+        "pairs": PAIRS,
+        f"scalar_{unit}_per_s": round(result["a"], 1),
+        f"batch_{unit}_per_s": round(result["b"], 1),
+        "speedup": round(speedup, 2),
+        "pair_speedups": [round(ratio, 2) for ratio in result["ratios"]],
+        "floor": floor,
+    }
+    benchmark.extra_info["measured"] = measured
+    record_bench_results("sim", key, measured)
+    assert speedup >= floor
+
+
 def test_bench_bit_parallel_comb_sweep(benchmark):
     flat, netlist = _adder_netlist()
     vectors = _all_vectors(netlist.inputs)
-    total = len(vectors) * REPEATS
 
-    def measure():
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            scalar = GateSimulator(netlist)
+    def scalar():
+        for _ in range(SWEEPS):
+            simulator = GateSimulator(netlist)
             for vector in vectors:
-                scalar.apply(vector)
-        scalar_s = time.perf_counter() - start
+                simulator.apply(vector)
 
-        start = time.perf_counter()
-        for _ in range(REPEATS):
+    def batch():
+        for _ in range(SWEEPS):
             # One reusable 64-lane machine, like the scalar loop reuses one
             # simulator (the netlist is combinational: lanes carry no state
             # between blocks).
-            batch = BatchGateSimulator(netlist, LANES)
+            simulator = BatchGateSimulator(netlist, LANES)
             for offset in range(0, len(vectors), LANES):
                 block = vectors[offset : offset + LANES]
-                packed = pack_vectors(block, netlist.inputs)
-                batch.apply(packed)
-        batch_s = time.perf_counter() - start
-        return {"scalar_s": scalar_s, "batch_s": batch_s}
+                simulator.apply(pack_vectors(block, netlist.inputs))
 
-    timings = run_once(benchmark, measure)
-    scalar_vps = total / timings["scalar_s"]
-    batch_vps = total / timings["batch_s"]
-    speedup = batch_vps / scalar_vps
-    print()
-    print(f"{len(vectors)} vectors x {REPEATS}, {netlist.name} ({len(list(netlist.all_instances()))} gates)")
-    print(f"scalar GateSimulator:       {scalar_vps:>12.0f} vectors/s")
-    print(f"batch  {LANES:>3}-lane blocks:     {batch_vps:>12.0f} vectors/s")
-    print(f"speedup:                    {speedup:>12.1f}x")
-    measured = {
-        "vectors": len(vectors),
-        "repeats": REPEATS,
-        "lanes": LANES,
-        "scalar_vectors_per_s": round(scalar_vps, 1),
-        "batch_vectors_per_s": round(batch_vps, 1),
-        "speedup": round(speedup, 2),
-        "smoke": SMOKE,
-    }
-    benchmark.extra_info["measured"] = measured
-    if not SMOKE:
-        record_bench_results("sim", "comb_sweep", measured)
-    assert speedup >= MIN_SPEEDUP
+    result = run_once(
+        benchmark,
+        lambda: paired_median(
+            lambda: _rate(len(vectors) * SWEEPS, scalar),
+            lambda: _rate(len(vectors) * SWEEPS, batch),
+            PAIRS,
+        ),
+    )
+    print(f"\n{len(vectors)} vectors x {SWEEPS} sweeps, {netlist.name} "
+          f"({len(list(netlist.all_instances()))} gates)")
+    _record_and_gate(
+        benchmark, "comb_sweep", "vectors", result, 20.0,
+        vectors=len(vectors), sweeps=SWEEPS,
+    )
 
 
 def test_bench_bit_parallel_sequential_lock_step(benchmark):
@@ -155,101 +131,33 @@ def test_bench_bit_parallel_sequential_lock_step(benchmark):
     free = [name for name in flat.inputs if name != "CLK"]
     rng = random.Random(1990)
     stimuli = [{name: rng.getrandbits(LANES) for name in free} for _ in range(CYCLES)]
-    total = LANES * CYCLES * REPEATS  # stimulus applications
+    applications = LANES * CYCLES
 
-    def measure():
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            machines = [GateSimulator(netlist) for _ in range(LANES)]
-            for stimulus in stimuli:
-                for lane, machine in enumerate(machines):
-                    machine.clock_cycle(
-                        "CLK",
-                        {name: (value >> lane) & 1 for name, value in stimulus.items()},
-                    )
-        scalar_s = time.perf_counter() - start
+    def scalar():
+        machines = [GateSimulator(netlist) for _ in range(LANES)]
+        for stimulus in stimuli:
+            for lane, machine in enumerate(machines):
+                machine.clock_cycle(
+                    "CLK",
+                    {name: (value >> lane) & 1 for name, value in stimulus.items()},
+                )
 
-        start = time.perf_counter()
-        for _ in range(REPEATS):
-            batch = BatchGateSimulator(netlist, LANES)
-            for stimulus in stimuli:
-                batch.clock_cycle("CLK", stimulus)
-        batch_s = time.perf_counter() - start
-        return {"scalar_s": scalar_s, "batch_s": batch_s}
+    def batch():
+        simulator = BatchGateSimulator(netlist, LANES)
+        for stimulus in stimuli:
+            simulator.clock_cycle("CLK", stimulus)
 
-    timings = run_once(benchmark, measure)
-    scalar_vps = total / timings["scalar_s"]
-    batch_vps = total / timings["batch_s"]
-    speedup = batch_vps / scalar_vps
-    print()
-    print(f"{LANES} lanes x {CYCLES} cycles x {REPEATS}, {netlist.name}")
-    print(f"scalar lock-step:           {scalar_vps:>12.0f} stimuli/s")
-    print(f"batch  lock-step:           {batch_vps:>12.0f} stimuli/s")
-    print(f"speedup:                    {speedup:>12.1f}x")
-    measured = {
-        "lanes": LANES,
-        "cycles": CYCLES,
-        "repeats": REPEATS,
-        "scalar_stimuli_per_s": round(scalar_vps, 1),
-        "batch_stimuli_per_s": round(batch_vps, 1),
-        "speedup": round(speedup, 2),
-        "smoke": SMOKE,
-    }
-    benchmark.extra_info["measured"] = measured
-    if not SMOKE:
-        record_bench_results("sim", "sequential_lock_step", measured)
+    result = run_once(
+        benchmark,
+        lambda: paired_median(
+            lambda: _rate(applications, scalar),
+            lambda: _rate(applications, batch),
+            PAIRS,
+        ),
+    )
+    print(f"\n{LANES} lanes x {CYCLES} cycles, {netlist.name}")
     # Lock-step has per-cycle Python overhead both sides share, so the bar
     # is lower than the pure combinational sweep's.
-    assert speedup >= 5.0
-
-
-def test_bench_catalog_wide_verification(benchmark):
-    catalog = standard_catalog()
-    cells = standard_cells()
-    cases = []
-    for impl in catalog.implementations():
-        flat = impl.expand(CATALOG_PARAMS.get(impl.name, {"size": 3}))
-        cases.append((impl.name, flat, synthesize(flat, cells)))
-
-    def measure():
-        per_component = {}
-        start = time.perf_counter()
-        for name, flat, netlist in cases:
-            began = time.perf_counter()
-            result = check_equivalence(flat, netlist, cycles=CYCLES, lanes=16)
-            per_component[name] = {
-                "mode": result.mode,
-                "equivalent": result.equivalent,
-                "vectors": result.vectors_checked,
-                "ms": round((time.perf_counter() - began) * 1000.0, 2),
-            }
-        total_s = time.perf_counter() - start
-        return {"total_s": total_s, "per_component": per_component}
-
-    timings = run_once(benchmark, measure)
-    per_component = timings["per_component"]
-    # tri_state is the documented exception: flat passthrough vs gate
-    # bus-hold (docs/sim.md); everything else must verify equivalent.
-    failures = {
-        name: entry
-        for name, entry in per_component.items()
-        if not entry["equivalent"] and name != "tri_state"
-    }
-    assert not failures, failures
-    assert not per_component["tri_state"]["equivalent"]
-    vectors = sum(entry["vectors"] for entry in per_component.values())
-    print()
-    print(
-        f"{len(cases)} implementations verified in {timings['total_s']:.2f} s "
-        f"({vectors} vectors)"
+    _record_and_gate(
+        benchmark, "sequential_lock_step", "stimuli", result, 5.0, cycles=CYCLES
     )
-    measured = {
-        "implementations": len(cases),
-        "total_s": round(timings["total_s"], 3),
-        "total_vectors": vectors,
-        "per_component": per_component,
-        "smoke": SMOKE,
-    }
-    benchmark.extra_info["measured"] = measured
-    if not SMOKE:
-        record_bench_results("sim", "catalog_verify", measured)

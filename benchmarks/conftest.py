@@ -1,16 +1,27 @@
-"""Shared fixtures and paper reference data for the benchmark harness.
+"""Shared fixtures, paper reference data and the perf-gate helpers.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(Section 5) or one of the textual reports of Section 3.3 / Appendix B.  The
-absolute numbers cannot match the authors' 1989 cell library, so each bench
-asserts the *shape* of the result (orderings, ratios, crossovers) against
-the paper and records the measured values in ``benchmark.extra_info``.
+Two kinds of module live beside this file.  The paper-figure and
+Section 3.3 checks (``bench_fig*.py``, ``bench_sec33_reports.py``,
+``bench_ablation_design_choices.py``) regenerate one table or figure of
+the paper's evaluation (Section 5) or one textual report of Section 3.3 /
+Appendix B.  The absolute numbers cannot match the authors' 1989 cell
+library, so each asserts the *shape* of the result (orderings, ratios,
+crossovers) against the paper; the default pytest run collects them.
+
+The other ``bench_*.py`` modules gate performance properties that the
+end-to-end benchmark (``benchmarks/e2e``) does not measure.  Each is run
+by explicit path, in its own pytest process, in one size.  Every ratio
+gate goes through :func:`paired_median`, and every result lands in a
+committed ``BENCH_<module>.json`` through :func:`record_bench_results`.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import platform
+import statistics
 import subprocess
 import time
 from pathlib import Path
@@ -23,6 +34,14 @@ from repro.core import ICDB
 #: Where the machine-readable benchmark results land (committed, so the
 #: perf trajectory is tracked across PRs).
 BENCH_RESULTS_DIR = Path(__file__).parent
+
+
+def effective_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, not the host)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _git_rev():
@@ -44,8 +63,10 @@ def record_bench_results(name: str, key: str, payload: dict) -> Path:
     """Merge ``payload`` under ``key`` into ``BENCH_<name>.json``.
 
     Each benchmark module owns one file; each test contributes one keyed
-    section, so partial runs update their section without clobbering the
-    rest.  Environment metadata rides along for cross-PR comparability.
+    section, so a partial run updates its own sections without touching
+    the rest.  Every section carries the provenance of the run that wrote
+    it (CPU count, git revision, interpreter, time), so re-running one
+    test never relabels another test's numbers.
     """
     path = BENCH_RESULTS_DIR / f"BENCH_{name}.json"
     data = {}
@@ -54,15 +75,54 @@ def record_bench_results(name: str, key: str, payload: dict) -> Path:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             data = {}
-    data[key] = payload
-    data["meta"] = {
+    data[key] = {
+        **payload,
+        "cpus": effective_cpus(),
+        "git_rev": _git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "git_rev": _git_rev(),
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def paired_median(measure_a, measure_b, pairs: int) -> dict:
+    """The median over ``pairs`` back-to-back runs of ``measure_b() / measure_a()``.
+
+    Each measure returns a rate (higher is better).  Both runs of a pair
+    see the same host conditions, and the order inside a pair alternates,
+    because on a loaded host whichever burst runs first tends to get the
+    cleaner scheduler slot.  The median of the per-pair ratios is robust
+    to a few disturbed pairs in either direction; best-of rates or the
+    best pair would drift upward with every extra pair.  The garbage
+    collector runs before each pair and is paused inside it.
+
+    Returns the median ratio, each side's median rate and every pair's
+    ratio, in run order.
+    """
+    a_rates, b_rates = [], []
+    for index in range(pairs):
+        gc.collect()
+        gc.disable()
+        try:
+            if index % 2:
+                b = measure_b()
+                a = measure_a()
+            else:
+                a = measure_a()
+                b = measure_b()
+        finally:
+            gc.enable()
+        a_rates.append(a)
+        b_rates.append(b)
+    ratios = [b / a for a, b in zip(a_rates, b_rates)]
+    return {
+        "ratio": statistics.median(ratios),
+        "a": statistics.median(a_rates),
+        "b": statistics.median(b_rates),
+        "ratios": ratios,
+    }
 
 
 #: Reference points from the paper (delay ns, area 1e4 um^2), Figure 5.

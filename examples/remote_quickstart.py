@@ -7,7 +7,7 @@ and builds the Figure 13 simple computer **twice**: once through the remote
 client and once through an in-process :class:`~repro.api.service.Session`
 -- then checks that the netlists and estimates are identical, byte for
 byte.  It finishes with the pipelined batch path (one frame, many cached
-component requests) that `benchmarks/bench_net_throughput.py` measures.
+component requests) whose speedup `benchmarks/bench_wire.py` gates.
 
 The wire protocol is documented in ``docs/net.md``.  Run with::
 

@@ -114,8 +114,9 @@ state, while the catalog, database, instance registry and result cache are
 shared (and lock-protected) across sessions.  Repeated identical
 catalog-based ``request_component`` calls are served from the cache -- the
 synthesized netlist and estimates are reused under a fresh instance name
-(see ``benchmarks/bench_api_service.py``).  Requests the result cache
-cannot serve run through the cold-path generation engine, which memoizes
+(measured by the end-to-end benchmark's ``cached_lookup`` workload).
+Requests the result cache cannot serve run through the cold-path
+generation engine, which memoizes
 expansion, synthesis and estimation stage-by-stage on canonical
 signatures over a hash-consed expression IR -- ``docs/performance.md``
 describes the three cache layers (result, render, generation) and their

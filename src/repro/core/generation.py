@@ -159,8 +159,7 @@ class EmbeddedGenerator:
         self.sizing_options = sizing_options or SizingOptions()
         #: Stage-level memo shared by every request through this generator
         #: (and hence by all sessions of a service).  Pass an explicit
-        #: cache to share one across generators; benchmarks install a
-        #: fresh cache per round to measure the true-cold path.
+        #: cache to share one across generators.
         self.generation_cache = (
             generation_cache if generation_cache is not None else GenerationCache()
         )

@@ -372,8 +372,7 @@ class MetricsExporter:
     Writes go to ``<path>.tmp`` then :func:`os.replace`, so a reader
     (dashboard, scraper, CI validation) never observes a torn file.  The
     thread is a daemon and wakes early on :meth:`stop`; ``write_once``
-    is the synchronous core the tests and the CI schema check call
-    directly.
+    is the synchronous core the tests call directly.
     """
 
     def __init__(

@@ -97,7 +97,7 @@ class RequestLog:
     The hot path (:meth:`record`) only captures the raw fields; lines
     are formatted and written in batches of ``flush_every`` records so
     the per-request tax stays small (see
-    ``benchmarks/bench_obs_overhead.py``).  Slow lines drain -- and the
+    ``benchmarks/bench_wire.py``).  Slow lines drain -- and the
     sink flushes -- immediately, so the outliers an operator tails the
     log for are never stuck in the buffer; everything else becomes
     visible at the next batch boundary, :meth:`flush` or :meth:`close`.

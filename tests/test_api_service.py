@@ -306,6 +306,19 @@ def test_generation_cache_cross_session_hits_and_accounting(service):
     assert second.value["instance"] != first.value["instance"]
     for key in ("delay", "area", "shape_function", "cells", "clock_width"):
         assert second.value[key] == first.value[key], key
+    # The memo-served instance renders exactly like the cold one, its
+    # instance name aside.
+    cold = service.instances.get(first.value["instance"])
+    memoized = service.instances.get(second.value["instance"])
+    assert cold.vhdl_netlist().replace(cold.name, "X") == (
+        memoized.vhdl_netlist().replace(memoized.name, "X")
+    )
+    assert cold.render_delay().replace(cold.name, "X") == (
+        memoized.render_delay().replace(memoized.name, "X")
+    )
+    assert cold.render_shape().replace(cold.name, "X") == (
+        memoized.render_shape().replace(memoized.name, "X")
+    )
     # Both are fully registered, independently deletable instances.
     for name in (first.value["instance"], second.value["instance"]):
         assert name in service.instances

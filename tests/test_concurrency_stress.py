@@ -351,7 +351,12 @@ def test_cancel_mid_generation_leaves_no_orphans(tmp_path):
         assert time.time() < deadline
         time.sleep(0.005)
     handle.cancel()
+    started_at_cancel = service.generator.slices_started
     final = handle.wait(60)
+    # Promptness, counted not timed: the flow stops at its next
+    # checkpoint, so at most the slice that had already passed one when
+    # cancel() returned may start after it.
+    assert service.generator.slices_started - started_at_cancel <= 1
     assert final["state"] == "cancelled"
     response = handle.response()
     assert not response.ok and response.error.code == "CANCELLED"

@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from jobs_testlib import make_slow_service
+from jobs_testlib import make_barrier_service, make_slow_service
 
 from repro.api import (
     CancelJob,
@@ -283,6 +283,33 @@ def test_session_token_attach_resumes_jobs_over_tcp(tmp_path):
         resumed.put_in_component_list(summary["instance"], design="resilient")
         assert resumed.component_list("resilient") == [summary["instance"]]
         resumed.close()
+    finally:
+        server.stop()
+        service.jobs.shutdown()
+
+
+def test_jobs_on_one_connection_overlap_on_the_worker_pool(tmp_path):
+    # Every flow waits on a 6-party barrier, so the six jobs complete only
+    # if all six are generating at once: a pool or a connection that
+    # serialized them would break the barrier and fail the jobs.
+    service = make_barrier_service(tmp_path / "overlap", parties=6, job_workers=8)
+    server = serve(service=service, port=0)
+    try:
+        client = connect(server.host, server.port, client="overlap")
+        handles = [
+            client.submit(
+                ComponentRequest(
+                    implementation=("register", "mux2", "counter")[index % 3],
+                    attributes={"size": 2 + index},
+                    use_cache=False,
+                    detail="summary",
+                )
+            )
+            for index in range(6)
+        ]
+        for handle in handles:
+            assert handle.result(timeout=60)["instance"]
+        client.close()
     finally:
         server.stop()
         service.jobs.shutdown()

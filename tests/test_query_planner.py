@@ -16,6 +16,8 @@ import json
 
 import pytest
 
+from jobs_testlib import make_barrier_service
+
 from repro.api import (
     AttributePredicate,
     Bound,
@@ -470,6 +472,21 @@ def test_parallel_and_serial_plans_are_identical(tmp_path):
         finally:
             service.jobs.shutdown()
     assert outcomes[0] == outcomes[1]
+
+
+def test_plan_candidates_generate_at_once_on_the_worker_pool(tmp_path):
+    # Every flow waits on a 4-party barrier: the plan generates its four
+    # candidates only if they fan out over the pool together.
+    service = make_barrier_service(tmp_path / "fanout", parties=4, job_workers=4)
+    try:
+        spec = _counter_sweep(select=(NamePredicate(("up_counter", "incrementer")),))
+        response = service.create_session().execute(PlanQuery(query=spec))
+        result = PlanResult.from_dict(response.unwrap())
+        assert len(result.candidates) == 4
+        assert len(result.generated()) == 4
+        assert result.explain()["stages"][2]["parallel"] is True
+    finally:
+        service.jobs.shutdown()
 
 
 def test_plan_survives_job_retention_pressure(tmp_path):

@@ -128,6 +128,22 @@ def test_journal_writer_resumes_tail_segment(tmp_path):
     assert [r["seq"] for r in scan_segment(segment).records] == [1, 2]
 
 
+def test_interval_fsync_coalesces_appends(tmp_path):
+    # The window outlasts the test, so only the first append may fsync
+    # (it does when the clock has run longer than one window).
+    coalesced = JournalWriter(
+        tmp_path / "interval", fsync="interval", fsync_interval=3600.0
+    )
+    per_append = JournalWriter(tmp_path / "always", fsync="always")
+    for writer in (coalesced, per_append):
+        for i in range(50):
+            writer.append({"op": "insert", "table": "t", "row": {"id": i}})
+    assert coalesced.fsyncs <= 1
+    assert per_append.fsyncs == 50
+    coalesced.close()
+    per_append.close()
+
+
 def test_journal_writer_rejects_bad_config(tmp_path):
     with pytest.raises(JournalError):
         JournalWriter(tmp_path, fsync="sometimes")
