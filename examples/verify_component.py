@@ -60,18 +60,16 @@ def main() -> None:
           f"mode={verdict['mode']} vectors={verdict['vectors_checked']}")
 
     # A sabotaged netlist yields a counterexample, not just "False".
+    netlist = session.instances.get(adder.name).netlist
     victim = next(
-        inst
-        for inst in session.instances.get(adder.name).netlist.all_instances()
-        if inst.cell.kind == "XOR2"
+        inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2"
     )
-    saved = dict(victim.pins)
-    victim.pins["I0"] = victim.pins["I1"]
+    netlist.reconnect(victim.name, {"I0": victim.net("I1")})
     broken = session.check_equivalence(adder.name)
     print(f"  sabotaged adder: equivalent={broken['equivalent']} "
           f"counterexample={broken['counterexample']} "
           f"outputs={broken['mismatched_outputs']}")
-    victim.pins.update(saved)
+    netlist.reconnect(victim.name, {"I0": victim.net("I0")})
 
     # ------------------------------------- planner equivalence bound (DSE)
     print("\n== planner require_equivalent_to ==")

@@ -179,8 +179,8 @@ class DelayAnalysis:
         data_pins: Dict[str, float] = {}
         for instance in sequential:
             for pin in ("D", "S", "R"):
-                if pin in instance.pins and pin in instance.cell.inputs:
-                    net = instance.pins[pin]
+                if pin in instance.cell.inputs:
+                    net = instance.net(pin)
                     requirement = (
                         instance.cell.setup_time
                         if pin == "D"
@@ -286,9 +286,9 @@ class DelayAnalysis:
             ):
                 candidates.append((output, value, tag))
         for instance in self.netlist.sequential_instances():
-            net = instance.pins.get("D")
-            if net is None:
+            if "D" not in instance.cell.pin_index:
                 continue
+            net = instance.net("D")
             for value, tag in (
                 (self.arrival_from_registers.get(net, _NEG_INF), True),
                 (self.arrival_from_inputs.get(net, _NEG_INF), False),

@@ -32,9 +32,19 @@ class FlatIifError(ValueError):
 CLOCK_EDGES = ("r", "f", "h", "l")
 
 
+# The three assignment records below are frozen dataclasses with
+# hand-written ``__slots__`` (``dataclass(slots=True)`` needs Python
+# 3.10): a component holds one per assignment, and every cached or
+# unpickled component holds its own, so a per-record ``__dict__`` would
+# outweigh the record.  A frozen slotted class cannot restore its slots
+# through ``__setattr__`` on unpickling, hence ``__reduce__``.
+
+
 @dataclass(frozen=True)
 class AsyncTerm:
     """One ``value/condition`` entry of an asynchronous set/reset list."""
+
+    __slots__ = ("value", "condition")
 
     value: int
     condition: E.BExpr
@@ -43,13 +53,21 @@ class AsyncTerm:
         if self.value not in (0, 1):
             raise FlatIifError(f"async value must be 0 or 1, got {self.value!r}")
 
+    def __reduce__(self):
+        return (AsyncTerm, (self.value, self.condition))
+
 
 @dataclass(frozen=True)
 class CombAssign:
     """A combinational assignment ``target = expr``."""
 
+    __slots__ = ("target", "expr")
+
     target: str
     expr: E.BExpr
+
+    def __reduce__(self):
+        return (CombAssign, (self.target, self.expr))
 
     @property
     def is_sequential(self) -> bool:
@@ -60,15 +78,20 @@ class CombAssign:
 class SeqAssign:
     """A clocked assignment describing a flip-flop or latch bit."""
 
+    __slots__ = ("target", "data", "clock", "edge", "asyncs")
+
     target: str
     data: E.BExpr
     clock: E.BExpr
     edge: str
-    asyncs: Tuple[AsyncTerm, ...] = ()
+    asyncs: Tuple[AsyncTerm, ...]
 
     def __post_init__(self) -> None:
         if self.edge not in CLOCK_EDGES:
             raise FlatIifError(f"unknown clock qualifier {self.edge!r}")
+
+    def __reduce__(self):
+        return (SeqAssign, (self.target, self.data, self.clock, self.edge, self.asyncs))
 
     @property
     def is_sequential(self) -> bool:

@@ -12,10 +12,11 @@ that map one-to-one onto library cells and are never restructured by the
 optimizer.
 
 Expressions are immutable, *hash-consed* and structurally shared: one
-canonical node exists per structurally-distinct expression, so equality is
-identity, ``variables()`` / ``hash`` / ``depth`` / literal counts are
-cached O(1) lookups, and expressions can be used directly as memoization
-keys by the generation cache.  The intern table holds nodes weakly, so
+canonical node exists per structurally-distinct expression, so equality
+and hashing are by identity (``object``'s own ``__eq__`` and
+``__hash__``), ``variables()`` / ``depth`` / literal counts are cached
+O(1) lookups, and expressions can be used directly as memoization keys
+by the generation cache.  The intern table holds nodes weakly, so
 expressions no stage references any more are garbage-collected; interning
 is thread-safe (the PR-3 job workers synthesize concurrently).
 
@@ -58,7 +59,7 @@ def interned_count() -> int:
 class BExpr:
     """Base class for boolean expressions (interned, immutable)."""
 
-    __slots__ = ("_vars", "_hash", "_depth", "_lits", "_nodes", "_opaque", "__weakref__")
+    __slots__ = ("_vars", "_depth", "_lits", "_nodes", "_opaque", "__weakref__")
 
     # -- structural queries -------------------------------------------------
 
@@ -78,11 +79,9 @@ class BExpr:
 
     # -- identity ------------------------------------------------------------
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Equality is identity: interning guarantees one node per structure.
-    # (object.__eq__ already compares by identity; stated here for clarity.)
+    # Equality and hashing are object identity (inherited from ``object``):
+    # interning guarantees one node per structure, so an identity hash
+    # costs no slot per node.  Nothing orders expressions by hash.
 
     def __copy__(self) -> "BExpr":
         return self
@@ -111,9 +110,8 @@ def _lookup(key):
     return _INTERN.get(key)
 
 
-def _finish(node: BExpr, key, vars_, depth, lits, nodes, opaque) -> None:
+def _finish(node: BExpr, vars_, depth, lits, nodes, opaque) -> None:
     node._vars = vars_
-    node._hash = hash(key)
     node._depth = depth
     node._lits = lits
     node._nodes = nodes
@@ -137,7 +135,7 @@ class Const(BExpr):
             if self is None:
                 self = object.__new__(cls)
                 self.value = value
-                _finish(self, key, frozenset(), 0, 0, 0, False)
+                _finish(self, frozenset(), 0, 0, 0, False)
                 _INTERN[key] = self
             return self
 
@@ -174,7 +172,7 @@ class Var(BExpr):
             if self is None:
                 self = object.__new__(cls)
                 self.name = name
-                _finish(self, key, frozenset((name,)), 0, 1, 0, False)
+                _finish(self, frozenset((name,)), 0, 1, 0, False)
                 _INTERN[key] = self
             return self
 
@@ -200,7 +198,6 @@ def _unary_new(cls, tag, operand: BExpr):
             self.operand = operand
             _finish(
                 self,
-                key,
                 operand._vars,
                 operand._depth + 1,
                 operand._lits,
@@ -266,7 +263,6 @@ def _nary_new(cls, tag, args: Tuple[BExpr, ...]):
             depth = 1 + max((a._depth for a in args), default=-1)
             _finish(
                 self,
-                key,
                 vars_,
                 depth,
                 sum(a._lits for a in args),
@@ -334,7 +330,6 @@ def _binary_new(cls, tag, left: BExpr, right: BExpr):
             self.right = right
             _finish(
                 self,
-                key,
                 left._vars | right._vars,
                 1 + max(left._depth, right._depth),
                 left._lits + right._lits,
@@ -415,7 +410,6 @@ class Special(BExpr):
                 vars_: FrozenSet[str] = frozenset().union(*(a._vars for a in args)) if args else frozenset()
                 _finish(
                     self,
-                    key,
                     vars_,
                     1 + max((a._depth for a in args), default=-1),
                     sum(a._lits for a in args),

@@ -13,54 +13,79 @@ class NetlistError(ValueError):
     """Raised when a netlist is malformed."""
 
 
-class GateInstance:
-    """One placed library cell: a cell reference, pin-to-net map and drive size.
+def _ordered_nets(cell: Cell, pins: Mapping[str, str]) -> Tuple[str, ...]:
+    """``pins`` (pin name -> net) as a net tuple in ``cell.pins`` order."""
+    try:
+        nets = tuple([pins[pin] for pin in cell.pins])
+    except KeyError as exc:
+        raise NetlistError(
+            f"instance of {cell.name} is missing a connection for pin {exc.args[0]!r}"
+        ) from None
+    if len(pins) != len(nets):
+        unknown = sorted(set(pins) - set(cell.pins))
+        raise NetlistError(f"cell {cell.name} has no pins {unknown!r}")
+    return nets
 
-    Slotted: a netlist holds one of these per gate, and every cached or
-    unpickled netlist holds its own, so a per-object ``__dict__`` would
-    be most of a netlist's footprint.  (Written out by hand because
-    ``@dataclass(slots=True)`` needs Python 3.10.)
+
+class GateInstance:
+    """One placed library cell: a cell reference, its nets and drive size.
+
+    ``nets[i]`` is the net on ``cell.pins[i]``: one tuple in the cell's
+    declared pin order, which hot readers index through the cell's
+    precomputed indices.  A netlist holds one of these per gate, and every
+    cached or unpickled netlist holds its own, so the gate is slotted and
+    keeps no pin dict (and no pin-name strings): a per-gate ``__dict__``
+    or pin map would be most of a netlist's footprint.  (Written out by
+    hand because ``@dataclass(slots=True)`` needs Python 3.10.)
     """
 
-    __slots__ = ("name", "cell", "pins", "size")
+    __slots__ = ("name", "cell", "nets", "size")
 
     def __init__(
-        self, name: str, cell: Cell, pins: Dict[str, str], size: float = 1.0
+        self, name: str, cell: Cell, nets: Tuple[str, ...], size: float = 1.0
     ) -> None:
         self.name = name
         self.cell = cell
-        self.pins = pins
+        self.nets = nets
         self.size = size
 
     def __repr__(self) -> str:
+        pins = dict(zip(self.cell.pins, self.nets))
         return (
             f"GateInstance(name={self.name!r}, cell={self.cell!r}, "
-            f"pins={self.pins!r}, size={self.size!r})"
+            f"pins={pins!r}, size={self.size!r})"
         )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.name, self.cell, self.pins, self.size) == (
+        return (self.name, self.cell, self.nets, self.size) == (
             other.name,
             other.cell,
-            other.pins,
+            other.nets,
             other.size,
         )
 
     # Mutable (the sizer resizes in place), so unhashable.
     __hash__ = None  # type: ignore[assignment]
 
-    def output_net(self, pin: Optional[str] = None) -> str:
+    def __reduce__(self):
+        # A constructor call pickles smaller and loads faster than the
+        # default slot-state dict, and fleet bundles carry every gate.
+        return (GateInstance, (self.name, self.cell, self.nets, self.size))
+
+    def net(self, pin: str) -> str:
+        """The net on ``pin``."""
+        return self.nets[self.cell.pin_index[pin]]
+
+    def output_net(self) -> str:
         """The net driven by the (single) output pin."""
-        pin = pin or self.cell.outputs[0]
-        return self.pins[pin]
+        return self.nets[self.cell.output_indices[0]]
 
     def input_nets(self) -> List[str]:
-        return [self.pins[p] for p in self.cell.inputs if p in self.pins]
-
-    def pin_of_net(self, net: str) -> List[str]:
-        return [pin for pin, attached in self.pins.items() if attached == net]
+        """The input nets, in the cell's declared input order."""
+        nets = self.nets
+        return [nets[i] for i in self.cell.input_indices]
 
     @property
     def is_sequential(self) -> bool:
@@ -69,7 +94,7 @@ class GateInstance:
     def clock_net(self) -> Optional[str]:
         if self.cell.clock_pin is None:
             return None
-        return self.pins.get(self.cell.clock_pin)
+        return self.net(self.cell.clock_pin)
 
     def width_um(self) -> float:
         return self.cell.width_at_size(self.size)
@@ -119,18 +144,31 @@ class GateNetlist:
         name: Optional[str] = None,
         size: float = 1.0,
     ) -> GateInstance:
-        """Add a cell instance; missing pins raise :class:`NetlistError`."""
-        for pin in cell.inputs + cell.outputs:
-            if pin not in pins:
-                raise NetlistError(
-                    f"instance of {cell.name} is missing a connection for pin {pin!r}"
-                )
+        """Add a cell instance connected as ``pins`` (pin name -> net).
+
+        Missing or unknown pins raise :class:`NetlistError`.
+        """
+        nets = _ordered_nets(cell, pins)
         if name is None:
             self._counter += 1
             name = f"U{self._counter}_{cell.name.lower()}"
         if name in self.instances:
             raise NetlistError(f"instance name {name!r} already used")
-        instance = GateInstance(name=name, cell=cell, pins=dict(pins), size=size)
+        instance = GateInstance(name, cell, nets, size)
+        self.instances[name] = instance
+        return instance
+
+    def reconnect(self, name: str, pins: Mapping[str, str]) -> GateInstance:
+        """Replace instance ``name`` by a gate with ``pins`` moved onto new nets.
+
+        Its other pins, cell and size are kept, and so is its place in
+        :attr:`instances`.  Returns the new gate; the replaced one is left
+        untouched, so reconnecting its nets undoes the edit.
+        """
+        old = self.instance(name)
+        connections = dict(zip(old.cell.pins, old.nets))
+        connections.update(pins)
+        instance = GateInstance(name, old.cell, _ordered_nets(old.cell, connections), old.size)
         self.instances[name] = instance
         return instance
 
@@ -142,11 +180,11 @@ class GateNetlist:
     def clone(self, name: Optional[str] = None) -> "GateNetlist":
         """An independent copy safe to size separately.
 
-        Cell objects and net-name strings are immutable and shared; the
+        Cells and net tuples are immutable and shared; only the
         :class:`GateInstance` wrappers (whose ``size`` the sizer mutates
-        in place) and their pin maps are duplicated.  The generation
-        cache hands out a clone whenever a synthesized netlist is about
-        to be resized, so the cached one stays at unit drive.
+        in place) are duplicated.  The generation cache hands out a clone
+        whenever a synthesized netlist is about to be resized, so the
+        cached one stays at unit drive.
         """
         duplicate = GateNetlist(
             name if name is not None else self.name,
@@ -157,10 +195,7 @@ class GateNetlist:
         duplicate._counter = self._counter
         for instance in self.instances.values():
             duplicate.instances[instance.name] = GateInstance(
-                name=instance.name,
-                cell=instance.cell,
-                pins=dict(instance.pins),
-                size=instance.size,
+                instance.name, instance.cell, instance.nets, instance.size
             )
         return duplicate
 
@@ -194,8 +229,9 @@ class GateNetlist:
             entry = info(name)
             entry.is_primary_input = True
         for instance in self.instances.values():
-            for pin in instance.cell.outputs:
-                net = instance.pins[pin]
+            cell, nets = instance.cell, instance.nets
+            for i in cell.output_indices:
+                net = nets[i]
                 entry = info(net)
                 if entry.driver_instance is not None or entry.is_primary_input:
                     # Wired-or nets legitimately have several drivers; they are
@@ -203,10 +239,9 @@ class GateNetlist:
                     # a real error.
                     raise NetlistError(f"net {net!r} has multiple drivers")
                 entry.driver_instance = instance.name
-                entry.driver_pin = pin
-            for pin in instance.cell.inputs:
-                net = instance.pins[pin]
-                info(net).sinks.append((instance.name, pin))
+                entry.driver_pin = cell.pins[i]
+            for i in cell.input_indices:
+                info(nets[i]).sinks.append((instance.name, cell.pins[i]))
         return table
 
     def net_load_units(self, external_loads: Optional[Mapping[str, float]] = None) -> Dict[str, float]:

@@ -27,8 +27,8 @@ def combinational_order(netlist: GateNetlist) -> List[GateInstance]:
     comb = netlist.combinational_instances()
     ready_nets: Set[str] = set(netlist.inputs)
     for instance in netlist.sequential_instances():
-        for pin in instance.cell.outputs:
-            ready_nets.add(instance.pins[pin])
+        for i in instance.cell.output_indices:
+            ready_nets.add(instance.nets[i])
     # Nets with no driver at all (tie-offs handled upstream) count as ready so
     # a dangling constant does not deadlock the ordering.
     for net, entry in table.items():
@@ -55,8 +55,8 @@ def combinational_order(netlist: GateNetlist) -> List[GateInstance]:
         done.add(name)
         instance = netlist.instances[name]
         order.append(instance)
-        for pin in instance.cell.outputs:
-            net = instance.pins[pin]
+        for i in instance.cell.output_indices:
+            net = instance.nets[i]
             if net in ready_nets:
                 continue
             ready_nets.add(net)
@@ -121,8 +121,8 @@ def transitive_fanout(netlist: GateNetlist, nets: Iterable[str]) -> Set[str]:
             sink = netlist.instances[sink_name]
             if sink.is_sequential:
                 continue
-            for pin in sink.cell.outputs:
-                stack.append(sink.pins[pin])
+            for i in sink.cell.output_indices:
+                stack.append(sink.nets[i])
     return seen
 
 
@@ -133,6 +133,6 @@ def logic_depth(netlist: GateNetlist) -> int:
         level = 0
         for net in instance.input_nets():
             level = max(level, depth.get(net, 0))
-        for pin in instance.cell.outputs:
-            depth[instance.pins[pin]] = level + 1
+        for i in instance.cell.output_indices:
+            depth[instance.nets[i]] = level + 1
     return max(depth.values(), default=0)

@@ -133,7 +133,7 @@ def flatten_to_gates(
         for instance in child.all_instances():
             pins = {
                 pin: rename.get(net, f"{ref.label}.{net}")
-                for pin, net in instance.pins.items()
+                for pin, net in zip(instance.cell.pins, instance.nets)
             }
             merged.add_instance(
                 instance.cell,

@@ -131,7 +131,7 @@ def gate_netlist_architecture_body(netlist: GateNetlist) -> str:
         {
             net
             for instance in netlist.all_instances()
-            for net in instance.pins.values()
+            for net in instance.nets
             if net not in port_nets
         }
     )
@@ -160,7 +160,7 @@ def gate_netlist_architecture_body(netlist: GateNetlist) -> str:
         lines.append(f"    generic map (drive => {instance.size:.3f})")
         mappings = [
             f"{_vhdl_identifier(pin)} => {_vhdl_identifier(net)}"
-            for pin, net in instance.pins.items()
+            for pin, net in zip(instance.cell.pins, instance.nets)
         ]
         lines.append("    port map (" + ", ".join(mappings) + ");")
     lines.append("end structure;")

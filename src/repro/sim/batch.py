@@ -390,20 +390,22 @@ def batch_evaluate_cell(
     instance: GateInstance, values: Mapping[str, int], full: int
 ) -> int:
     """Evaluate one combinational cell for all lanes at once."""
-    kind = instance.cell.kind
+    cell, nets = instance.cell, instance.nets
+    # Operands in the cell's declared input order (MUX2: I0, I1, S;
+    # TRIBUF: I0, EN).
+    operands = [values[nets[i]] for i in cell.input_indices]
+    kind = cell.kind
     if kind == "MUX2":
-        i0, i1, select = (values[instance.pins[p]] for p in ("I0", "I1", "S"))
+        i0, i1, select = operands
         return (i0 & ~select & full) | (i1 & select)
     if kind == "TRIBUF":
-        data = values[instance.pins["I0"]]
-        enable = values[instance.pins["EN"]]
+        data, enable = operands
         # Bus-hold per lane: disabled lanes keep the previous output value.
         held = values.get(instance.output_net(), 0)
         return (data & enable) | (held & ~enable & full)
     function = _BATCH_KINDS.get(kind)
     if function is None:
         raise GateSimulationError(f"no functional model for cell kind {kind!r}")
-    operands = [values[instance.pins[pin]] for pin in instance.cell.inputs]
     return function(operands, full)
 
 
@@ -422,8 +424,8 @@ class BatchGateSimulator:
         for name in netlist.inputs:
             self.values[name] = 0
         for instance in netlist.all_instances():
-            for pin in instance.cell.outputs:
-                self.values[instance.pins[pin]] = initial
+            for i in instance.cell.output_indices:
+                self.values[instance.nets[i]] = initial
         self._previous_clock: Dict[str, int] = {}
         self._settle()
         for instance in netlist.sequential_instances():
@@ -493,17 +495,18 @@ class BatchGateSimulator:
             kind = instance.cell.kind
             clock = self.values.get(instance.clock_net(), 0)
             out_net = instance.output_net()
+            pin_index = instance.cell.pin_index
             set_mask = (
-                self.values.get(instance.pins["S"], 0) if "S" in instance.pins else 0
+                self.values.get(instance.nets[pin_index["S"]], 0) if "S" in pin_index else 0
             )
             reset_mask = (
-                self.values.get(instance.pins["R"], 0) if "R" in instance.pins else 0
+                self.values.get(instance.nets[pin_index["R"]], 0) if "R" in pin_index else 0
             )
 
             if kind.startswith("LATCH"):
                 transparent = clock if kind == "LATCH_H" else (full ^ clock)
                 if transparent:
-                    data = self.values[instance.pins["D"]]
+                    data = self.values[instance.net("D")]
                     current = self.values[out_net]
                     updates.append(
                         (out_net, (current & ~transparent & full) | (data & transparent))
@@ -525,7 +528,7 @@ class BatchGateSimulator:
             current = self.values[out_net]
             new_value = current
             if triggered:
-                data = self.values[instance.pins["D"]]
+                data = self.values[instance.net("D")]
                 new_value = (new_value & ~triggered & full) | (data & triggered)
             new_value &= ~(reset_mask & ~set_mask) & full
             new_value |= set_mask

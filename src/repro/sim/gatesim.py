@@ -70,10 +70,6 @@ def _any(values: Sequence[int]) -> int:
     return 1 if any(values) else 0
 
 
-def _inputs(instance: GateInstance, values: Mapping[str, int], pins: Sequence[str]) -> List[int]:
-    return [values[instance.pins[pin]] for pin in pins if pin in instance.pins]
-
-
 #: Combinational cell evaluation functions, keyed by cell kind.
 _COMBINATIONAL_KINDS: Dict[str, Callable[[List[int]], int]] = {
     "INV": lambda v: 1 - v[0],
@@ -105,19 +101,21 @@ _COMBINATIONAL_KINDS: Dict[str, Callable[[List[int]], int]] = {
 
 def evaluate_combinational_cell(instance: GateInstance, values: Mapping[str, int]) -> int:
     """Evaluate a combinational cell output given current net values."""
-    kind = instance.cell.kind
+    cell, nets = instance.cell, instance.nets
+    # Operands in the cell's declared input order (MUX2: I0, I1, S;
+    # TRIBUF: I0, EN).
+    operands = [values[nets[i]] for i in cell.input_indices]
+    kind = cell.kind
     if kind == "MUX2":
-        i0, i1, select = (values[instance.pins[p]] for p in ("I0", "I1", "S"))
+        i0, i1, select = operands
         return i1 if select else i0
     if kind == "TRIBUF":
-        data = values[instance.pins["I0"]]
-        enable = values[instance.pins["EN"]]
+        data, enable = operands
         # When disabled the output keeps its previous value (bus-hold model).
         return data if enable else values.get(instance.output_net(), 0)
     function = _COMBINATIONAL_KINDS.get(kind)
     if function is None:
         raise GateSimulationError(f"no functional model for cell kind {kind!r}")
-    operands = [values[instance.pins[pin]] for pin in instance.cell.inputs]
     return function(operands)
 
 
@@ -131,8 +129,8 @@ class GateSimulator:
         for name in netlist.inputs:
             self.values[name] = 0
         for instance in netlist.all_instances():
-            for pin in instance.cell.outputs:
-                self.values[instance.pins[pin]] = initial_state
+            for i in instance.cell.output_indices:
+                self.values[instance.nets[i]] = initial_state
         self._previous_clock: Dict[str, int] = {}
         self._settle()
         for instance in netlist.sequential_instances():
@@ -199,13 +197,14 @@ class GateSimulator:
             clock_net = instance.clock_net()
             clock = self.values.get(clock_net, 0)
             out_net = instance.output_net()
-            set_value = self.values.get(instance.pins.get("S", ""), 0) if "S" in instance.pins else 0
-            reset_value = self.values.get(instance.pins.get("R", ""), 0) if "R" in instance.pins else 0
+            nets, pin_index = instance.nets, instance.cell.pin_index
+            set_value = self.values.get(nets[pin_index["S"]], 0) if "S" in pin_index else 0
+            reset_value = self.values.get(nets[pin_index["R"]], 0) if "R" in pin_index else 0
 
             if kind.startswith("LATCH"):
                 transparent = clock == 1 if kind == "LATCH_H" else clock == 0
                 if transparent:
-                    updates.append((out_net, self.values[instance.pins["D"]]))
+                    updates.append((out_net, self.values[instance.net("D")]))
                 self._previous_clock[instance.name] = clock
                 continue
 
@@ -224,7 +223,7 @@ class GateSimulator:
                 else (previous == 0 and clock == 1)
             )
             if triggered:
-                updates.append((out_net, self.values[instance.pins["D"]]))
+                updates.append((out_net, self.values[instance.net("D")]))
         changed = False
         for net, value in updates:
             if self.values.get(net) != value:

@@ -20,7 +20,7 @@ DESIGN.md for the substitution note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..fingerprint import stable_fingerprint
@@ -68,6 +68,28 @@ class Cell:
     clock_to_q: float = 0.0
     min_pulse_width: float = 0.0
     description: str = ""
+    #: Every pin once, in the one order a gate stores its nets in and the
+    #: VHDL port map lists them in.  Empty means inputs, then outputs.
+    pins: Tuple[str, ...] = ()
+    # Derived from ``pins`` once, so gate readers index nets directly:
+    # each pin's position, and the positions of ``inputs`` (in their
+    # declared order) and of ``outputs``.
+    pin_index: Dict[str, int] = field(init=False, repr=False, compare=False)
+    input_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    output_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pins = self.pins or self.inputs + self.outputs
+        if sorted(pins) != sorted(self.inputs + self.outputs):
+            raise ValueError(
+                f"cell {self.name!r}: pins {pins!r} must list every input and "
+                f"output exactly once"
+            )
+        index = {pin: i for i, pin in enumerate(pins)}
+        object.__setattr__(self, "pins", pins)
+        object.__setattr__(self, "pin_index", index)
+        object.__setattr__(self, "input_indices", tuple(index[p] for p in self.inputs))
+        object.__setattr__(self, "output_indices", tuple(index[p] for p in self.outputs))
 
     @property
     def width_um(self) -> float:
@@ -355,6 +377,7 @@ def default_library() -> CellLibrary:
             clock_to_q=3.8,
             min_pulse_width=6.5,
             description="Rising-edge D flip-flop with asynchronous set / reset",
+            pins=("D", "CK", "Q", "S", "R"),
         )
     )
     cells.append(
@@ -397,6 +420,7 @@ def default_library() -> CellLibrary:
             clock_to_q=3.8,
             min_pulse_width=6.5,
             description="Falling-edge D flip-flop with asynchronous set / reset",
+            pins=("D", "CK", "Q", "S", "R"),
         )
     )
     for kind, name, desc in (

@@ -403,5 +403,5 @@ def test_synthesize_with_optimize_cache_is_byte_identical(catalog, cells):
         for key in plain.instances:
             left, right = plain.instances[key], memoized.instances[key]
             assert left.cell.name == right.cell.name
-            assert left.pins == right.pins
+            assert left.nets == right.nets
             assert left.size == right.size

@@ -397,7 +397,7 @@ def test_batch_combinational_equivalence_matches_scalar_on_broken_netlist(
     victim = next(
         inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2"
     )
-    victim.pins["I0"] = victim.pins["I1"]
+    netlist.reconnect(victim.name, {"I0": victim.net("I1")})
     scalar = check_combinational_equivalence(adder_flat, netlist, max_exhaustive=9)
     batch = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
     assert not batch.equivalent
@@ -428,7 +428,7 @@ def test_batch_sequential_equivalence_catches_sabotage(
     victim = next(
         inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2"
     )
-    victim.pins["I0"] = victim.pins["I1"]
+    netlist.reconnect(victim.name, {"I0": victim.net("I1")})
     result = check_sequential_equivalence_batch(
         updown_counter_flat, netlist, "CLK", cycles=16, lanes=16
     )

@@ -136,6 +136,8 @@ def test_netlist_validation_and_errors(cells):
         netlist.add_instance(cells.by_kind("INV"), {"I0": "A"})  # missing output pin
     with pytest.raises(NetlistError):
         netlist.add_instance(cells.by_kind("INV"), {"I0": "A", "O": "x"}, name="u_inv")
+    with pytest.raises(NetlistError):
+        netlist.add_instance(cells.by_kind("INV"), {"I0": "A", "O": "x", "I9": "B"})
     bad = GateNetlist("bad", ["A"], ["Y"], cells)
     with pytest.raises(NetlistError):
         bad.validate()  # output never driven
@@ -144,6 +146,19 @@ def test_netlist_validation_and_errors(cells):
     multi.add_instance(cells.by_kind("BUF"), {"I0": "A", "O": "Y"})
     with pytest.raises(NetlistError):
         multi.nets()  # two drivers on Y
+
+
+def test_reconnect_replaces_a_gate_in_place(cells):
+    netlist = _small_netlist(cells)
+    before = netlist.instance("u_and")
+    after = netlist.reconnect("u_and", {"I1": "A"})
+    assert list(netlist.instances) == ["u_and", "u_inv", "u_ff"]
+    assert netlist.instance("u_and") is after
+    assert (after.net("I0"), after.net("I1"), after.output_net()) == ("A", "A", "n1")
+    assert (after.cell, after.size) == (before.cell, before.size)
+    assert before.net("I1") == "B"  # the replaced gate is untouched
+    with pytest.raises(NetlistError):
+        netlist.reconnect("u_and", {"EN": "A"})
 
 
 def test_netlist_statistics_and_loads(cells):
