@@ -25,7 +25,7 @@ Retry semantics, breaker states and the drain protocol are documented in
 
 from __future__ import annotations
 
-from repro.api import ComponentService
+from repro.api import ComponentService, DatabaseDump
 from repro.net import serve
 from repro.net.chaos import ChaosConfig, ChaosProxy
 from repro.net.resilience import CircuitBreaker, ResilientClient, RetryPolicy
@@ -92,7 +92,8 @@ def main() -> None:
     # Count rows over a clean connection, straight to the server.
     auditor = ResilientClient.connect(server.host, server.port,
                                       client="auditor", timeout=10.0)
-    rows = auditor.meta("db_rows", table="instances")
+    dump = auditor.execute(DatabaseDump(tables=("instances",))).unwrap()
+    rows = dump["tables"]["instances"]["rows"]
     auditor.close()
     stored = sorted(row["name"] for row in rows)
     assert stored == sorted(names), (stored, names)

@@ -95,6 +95,7 @@ from .messages import (
     CheckEquivalence,
     ComponentQuery,
     ComponentRequest,
+    DatabaseDump,
     DesignOp,
     FunctionQuery,
     GetMetrics,
@@ -105,6 +106,7 @@ from .messages import (
     JobStatus,
     LayoutRequest,
     MUTATING_KINDS,
+    NewName,
     Ping,
     PlanQuery,
     Request,
@@ -119,10 +121,10 @@ from .service import (
     ComponentService,
     DEFAULT_JOB_WORKERS,
     JobManager,
-    LocalJobHandle,
     Session,
     instance_summary,
 )
+from .surface import JobHandle
 
 __all__ = [
     "AttachSession",
@@ -138,6 +140,7 @@ __all__ = [
     "ComponentService",
     "DEFAULT_JOB_WORKERS",
     "DESIGN_OPS",
+    "DatabaseDump",
     "DesignOp",
     "E_BAD_REQUEST",
     "E_BUSY",
@@ -164,14 +167,15 @@ __all__ = [
     "JOB_STATES",
     "JOB_TERMINAL_STATES",
     "JobEvent",
+    "JobHandle",
     "JobManager",
     "JobStatus",
     "LayoutRequest",
-    "LocalJobHandle",
     "MUTATING_KINDS",
     "MAX_PLAN_CANDIDATES",
     "METRICS",
     "NamePredicate",
+    "NewName",
     "Objective",
     "PROTOCOL_VERSION",
     "Ping",

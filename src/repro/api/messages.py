@@ -16,10 +16,15 @@ request type              server operation
 :class:`Simulate`         batch vector simulation of an existing instance
 :class:`CheckEquivalence` flat-vs-gate equivalence check of an instance
 :class:`DesignOp`         design / transaction / component-list management
+:class:`BatchRequest`     pipelined requests under one service-lock hold
 :class:`SubmitJob`        run any request as an asynchronous server job
 :class:`JobStatus`        poll (or wait for) a job; fetch its events
 :class:`CancelJob`        cooperatively cancel a queued / running job
+:class:`GetMetrics`       the metrics registry snapshot
+:class:`Ping`             liveness and health probe
 :class:`WarmCache`        prime generation-stage memos
+:class:`NewName`          allocate a fresh instance name
+:class:`DatabaseDump`     the relational state (all or named tables)
 ========================  =================================================
 
 Two more wire dataclasses are not requests: :class:`JobEvent` is the
@@ -56,7 +61,10 @@ from .query import QuerySpec
 #: Version 2: job-oriented async API (submit/status/cancel requests,
 #: server-pushed ``job_event`` frames) and session tokens with the
 #: ``attach`` resume handshake.
-PROTOCOL_VERSION = 2
+#: Version 3: the untyped ``meta`` frame and its answer frame are gone;
+#: after the handshake every client frame is a typed request (naming
+#: and database reads became :class:`NewName` / :class:`DatabaseDump`).
+PROTOCOL_VERSION = 3
 
 
 def _tuple(value) -> Tuple[str, ...]:
@@ -776,9 +784,8 @@ class GetMetrics(Request):
 class Ping(Request):
     """Liveness and health probe.
 
-    Unlike the frame-level ``ping``/``pong`` (a pure codec round trip),
-    this is a *typed* request: it travels the full request path and
-    answers the service's health dict -- status (``ok`` / ``draining``),
+    It travels the full request path and answers the service's health
+    dict -- status (``ok`` / ``draining``),
     uptime, protocol version, job queue depths, durable-store recovery
     state and whatever health sources the hosting server registered
     (live session counts, drain / shed state).  ``echo`` is returned
@@ -910,6 +917,58 @@ class WarmCache(Request):
         return cls(entries=tuple(dict(entry) for entry in raw))
 
 
+@dataclass(frozen=True)
+class NewName(Request):
+    """Allocate a fresh instance name derived from ``base``.
+
+    Answers the name the shared instance registry hands out (``base``
+    plus a counter suffix) without registering anything; the synthesis
+    builders name their instances this way before requesting them.
+    Every call advances the naming counter, so the kind is mutating.
+    """
+
+    kind: ClassVar[str] = "new_name"
+
+    base: str = "component"
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "base": self.base}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "NewName":
+        base = data.get("base")
+        if base is not None and not isinstance(base, str):
+            raise IcdbError("new_name 'base' must be a string", code=E_BAD_REQUEST)
+        return cls(base=base or "component")
+
+
+@dataclass(frozen=True)
+class DatabaseDump(Request):
+    """The relational state in ``Database.to_payload()`` form.
+
+    ``tables`` keeps only the named tables; empty means every table.
+    The copy is taken under the service lock, so concurrent writers
+    cannot tear it.  Crash-recovery and chaos checks compare dumps.
+    """
+
+    kind: ClassVar[str] = "database_dump"
+
+    tables: Tuple[str, ...] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": self.kind, "tables": list(self.tables)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "DatabaseDump":
+        tables = data.get("tables")
+        if tables is not None and not isinstance(tables, (list, tuple, str)):
+            raise IcdbError(
+                "database_dump 'tables' must be a list of table names",
+                code=E_BAD_REQUEST,
+            )
+        return cls(tables=tuple(str(name) for name in _tuple(tables)))
+
+
 #: Request kinds that control jobs rather than doing work themselves.
 #: Transports execute these inline on the connection (a waiting
 #: ``JobStatus`` must never occupy a job worker slot), and they are
@@ -921,11 +980,12 @@ JOB_CONTROL_KINDS = (SubmitJob.kind, JobStatus.kind, CancelJob.kind)
 #: Request kinds that are safe to retry blindly after an ambiguous
 #: transport failure: re-executing one cannot change service state
 #: beyond what a single execution would (queries, metrics, simulation
-#: re-computation, job inspection; ``cancel_job`` is idempotent -- a
-#: second cancel of the same job is a no-op).  Everything else mutates
-#: (registers instances, layouts, designs or jobs) and must only be
-#: retried when the failure provably preceded the send, or under a
-#: transport-level ``request_id`` the server dedupes.
+#: re-computation, job inspection, database reads; ``cancel_job`` is
+#: idempotent -- a second cancel of the same job is a no-op).  Everything
+#: else mutates (registers instances, layouts, designs or jobs, or
+#: advances the naming counter) and must only be retried when the
+#: failure provably preceded the send, or under a transport-level
+#: ``request_id`` the server dedupes.
 IDEMPOTENT_KINDS = (
     ComponentQuery.kind,
     FunctionQuery.kind,
@@ -937,17 +997,18 @@ IDEMPOTENT_KINDS = (
     GetMetrics.kind,
     Ping.kind,
     WarmCache.kind,
+    DatabaseDump.kind,
 )
 
 
 #: The complement of :data:`IDEMPOTENT_KINDS`: kinds whose execution
 #: changes service state (registers instances, layouts, designs or
-#: jobs), so a blind retry could double-apply.  Every wire kind must
-#: appear in exactly one of the two tuples -- a classification test
-#: walks :data:`REQUEST_TYPES` and fails on any kind left out, so a new
-#: request type cannot ship unclassified (an unclassified kind would
-#: silently get the reconnecting client's no-blind-retry treatment,
-#: which is safe but masks the omission).
+#: jobs, or hands out a name), so a blind retry could double-apply.
+#: Every wire kind must appear in exactly one of the two tuples -- a
+#: classification test walks :data:`REQUEST_TYPES` and fails on any kind
+#: left out, so a new request type cannot ship unclassified (an
+#: unclassified kind would silently get the reconnecting client's
+#: no-blind-retry treatment, which is safe but masks the omission).
 MUTATING_KINDS = (
     ComponentRequest.kind,
     PlanQuery.kind,
@@ -955,6 +1016,7 @@ MUTATING_KINDS = (
     DesignOp.kind,
     BatchRequest.kind,
     SubmitJob.kind,
+    NewName.kind,
 )
 
 
@@ -978,6 +1040,8 @@ REQUEST_TYPES: Dict[str, Type[Request]] = {
         GetMetrics,
         Ping,
         WarmCache,
+        NewName,
+        DatabaseDump,
     )
 }
 

@@ -31,6 +31,7 @@ private service.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict, deque
@@ -96,6 +97,7 @@ from .messages import (
     CheckEquivalence,
     ComponentQuery,
     ComponentRequest,
+    DatabaseDump,
     DesignOp,
     FunctionQuery,
     GetMetrics,
@@ -103,6 +105,7 @@ from .messages import (
     JobEvent,
     JobStatus,
     LayoutRequest,
+    NewName,
     Ping,
     PlanQuery,
     PROTOCOL_VERSION,
@@ -282,6 +285,7 @@ class Session(ClassicOps):
     component_detail = "summary"
 
     def __init__(self, service: "ComponentService", session_id: str, client: str = ""):
+        super().__init__()
         self.service = service
         self.session_id = session_id
         self.client = client
@@ -289,6 +293,10 @@ class Session(ClassicOps):
         #: At-most-once store for client-retried mutations (sessions
         #: survive reconnects, so the dedupe window does too).
         self.dedupe = RequestDedupe()
+        #: The in-process job-event subscription, made by the first
+        #: ``submit`` / ``job_handle``.  Sessions that serve remote
+        #: connections never make one: their clients get pushed frames.
+        self._subscription: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session({self.session_id!r}, design={self.current_design!r})"
@@ -313,12 +321,21 @@ class Session(ClassicOps):
         """Execute a typed request in this session's context."""
         return self.service.execute(request, self)
 
-    def submit(self, request: Request, label: str = "") -> "LocalJobHandle":
-        """Submit ``request`` as an asynchronous job of this session."""
-        descriptor = self.service.jobs.submit(request, self, label=label)
-        return LocalJobHandle(self, descriptor)
-
     # ------------------------------------------------------------ local hooks
+
+    def _subscribe_jobs(self) -> None:
+        with self._events_lock:
+            if self._subscription is None:
+                self._subscription = self.service.jobs.subscribe(
+                    self.session_id, self._route_event
+                )
+
+    def _job_response(self, job_id: str, descriptor: Dict[str, Any]) -> Response:
+        """The live envelope: it keeps the original exception, so
+        ``result()`` re-raises exactly what a direct call would."""
+        response = self.service.jobs.response(job_id, session=self)
+        assert response is not None
+        return response
 
     def _component_instance(self, summary: Dict[str, Any]) -> ComponentInstance:
         return self.instances.get(str(summary["instance"]))
@@ -755,6 +772,27 @@ def _warm_cache(service: "ComponentService", session: Session, request: WarmCach
     return {"warmed": warmed, "errors": errors}, False
 
 
+def _new_name(service: "ComponentService", session: Session, request: NewName):
+    return service.instances.new_name(request.base), False
+
+
+def _database_dump(service: "ComponentService", session: Session, request: DatabaseDump):
+    # The payload shares the live row lists: deep-copy it under the lock,
+    # so concurrent writers cannot tear the answer while it is encoded.
+    database = service.database
+    with service.lock:
+        if request.tables:
+            payload = {
+                "name": database.name,
+                "tables": {
+                    name: database.table(name).to_dict() for name in request.tables
+                },
+            }
+        else:
+            payload = database.to_payload()
+        return json.loads(json.dumps(payload)), False
+
+
 #: The one program that executes each request kind, keyed like
 #: :data:`~repro.api.messages.REQUEST_TYPES`: ``(service, session,
 #: request) -> (value, cached)``.  ``cached`` marks a result-cache hit.
@@ -775,6 +813,8 @@ HANDLERS: Dict[str, Callable[["ComponentService", Session, Any], Tuple[Any, bool
     GetMetrics.kind: _get_metrics,
     Ping.kind: _ping,
     WarmCache.kind: _warm_cache,
+    NewName.kind: _new_name,
+    DatabaseDump.kind: _database_dump,
 }
 
 
@@ -1256,14 +1296,9 @@ class ComponentService:
 
         Mirrors :meth:`~repro.core.gencache.CountedLruCache.stats`: each
         stage holds ``hits + misses == lookups`` and
-        ``entries == stores - evictions`` at any instant.  Empty when the
-        cache has been explicitly disabled (``generation_cache = None`` on
-        the generator -- the switch ``run_flow`` honors).
+        ``entries == stores - evictions`` at any instant.
         """
-        cache = self.generation_cache
-        if cache is None:
-            return {}
-        return cache.stats()
+        return self.generation_cache.stats()
 
     def summary(self) -> str:
         return (
@@ -2016,71 +2051,3 @@ class JobManager:
             self._cond.notify_all()
         self._deliver(subscribers, event)
 
-
-class LocalJobHandle:
-    """Futures-style view of a job submitted through a local session.
-
-    Mirrors the remote :class:`~repro.net.client.JobHandle` surface:
-    ``result(timeout)``, ``cancel()``, ``events()``, ``wait()``,
-    ``instance()``.  Timeouts are seconds; an expired wait raises an
-    ``E_TIMEOUT`` :class:`~repro.core.icdb.IcdbError` while the job keeps
-    running.
-    """
-
-    def __init__(self, session: Session, descriptor: Dict[str, Any]):
-        self._session = session
-        self.descriptor = dict(descriptor)
-        self.job_id = str(descriptor["job_id"])
-        self.label = str(descriptor.get("label") or "")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalJobHandle({self.job_id!r}, state={self.state!r})"
-
-    @property
-    def state(self) -> str:
-        return str(self.descriptor.get("state") or JOB_QUEUED)
-
-    @property
-    def progress(self) -> float:
-        return float(self.descriptor.get("progress") or 0.0)
-
-    def status(self) -> Dict[str, Any]:
-        self.descriptor = self._session.job_status(self.job_id)
-        return self.descriptor
-
-    def done(self) -> bool:
-        return self.status()["state"] in JOB_TERMINAL_STATES
-
-    def wait(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        self.descriptor = self._session.job_status(
-            self.job_id,
-            wait=True,
-            timeout_ms=None if timeout is None else timeout * 1000.0,
-        )
-        return self.descriptor
-
-    def response(self, timeout: Optional[float] = None) -> Response:
-        self.wait(timeout)
-        response = self._session.service.jobs.response(
-            self.job_id, session=self._session
-        )
-        assert response is not None
-        return response
-
-    def result(self, timeout: Optional[float] = None):
-        """The job's result value; re-raises the original engine error."""
-        return self.response(timeout).unwrap()
-
-    def instance(self, timeout: Optional[float] = None) -> ComponentInstance:
-        """For component jobs: wait, then answer the registered instance."""
-        summary = self.result(timeout)
-        return self._session.instances.get(str(summary["instance"]))
-
-    def cancel(self) -> Dict[str, Any]:
-        self.descriptor = self._session.cancel_job(self.job_id)
-        return self.descriptor
-
-    def events(self, since: int = 0) -> List[Dict[str, Any]]:
-        return self._session.service.jobs.events(
-            self.job_id, since=since, session=self._session
-        )

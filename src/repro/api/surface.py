@@ -10,24 +10,37 @@ surface's ``execute()`` and unwraps the answer.
 :class:`~repro.net.resilience.ResilientClient` all inherit it, so local
 and remote calls answer the same values and raise the same errors.
 
-Three things stay per surface, each as a hook: what a
+Jobs are written once too: :meth:`ClassicOps.submit` answers a
+:class:`JobHandle`, the same class on every surface.  Its live state
+follows the job's pushed events -- a remote client's ``job_event``
+frames, a local session's in-process subscription -- and its calls go
+back through ``execute()``.
+
+A few things stay per surface, each as a hook: what a
 ``request_component`` summary becomes (:meth:`ClassicOps._component_instance`,
 with :attr:`ClassicOps.component_detail`), what ``request_layout``
-answers (:meth:`ClassicOps._layout_answer`), and :meth:`ClassicOps.plan`,
-which a local session runs in process so ``area_time_tradeoff`` re-raises
-a failed candidate's original exception.  A surface also provides
-``execute(request)``, ``submit(request)`` and a ``current_design``
-attribute.
+answers (:meth:`ClassicOps._layout_answer`), what a finished job's
+envelope is (:meth:`ClassicOps._job_response`), how the surface starts
+receiving its job events (:meth:`ClassicOps._subscribe_jobs`), and
+:meth:`ClassicOps.plan`, which a local session runs in process so
+``area_time_tradeoff`` re-raises a failed candidate's original
+exception.  A surface also provides ``execute(request)`` and a
+``current_design`` attribute.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict, deque
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import Constraints, PortPosition
 from ..core.instances import TARGET_LOGIC
 from ..netlist.structural import StructuralNetlist
 from .messages import (
+    JOB_QUEUED,
+    JOB_TERMINAL_STATES,
     CancelJob,
     CheckEquivalence,
     ComponentQuery,
@@ -35,10 +48,14 @@ from .messages import (
     DesignOp,
     FunctionQuery,
     InstanceQuery,
+    JobEvent,
     JobStatus,
     LayoutRequest,
     PlanQuery,
+    Request,
+    Response,
     Simulate,
+    SubmitJob,
 )
 from .planner import PlanResult, tradeoff_rows, tradeoff_spec
 from .query import QuerySpec
@@ -60,6 +77,129 @@ def _component_request(
     )
 
 
+class JobHandle:
+    """Futures-style view of one submitted job.
+
+    Live state (``state`` / ``progress`` / ``stage``) is folded in from
+    the job's pushed events as they arrive; the authoritative calls go
+    through the owning surface:
+
+    * :meth:`result` -- block until the job ends and return its value,
+      re-raising the job's error (a local session re-raises the original
+      engine exception); ``timeout`` seconds raise an ``E_TIMEOUT`` error
+      while the job keeps running;
+    * :meth:`cancel` -- cooperative cancellation;
+    * :meth:`events` -- the received pushed events, or (with
+      ``remote=True``) the service's retained event history.
+    """
+
+    def __init__(self, owner: "ClassicOps", descriptor: Mapping[str, Any]):
+        self._owner = owner
+        self._lock = threading.Lock()
+        self._events: "deque[JobEvent]" = deque(maxlen=256)
+        self.descriptor: Dict[str, Any] = dict(descriptor)
+        self.job_id = str(descriptor["job_id"])
+        self.label = str(descriptor.get("label") or "")
+        self.kind = str(descriptor.get("kind") or "")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"JobHandle({self.job_id!r}, state={self.state!r})"
+
+    # ---------------------------------------------------------- pushed events
+
+    def _apply(self, event: JobEvent) -> None:
+        """Fold one pushed event into the live view (worker-thread safe)."""
+        with self._lock:
+            self._events.append(event)
+            if event.seq >= int(self.descriptor.get("seq") or 0):
+                self.descriptor["seq"] = event.seq
+                self.descriptor["state"] = event.state
+                if event.stage:
+                    self.descriptor["stage"] = event.stage
+                self.descriptor["progress"] = max(
+                    float(self.descriptor.get("progress") or 0.0), event.progress
+                )
+
+    # -------------------------------------------------------------- live view
+
+    @property
+    def state(self) -> str:
+        with self._lock:
+            return str(self.descriptor.get("state") or JOB_QUEUED)
+
+    @property
+    def progress(self) -> float:
+        with self._lock:
+            return float(self.descriptor.get("progress") or 0.0)
+
+    @property
+    def stage(self) -> str:
+        with self._lock:
+            return str(self.descriptor.get("stage") or "")
+
+    def done(self) -> bool:
+        return self.state in JOB_TERMINAL_STATES
+
+    # ------------------------------------------------------------------ calls
+
+    def _update(self, descriptor: Mapping[str, Any]) -> Dict[str, Any]:
+        with self._lock:
+            if int(descriptor.get("seq") or 0) >= int(
+                self.descriptor.get("seq") or 0
+            ):
+                self.descriptor = dict(descriptor)
+            return dict(self.descriptor)
+
+    def status(self) -> Dict[str, Any]:
+        """Refresh and return the job descriptor."""
+        return self._update(self._owner.job_status(self.job_id))
+
+    def wait(self, timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Block until the job is terminal; ``timeout`` is in seconds."""
+        return self._update(
+            self._owner.job_status(
+                self.job_id,
+                wait=True,
+                timeout_ms=None if timeout is None else timeout * 1000.0,
+            )
+        )
+
+    def response(self, timeout: Optional[float] = None) -> Response:
+        """The job's full :class:`Response` envelope (waits for it)."""
+        return self._owner._job_response(self.job_id, self.wait(timeout))
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        """The job's result value; raises its error instead."""
+        return self.response(timeout).unwrap()
+
+    def instance(self, timeout: Optional[float] = None) -> Any:
+        """For component jobs: wait, then answer what ``request_component``
+        would on this surface."""
+        return self._owner._component_instance(self.result(timeout))
+
+    def cancel(self) -> Dict[str, Any]:
+        """Request cooperative cancellation; returns the descriptor."""
+        return self._update(self._owner.cancel_job(self.job_id))
+
+    def events(self, since: int = 0, remote: bool = False) -> List[JobEvent]:
+        """Job events with ``seq > since``, in ``seq`` order.
+
+        Default: the events this surface received as pushes (a resumed
+        remote session starts empty).  ``remote=True`` fetches the
+        service's retained history -- authoritative and disconnect-proof.
+        """
+        if remote:
+            descriptor = self._owner.job_status(
+                self.job_id, include_events=True, events_since=since
+            )
+            return [
+                JobEvent.from_dict(item) for item in descriptor.get("events") or []
+            ]
+        with self._lock:
+            received = [event for event in self._events if event.seq > since]
+        return sorted(received, key=lambda event: event.seq)
+
+
 class ClassicOps:
     """The classic ICDB operations over a surface's ``execute()``."""
 
@@ -67,6 +207,16 @@ class ClassicOps:
     #: names none.  A local session answers the registered instance, so it
     #: asks for the cheap ``"summary"`` projection instead.
     component_detail = "full"
+
+    def __init__(self) -> None:
+        #: Live handles by job id (held weakly: a dropped handle stops
+        #: collecting events), and pushed events that arrived before
+        #: their handle (bounded per job and in jobs).
+        self._handles: "weakref.WeakValueDictionary[str, JobHandle]" = (
+            weakref.WeakValueDictionary()
+        )
+        self._event_buffers: "OrderedDict[str, deque]" = OrderedDict()
+        self._events_lock = threading.Lock()
 
     # ------------------------------------------------------------------ hooks
 
@@ -78,6 +228,15 @@ class ClassicOps:
         """What ``request_layout`` answers: the wire summary (CIF text,
         area, width, height, strips) unless the surface has the layout."""
         return value
+
+    def _job_response(self, job_id: str, descriptor: Dict[str, Any]) -> Response:
+        """The envelope of a finished job, given its terminal descriptor."""
+        return Response.from_dict(descriptor.get("response") or {})
+
+    def _subscribe_jobs(self) -> None:
+        """Start routing this surface's pushed job events to
+        :meth:`_route_event` (idempotent).  A remote client's connection
+        already does."""
 
     def plan(self, spec: QuerySpec) -> PlanResult:
         """Run a declarative component query (see :mod:`repro.api.query`).
@@ -178,7 +337,7 @@ class ClassicOps:
         )
         return self._component_instance(self.execute(request).unwrap())
 
-    def submit_component(self, **kwargs: Any) -> Any:
+    def submit_component(self, **kwargs: Any) -> JobHandle:
         """Asynchronous ``request_component``: submit and return a handle.
 
         Accepts the ``request_component`` arguments; the handle's
@@ -288,6 +447,46 @@ class ClassicOps:
         ).unwrap()
 
     # ------------------------------------------------------------------- jobs
+
+    def submit(self, request: Request, label: str = "") -> JobHandle:
+        """Submit any typed request as an asynchronous job of this session."""
+        self._subscribe_jobs()
+        descriptor = self.execute(SubmitJob(request=request, label=label)).unwrap()
+        return self._register_handle(JobHandle(self, descriptor))
+
+    def job_handle(self, job_id: str) -> JobHandle:
+        """A handle for an already-submitted job (e.g. after attach)."""
+        self._subscribe_jobs()
+        return self._register_handle(JobHandle(self, self.job_status(job_id)))
+
+    def _route_event(self, event_dict: Dict[str, Any]) -> None:
+        """Deliver one pushed job event to its handle (or buffer it).
+
+        Events can outrun their handle: ``queued`` is pushed while the
+        submit answer is still on its way, so unclaimed events are
+        buffered per job (bounded) until :meth:`_register_handle` drains
+        them.
+        """
+        event = JobEvent.from_dict(event_dict)
+        with self._events_lock:
+            handle = self._handles.get(event.job_id)
+            if handle is None:
+                buffer = self._event_buffers.get(event.job_id)
+                if buffer is None:
+                    buffer = self._event_buffers[event.job_id] = deque(maxlen=256)
+                    while len(self._event_buffers) > 64:
+                        self._event_buffers.popitem(last=False)
+                buffer.append(event)
+                return
+        handle._apply(event)
+
+    def _register_handle(self, handle: JobHandle) -> JobHandle:
+        with self._events_lock:
+            self._handles[handle.job_id] = handle
+            buffered = self._event_buffers.pop(handle.job_id, ())
+        for event in buffered:
+            handle._apply(event)
+        return handle
 
     def job_status(
         self,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 
 from ..components.catalog import ComponentImplementation, FunctionBinding
 from ..constraints import Constraints, canonical_constraints_json
-from ..estimation.area import AreaEstimator
+from ..estimation.area import AreaEstimator, AreaRecord
 from ..estimation.delay import estimate_delay
 from ..estimation.shape import ShapeFunction, shape_function
 from ..iif import FlatComponent, IifModule, flat_to_milo, parse_module
@@ -113,6 +113,21 @@ class ToolManager:
         """Tools not referenced by any generator (never used by ICDB)."""
         used = {tool for gen in self._generators.values() for _, tool in gen.steps}
         return [name for name in self._tools if name not in used]
+
+
+def _area_record(
+    netlist: GateNetlist, shape: ShapeFunction, constraints: Constraints
+) -> AreaRecord:
+    """The area record a request's constraints pick from the shape function.
+
+    An explicit strip count is estimated directly; an aspect ratio picks
+    the closest alternative; otherwise the minimum-area alternative.
+    """
+    if constraints.strips is not None:
+        return AreaEstimator(netlist).estimate(constraints.strips)
+    if constraints.aspect_ratio is not None:
+        return shape.best_for_aspect_ratio(constraints.aspect_ratio)
+    return shape.min_area()
 
 
 def _flat_with_name(template: FlatComponent, name: str) -> FlatComponent:
@@ -303,43 +318,40 @@ class EmbeddedGenerator:
         """
         cache = self.generation_cache
         checkpoint("synthesize", 0.10)
-        synth_key = flow_key = None
-        if cache is not None:
-            synth_key = (flat.signature(), self._synthesis_signature())
-            flow_key = (
-                synth_key,
-                self._constraints_signature(constraints),
-                self._sizing_signature(),
-                cache_context,
+        synth_key = (flat.signature(), self._synthesis_signature())
+        flow_key = (
+            synth_key,
+            self._constraints_signature(constraints),
+            self._sizing_signature(),
+            cache_context,
+        )
+        flow = cache.flows.lookup(flow_key)
+        if flow is not None:
+            netlist, report, shape, area_record, iterations, violations, renders = flow
+            checkpoint("size", 0.45)
+            checkpoint("estimate", 0.70)
+            layout = self._layout_for_target(
+                netlist, constraints, area_record, target, name=flat.name
             )
-            flow = cache.flows.lookup(flow_key)
-            if flow is not None:
-                netlist, report, shape, area_record, iterations, violations, renders = flow
-                checkpoint("size", 0.45)
-                checkpoint("estimate", 0.70)
-                layout = self._layout_for_target(
-                    netlist, constraints, area_record, target, name=flat.name
-                )
-                return (
-                    netlist,
-                    report,
-                    shape,
-                    area_record,
-                    layout,
-                    iterations,
-                    list(violations),
-                    renders,
-                )
-        netlist = cache.synth.lookup(synth_key) if cache is not None else None
+            return (
+                netlist,
+                report,
+                shape,
+                area_record,
+                layout,
+                iterations,
+                list(violations),
+                renders,
+            )
+        netlist = cache.synth.lookup(synth_key)
         if netlist is None:
             netlist = synthesize(
                 flat,
                 self.cell_library,
                 self.synthesis_options,
-                optimize_cache=cache.optimize if cache is not None else None,
+                optimize_cache=cache.optimize,
             )
-            if cache is not None:
-                cache.synth.store(synth_key, netlist)
+            cache.synth.store(synth_key, netlist)
         checkpoint("size", 0.45)
         # Copy on write: the synthesized netlist is the synth memo's
         # template, shared as is by every flow that leaves it at unit drive.
@@ -350,27 +362,21 @@ class EmbeddedGenerator:
         report = sizing.report
         checkpoint("estimate", 0.70)
         shape = shape_function(netlist)
-        if constraints.strips is not None:
-            area_record = AreaEstimator(netlist).estimate(constraints.strips)
-        elif constraints.aspect_ratio is not None:
-            area_record = shape.best_for_aspect_ratio(constraints.aspect_ratio)
-        else:
-            area_record = shape.min_area()
+        area_record = _area_record(netlist, shape, constraints)
         violations = report.violations(constraints)
         renders: Dict[str, object] = {}
-        if cache is not None:
-            cache.flows.store(
-                flow_key,
-                (
-                    netlist,
-                    report,
-                    shape,
-                    area_record,
-                    sizing.iterations,
-                    tuple(violations),
-                    renders,
-                ),
-            )
+        cache.flows.store(
+            flow_key,
+            (
+                netlist,
+                report,
+                shape,
+                area_record,
+                sizing.iterations,
+                tuple(violations),
+                renders,
+            ),
+        )
         layout = self._layout_for_target(
             netlist, constraints, area_record, target, name=flat.name
         )
@@ -406,8 +412,6 @@ class EmbeddedGenerator:
     ) -> FlatComponent:
         """Catalog expansion, memoized per (implementation, resolved values)."""
         cache = self.generation_cache
-        if cache is None:
-            return implementation.expand(parameters, name=name)
         # The key uses the *resolved* values (defaults applied) so requests
         # spelling the same elaboration differently share one entry; the
         # expansion itself gets the caller's overrides untouched --
@@ -444,7 +448,7 @@ class EmbeddedGenerator:
 
         cache = self.generation_cache
         key = None
-        if cache is not None and not subfunction_library:
+        if not subfunction_library:
             key = (
                 "iif",
                 iif_source,
@@ -572,10 +576,7 @@ class EmbeddedGenerator:
         report = sizing.report
         checkpoint("estimate", 0.70)
         shape = shape_function(merged)
-        if constraints.strips is not None:
-            area_record = AreaEstimator(merged).estimate(constraints.strips)
-        else:
-            area_record = shape.min_area()
+        area_record = _area_record(merged, shape, constraints)
         layout = None
         if target == TARGET_LAYOUT:
             layout = generate_layout(

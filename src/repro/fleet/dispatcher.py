@@ -351,8 +351,6 @@ class FleetDispatcher:
         share one lock hold, so racing callers dispatch once.
         """
         generator = self.service.generator
-        if generator.generation_cache is None:
-            return None
         if constraints is None:
             constraints = DEFAULT_CONSTRAINTS
         try:

@@ -62,7 +62,6 @@ def sweep(flat: FlatComponent, options: Optional[SynthesisOptions] = None) -> Fl
     """
     options = options or SynthesisOptions()
     comb: Dict[str, E.BExpr] = {a.target: a.expr for a in flat.combinational()}
-    order: List[str] = [a.target for a in flat.combinational()]
     seq: Dict[str, SeqAssign] = {a.target: a for a in flat.sequential()}
     outputs = set(flat.outputs)
 
@@ -121,7 +120,6 @@ def sweep(flat: FlatComponent, options: Optional[SynthesisOptions] = None) -> Fl
             if name in expression.variables():
                 continue
             del comb[name]
-            order.remove(name)
             substitute_everywhere(name, expression)
             changed = True
 

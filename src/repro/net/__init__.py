@@ -56,7 +56,6 @@ from ..lazy import lazy_exports
 # the modules a server uses.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".client": (
-        "JobHandle",
         "LoopbackTransport",
         "RemoteClient",
         "RemoteInstance",

@@ -255,7 +255,9 @@ class FlakyTransport:
     """A transport that fails exactly where the test says.
 
     ``plan`` is a shared deque of fault directives consumed one per
-    **request** frame (handshake / meta / bye frames pass through):
+    **request** frame (handshake and bye frames pass through).  Every
+    operation after the handshake is a request, typed reads included,
+    so a test reading state back should do so once the plan is drained:
 
     * ``"ok"`` -- forward normally;
     * ``"pre"`` -- raise ``OSError`` *before* the request reaches the

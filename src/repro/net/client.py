@@ -12,12 +12,12 @@ server exactly like to a local session.  ``request_component`` answers a
 rebuilds the shape function and delay report from the wire summary and
 fetches the heavier renders (VHDL, connection info) on demand.
 
-Since protocol v2 the client also exposes the asynchronous job surface:
-:meth:`RemoteClient.submit` / ``submit_component`` answer a
-:class:`JobHandle` (futures-style ``result(timeout)`` / ``cancel()`` /
-``events()``), server-pushed ``job_event`` frames keep handles live
-between replies, and :func:`attach` resumes a session -- with its jobs --
-on a fresh connection after a disconnect.
+The asynchronous job surface is shared too: ``submit`` /
+``submit_component`` answer a :class:`~repro.api.surface.JobHandle`
+(futures-style ``result(timeout)`` / ``cancel()`` / ``events()``),
+server-pushed ``job_event`` frames keep handles live between replies,
+and :func:`attach` resumes a session -- with its jobs -- on a fresh
+connection after a disconnect.
 
 Two transports share the codec:
 
@@ -45,28 +45,21 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..api.errors import E_UNAVAILABLE, IcdbErrorInfo, error_from_exception
 from ..api.messages import (
-    JOB_QUEUED,
-    JOB_TERMINAL_STATES,
     PROTOCOL_VERSION,
     AttachSession,
     BatchRequest,
     GetMetrics,
     Hello,
-    JobEvent,
+    NewName,
     Ping,
-    PlanQuery,
     Request,
     Response,
-    SubmitJob,
     Welcome,
 )
-from ..api.planner import PlanResult
-from ..api.query import QuerySpec
 from ..api.service import ComponentService
 from ..api.surface import ClassicOps
 from ..core.icdb import IcdbError
@@ -79,8 +72,6 @@ from .protocol import (
     FRAME_ERROR,
     FRAME_GOODBYE,
     FRAME_JOB_EVENT,
-    FRAME_META,
-    FRAME_META_RESULT,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     FRAME_WELCOME,
@@ -381,148 +372,15 @@ class RemoteInstances:
 
     def new_name(self, base: str) -> str:
         """A fresh server-side instance name derived from ``base``."""
-        return str(self._client.meta("new_name", base=base))
-
-    def names(self) -> List[str]:
-        return list(self._client.meta("instance_names"))
-
-    def __contains__(self, name: str) -> bool:
-        return bool(self._client.meta("contains", name=name))
-
-    def __len__(self) -> int:
-        return int(self._client.meta("instance_count"))
-
-
-class JobHandle:
-    """Futures-style view of a job submitted over a transport.
-
-    Live state (``state`` / ``progress`` / ``stage``) is updated from the
-    server-pushed ``job_event`` frames as they arrive; the authoritative
-    calls go back over the wire:
-
-    * :meth:`result` -- block (server-side long-poll) until the job ends
-      and return its value, re-raising the job's structured error;
-      ``timeout`` seconds raise an ``E_TIMEOUT`` error while the job
-      keeps running;
-    * :meth:`cancel` -- cooperative cancellation;
-    * :meth:`events` -- the locally received pushed events, or (with
-      ``remote=True``) the server's retained event history.
-    """
-
-    def __init__(self, client: "RemoteClient", descriptor: Mapping[str, Any]):
-        self._client = client
-        self._lock = threading.Lock()
-        self._events: "deque[JobEvent]" = deque(maxlen=256)
-        self.descriptor: Dict[str, Any] = dict(descriptor)
-        self.job_id = str(descriptor["job_id"])
-        self.label = str(descriptor.get("label") or "")
-        self.kind = str(descriptor.get("kind") or "")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"JobHandle({self.job_id!r}, state={self.state!r})"
-
-    # ---------------------------------------------------------- pushed events
-
-    def _apply(self, event: JobEvent) -> None:
-        """Fold one pushed event into the live view (worker-thread safe)."""
-        with self._lock:
-            self._events.append(event)
-            if event.seq >= int(self.descriptor.get("seq") or 0):
-                self.descriptor["seq"] = event.seq
-                self.descriptor["state"] = event.state
-                if event.stage:
-                    self.descriptor["stage"] = event.stage
-                self.descriptor["progress"] = max(
-                    float(self.descriptor.get("progress") or 0.0), event.progress
-                )
-
-    # -------------------------------------------------------------- live view
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return str(self.descriptor.get("state") or JOB_QUEUED)
-
-    @property
-    def progress(self) -> float:
-        with self._lock:
-            return float(self.descriptor.get("progress") or 0.0)
-
-    @property
-    def stage(self) -> str:
-        with self._lock:
-            return str(self.descriptor.get("stage") or "")
-
-    def done(self) -> bool:
-        return self.state in JOB_TERMINAL_STATES
-
-    # ------------------------------------------------------------- wire calls
-
-    def _update(self, descriptor: Mapping[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            if int(descriptor.get("seq") or 0) >= int(
-                self.descriptor.get("seq") or 0
-            ):
-                self.descriptor = dict(descriptor)
-            return dict(self.descriptor)
-
-    def status(self) -> Dict[str, Any]:
-        """Refresh and return the job descriptor from the server."""
-        return self._update(self._client.job_status(self.job_id))
-
-    def wait(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Block until the job is terminal; ``timeout`` is in seconds."""
-        return self._update(
-            self._client.job_status(
-                self.job_id,
-                wait=True,
-                timeout_ms=None if timeout is None else timeout * 1000.0,
-            )
-        )
-
-    def response(self, timeout: Optional[float] = None) -> Response:
-        """The job's full :class:`Response` envelope (waits for it)."""
-        descriptor = self.wait(timeout)
-        return Response.from_dict(descriptor.get("response") or {})
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """The job's result value; raises its structured error instead."""
-        return self.response(timeout).unwrap()
-
-    def instance(self, timeout: Optional[float] = None) -> "RemoteInstance":
-        """For component jobs: wait, then wrap the resulting summary."""
-        return RemoteInstance(self._client, self.result(timeout))
-
-    def cancel(self) -> Dict[str, Any]:
-        """Request cooperative cancellation; returns the descriptor."""
-        return self._update(self._client.cancel_job(self.job_id))
-
-    def events(self, since: int = 0, remote: bool = False) -> List[JobEvent]:
-        """Job events with ``seq > since``.
-
-        Default: the events this client received as pushes (a resumed
-        session starts empty).  ``remote=True`` fetches the server's
-        retained history -- authoritative and disconnect-proof.
-        """
-        if remote:
-            descriptor = self._client.job_status(
-                self.job_id, include_events=True, events_since=since
-            )
-            return [
-                JobEvent.from_dict(item)
-                for item in descriptor.get("events") or []
-            ]
-        with self._lock:
-            return [event for event in self._events if event.seq > since]
+        return str(self._client.execute(NewName(base=base)).unwrap())
 
 
 class RemoteClient(ClassicOps):
     """A connected ICDB client with the classic session surface.
 
-    The classic blocking calls are the shared
-    :class:`~repro.api.surface.ClassicOps` methods over :meth:`execute`;
-    :meth:`submit` / ``submit_component`` expose the asynchronous path
-    directly, answering a :class:`JobHandle`.
+    The classic blocking calls and the job surface (``submit``,
+    ``submit_component``, ``job_handle``) are the shared
+    :class:`~repro.api.surface.ClassicOps` methods over :meth:`execute`.
     ``session_token`` is the resume credential: after losing the
     connection, :meth:`RemoteClient.attach` binds a fresh connection to
     the same server-side session with its design context and jobs intact.
@@ -531,13 +389,11 @@ class RemoteClient(ClassicOps):
     def __init__(
         self, transport, client: str = "", attach_token: Optional[str] = None
     ):
+        super().__init__()
         self.transport = transport
         self.client = client
         self.current_design: str = ""
         self.instances = RemoteInstances(self)
-        self._handles: Dict[str, JobHandle] = {}
-        self._event_buffers: "OrderedDict[str, deque]" = OrderedDict()
-        self._events_lock = threading.Lock()
         # Route pushed job_event frames before the handshake: an attach to
         # a session with running jobs may push events with the welcome.
         transport.on_event = self._route_event
@@ -699,18 +555,6 @@ class RemoteClient(ClassicOps):
             outer.unwrap()  # raises the structured error
         return [Response.from_dict(item) for item in outer.value]
 
-    def meta(self, op: str, **args: Any) -> Any:
-        """A lightweight server operation (see the protocol's meta frames)."""
-        reply = self.transport.send_payload(
-            {"type": FRAME_META, "op": op, "args": args}
-        )
-        self._raise_on_error(reply)
-        if reply.get("type") != FRAME_META_RESULT:
-            raise ProtocolError(
-                f"expected a meta_result frame, got {reply.get('type')!r}"
-            )
-        return reply.get("value")
-
     def metrics(
         self,
         prefixes: Sequence[str] = (),
@@ -730,75 +574,10 @@ class RemoteClient(ClassicOps):
             )
         ).unwrap()
 
-    # -------------------------------------------------------------------- jobs
-
-    def _route_event(self, event_dict: Dict[str, Any]) -> None:
-        """Deliver one pushed job event to its handle (or buffer it).
-
-        Events can outrun their handle: the server pushes ``queued`` while
-        the submit reply is still in flight, so unclaimed events are
-        buffered per job (bounded) until :meth:`_register_handle` drains
-        them.
-        """
-        event = JobEvent.from_dict(event_dict)
-        with self._events_lock:
-            handle = self._handles.get(event.job_id)
-            if handle is None:
-                buffer = self._event_buffers.get(event.job_id)
-                if buffer is None:
-                    buffer = self._event_buffers[event.job_id] = deque(maxlen=256)
-                    while len(self._event_buffers) > 64:
-                        self._event_buffers.popitem(last=False)
-                buffer.append(event)
-                return
-        handle._apply(event)
-
-    def _register_handle(self, handle: JobHandle) -> None:
-        with self._events_lock:
-            self._handles[handle.job_id] = handle
-            buffered = self._event_buffers.pop(handle.job_id, ())
-        for event in buffered:
-            handle._apply(event)
-
-    def submit(self, request: Request, label: str = "") -> JobHandle:
-        """Submit any typed request as an asynchronous server-side job."""
-        descriptor = self.execute(SubmitJob(request=request, label=label)).unwrap()
-        handle = JobHandle(self, descriptor)
-        self._register_handle(handle)
-        return handle
-
-    def job_handle(self, job_id: str) -> JobHandle:
-        """A handle for an already-submitted job (e.g. after attach)."""
-        handle = JobHandle(self, self.job_status(job_id))
-        self._register_handle(handle)
-        return handle
-
     # ------------------------------------------------------------ remote hooks
 
     def _component_instance(self, summary: Dict[str, Any]) -> RemoteInstance:
         return RemoteInstance(self, summary)
-
-    # ------------------------------------------------------------------ plans
-
-    def submit_plan(self, spec: QuerySpec, label: str = "") -> JobHandle:
-        """Run a plan as an asynchronous server-side job.
-
-        The handle's ``result()`` answers the plan-result wire dict
-        (use :meth:`plan_result` to wrap it).  On a job worker the
-        planner generates candidates inline -- correct, but without
-        cross-candidate parallelism; submit several plans to overlap
-        them instead.
-        """
-        return self.submit(PlanQuery(query=spec), label=label)
-
-    @staticmethod
-    def plan_result(value: Mapping[str, Any]) -> PlanResult:
-        """Rebuild a :class:`~repro.api.planner.PlanResult` from a job's
-        result value."""
-        return PlanResult.from_dict(value)
-
-    def summary(self) -> str:
-        return str(self.meta("summary"))
 
 
 def connect(

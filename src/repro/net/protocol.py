@@ -17,10 +17,6 @@ frame type      meaning
 ``job_event``   **server-pushed**: a progress event of one of the
                 session's jobs, interleaved between replies (``event``
                 holds a :class:`~repro.api.messages.JobEvent` dict)
-``meta``        a lightweight server operation (``op`` + ``args``), e.g.
-                ``new_name`` -- the remote mirror of the shared
-                :class:`~repro.core.instances.InstanceManager` surface
-``meta_result`` the ``value`` answering a ``meta`` frame
 ``goodbye``     **server-pushed**: the server is draining (planned
                 shutdown); in-flight replies still arrive, then the
                 connection closes cleanly -- clients should reconnect
@@ -29,6 +25,11 @@ frame type      meaning
                 carries an :class:`~repro.api.errors.IcdbErrorInfo` payload
 ``bye``         orderly shutdown of the connection (echoed by the server)
 ==============  ============================================================
+
+After the handshake every frame a client sends is a ``request`` (or the
+closing ``bye``): each operation is a typed request kind with one
+handler.  Any other frame type answers an ``error`` frame and the
+connection keeps serving.
 
 Oversized frames are rejected before their payload is read
 (:class:`FrameTooLarge`); malformed headers, truncated payloads and
@@ -62,8 +63,6 @@ FRAME_WELCOME = "welcome"
 FRAME_REQUEST = "request"
 FRAME_RESPONSE = "response"
 FRAME_JOB_EVENT = "job_event"
-FRAME_META = "meta"
-FRAME_META_RESULT = "meta_result"
 FRAME_GOODBYE = "goodbye"
 FRAME_ERROR = "error"
 FRAME_BYE = "bye"

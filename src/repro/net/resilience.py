@@ -8,7 +8,7 @@ supported.  This module closes that gap on the client side:
 
 * :class:`ResilientTransport` wraps a transport *factory*.  On
   connection loss it reconnects and re-``attach``\\ es to the same
-  server-side session (live :class:`~repro.net.client.JobHandle`\\ s keep
+  server-side session (live :class:`~repro.api.surface.JobHandle`\\ s keep
   working), then replays the failed payload when the retry policy allows
   it.
 * :class:`RetryPolicy` bounds the replays: capped exponential backoff
@@ -56,7 +56,6 @@ from .protocol import (
     FRAME_BYE,
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_REQUEST,
     MAX_FRAME_BYTES,
     ProtocolError,
 )
@@ -207,7 +206,7 @@ class ResilientTransport:
 
     * failures *before* anything was sent (connect, handshake) -- always
       retryable;
-    * ``meta`` / frame-``ping`` payloads and requests whose kind is in
+    * requests whose kind is in
       :data:`~repro.api.messages.IDEMPOTENT_KINDS` -- always retryable;
     * payloads carrying a ``request_id`` -- always retryable (the server
       dedupes);
@@ -327,12 +326,6 @@ class ResilientTransport:
     def _retryable(self, payload: Dict[str, Any], sent: bool) -> bool:
         if not sent:
             return True  # failed before the request left this process
-        frame_type = payload.get("type")
-        if frame_type != FRAME_REQUEST:
-            # meta / ping / handshake frames: all idempotent server-side
-            # (new_name burns a name at worst, which is never observable
-            # as a duplicate mutation).
-            return True
         if payload.get("request_id"):
             return True  # the server's dedupe makes the retry at-most-once
         request = payload.get("request")

@@ -36,7 +36,6 @@ down gracefully on SIGINT / SIGTERM (draining open connections).
 from __future__ import annotations
 
 import argparse
-import json
 import secrets
 import signal
 import socket
@@ -49,7 +48,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..api.errors import (
-    E_BAD_REQUEST,
     E_BUSY,
     E_NOT_FOUND,
     E_PROTOCOL,
@@ -84,8 +82,6 @@ from .protocol import (
     FRAME_GOODBYE,
     FRAME_HELLO,
     FRAME_JOB_EVENT,
-    FRAME_META,
-    FRAME_META_RESULT,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     FRAME_WELCOME,
@@ -340,8 +336,6 @@ class FrameDispatcher:
             )
         if frame_type == FRAME_REQUEST:
             return self._request(payload)
-        if frame_type == FRAME_META:
-            return self._meta(payload)
         if frame_type == FRAME_BYE:
             self.closed = True
             return {"type": FRAME_BYE}
@@ -544,49 +538,6 @@ class FrameDispatcher:
                 session_id=self.session.session_id,
                 request_kind=request.kind,
             )
-
-    # ------------------------------------------------------------------- meta
-
-    def _meta(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        op = payload.get("op")
-        args = payload.get("args")
-        args = args if isinstance(args, dict) else {}
-        try:
-            value = self._meta_value(str(op), args)
-        except Exception as exc:  # noqa: BLE001
-            return error_payload(error_from_exception(exc))
-        return {"type": FRAME_META_RESULT, "op": op, "value": value}
-
-    def _meta_value(self, op: str, args: Dict[str, Any]) -> Any:
-        instances = self.service.instances
-        if op == "new_name":
-            return instances.new_name(str(args.get("base") or "component"))
-        if op == "instance_names":
-            return instances.names()
-        if op == "instance_count":
-            return len(instances)
-        if op == "contains":
-            return str(args.get("name", "")) in instances
-        if op == "session_token":
-            return self.session_token
-        if op == "summary":
-            return self.service.summary()
-        if op == "db_rows":
-            table = str(args.get("table", ""))
-            where = args.get("where")
-            with self.service.lock:
-                return self.service.database.table(table).select(
-                    where if isinstance(where, dict) else None
-                )
-        if op == "db_dump":
-            # The crash-recovery golden: the full relational state, deep-
-            # copied under the lock so concurrent writers cannot tear the
-            # frame serialization.
-            with self.service.lock:
-                return json.loads(
-                    json.dumps(self.service.database.to_payload())
-                )
-        raise IcdbError(f"unknown meta op {op!r}", code=E_BAD_REQUEST)
 
 
 class ICDBServer:

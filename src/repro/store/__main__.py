@@ -25,12 +25,11 @@ import json
 import sys
 from typing import List, Optional
 
-from .durable import journal_dir, recover_database, snapshot_dir
+from .durable import compact_files, journal_dir, recover_database, snapshot_dir
 from .journal import (
     JournalCorruptError,
     list_segments,
     scan_segment,
-    segment_first_seq,
 )
 from .snapshot import SnapshotError, list_snapshots, load_snapshot, write_snapshot
 
@@ -120,18 +119,10 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         snapshot_dir(args.data_dir), database.to_payload(), report.last_seq
     )
     print(f"snapshot written: {path.name} (seq {report.last_seq})")
-    removed = 0
-    segments = list_segments(journal_dir(args.data_dir))
-    for position, segment in enumerate(segments[:-1]):
-        next_first = segment_first_seq(segments[position + 1])
-        if next_first is not None and next_first <= report.last_seq + 1:
-            segment.unlink()
-            print(f"removed {segment.name}")
-            removed += 1
-    for old in list_snapshots(snapshot_dir(args.data_dir))[:-1]:
-        old.unlink()
-        print(f"removed {old.name}")
-    print(f"compacted {removed} segment(s)")
+    segments, snapshots = compact_files(args.data_dir, report.last_seq)
+    for removed in segments + snapshots:
+        print(f"removed {removed.name}")
+    print(f"compacted {len(segments)} segment(s)")
     return 0
 
 

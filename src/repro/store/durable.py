@@ -24,7 +24,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..db.engine import Database
 from ..db.schema import create_schema
@@ -87,6 +87,30 @@ def journal_dir(data_dir: Union[str, Path]) -> Path:
 
 def snapshot_dir(data_dir: Union[str, Path]) -> Path:
     return Path(data_dir) / "snapshots"
+
+
+def compact_files(
+    data_dir: Union[str, Path], snapshot_seq: int
+) -> Tuple[List[Path], List[Path]]:
+    """Delete what the newest snapshot (at ``snapshot_seq``) covers.
+
+    A journal segment is covered when the *next* segment starts at or
+    below ``snapshot_seq + 1`` -- every record in it then has
+    ``seq <= snapshot_seq``; the newest segment always survives (a
+    writer holds it open).  Every snapshot but the newest goes too.
+    Answers the removed ``(segments, snapshots)``.
+    """
+    segments = list_segments(journal_dir(data_dir))
+    removed_segments: List[Path] = []
+    for position, segment in enumerate(segments[:-1]):
+        next_first = segment_first_seq(segments[position + 1])
+        if next_first is not None and next_first <= snapshot_seq + 1:
+            segment.unlink()
+            removed_segments.append(segment)
+    removed_snapshots = list_snapshots(snapshot_dir(data_dir))[:-1]
+    for old in removed_snapshots:
+        old.unlink()
+    return removed_segments, removed_snapshots
 
 
 def recover_database(
@@ -293,27 +317,12 @@ class DurableStore:
         return path
 
     def compact(self) -> List[Path]:
-        """Remove journal segments fully covered by the latest snapshot.
-
-        A segment is covered when the *next* segment starts at or below
-        ``snapshot_seq + 1`` -- every record in it then has
-        ``seq <= snapshot_seq``.  The newest segment always survives
-        (the writer holds it open).  Old snapshots beyond the newest
-        valid one are pruned too.
-        """
+        """Remove the journal segments and older snapshots the latest
+        snapshot covers (see :func:`compact_files`); answers the removed
+        segments."""
         with self._lock:
-            snapshot_seq = self._snapshot_seq
-            removed: List[Path] = []
-            segments = list_segments(journal_dir(self.data_dir))
-            for position, segment in enumerate(segments[:-1]):
-                next_first = segment_first_seq(segments[position + 1])
-                if next_first is not None and next_first <= snapshot_seq + 1:
-                    segment.unlink()
-                    removed.append(segment)
-                    self._compacted_segments += 1
-            snapshots = list_snapshots(snapshot_dir(self.data_dir))
-            for old in snapshots[:-1]:
-                old.unlink()
+            removed, _ = compact_files(self.data_dir, self._snapshot_seq)
+            self._compacted_segments += len(removed)
         return removed
 
     def _snapshot_loop(self) -> None:

@@ -27,6 +27,7 @@ from repro.api import (
     ComponentRequest,
     ComponentService,
     DESIGN_OPS,
+    DatabaseDump,
     DesignOp,
     ERROR_CODES,
     FunctionPredicate,
@@ -41,6 +42,7 @@ from repro.api import (
     LayoutRequest,
     METRICS,
     NamePredicate,
+    NewName,
     Objective,
     Ping,
     PlanPoint,
@@ -375,10 +377,20 @@ def _warm_cache(rng: random.Random) -> WarmCache:
     )
 
 
+def _new_name(rng: random.Random) -> NewName:
+    return NewName(base=_name(rng))
+
+
+def _database_dump(rng: random.Random) -> DatabaseDump:
+    return DatabaseDump(tables=_names(rng, 3))
+
+
 GENERATORS["submit_job"] = _submit_job
 GENERATORS["job_status"] = _job_status
 GENERATORS["cancel_job"] = _cancel_job
 GENERATORS["warm_cache"] = _warm_cache
+GENERATORS["new_name"] = _new_name
+GENERATORS["database_dump"] = _database_dump
 # Registered after _WRAPPABLE_KINDS is frozen: plans cannot ride in
 # batches (they fan out over the job workers a batch would starve).
 GENERATORS["plan_query"] = _plan_query

@@ -119,6 +119,8 @@ def test_registry_covers_every_cql_operation():
         "get_metrics",
         "ping",
         "warm_cache",
+        "new_name",
+        "database_dump",
     }
 
 

@@ -144,7 +144,13 @@ def test_every_kind_has_exactly_one_handler():
 
 #: What each surface may define for itself; everything else ClassicOps
 #: writes once.
-SURFACE_HOOKS = {"_component_instance", "_layout_answer", "plan"}
+SURFACE_HOOKS = {
+    "_component_instance",
+    "_layout_answer",
+    "_job_response",
+    "_subscribe_jobs",
+    "plan",
+}
 
 
 def test_classic_ops_are_written_once_for_every_surface():
@@ -153,7 +159,14 @@ def test_classic_ops_are_written_once_for_every_surface():
         for name, member in vars(ClassicOps).items()
         if callable(member) and not name.startswith("__") and name not in SURFACE_HOOKS
     ]
-    assert {"request_component", "request_layout", "end_a_design"} <= set(shared)
+    assert {
+        "request_component",
+        "request_layout",
+        "end_a_design",
+        "submit",
+        "submit_component",
+        "job_handle",
+    } <= set(shared)
     for surface in (Session, ICDB, RemoteClient, ResilientClient):
         mirrored = [
             name for name in shared if getattr(surface, name) is not getattr(ClassicOps, name)

@@ -15,6 +15,7 @@ properties the shared-state design guarantees:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -240,6 +241,45 @@ def test_generation_cache_invariants_under_worker_pool(tmp_path):
     # At worst each lane generated once per concurrent first-arrival, and
     # the remaining requests were memo hits.
     assert stats["flows"]["hits"] >= len(handles) - 3 * 4  # lanes x workers
+
+
+def test_local_handles_hold_every_event_of_their_jobs(tmp_path):
+    """Local handles collect pushed events on the job-worker threads.
+
+    With more workers than cores and a short switch interval, every
+    handle still holds its job's whole event sequence: none is lost
+    between buffering (events that outrun ``submit``) and registration.
+    """
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True),
+        store_root=tmp_path / "events",
+        job_workers=6,
+    )
+    sessions = [service.create_session(client=f"watch-{i}") for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        handles = [
+            session.submit(
+                ComponentRequest(
+                    implementation="register",
+                    attributes={"size": 2 + round_ % 3},
+                    detail="summary",
+                )
+            )
+            for round_ in range(6)
+            for session in sessions
+        ]
+        for handle in handles:
+            handle.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        service.jobs.shutdown()
+    for handle in handles:
+        events = handle.events()
+        assert [event.seq for event in events] == list(range(1, len(events) + 1))
+        assert events[0].state == "queued" and events[-1].state == "done"
+        assert events[-1].seq == handle.descriptor["seq"]
 
 
 def test_materialize_races_with_deletion(tmp_path):

@@ -120,6 +120,40 @@ def test_request_component_from_structure(icdb):
     assert cluster.area > 0
 
 
+def test_aspect_ratio_picks_the_area_record_for_catalog_and_cluster_requests(icdb):
+    ratio = 8.0
+    constraints = Constraints(aspect_ratio=ratio)
+    single = icdb.request_component(
+        implementation="register", attributes={"size": 8}, constraints=constraints
+    )
+    assert single.area_record == single.shape.best_for_aspect_ratio(ratio)
+    low, high = (
+        icdb.request_component(implementation="register", attributes={"size": 4})
+        for _ in range(2)
+    )
+    structure = StructuralNetlist(
+        "register_pair",
+        inputs=[f"D[{i}]" for i in range(4)] + ["LOAD", "CLK"],
+        outputs=[f"Y[{i}]" for i in range(4)],
+    )
+    shared = {"LOAD": "LOAD", "CLK": "CLK"}
+    structure.add(
+        "low",
+        low.name,
+        {**shared, **{f"I[{i}]": f"D[{i}]" for i in range(4)},
+         **{f"Q[{i}]": f"m{i}" for i in range(4)}},
+    )
+    structure.add(
+        "high",
+        high.name,
+        {**shared, **{f"I[{i}]": f"m{i}" for i in range(4)},
+         **{f"Q[{i}]": f"Y[{i}]" for i in range(4)}},
+    )
+    cluster = icdb.request_component(structure=structure, constraints=constraints)
+    assert cluster.area_record == cluster.shape.best_for_aspect_ratio(ratio)
+    assert cluster.area_record != cluster.shape.min_area()  # the choice matters
+
+
 def test_request_component_unknown_target_rejected(icdb):
     with pytest.raises(IcdbError):
         icdb.request_component(implementation="register", target="weird")

@@ -99,17 +99,58 @@ def test_event_history_is_monotonic_and_stateful(tmp_path):
     )
     handle.wait(60)
     events = handle.events()
-    seqs = [event["seq"] for event in events]
+    seqs = [event.seq for event in events]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    assert events[0]["state"] == "queued"
-    assert events[-1]["state"] == "done"
-    stages = [event["stage"] for event in events]
+    assert events[0].state == "queued"
+    assert events[-1].state == "done"
+    stages = [event.stage for event in events]
     assert "synthesize" in stages and "size" in stages
-    progresses = [event["progress"] for event in events]
+    progresses = [event.progress for event in events]
     assert progresses == sorted(progresses), "progress must be monotonic"
     # events_since pagination
     tail = service.jobs.events(handle.job_id, since=seqs[2])
     assert [event["seq"] for event in tail] == seqs[3:]
+
+
+def test_local_and_loopback_jobs_stream_the_same_events_and_summary(tmp_path):
+    spec = dict(implementation="counter", attributes={"size": 4}, use_cache=False)
+    local = _fresh_service(tmp_path, "local").create_session()
+    remote_service = _fresh_service(tmp_path, "remote")
+    client = RemoteClient.loopback(remote_service)
+    local_handle = local.submit_component(**spec)
+    remote_handle = client.submit_component(**spec)
+    assert type(local_handle) is type(remote_handle)
+    summaries = [
+        json.dumps(handle.result(timeout=60), sort_keys=True).replace(
+            str(tmp_path / tag), "<root>"
+        )
+        for handle, tag in ((local_handle, "local"), (remote_handle, "remote"))
+    ]
+    assert summaries[0] == summaries[1]
+
+    def stages(handle):
+        return [(event.state, event.stage) for event in handle.events()]
+
+    assert stages(local_handle) == stages(remote_handle)
+    assert stages(local_handle)[0] == ("queued", "submit")
+    assert stages(local_handle)[-1] == ("done", "end")
+    # The server-side session behind the loopback never subscribes in
+    # process: its events reach the client as pushed frames only.
+    assert len(remote_service.jobs._subscribers) == 1
+    client.close()
+
+
+def test_failing_local_job_reraises_the_original_exception(tmp_path):
+    from repro.api import JobHandle
+    from repro.components.catalog import CatalogError
+
+    session = _fresh_service(tmp_path).create_session()
+    handle = session.submit(ComponentRequest(implementation="no_such_implementation"))
+    assert isinstance(handle, JobHandle)
+    with pytest.raises(CatalogError):
+        handle.result(timeout=60)
+    assert handle.state == "failed"
+    assert handle.response().error.code == "NOT_FOUND"
 
 
 def test_cancel_queued_job_and_terminal_cancel_is_noop(tmp_path):
@@ -279,7 +320,7 @@ def test_session_token_attach_resumes_jobs_over_tcp(tmp_path):
         summary = revived.result(timeout=60)
         assert summary["instance"].startswith("counter_")
         # the session's design context survived with the jobs
-        assert resumed.meta("session_token") == token
+        assert resumed.session_token == token
         resumed.put_in_component_list(summary["instance"], design="resilient")
         assert resumed.component_list("resilient") == [summary["instance"]]
         resumed.close()

@@ -22,6 +22,7 @@ import pytest
 from repro.api import (
     ComponentRequest,
     ComponentService,
+    DatabaseDump,
     FunctionQuery,
     InstanceQuery,
     PROTOCOL_VERSION,
@@ -45,6 +46,21 @@ def _fresh_service(tmp_path, tag: str) -> ComponentService:
     return ComponentService(
         catalog=standard_catalog(fresh=True), store_root=tmp_path / tag
     )
+
+
+def _registered(client, name: str) -> bool:
+    """Whether the server knows ``name``, read through instance_query."""
+    try:
+        client.instance_query(name, fields=("clock_width",))
+    except IcdbError as exc:
+        assert exc.code == "NOT_FOUND"
+        return False
+    return True
+
+
+def _instance_count(client) -> int:
+    gauges = client.metrics(prefixes=("instances.count",))["gauges"]
+    return int(gauges["instances.count"])
 
 
 @pytest.fixture()
@@ -145,8 +161,8 @@ def test_design_transactions_over_the_wire(client):
     removed = client.end_a_transaction()
     assert doomed.name in removed
     assert client.component_list() == [keeper.name]
-    assert keeper.name in client.instances
-    assert doomed.name not in client.instances
+    assert _registered(client, keeper.name)
+    assert not _registered(client, doomed.name)
     removed = client.end_a_design()
     assert keeper.name in removed
     assert client.current_design == ""
@@ -196,20 +212,41 @@ def test_cql_interactive_session_over_the_wire(client):
 
 
 def test_meta_surface_and_ping(client):
+    # What the old meta ops answered, read through typed requests.
     assert client.ping() < 1000.0
     name = client.instances.new_name("widget")
     assert name.startswith("widget_")
-    assert len(client.instances) == 0  # naming does not register anything
+    assert _instance_count(client) == 0  # naming does not register anything
+    assert not _registered(client, name)
     instance = client.request_component(implementation="register", attributes={"size": 2})
-    assert instance.name in client.instances
-    assert instance.name in client.instances.names()
-    assert "generated instances" in client.summary()
+    assert _registered(client, instance.name)
+    assert _instance_count(client) == 1
     stats = client.metrics(prefixes=("cache.result.",))["counters"]
     assert set(stats) >= {
         f"cache.result.{name}" for name in ("entries", "hits", "misses", "lookups")
     }
-    with pytest.raises(IcdbError):
-        client.meta("no_such_op")
+
+
+def test_meta_frame_is_an_unknown_frame_and_the_connection_serves_on(server):
+    stream = _raw_stream(server)
+    stream.send({"type": "hello", "protocol": PROTOCOL_VERSION})
+    assert stream.recv()["type"] == "welcome"
+    stream.send({"type": "meta", "op": "new_name", "args": {"base": "widget"}})
+    reply = stream.recv()
+    assert reply["type"] == "error" and reply["error"]["code"] == "PROTOCOL"
+    stream.send({"type": "request", "request": {"kind": "new_name", "base": "widget"}})
+    reply = stream.recv()
+    assert reply["type"] == "response" and reply["response"]["ok"]
+    assert reply["response"]["value"].startswith("widget_")
+    stream.close()
+
+
+def test_new_kinds_are_counted_like_every_typed_request(client):
+    client.instances.new_name("widget")
+    client.execute(DatabaseDump(tables=("instances",))).unwrap()
+    counters = client.metrics(prefixes=("requests.kind.",))["counters"]
+    assert counters["requests.kind.new_name"] == 1
+    assert counters["requests.kind.database_dump"] == 1
 
 
 def test_lazy_artifacts_materialize_through_instance_query(server, client):

@@ -26,7 +26,13 @@ import time
 
 import pytest
 
-from repro.api import ComponentService, E_BUSY, E_NOT_FOUND, E_UNAVAILABLE
+from repro.api import (
+    ComponentService,
+    DatabaseDump,
+    E_BUSY,
+    E_NOT_FOUND,
+    E_UNAVAILABLE,
+)
 from repro.api.service import RequestDedupe
 from repro.core.icdb import IcdbError
 from repro.net import RemoteClient, ServerDrained, connect, serve
@@ -50,6 +56,17 @@ FAST = RetryPolicy(max_attempts=6, base_backoff_s=0.002, max_backoff_s=0.02, see
 
 def canonical(dump) -> str:
     return json.dumps(dump, sort_keys=True)
+
+
+def database_dump(client):
+    """The server's whole relational state, read through a typed request."""
+    return client.execute(DatabaseDump()).unwrap()
+
+
+def instance_rows(client):
+    """Only the ``instances`` rows: a small answer, so few proxy chunks."""
+    dump = client.execute(DatabaseDump(tables=("instances",))).unwrap()
+    return dump["tables"]["instances"]["rows"]
 
 
 # ------------------------------------------------------------------ unit layer
@@ -218,7 +235,7 @@ def test_pre_send_failure_retries_mutations():
     instance = client.request_component(
         implementation="register", attributes={"size": 4}
     )
-    rows = client.meta("db_rows", table="instances")
+    rows = instance_rows(client)
     assert [row["name"] for row in rows] == [instance.name]
     assert client.resilience.snapshot()["counters"]["resilience.retries"] == 1
     client.close()
@@ -232,10 +249,21 @@ def test_post_send_mutation_retries_and_lands_exactly_once():
     )
     # The server executed the original send; the retry was answered from
     # the dedupe window -- one acknowledged write, one row, no duplicate.
-    rows = client.meta("db_rows", table="instances")
+    rows = instance_rows(client)
     assert [row["name"] for row in rows] == [instance.name]
     server_counters = service.metrics.snapshot()["counters"]
     assert server_counters["resilience.dedupe_hits"] == 1
+    client.close()
+
+
+def test_post_send_new_name_retry_answers_the_recorded_name():
+    # new_name advances the naming counter, so it is a stamped mutation:
+    # the retry of a lost reply answers the name the first send drew.
+    service = ComponentService()
+    client = _loopback_resilient(service, flaky_plan("post", "ok"))
+    assert client.instances.new_name("widget") == "widget_1"
+    assert client.instances.new_name("widget") == "widget_2"
+    assert service.metrics.snapshot()["counters"]["resilience.dedupe_hits"] == 1
     client.close()
 
 
@@ -255,7 +283,7 @@ def test_post_send_without_request_id_is_not_retried():
         client.request_component(implementation="register", attributes={"size": 4})
     # The server did execute it (the reply was lost after the send) --
     # exactly the ambiguity the error is protecting: no silent retry.
-    rows = client.meta("db_rows", table="instances")
+    rows = instance_rows(client)
     assert len(rows) == 1
     client.close()
 
@@ -428,7 +456,7 @@ def test_chaos_proxy_no_duplicates_no_lost_writes(seed, tmp_path):
         lambda: LoopbackTransport(reference_service), client="reference"
     )
     reference_acked = _chaos_workload(reference)
-    golden = canonical(reference.meta("db_dump")).replace(
+    golden = canonical(database_dump(reference)).replace(
         str(tmp_path / "reference"), "<root>"
     )
     reference.close()
@@ -458,13 +486,13 @@ def test_chaos_proxy_no_duplicates_no_lost_writes(seed, tmp_path):
         # Every acknowledged write is present exactly once: no duplicate
         # mutations, no lost acknowledged writes.
         assert acked == reference_acked
-        rows = client.meta("db_rows", table="instances")
+        rows = instance_rows(client)
         names = [row["name"] for row in rows]
         assert sorted(names) == sorted(acked)
         assert len(set(names)) == len(names)
 
         # Byte-identical relational state vs the fault-free run.
-        faulted = canonical(client.meta("db_dump")).replace(
+        faulted = canonical(database_dump(client)).replace(
             str(tmp_path / "chaos"), "<root>"
         )
         assert faulted == golden
@@ -494,7 +522,7 @@ def test_chaos_proxy_actually_injects_faults():
         )
         for _ in range(6):
             client.request_component(implementation="register", attributes={"size": 4})
-        rows = client.meta("db_rows", table="instances")
+        rows = instance_rows(client)
         assert len(rows) == 6
         client.close()
     finally:
@@ -536,7 +564,7 @@ def test_attach_after_sigkill_restart_on_same_port(tmp_path, seed):
 
         # The acknowledged write survived the kill exactly once, and the
         # client is fully usable on its replacement session.
-        rows = client.meta("db_rows", table="instances")
+        rows = instance_rows(client)
         names = [row["name"] for row in rows if row["name"] == instance.name]
         assert names == [instance.name]
         fresh = client.request_component(
@@ -563,7 +591,7 @@ def test_sigterm_drain_finishes_jobs_and_snapshots(tmp_path):
         assert snapshot_seq > 0  # the drain snapshot was written
         assert replayed == 0  # nothing left to replay after it
         client2 = connect(managed.host, managed.port, client="after-drain")
-        rows = client2.meta("db_rows", table="instances")
+        rows = instance_rows(client2)
         assert instance.name in {row["name"] for row in rows}
         client2.close()
     finally:

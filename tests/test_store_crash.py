@@ -4,8 +4,8 @@ Each test boots ``python -m repro.net.server --data-dir ...`` as a
 subprocess, drives it over the wire, kills it without any shutdown
 courtesy (SIGKILL, exactly what a power cut looks like to the process),
 boots a second server on the same data directory and asserts the
-recovered relational state is byte-identical to the golden ``db_dump``
-captured before the kill.
+recovered relational state is byte-identical to the golden database
+dump captured before the kill.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.api import DatabaseDump
 from repro.net.client import connect
 
 _BANNER = re.compile(r"icdb server listening on ([\d.]+):(\d+)")
@@ -83,6 +84,17 @@ def canonical(dump) -> str:
     return json.dumps(dump, sort_keys=True)
 
 
+def database_dump(client):
+    """The server's whole relational state, read through a typed request."""
+    return client.execute(DatabaseDump()).unwrap()
+
+
+def instance_rows(client):
+    """Only the ``instances`` rows of the server's relational state."""
+    dump = client.execute(DatabaseDump(tables=("instances",))).unwrap()
+    return dump["tables"]["instances"]["rows"]
+
+
 def test_sigkill_then_restart_is_byte_identical(data_dir):
     first = ServerProc(data_dir, "--snapshot-interval", "0")
     assert first.recovery == (0, 0, 0)  # cold start: empty data dir
@@ -93,7 +105,7 @@ def test_sigkill_then_restart_is_byte_identical(data_dir):
     counter = client.request_component(
         component_name="counter", functions=["INC"], attributes={"size": 3}
     )
-    golden = canonical(client.meta("db_dump"))
+    golden = canonical(database_dump(client))
     instance_names = {registered.name, counter.name}
     client.close()
     first.kill()
@@ -102,11 +114,11 @@ def test_sigkill_then_restart_is_byte_identical(data_dir):
     snapshot_seq, replayed, last_seq = second.recovery
     assert replayed > 0 and last_seq == replayed and snapshot_seq == 0
     client2 = second.connect("crash-2")
-    assert canonical(client2.meta("db_dump")) == golden
+    assert canonical(database_dump(client2)) == golden
 
     # The recovered rows answer queries: instances are still visible
     # through the durable relational surface.
-    rows = client2.meta("db_rows", table="instances")
+    rows = instance_rows(client2)
     assert instance_names <= {row["name"] for row in rows}
 
     # Recovery is observable in the metrics the admin console shows.
@@ -128,7 +140,7 @@ def test_double_recovery_is_idempotent(data_dir):
     first = ServerProc(data_dir, "--snapshot-interval", "0")
     client = first.connect()
     client.request_component(implementation="register", attributes={"size": 2})
-    golden = canonical(client.meta("db_dump"))
+    golden = canonical(database_dump(client))
     client.close()
     first.kill()
 
@@ -139,7 +151,7 @@ def test_double_recovery_is_idempotent(data_dir):
         server = ServerProc(data_dir, "--snapshot-interval", "0")
         replays.append(server.recovery[1])
         client = server.connect(f"idem-{tag}")
-        assert canonical(client.meta("db_dump")) == golden
+        assert canonical(database_dump(client)) == golden
         client.close()
         server.kill()
     assert replays[0] == replays[1]
@@ -153,7 +165,7 @@ def test_snapshot_bounds_replay_after_crash(data_dir):
     client.request_component(implementation="register", attributes={"size": 4})
     time.sleep(1.0)  # let at least one snapshot land
     client.request_component(implementation="register", attributes={"size": 5})
-    golden = canonical(client.meta("db_dump"))
+    golden = canonical(database_dump(client))
     total_seq = client.metrics(prefixes=("store.last_seq",))["counters"][
         "store.last_seq"
     ]
@@ -166,7 +178,7 @@ def test_snapshot_bounds_replay_after_crash(data_dir):
     assert last_seq == total_seq
     assert replayed == last_seq - snapshot_seq  # tail only
     client2 = second.connect("snap")
-    assert canonical(client2.meta("db_dump")) == golden
+    assert canonical(database_dump(client2)) == golden
     client2.close()
     second.terminate()
 
@@ -198,9 +210,9 @@ def test_sixteen_concurrent_clients_survive_sigkill(data_dir):
     assert len(names) == 16 and len(set(names)) == 16
 
     observer = first.connect("observer")
-    golden = canonical(observer.meta("db_dump"))
+    golden = canonical(database_dump(observer))
     golden_rows = {
-        row["name"] for row in observer.meta("db_rows", table="instances")
+        row["name"] for row in instance_rows(observer)
     }
     assert set(names) <= golden_rows
     observer.close()
@@ -208,9 +220,9 @@ def test_sixteen_concurrent_clients_survive_sigkill(data_dir):
 
     second = ServerProc(data_dir, "--snapshot-interval", "0")
     client2 = second.connect("after")
-    assert canonical(client2.meta("db_dump")) == golden
+    assert canonical(database_dump(client2)) == golden
     recovered_rows = {
-        row["name"] for row in client2.meta("db_rows", table="instances")
+        row["name"] for row in instance_rows(client2)
     }
     assert recovered_rows == golden_rows
     client2.close()
