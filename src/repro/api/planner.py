@@ -30,7 +30,8 @@ The result is a :class:`PlanResult`: every :class:`CandidateReport` (in
 enumeration order, pruned and failed ones included), the ranked winner
 indices, the Pareto front, and an :meth:`PlanResult.explain` report with
 per-stage timings, prune counts and generation-cache hit deltas.  Both
-round-trip through ``to_dict()`` / ``from_dict()``, so a
+are :class:`repro.wire.Wire` classes (the in-process ``exception`` fields
+stay off the wire), so a
 :class:`~repro.api.messages.PlanQuery` answers the same report over the
 wire that a local :meth:`~repro.api.service.Session.plan` returns.
 """
@@ -60,6 +61,7 @@ from ..components.catalog import (
     ComponentImplementation,
 )
 from ..core.icdb import IcdbError
+from ..wire import Wire
 from .cache import DEFAULT_CONSTRAINTS, ResultCache
 from .errors import E_BAD_REQUEST, E_INVALID, E_NOT_FOUND, IcdbErrorInfo
 from .messages import ComponentRequest
@@ -218,7 +220,7 @@ def select_implementation(
 
 
 @dataclass
-class CandidateReport:
+class CandidateReport(Wire):
     """One candidate point of a plan, through its whole lifecycle.
 
     ``status`` is one of ``planned`` / ``pruned`` / ``generated`` /
@@ -240,7 +242,7 @@ class CandidateReport:
     score: Optional[float] = None
     rank: Optional[int] = None
     on_front: bool = False
-    error: Optional[Dict[str, str]] = None
+    error: Optional[Dict[str, Any]] = None
     #: In-process only (never serialized): the original generation
     #: exception, kept so legacy wrappers re-raise exactly what a direct
     #: ``request_component`` would have raised.
@@ -253,50 +255,9 @@ class CandidateReport:
     #: spelling, like the serial loops always did.
     requested_implementation: str = field(default="", repr=False, compare=False)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "label": self.label,
-            "implementation": self.implementation,
-            "parameters": dict(self.parameters),
-            "status": self.status,
-            "reason": self.reason,
-            "instance": self.instance,
-            "cached": self.cached,
-            "metrics": dict(self.metrics),
-            "score": self.score,
-            "rank": self.rank,
-            "on_front": self.on_front,
-        }
-        if self.error is not None:
-            data["error"] = dict(self.error)
-        return data
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "CandidateReport":
-        return CandidateReport(
-            label=str(data.get("label") or ""),
-            implementation=str(data.get("implementation") or ""),
-            parameters={
-                str(k): int(v) for k, v in (data.get("parameters") or {}).items()
-            },
-            status=str(data.get("status") or PLANNED),
-            reason=str(data.get("reason") or ""),
-            instance=str(data.get("instance") or ""),
-            cached=bool(data.get("cached", False)),
-            metrics={
-                str(k): float(v) for k, v in (data.get("metrics") or {}).items()
-            },
-            score=(
-                float(data["score"]) if data.get("score") is not None else None
-            ),
-            rank=(int(data["rank"]) if data.get("rank") is not None else None),
-            on_front=bool(data.get("on_front", False)),
-            error=dict(data["error"]) if data.get("error") else None,
-        )
-
 
 @dataclass
-class PlanResult:
+class PlanResult(Wire):
     """The full answer of a plan: candidates, ranking, front, explain.
 
     ``winners`` / ``front`` are indices into ``candidates`` (labels are
@@ -308,7 +269,9 @@ class PlanResult:
     winners: List[int] = field(default_factory=list)
     front: List[int] = field(default_factory=list)
     objective: Objective = field(default_factory=lambda: pareto("area", "delay"))
-    explain_data: Dict[str, Any] = field(default_factory=dict)
+    explain_data: Dict[str, Any] = field(
+        default_factory=dict, metadata={"wire_key": "explain"}
+    )
 
     # ------------------------------------------------------------- accessors
 
@@ -333,37 +296,6 @@ class PlanResult:
     def explain(self) -> Dict[str, Any]:
         """The planning report: stages, prune counts, cache-hit deltas."""
         return dict(self.explain_data)
-
-    # ------------------------------------------------------------ wire format
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "candidates": [report.to_dict() for report in self.candidates],
-            "winners": list(self.winners),
-            "front": list(self.front),
-            "objective": self.objective.to_dict(),
-            "explain": dict(self.explain_data),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "PlanResult":
-        if not isinstance(data, Mapping):
-            raise IcdbError(
-                f"a plan result must be a mapping, got {type(data).__name__}",
-                code=E_BAD_REQUEST,
-            )
-        return PlanResult(
-            candidates=[
-                CandidateReport.from_dict(item)
-                for item in (data.get("candidates") or ())
-            ],
-            winners=[int(i) for i in (data.get("winners") or ())],
-            front=[int(i) for i in (data.get("front") or ())],
-            objective=Objective.from_dict(
-                data.get("objective") or {"kind": "minimize", "metrics": ["area"]}
-            ),
-            explain_data=dict(data.get("explain") or {}),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ This module is the typed, composable description of such a question:
   cartesian product is explored per candidate implementation, or an
   explicit list of labelled :class:`PlanPoint` configurations.
 
-:class:`QuerySpec` composes all of the above and -- like every request in
-:mod:`repro.api.messages` -- round-trips through ``to_dict()`` -> JSON ->
-``from_dict()``, so a :class:`~repro.api.messages.PlanQuery` carries it
-over the wire unchanged.  The evaluation engine lives in
+:class:`QuerySpec` composes all of the above.  Like every request in
+:mod:`repro.api.messages`, each class here declares its wire form in its
+typed fields and gets ``to_dict()`` / ``from_dict()`` from
+:class:`repro.wire.Wire`, so a :class:`~repro.api.messages.PlanQuery`
+carries it over the wire unchanged; a predicate's wire form is tagged
+with its ``kind``.  The evaluation engine lives in
 :mod:`repro.api.planner`.
 """
 
@@ -33,6 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from ..constraints import Constraints
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LAYOUT, TARGET_LOGIC
+from ..wire import Wire
 from .errors import E_BAD_REQUEST, E_INVALID
 
 #: Metrics a bound or objective may reference, measured on every generated
@@ -75,32 +78,21 @@ def _int_map(raw: Any, context: str) -> Dict[str, int]:
     return values
 
 
-def _str_tuple(raw: Any) -> Tuple[str, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, str):
-        return (raw,)
-    return tuple(str(item) for item in raw)
-
-
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FunctionPredicate:
+class FunctionPredicate(Wire):
     """Match implementations that perform *all* of the given functions."""
 
     functions: Tuple[str, ...] = ()
     kind = "function"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "functions": list(self.functions)}
-
 
 @dataclass(frozen=True)
-class TypePredicate:
+class TypePredicate(Wire):
     """Match implementations of a component type (or named exactly so).
 
     The match is case-insensitive and mirrors the classic
@@ -111,23 +103,17 @@ class TypePredicate:
     component: str = ""
     kind = "type"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "component": self.component}
-
 
 @dataclass(frozen=True)
-class NamePredicate:
+class NamePredicate(Wire):
     """Restrict candidates to an explicit implementation shortlist."""
 
     implementations: Tuple[str, ...] = ()
     kind = "name"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "implementations": list(self.implementations)}
-
 
 @dataclass(frozen=True)
-class AttributePredicate:
+class AttributePredicate(Wire):
     """Match implementations that support every named GENUS attribute.
 
     ``attributes`` maps attribute names to the values the caller will
@@ -139,42 +125,8 @@ class AttributePredicate:
     attributes: Dict[str, int] = field(default_factory=dict)
     kind = "attribute"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "attributes": dict(self.attributes)}
-
 
 Predicate = Union[FunctionPredicate, TypePredicate, NamePredicate, AttributePredicate]
-
-_PREDICATE_TYPES = {
-    "function": FunctionPredicate,
-    "type": TypePredicate,
-    "name": NamePredicate,
-    "attribute": AttributePredicate,
-}
-
-
-def predicate_from_dict(data: Mapping[str, Any]) -> Predicate:
-    if not isinstance(data, Mapping):
-        raise IcdbError(
-            f"a predicate must be a mapping, got {type(data).__name__}",
-            code=E_BAD_REQUEST,
-        )
-    kind = data.get("kind")
-    if kind == "function":
-        return FunctionPredicate(functions=_str_tuple(data.get("functions")))
-    if kind == "type":
-        return TypePredicate(component=str(data.get("component") or ""))
-    if kind == "name":
-        return NamePredicate(implementations=_str_tuple(data.get("implementations")))
-    if kind == "attribute":
-        return AttributePredicate(
-            attributes=_int_map(data.get("attributes"), "attribute predicate")
-        )
-    raise IcdbError(
-        f"unknown predicate kind {kind!r}; expected one of "
-        f"{tuple(_PREDICATE_TYPES)}",
-        code=E_BAD_REQUEST,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +135,12 @@ def predicate_from_dict(data: Mapping[str, Any]) -> Predicate:
 
 
 @dataclass(frozen=True)
-class Bound:
+class Bound(Wire):
     """An upper bound on a measured metric: feasible iff value <= limit."""
 
-    metric: str = "delay"
+    #: A bound without ``metric`` on the wire reads as "", which the
+    #: metric check rejects; a default would make it a delay bound.
+    metric: str = field(default="delay", metadata={"wire_default": ""})
     limit: float = 0.0
 
     def __post_init__(self) -> None:
@@ -199,20 +153,6 @@ class Bound:
                 f"got {self.limit!r}",
                 code=E_BAD_REQUEST,
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"metric": self.metric, "limit": self.limit}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "Bound":
-        if not isinstance(data, Mapping):
-            raise IcdbError(
-                f"a bound must be a mapping, got {type(data).__name__}",
-                code=E_BAD_REQUEST,
-            )
-        return Bound(
-            metric=str(data.get("metric") or ""), limit=data.get("limit", 0.0)
-        )
 
 
 def max_delay(limit: float) -> Bound:
@@ -241,7 +181,7 @@ def max_cells(limit: float) -> Bound:
 
 
 @dataclass(frozen=True)
-class Objective:
+class Objective(Wire):
     """How feasible candidates are ranked.
 
     * ``minimize``: one metric, ascending;
@@ -293,32 +233,6 @@ class Objective:
             )
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "weights", weights)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "metrics": list(self.metrics),
-            "weights": list(self.weights),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "Objective":
-        if not isinstance(data, Mapping):
-            raise IcdbError(
-                f"an objective must be a mapping, got {type(data).__name__}",
-                code=E_BAD_REQUEST,
-            )
-        try:
-            weights = tuple(float(w) for w in data.get("weights") or ())
-        except (TypeError, ValueError):
-            raise IcdbError(
-                "objective weights must be numbers", code=E_BAD_REQUEST
-            )
-        return Objective(
-            kind=str(data.get("kind") or "minimize"),
-            metrics=_str_tuple(data.get("metrics")) or ("area",),
-            weights=weights,
-        )
 
 
 def minimize(metric: str) -> Objective:
@@ -402,7 +316,7 @@ def parse_objective(text: str) -> Objective:
 
 
 @dataclass(frozen=True)
-class PlanPoint:
+class PlanPoint(Wire):
     """One explicit labelled configuration of the design space.
 
     ``parameters`` are raw IIF parameter overrides, ``attributes`` GENUS
@@ -418,6 +332,8 @@ class PlanPoint:
     attributes: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # An empty name pins nothing, like a missing one.
+        object.__setattr__(self, "implementation", self.implementation or None)
         object.__setattr__(
             self, "parameters", _int_map(self.parameters, "point parameters")
         )
@@ -425,32 +341,9 @@ class PlanPoint:
             self, "attributes", _int_map(self.attributes, "point attributes")
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "implementation": self.implementation,
-            "parameters": dict(self.parameters),
-            "attributes": dict(self.attributes),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "PlanPoint":
-        if not isinstance(data, Mapping):
-            raise IcdbError(
-                f"a plan point must be a mapping, got {type(data).__name__}",
-                code=E_BAD_REQUEST,
-            )
-        implementation = data.get("implementation")
-        return PlanPoint(
-            label=str(data.get("label") or ""),
-            implementation=str(implementation) if implementation else None,
-            parameters=_int_map(data.get("parameters"), "point parameters"),
-            attributes=_int_map(data.get("attributes"), "point attributes"),
-        )
-
 
 @dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(Wire):
     """A complete declarative component query.
 
     ``select`` filters the catalog, ``sweep`` *or* ``points`` (mutually
@@ -527,75 +420,8 @@ class QuerySpec:
         object.__setattr__(
             self, "parameters", _int_map(self.parameters, "parameters") or None
         )
-
-    # ------------------------------------------------------------ wire format
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "select": [predicate.to_dict() for predicate in self.select],
-            "where": [bound.to_dict() for bound in self.where],
-            "objective": self.objective.to_dict(),
-            "sweep": [[name, list(values)] for name, values in self.sweep],
-            "points": [point.to_dict() for point in self.points],
-            "attributes": dict(self.attributes) if self.attributes else None,
-            "parameters": dict(self.parameters) if self.parameters else None,
-            "constraints": self.constraints.to_dict() if self.constraints else None,
-            "target": self.target,
-            "delay_output": self.delay_output,
-            "limit": self.limit,
-            "use_cache": self.use_cache,
-            "require_equivalent_to": self.require_equivalent_to,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "QuerySpec":
-        if not isinstance(data, Mapping):
-            raise IcdbError(
-                f"a query spec must be a mapping, got {type(data).__name__}",
-                code=E_BAD_REQUEST,
-            )
-        try:
-            sweep = tuple(
-                (str(axis[0]), tuple(int(v) for v in axis[1]))
-                for axis in (data.get("sweep") or ())
-            )
-        except (TypeError, ValueError, IndexError):
-            raise IcdbError(
-                "plan sweep must be a list of [name, [values...]] axes",
-                code=E_BAD_REQUEST,
-            )
-        limit = data.get("limit", 0)
-        if not isinstance(limit, int) or isinstance(limit, bool):
-            raise IcdbError(
-                f"plan limit must be an integer, got {limit!r}", code=E_BAD_REQUEST
-            )
-        objective_data = data.get("objective")
-        delay_output = data.get("delay_output")
-        reference = data.get("require_equivalent_to")
-        return QuerySpec(
-            select=tuple(
-                predicate_from_dict(item) for item in (data.get("select") or ())
-            ),
-            where=tuple(Bound.from_dict(item) for item in (data.get("where") or ())),
-            objective=(
-                Objective.from_dict(objective_data)
-                if objective_data
-                else minimize("area")
-            ),
-            sweep=sweep,
-            points=tuple(
-                PlanPoint.from_dict(item) for item in (data.get("points") or ())
-            ),
-            attributes=_int_map(data.get("attributes"), "attributes") or None,
-            parameters=_int_map(data.get("parameters"), "parameters") or None,
-            constraints=(
-                Constraints.from_dict(data["constraints"])
-                if data.get("constraints")
-                else None
-            ),
-            target=str(data.get("target") or TARGET_LOGIC),
-            delay_output=str(delay_output) if delay_output else None,
-            limit=limit,
-            use_cache=bool(data.get("use_cache", True)),
-            require_equivalent_to=str(reference) if reference else None,
+        # An empty name selects nothing, like a missing one.
+        object.__setattr__(self, "delay_output", self.delay_output or None)
+        object.__setattr__(
+            self, "require_equivalent_to", self.require_equivalent_to or None
         )

@@ -31,6 +31,7 @@ private service.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -257,11 +258,17 @@ class RequestDedupe:
                 self._entries.pop(request_id, None)
             else:
                 self._entries[request_id] = response
-                while len(self._entries) > self.capacity:
-                    oldest, recorded = next(iter(self._entries.items()))
-                    if recorded is None:
-                        break  # never evict an in-flight reservation
-                    del self._entries[oldest]
+                self._entries.move_to_end(request_id)
+                # Evict the oldest completed entries.  In-flight
+                # reservations are skipped, never evicted: their
+                # duplicates are waiting on them.
+                excess = len(self._entries) - self.capacity
+                if excess > 0:
+                    completed = (
+                        key for key, done in self._entries.items() if done is not None
+                    )
+                    for key in list(itertools.islice(completed, excess)):
+                        del self._entries[key]
             self._cond.notify_all()
 
     def __len__(self) -> int:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .wire import Wire
 
 
 class ConstraintError(ValueError):
@@ -38,7 +40,7 @@ CHEAPEST_TARGET_NS = 1000.0
 
 
 @dataclass(frozen=True)
-class PortPosition:
+class PortPosition(Wire):
     """One port-position assignment: ``D[0] top 10``.
 
     ``side`` is ``left``, ``right``, ``top`` or ``bottom``; ``order`` is the
@@ -54,19 +56,9 @@ class PortPosition:
         if self.side not in ("left", "right", "top", "bottom"):
             raise ConstraintError(f"unknown side {self.side!r} for port {self.port!r}")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (the :mod:`repro.api` wire format)."""
-        return {"port": self.port, "side": self.side, "order": self.order}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "PortPosition":
-        return PortPosition(
-            port=data["port"], side=data["side"], order=float(data["order"])
-        )
-
 
 @dataclass
-class Constraints:
+class Constraints(Wire):
     """Delay and geometry constraints for component generation."""
 
     clock_width: Optional[float] = None
@@ -140,42 +132,6 @@ class Constraints:
         }
         data.update(changes)
         return Constraints(**data)
-
-    # ------------------------------------------------------------ wire format
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (the :mod:`repro.api` wire format)."""
-        return {
-            "clock_width": self.clock_width,
-            "comb_delay": dict(self.comb_delay),
-            "default_comb_delay": self.default_comb_delay,
-            "setup_time": self.setup_time,
-            "output_loads": dict(self.output_loads),
-            "default_output_load": self.default_output_load,
-            "strategy": self.strategy,
-            "strips": self.strips,
-            "aspect_ratio": self.aspect_ratio,
-            "port_positions": [p.to_dict() for p in self.port_positions],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "Constraints":
-        """Rebuild a :class:`Constraints` from :meth:`to_dict` output."""
-        positions = tuple(
-            PortPosition.from_dict(item) for item in (data.get("port_positions") or ())
-        )
-        return Constraints(
-            clock_width=data.get("clock_width"),
-            comb_delay=dict(data.get("comb_delay") or {}),
-            default_comb_delay=data.get("default_comb_delay"),
-            setup_time=data.get("setup_time"),
-            output_loads=dict(data.get("output_loads") or {}),
-            default_output_load=float(data.get("default_output_load") or 0.0),
-            strategy=data.get("strategy"),
-            strips=data.get("strips"),
-            aspect_ratio=data.get("aspect_ratio"),
-            port_positions=positions,
-        )
 
 
 # ---------------------------------------------------------------------------

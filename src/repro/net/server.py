@@ -324,15 +324,8 @@ class FrameDispatcher:
         if frame_type == FRAME_ATTACH:
             return self._attach(payload)
         if self.session is None:
-            self.closed = True
-            return error_payload(
-                IcdbErrorInfo(
-                    code=E_PROTOCOL,
-                    message=(
-                        "the first frame of a connection must be "
-                        "'hello' or 'attach'"
-                    ),
-                )
+            return self._refuse(
+                "the first frame of a connection must be 'hello' or 'attach'"
             )
         if frame_type == FRAME_REQUEST:
             return self._request(payload)
@@ -356,17 +349,16 @@ class FrameDispatcher:
 
     # -------------------------------------------------------------- handshake
 
+    def _refuse(self, message: str) -> Dict[str, Any]:
+        """A failed handshake: answer ``PROTOCOL`` and close."""
+        self.closed = True
+        return error_payload(IcdbErrorInfo(code=E_PROTOCOL, message=message))
+
     def _check_protocol(self, protocol: int) -> Optional[Dict[str, Any]]:
         if protocol != PROTOCOL_VERSION:
-            self.closed = True
-            return error_payload(
-                IcdbErrorInfo(
-                    code=E_PROTOCOL,
-                    message=(
-                        f"unsupported protocol version {protocol}; "
-                        f"server speaks {PROTOCOL_VERSION}"
-                    ),
-                )
+            return self._refuse(
+                f"unsupported protocol version {protocol}; "
+                f"server speaks {PROTOCOL_VERSION}"
             )
         return None
 
@@ -411,8 +403,8 @@ class FrameDispatcher:
         try:
             hello = Hello.from_dict(payload)
         except IcdbError as exc:
-            self.closed = True
-            return error_payload(error_from_exception(exc))
+            # A handshake frame that does not decode is a protocol error.
+            return self._refuse(str(exc))
         rejection = self._check_protocol(hello.protocol)
         if rejection is not None:
             return rejection
@@ -434,8 +426,7 @@ class FrameDispatcher:
         try:
             attach = AttachSession.from_dict(payload)
         except IcdbError as exc:
-            self.closed = True
-            return error_payload(error_from_exception(exc))
+            return self._refuse(str(exc))
         rejection = self._check_protocol(attach.protocol)
         if rejection is not None:
             return rejection
@@ -799,8 +790,8 @@ class ICDBServer:
                     # position is unreliable.
                     try:
                         locked_send(error_payload(error_from_exception(exc)))
-                    except OSError:
-                        pass
+                    except (OSError, ProtocolError):
+                        pass  # not even the error fits the frame limit
                     break
                 except OSError:
                     break  # peer vanished mid-frame
@@ -815,7 +806,7 @@ class ICDBServer:
                     # so the stream is intact: report and keep serving.
                     try:
                         locked_send(error_payload(error_from_exception(exc)))
-                    except OSError:
+                    except (OSError, ProtocolError):
                         break
                 except OSError:
                     break
@@ -848,26 +839,33 @@ def serve(
     ).start()
 
 
-def _positive_int(value: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"expected a value >= 1, got {parsed}")
-    return parsed
+def _arg_type(
+    parse: Callable[[str], Any], accept: Callable[[Any], bool], expected: str
+) -> Callable[[str], Any]:
+    """An argparse type: ``parse`` the text, then require ``accept``.
+
+    A value out of range fails the parse (exit 2 with the usage line)
+    before anything starts, not later as a traceback.
+    """
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+        except ValueError:
+            noun = "an integer" if parse is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    return convert
 
 
-def _non_negative_int(value: str) -> int:
-    """argparse type: an integer >= 0 (0 = unlimited)."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {parsed}")
-    return parsed
+_positive_int = _arg_type(int, lambda v: v >= 1, "a value >= 1")
+_non_negative_int = _arg_type(int, lambda v: v >= 0, "a value >= 0")
+_positive_float = _arg_type(float, lambda v: v > 0, "a value > 0")
+_non_negative_float = _arg_type(float, lambda v: v >= 0, "a value >= 0")
+_port = _arg_type(int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -878,7 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
-        "--port", type=int, default=7361, help="TCP port (0 for ephemeral)"
+        "--port", type=_port, default=7361, help="TCP port (0 for ephemeral)"
     )
     parser.add_argument(
         "--store-root", default=None, help="design-data file store directory"
@@ -905,7 +903,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--snapshot-interval",
-        type=float,
+        type=_non_negative_float,
         default=DEFAULT_SNAPSHOT_INTERVAL,
         help=(
             "seconds between automatic snapshots + compaction "
@@ -914,7 +912,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--max-frame-bytes",
-        type=int,
+        type=_positive_int,
         default=MAX_FRAME_BYTES,
         help="per-frame payload size limit",
     )
@@ -932,7 +930,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--shed-threshold",
-        type=float,
+        type=_positive_float,
         default=0.9,
         metavar="FRACTION",
         help=(
@@ -984,13 +982,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--metrics-interval",
-        type=float,
+        type=_positive_float,
         default=10.0,
         help="seconds between metrics snapshots (with --metrics-path)",
     )
     args = parser.parse_args(argv)
-    if args.metrics_interval <= 0:
-        parser.error("--metrics-interval must be > 0")
 
     request_log: Optional[RequestLog] = None
     if args.log_requests == "-":

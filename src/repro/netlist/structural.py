@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..wire import Wire
 from .gates import GateNetlist, NetlistError
 from .vhdl import structural_vhdl
 
 
 @dataclass
-class ComponentRef:
+class ComponentRef(Wire):
     """One instantiation of an ICDB component inside a structural netlist."""
 
     label: str
@@ -34,13 +35,24 @@ class ComponentRef:
 
 
 @dataclass
-class StructuralNetlist:
+class StructuralNetlist(Wire):
     """A netlist whose instances are ICDB component instances."""
 
     name: str
     inputs: List[str] = field(default_factory=list)
     outputs: List[str] = field(default_factory=list)
     refs: List[ComponentRef] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # Labels name the cluster's instances: a netlist built in one go
+        # (as the wire codec builds it) gets the check that add() makes.
+        seen: Set[str] = set()
+        for ref in self.refs:
+            if ref.label in seen:
+                raise NetlistError(
+                    f"instance label {ref.label!r} already used in {self.name}"
+                )
+            seen.add(ref.label)
 
     def add(self, label: str, component: str, port_map: Mapping[str, str]) -> ComponentRef:
         if any(ref.label == label for ref in self.refs):
@@ -77,36 +89,6 @@ class StructuralNetlist:
             internal_nets=self.internal_nets(),
             component_heads=component_heads,
         )
-
-    # ------------------------------------------------------------ wire format
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (the :mod:`repro.api` wire format)."""
-        return {
-            "name": self.name,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "refs": [
-                {
-                    "label": ref.label,
-                    "component": ref.component,
-                    "port_map": dict(ref.port_map),
-                }
-                for ref in self.refs
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "StructuralNetlist":
-        """Rebuild a :class:`StructuralNetlist` from :meth:`to_dict` output."""
-        netlist = StructuralNetlist(
-            name=data["name"],
-            inputs=list(data.get("inputs") or ()),
-            outputs=list(data.get("outputs") or ()),
-        )
-        for ref in data.get("refs") or ():
-            netlist.add(ref["label"], ref["component"], dict(ref.get("port_map") or {}))
-        return netlist
 
 
 def flatten_to_gates(

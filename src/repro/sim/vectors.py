@@ -17,10 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from typing import Any
-
 from ..iif.flat import FlatComponent
 from ..netlist.gates import GateNetlist
+from ..wire import Wire
 from .functional import FlatSimulator
 from .gatesim import GateSimulator, read_bus
 
@@ -34,7 +33,7 @@ __all__ = [
 
 
 @dataclass
-class EquivalenceResult:
+class EquivalenceResult(Wire):
     """Outcome of an equivalence check.
 
     ``vectors_checked`` counts the vectors (or, for lock-step sequential
@@ -52,35 +51,6 @@ class EquivalenceResult:
 
     def __bool__(self) -> bool:
         return self.equivalent
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-stable wire form (the ``check_equivalence`` answer)."""
-        return {
-            "equivalent": self.equivalent,
-            "vectors_checked": self.vectors_checked,
-            "counterexample": (
-                dict(self.counterexample) if self.counterexample else None
-            ),
-            "mismatched_outputs": list(self.mismatched_outputs),
-            "mode": self.mode,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "EquivalenceResult":
-        counterexample = data.get("counterexample")
-        return EquivalenceResult(
-            equivalent=bool(data.get("equivalent")),
-            vectors_checked=int(data.get("vectors_checked", 0)),
-            counterexample=(
-                {str(k): int(v) for k, v in counterexample.items()}
-                if counterexample
-                else None
-            ),
-            mismatched_outputs=tuple(
-                str(name) for name in data.get("mismatched_outputs") or ()
-            ),
-            mode=str(data.get("mode") or ""),
-        )
 
 
 def bus_assignment(base: str, width: int, value: int) -> Dict[str, int]:

@@ -10,12 +10,15 @@ escaping the service or the wire dispatcher.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import string
+import typing
 
 import pytest
 
+from repro import wire
 from repro.api import (
     AttributePredicate,
     BatchRequest,
@@ -57,11 +60,14 @@ from repro.api import (
     pareto,
     request_from_dict,
 )
+from repro.api.messages import AttachSession, Hello, Request, Welcome
+from repro.api.planner import CandidateReport, PlanResult
 from repro.components import standard_catalog
 from repro.constraints import Constraints, PortPosition
 from repro.core.icdb import IcdbError
 from repro.net.server import FrameDispatcher
-from repro.netlist.structural import StructuralNetlist
+from repro.netlist.structural import ComponentRef, StructuralNetlist
+from repro.sim.vectors import EquivalenceResult
 
 SEED = 0xD_AC_19_90
 ROUNDS = 60
@@ -607,3 +613,279 @@ def test_executing_random_valid_requests_never_raises(fuzz_service):
         if not response.ok:
             assert response.error.code
             assert response.error.message
+
+
+# ---------------------------------------------------------------------------
+# The decode boundary: one codec, typed fields, BAD_REQUEST naming the field
+# ---------------------------------------------------------------------------
+
+
+def _dispatcher(service) -> FrameDispatcher:
+    from repro.api import PROTOCOL_VERSION
+
+    dispatcher = FrameDispatcher(service, client_label="wire-contract")
+    welcome = dispatcher.dispatch({"type": "hello", "protocol": PROTOCOL_VERSION})
+    assert welcome["type"] == "welcome"
+    return dispatcher
+
+
+def _wrong_value(hint):
+    """A JSON value of the wrong type for ``hint`` (None: not checked)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and type(None) in args:
+        members = [arg for arg in args if arg is not type(None)]
+        return _wrong_value(members[0] if len(members) == 1 else typing.Union[tuple(members)])
+    if hint is typing.Any:
+        return None
+    if hint is str:
+        return 7
+    if hint is int:
+        return "7"
+    if hint is float:
+        return "7.5"
+    if hint is bool:
+        return "no"
+    if origin in (tuple, list):
+        return "abc"  # a bare string is not a one-item list
+    if origin is dict:
+        return [1]
+    return 5  # a wire class or a union of them
+
+
+def _request_fields():
+    for kind, request_type in sorted(REQUEST_TYPES.items()):
+        hints = typing.get_type_hints(request_type)
+        for item in dataclasses.fields(request_type):
+            wrong = _wrong_value(hints[item.name])
+            if wrong is not None:
+                yield kind, item.name, wrong
+
+
+def test_a_wrong_json_type_in_any_request_field_answers_bad_request(fuzz_service):
+    """Property: every typed field of every request kind, sent with a value
+    of the wrong JSON type, answers BAD_REQUEST naming ``Class.field`` --
+    never INTERNAL, never ok."""
+    dispatcher = _dispatcher(fuzz_service)
+    rng = random.Random(SEED + 3)
+    checked = 0
+    for kind, name, wrong in _request_fields():
+        wire = GENERATORS[kind](rng).to_dict()
+        wire[name] = wrong
+        reply = dispatcher.dispatch({"type": "request", "request": wire})
+        response = reply["response"]
+        assert not response["ok"], (kind, name, wrong)
+        assert response["error"]["code"] == "BAD_REQUEST", (kind, name, response)
+        label = f"{REQUEST_TYPES[kind].__name__}.{name}"
+        assert label in response["error"]["message"], (label, response)
+        checked += 1
+    # No request field is typed Any, so every one of them was probed.
+    assert checked == sum(len(dataclasses.fields(t)) for t in REQUEST_TYPES.values())
+
+
+@pytest.mark.parametrize(
+    "payload, label",
+    [
+        # Used to reach the engine and answer INTERNAL.
+        ({"kind": "component_query", "component": 123}, "ComponentQuery.component"),
+        ({"kind": "function_query", "functions": [1, 2]}, "FunctionQuery.functions"),
+        ({"kind": "request_component", "implementation": 7},
+         "ComponentRequest.implementation"),
+        ({"kind": "request_component", "implementation": "alu", "constraints": 5},
+         "ComponentRequest.constraints"),
+        # String booleans used to read as true.
+        ({"kind": "job_status", "job_id": "job-1", "wait": "no"}, "JobStatus.wait"),
+        ({"kind": "request_component", "implementation": "alu", "use_cache": "false"},
+         "ComponentRequest.use_cache"),
+        ({"kind": "get_metrics", "include_histograms": "no"},
+         "GetMetrics.include_histograms"),
+        # Used to be accepted as is.
+        ({"kind": "design_op", "op": "start_design", "design": 5}, "DesignOp.design"),
+        # Used to answer a bare TypeError message naming no field.
+        ({"kind": "instance_query", "name": "x", "fields": 3}, "InstanceQuery.fields"),
+        # Attribute values are integers, as in a plan's attribute predicates;
+        # these used to be int()-coerced (or fail naming no field) in the engine.
+        ({"kind": "request_component", "implementation": "alu",
+          "attributes": {"size": "8"}}, "ComponentRequest.attributes"),
+        ({"kind": "request_component", "implementation": "alu",
+          "attributes": {"size": 8.9}}, "ComponentRequest.attributes"),
+        ({"kind": "component_query", "component": "Counter",
+          "attributes": {"size": True}}, "ComponentQuery.attributes"),
+    ],
+)
+def test_malformed_field_probes_answer_bad_request(fuzz_service, payload, label):
+    reply = _dispatcher(fuzz_service).dispatch({"type": "request", "request": payload})
+    error = reply["response"]["error"]
+    assert error["code"] == "BAD_REQUEST"
+    assert label in error["message"]
+
+
+@pytest.mark.parametrize("frame_type", ["hello", "attach"])
+@pytest.mark.parametrize("protocol", ["missing", None, "banana"])
+def test_handshake_without_a_valid_protocol_answers_protocol_and_closes(
+    fuzz_service, frame_type, protocol
+):
+    frame = {"type": frame_type, "token": "t"}
+    if protocol != "missing":
+        frame["protocol"] = protocol
+    dispatcher = FrameDispatcher(fuzz_service, client_label="handshake")
+    reply = dispatcher.dispatch(frame)
+    assert reply["type"] == "error"
+    assert reply["error"]["code"] == "PROTOCOL"
+    assert dispatcher.closed
+
+
+def test_an_integer_for_a_float_field_shares_the_cache_entry_of_the_float(tmp_path):
+    """2 and 2.0 are one value: both decode to a float, so the two requests
+    key the same result-cache entry (``canonical_constraints_json``)."""
+    service = ComponentService(catalog=standard_catalog(fresh=True), store_root=tmp_path)
+    dispatcher = _dispatcher(service)
+
+    def send(load):
+        request = {
+            "kind": "request_component", "implementation": "register",
+            "attributes": {"size": 3}, "detail": "summary",
+            "constraints": {"default_output_load": load},
+        }
+        response = dispatcher.dispatch({"type": "request", "request": request})["response"]
+        assert response["ok"], response
+        return response
+
+    assert not send(2.0).get("cached", False)
+    assert send(2)["cached"]
+    decoded = Constraints.from_dict({"default_output_load": 2, "clock_width": 30,
+                                     "port_positions": [{"port": "A", "side": "top",
+                                                         "order": 10}]})
+    assert decoded == Constraints(default_output_load=2.0, clock_width=30.0,
+                                  port_positions=(PortPosition("A", "top", 10.0),))
+    assert type(decoded.clock_width) is float
+    assert type(decoded.port_positions[0].order) is float
+
+
+def test_a_bound_without_metric_answers_invalid(fuzz_service):
+    query = {"kind": "plan_query", "query": {"where": [{"limit": 5.0}]}}
+    reply = _dispatcher(fuzz_service).dispatch({"type": "request", "request": query})
+    assert reply["response"]["error"]["code"] == "INVALID"
+
+
+def _wire_classes():
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+
+    return set(walk(wire.Wire))
+
+
+def test_every_wire_class_builds_its_codec():
+    """Resolving every annotation up front: a name that does not resolve on
+    some Python version fails here, not on a server's first request."""
+    classes = _wire_classes()
+    nested_and_answers = {
+        Request, Hello, Welcome, AttachSession, JobEvent, QuerySpec, Bound,
+        Objective, PlanPoint, FunctionPredicate, TypePredicate, NamePredicate,
+        AttributePredicate, Constraints, PortPosition, StructuralNetlist,
+        ComponentRef, PlanResult, CandidateReport, EquivalenceResult,
+    }
+    assert set(REQUEST_TYPES.values()) | nested_and_answers <= classes
+    for cls in classes:
+        wire.codec(cls)
+    # One set of kinds: a field typed Request (a batch item, a submitted
+    # job) and the top-level decode accept exactly the registered ones.
+    assert wire._variants(Request) == REQUEST_TYPES
+    # A field typed Request accepts exactly the registered kinds.
+    rng = random.Random(SEED + 4)
+    for kind, generator in GENERATORS.items():
+        request = generator(rng)
+        assert Request.from_dict(json.loads(json.dumps(request.to_dict()))) == request
+    with pytest.raises(IcdbError) as excinfo:
+        Request.from_dict({"kind": "teleport"})
+    assert excinfo.value.code == "BAD_REQUEST"
+
+
+def _candidate(rng: random.Random) -> CandidateReport:
+    generated = rng.random() < 0.7
+    return CandidateReport(
+        label=_name(rng, "pt_"),
+        implementation=_name(rng),
+        parameters={_name(rng): rng.randint(0, 16) for _ in range(rng.randint(0, 3))},
+        status=rng.choice(["planned", "pruned", "generated", "infeasible", "failed"]),
+        reason=_name(rng),
+        instance=_name(rng) if generated else "",
+        cached=rng.random() < 0.5,
+        metrics={
+            "area": round(rng.uniform(1, 1e5), 3),
+            "delay": round(rng.uniform(0, 50), 3),
+            "cells": rng.randint(1, 500),
+        } if generated else {},
+        score=_maybe(rng, lambda: round(rng.uniform(0, 1e5), 3)),
+        rank=_maybe(rng, lambda: rng.randint(1, 9)),
+        on_front=rng.random() < 0.3,
+        error=_maybe(
+            rng,
+            lambda: IcdbErrorInfo(
+                code=rng.choice(ERROR_CODES), message=_name(rng), retry_after_ms=2.5
+            ).to_dict(),
+            0.2,
+        ),
+        # In-process only: never on the wire, never compared.
+        exception=RuntimeError("in process"),
+        requested_implementation=_name(rng).upper(),
+    )
+
+
+def test_randomized_plan_results_survive_json_round_trip():
+    rng = random.Random(SEED ^ 0x9A4)
+    for _ in range(ROUNDS):
+        candidates = [_candidate(rng) for _ in range(rng.randint(0, 5))]
+        indices = list(range(len(candidates)))
+        result = PlanResult(
+            candidates=candidates,
+            winners=rng.sample(indices, rng.randint(0, len(indices))),
+            front=rng.sample(indices, rng.randint(0, len(indices))),
+            objective=_objective(rng),
+            explain_data={"stages": [{"name": _name(rng), "ms": rng.random()}],
+                          "pruned": rng.randint(0, 9)},
+        )
+        wire_form = json.loads(json.dumps(result.to_dict()))
+        assert "explain" in wire_form and "explain_data" not in wire_form
+        for report in wire_form["candidates"]:
+            assert "exception" not in report
+            assert "requested_implementation" not in report
+        rebuilt = PlanResult.from_dict(wire_form)
+        assert rebuilt == result
+        assert rebuilt.to_dict() == result.to_dict()
+        assert all(report.exception is None for report in rebuilt.candidates)
+
+
+def test_randomized_equivalence_results_survive_json_round_trip():
+    rng = random.Random(SEED ^ 0xE9)
+    for _ in range(ROUNDS):
+        equivalent = rng.random() < 0.5
+        result = EquivalenceResult(
+            equivalent=equivalent,
+            vectors_checked=rng.randint(0, 4096),
+            counterexample=None if equivalent else {
+                _name(rng).upper(): rng.randint(0, 1) for _ in range(rng.randint(1, 4))
+            },
+            mismatched_outputs=() if equivalent else _names(rng),
+            mode=rng.choice(["", "combinational", "sequential"]),
+        )
+        rebuilt = EquivalenceResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert rebuilt == result
+
+
+def test_duplicate_structural_label_on_the_wire_answers_bad_request(fuzz_service):
+    structure = {
+        "name": "cluster",
+        "inputs": ["A"],
+        "outputs": ["Y"],
+        "refs": [
+            {"label": "u0", "component": "alu_1", "port_map": {}},
+            {"label": "u0", "component": "alu_2", "port_map": {}},
+        ],
+    }
+    request = {"kind": "request_component", "structure": structure}
+    reply = _dispatcher(fuzz_service).dispatch({"type": "request", "request": request})
+    error = reply["response"]["error"]
+    assert error["code"] == "BAD_REQUEST"
+    assert "u0" in error["message"]

@@ -15,6 +15,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -325,6 +326,22 @@ def test_oversized_reply_answers_error_and_survives(tmp_path):
         server.stop()
 
 
+def test_frame_limit_below_the_error_frame_closes_quietly(tmp_path, monkeypatch):
+    """When not even the server's error frame fits its own limit, the
+    connection closes; its handler thread must not die with a traceback."""
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    server = serve(service=_fresh_service(tmp_path, "tiny"), port=0, max_frame_bytes=16)
+    try:
+        stream = _raw_stream(server)
+        stream.socket.sendall(struct.pack(">I", 64))  # announce a too-large frame
+        assert stream.recv() is None  # closed, with no room for an answer
+        stream.close()
+    finally:
+        server.stop()
+    assert crashes == []
+
+
 def test_mid_request_disconnect_leaves_server_alive(server):
     stream = _raw_stream(server)
     stream.socket.sendall(struct.pack(">I", 500) + b"partial payload")
@@ -536,6 +553,31 @@ def test_cli_server_serves_and_shuts_down_on_sigint(tmp_path):
         out, err = proc.communicate(timeout=15)
     assert proc.returncode == 0
     assert "icdb server stopped" in out
+
+
+def _started_too_early(*args, **kwargs):
+    raise AssertionError("the service started before the options were checked")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--shed-threshold", "0"],
+        ["--shed-threshold", "-1"],
+        ["--port", "70000"],
+        ["--data-dir", "{tmp}", "--snapshot-interval", "-5"],
+        ["--max-frame-bytes", "0"],
+        ["--metrics-interval", "0"],
+    ],
+)
+def test_cli_rejects_out_of_range_options_at_parse_time(args, tmp_path, monkeypatch, capsys):
+    from repro.net import server as server_module
+
+    monkeypatch.setattr(server_module, "ComponentService", _started_too_early)
+    with pytest.raises(SystemExit) as excinfo:
+        server_module.main([arg.replace("{tmp}", str(tmp_path)) for arg in args])
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

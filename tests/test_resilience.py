@@ -149,6 +149,37 @@ def test_request_dedupe_blocks_concurrent_duplicate():
     assert seen["reply"] == {"ok": True}
 
 
+def test_request_dedupe_stays_bounded_behind_an_in_flight_head():
+    """One slow mutation at the head must not let completed entries pile
+    up: the oldest completed ones are evicted, the in-flight one never."""
+    dedupe = RequestDedupe(capacity=4)
+    assert dedupe.begin("slow") is None  # stays in flight throughout
+    for index in range(100):
+        assert dedupe.begin(f"r{index}") is None
+        dedupe.finish(f"r{index}", {"ok": True, "value": index})
+        assert len(dedupe) <= dedupe.capacity + 1  # + the in-flight one
+    # The newest completed entries survive; the oldest were evicted.
+    assert dedupe.begin("r99") == {"ok": True, "value": 99}
+    assert dedupe.begin("r0") is None
+    dedupe.finish("r0", None)
+
+    seen = {}
+
+    def duplicate():
+        seen["reply"] = dedupe.begin("slow")  # must block until finish()
+
+    thread = threading.Thread(target=duplicate)
+    thread.start()
+    time.sleep(0.05)
+    assert thread.is_alive()  # the reservation was never evicted
+    dedupe.finish("slow", {"ok": True, "value": "slow"})
+    thread.join(timeout=5.0)
+    assert seen["reply"] == {"ok": True, "value": "slow"}
+    # Its late finish records normally and counts as the newest entry.
+    assert dedupe.begin("slow") == {"ok": True, "value": "slow"}
+    assert len(dedupe) <= dedupe.capacity
+
+
 class _StubJobs:
     """Just enough JobManager surface for the shedder."""
 
