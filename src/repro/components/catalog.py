@@ -281,15 +281,6 @@ class ComponentCatalog:
         }
         return sorted(names)
 
-    def by_attributes(self, names: Iterable[str]) -> List[ComponentImplementation]:
-        """Implementations supporting *all* of the named attributes."""
-        wanted = list(names)
-        return [
-            impl
-            for impl in self._implementations.values()
-            if impl.supports_attributes(wanted)
-        ]
-
     def component_types(self) -> List[str]:
         seen: List[str] = []
         for impl in self._implementations.values():

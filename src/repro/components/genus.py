@@ -107,15 +107,6 @@ def normalize_function(name: str) -> str:
     return candidate
 
 
-def is_function(name: str) -> bool:
-    """True if ``name`` (or its alias) is a known function."""
-    try:
-        normalize_function(name)
-    except UnknownFunctionError:
-        return False
-    return True
-
-
 def function_group(name: str) -> str:
     """Return the group ("arithmetic", "logic", ...) a function belongs to."""
     canonical = normalize_function(name)

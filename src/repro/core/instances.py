@@ -66,10 +66,11 @@ class ComponentInstance:
     #: originally synthesized template).
     cached: bool = False
     #: Memoized name-independent derivations of the shared netlist / report
-    #: objects: report renders (delay, shape, area, VHDL fragments), the
-    #: transistor count, wire-summary fragments.  Cache clones share this
-    #: dict with their template, so each value is computed once per
-    #: synthesized netlist.
+    #: objects: report renders (delay, shape, area), the transistor count,
+    #: summary fragments, and -- from their second render on -- the
+    #: artifact bodies (VHDL architecture and ports, flat IIF).  Cache
+    #: clones share this dict with their template, so each value is
+    #: computed once per synthesized netlist.
     render_cache: Dict[str, object] = field(default_factory=dict)
 
     def __copy__(self) -> "ComponentInstance":
@@ -133,6 +134,18 @@ class ComponentInstance:
             self.render_cache[kind] = text
         return text
 
+    def _render_body(self, kind: str, producer) -> str:
+        # An artifact body is memoized from its second render on.  Most
+        # families render it once, for their eager files, and keeping that
+        # render would only duplicate text already on disk; a body that is
+        # read again (a VHDL instance query, a flow hit's persist, a clone)
+        # is kept.  The first render leaves a None marker, read as missing.
+        text = self.render_cache.get(kind)
+        if text is None:
+            text = producer()
+            self.render_cache[kind] = text if kind in self.render_cache else None
+        return text
+
     def render_delay(self) -> str:
         """Delay information in the paper's instance-query format."""
         return self._render("delay", self.delay_report.render)
@@ -151,7 +164,7 @@ class ComponentInstance:
     def _vhdl_ports(self) -> str:
         # The port-declaration block is name-independent and shared with
         # cache clones, like the architecture body.
-        return self._render(
+        return self._render_body(
             "vhdl_ports",
             lambda: vhdl_port_block(self.netlist.inputs, self.netlist.outputs),
         )
@@ -159,7 +172,7 @@ class ComponentInstance:
     def vhdl_netlist(self) -> str:
         # The architecture body is name-independent and shared with cache
         # clones; the entity header always carries this instance's name.
-        body = self._render(
+        body = self._render_body(
             "vhdl_body", lambda: gate_netlist_architecture_body(self.netlist)
         )
         return gate_netlist_to_vhdl(
@@ -168,7 +181,7 @@ class ComponentInstance:
 
     def flat_milo(self) -> str:
         """The flat IIF in MILO form, headed by this instance's name."""
-        body = self._render(
+        body = self._render_body(
             "flat_iif_body", lambda: flat_to_milo(self.flat).split("\n", 1)[1]
         )
         return f"NAME={self.name};\n{body}"
@@ -176,7 +189,7 @@ class ComponentInstance:
     def vhdl_head(self) -> str:
         # Same sharing trick, but over the flat component's port lists
         # (their ordering can differ from the mapped netlist's).
-        ports = self._render(
+        ports = self._render_body(
             "vhdl_head_ports", lambda: vhdl_port_block(self.inputs, self.outputs)
         )
         return vhdl_component_declaration(
@@ -266,7 +279,3 @@ class InstanceManager:
     def instances(self) -> List[ComponentInstance]:
         with self._lock:
             return list(self._instances.values())
-
-    def by_design(self, design: str) -> List[ComponentInstance]:
-        with self._lock:
-            return [inst for inst in self._instances.values() if inst.design == design]

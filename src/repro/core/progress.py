@@ -42,11 +42,6 @@ class OperationCancelled(RuntimeError):
     """The current operation was cancelled at a cooperative checkpoint."""
 
 
-def current_observer() -> Optional[ProgressObserver]:
-    """The observer installed on this thread, if any."""
-    return getattr(_LOCAL, "observer", None)
-
-
 def checkpoint(stage: str, fraction: float = 0.0) -> None:
     """Report a stage boundary to this thread's observer (if installed).
 

@@ -7,11 +7,16 @@ processes -- which is exactly what the fleet does: workers compute stage
 entries and ship them to the server under the same keys.  Fingerprints
 therefore hash *content* through blake2b and are identical wherever the
 content is.
+
+``blake2b`` comes from ``_blake2``, the module ``hashlib`` re-exports it
+from (``hashlib.blake2b is _blake2.blake2b``), so digests are the same;
+importing ``hashlib`` itself would map OpenSSL into every process that
+fingerprints, the server included.
 """
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 
 
 def stable_fingerprint(*parts: object) -> int:
@@ -21,7 +26,7 @@ def stable_fingerprint(*parts: object) -> int:
     frozen dataclasses all have stable, content-determined reprs), with a
     separator so adjacent parts cannot collide by concatenation.
     """
-    digest = hashlib.blake2b(digest_size=8)
+    digest = blake2b(digest_size=8)
     for part in parts:
         digest.update(repr(part).encode("utf-8"))
         digest.update(b"\x1f")

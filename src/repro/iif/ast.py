@@ -242,10 +242,6 @@ class IifModule:
             + list(self.piif_variables)
         )
 
-    def port_items(self) -> List[DeclItem]:
-        """Input followed by output declaration items."""
-        return list(self.inorder) + list(self.outorder)
-
 
 # ---------------------------------------------------------------------------
 # Small helpers used by both the parser and the expander
@@ -256,11 +252,6 @@ BOOLEAN_BINARY_OPS = {"+", "*", "(+)", "(.)", "~d", "~t", "~w", "@", "~a", "/"}
 ARITH_BINARY_OPS = {"+", "-", "*", "/", "%", "**"}
 COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">=", "&&", "||"}
 CLOCK_QUALIFIERS = {"~r": "r", "~f": "f", "~h": "h", "~l": "l"}
-
-
-def is_clock_qualifier(node: Node) -> bool:
-    """True if ``node`` is a unary clock qualifier (``~r expr`` etc.)."""
-    return isinstance(node, Unary) and node.op in CLOCK_QUALIFIERS
 
 
 def iter_nodes(node: Node):
@@ -277,8 +268,3 @@ def iter_nodes(node: Node):
     elif isinstance(node, CallExpr):
         for arg in node.args:
             yield from iter_nodes(arg)
-
-
-def referenced_idents(node: Node) -> set:
-    """Base identifiers referenced anywhere in an expression."""
-    return {n.ident for n in iter_nodes(node) if isinstance(n, Name)}

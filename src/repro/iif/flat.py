@@ -248,9 +248,6 @@ class FlatComponent:
                 names |= expression.variables()
         return names
 
-    def is_sequential_component(self) -> bool:
-        return any(isinstance(a, SeqAssign) for a in self.assigns)
-
     # --------------------------------------------------------------- collapse
 
     def collapsed_output_expressions(self) -> Dict[str, E.BExpr]:
@@ -287,22 +284,6 @@ class FlatComponent:
             else:
                 collapsed[output] = E.Var(output)
         return collapsed
-
-    def collapsed_next_state(self) -> Dict[str, E.BExpr]:
-        """Next-state (D input) expression of every sequential signal, with
-        internal combinational signals substituted away."""
-        comb = {a.target: a.expr for a in self.combinational()}
-
-        def expand(expression: E.BExpr, trail: Tuple[str, ...]) -> E.BExpr:
-            mapping = {}
-            for ref in expression.variables():
-                if ref in comb and ref not in trail:
-                    mapping[ref] = expand(comb[ref], trail + (ref,))
-            if not mapping:
-                return expression
-            return E.substitute(expression, mapping)
-
-        return {a.target: expand(a.data, ()) for a in self.sequential()}
 
     # --------------------------------------------------------------- pretty
 

@@ -51,11 +51,6 @@ _INTERN_LOCK = threading.Lock()
 _T_CONST, _T_VAR, _T_NOT, _T_BUF, _T_AND, _T_OR, _T_XOR, _T_XNOR, _T_SPECIAL = range(9)
 
 
-def interned_count() -> int:
-    """Number of live interned nodes (diagnostics / tests)."""
-    return len(_INTERN)
-
-
 class BExpr:
     """Base class for boolean expressions (interned, immutable)."""
 

@@ -15,7 +15,7 @@ technology mapper can still use XOR cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import expr as E
 from .sop import Cube, SumOfProducts, cube_minterms, expr_minterms, remove_contained_cubes
@@ -217,8 +217,3 @@ def minimize(expression: E.BExpr, max_vars: int = DEFAULT_MAX_VARS) -> E.BExpr:
         for term, name in table.items()
     }
     return E.substitute(minimized_abstract, back)
-
-
-def equations_cost(expressions: Iterable[E.BExpr]) -> int:
-    """Aggregate literal cost of a set of equations (used by ablation benches)."""
-    return sum(E.count_literals(expression) for expression in expressions)

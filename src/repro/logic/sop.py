@@ -10,13 +10,9 @@ structures and the conversions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from . import expr as E
-
-
-class SopError(ValueError):
-    """Raised on malformed cubes or SOPs."""
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,6 @@ class SumOfProducts:
     def literal_count(self) -> int:
         return sum(cube.literal_count() for cube in self.cubes)
 
-    def cube_count(self) -> int:
-        return len(self.cubes)
-
     def evaluate(self, env: Mapping[str, int]) -> int:
         return 1 if any(cube.evaluate(env) for cube in self.cubes) else 0
 
@@ -94,13 +87,6 @@ class SumOfProducts:
         if not self.cubes:
             return E.FALSE
         return E.or_(*(cube.to_expr() for cube in self.cubes))
-
-    def is_constant(self) -> Optional[int]:
-        if not self.cubes:
-            return 0
-        if any(not cube.literals for cube in self.cubes):
-            return 1
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +109,6 @@ def expr_minterms(expression: E.BExpr, order: Sequence[str]) -> Set[int]:
         minterms.add(low.bit_length() - 1)
         mask ^= low
     return minterms
-
-
-def minterm_to_cube(index: int, order: Sequence[str]) -> Cube:
-    names = list(order)
-    bits = []
-    for position, name in enumerate(names):
-        shift = len(names) - 1 - position
-        bits.append((name, (index >> shift) & 1))
-    return Cube(tuple(sorted(bits)))
 
 
 def cube_minterms(cube: Cube, order: Sequence[str]) -> Set[int]:
@@ -160,10 +137,6 @@ def cube_minterms(cube: Cube, order: Sequence[str]) -> Set[int]:
             break
         subset = (subset - 1) & free
     return minterms
-
-
-def sop_from_cubes(order: Sequence[str], cubes: Iterable[Cube]) -> SumOfProducts:
-    return SumOfProducts(tuple(order), tuple(cubes))
 
 
 def remove_contained_cubes(cubes: Sequence[Cube]) -> List[Cube]:

@@ -36,7 +36,7 @@ down gracefully on SIGINT / SIGTERM (draining open connections).
 from __future__ import annotations
 
 import argparse
-import secrets
+import os
 import signal
 import socket
 import sys
@@ -156,7 +156,9 @@ class SessionRegistry:
                     retry_after_ms=1000.0,
                 )
             session = self.service.create_session(client=client)
-            token = secrets.token_hex(16)
+            # What secrets.token_hex(16) returns, without importing
+            # secrets: its hmac import maps OpenSSL into the server.
+            token = os.urandom(16).hex()
             self._entries[token] = [session, 1]
             self._trim_locked()
         self.service.metrics.counter("net.sessions_created").inc()

@@ -20,8 +20,6 @@ def _vhdl_identifier(name: str) -> str:
     for char in name:
         if char.isalnum():
             out.append(char)
-        elif char in "[](),.":
-            out.append("_")
         else:
             out.append("_")
     text = "".join(out).strip("_")

@@ -69,10 +69,6 @@ class FlatSimulator:
         """Read ``base[width-1 .. 0]`` as an unsigned integer."""
         return read_bus(self.values, base, width)
 
-    def set_bus(self, base: str, width: int, value: int) -> Dict[str, int]:
-        """Build an input assignment for a bus (does not apply it)."""
-        return {f"{base}[{i}]": (value >> i) & 1 for i in range(width)}
-
     # ------------------------------------------------------------------ drive
 
     def apply(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:

@@ -60,9 +60,6 @@ class Schedule:
                 return entry
         raise SchedulingError(f"operation {operation_name!r} is not scheduled")
 
-    def operations_in_step(self, step: int) -> List[ScheduledOperation]:
-        return [e for e in self.entries if e.start_step <= step <= e.end_step]
-
     def functions_per_step(self) -> List[Dict[str, int]]:
         """How many units of each function are busy in every step."""
         usage: List[Dict[str, int]] = [dict() for _ in range(self.steps)]
