@@ -1,23 +1,23 @@
-"""Bit-parallel simulation throughput: batch lanes vs one-vector-at-a-time.
+"""Bit-parallel simulation throughput: 64 lanes vs one lane.
 
-The PR-6 acceptance experiment.  The paper's ICDB verifies every
-generated component by simulation (Section 4.3); the seed-era engines
-walked one vector at a time through Python-level gate loops.  The batch
-engines of :mod:`repro.sim.batch` pack W vectors into big-integer lanes
--- one bitwise operation per gate evaluates all W lanes -- so throughput
-should scale with the lane width until big-integer arithmetic costs kick
-in.  Measured:
+The paper's ICDB verifies every generated component by simulation
+(Section 4.3).  The engines of :mod:`repro.sim.batch` pack W vectors
+into big-integer lanes -- one bitwise operation per gate evaluates all W
+lanes -- so throughput should scale with the lane width until
+big-integer arithmetic costs kick in.  The baseline is the same engine
+one lane wide, i.e. one vector at a time through Python-level gate
+loops.  Measured:
 
 * **comb_sweep** -- the exhaustive 512-vector sweep of the 4-bit
-  ripple-carry adder netlist, scalar ``GateSimulator`` vs 64-lane
-  ``BatchGateSimulator`` blocks (the equivalence checker's shape);
+  ripple-carry adder netlist, one-lane ``BatchGateSimulator`` vs 64-lane
+  blocks (the equivalence checker's shape);
 * **sequential** -- lock-step clocked simulation of the 4-bit up/down
-  counter, 64 scalar machines vs one 64-lane batch machine.
+  counter, 64 one-lane machines vs one 64-lane machine.
 
 Each gate is the median of per-pair ratios over back-to-back pairs of
-one scalar run and one batch run, in alternating order
+one one-lane run and one 64-lane run, in alternating order
 (:func:`conftest.paired_median`).  Acceptance: the 64-lane combinational
-sweep sustains at least 20x the naive scalar vectors/second, lock-step
+sweep sustains at least 20x the one-lane vectors/second, lock-step
 simulation at least 5x.  Results land in ``BENCH_sim.json``.
 """
 
@@ -31,12 +31,12 @@ from conftest import paired_median, record_bench_results, run_once
 from repro.components import standard_catalog
 from repro.components.counters import TYPE_SYNCHRONOUS, UP_DOWN, counter_parameters
 from repro.logic.milo import synthesize
-from repro.sim import BatchGateSimulator, GateSimulator, pack_vectors
+from repro.sim import BatchGateSimulator, pack_vectors
 from repro.techlib import standard_cells
 
 #: Lane width of the batch runs (vectors per bitwise operation).
 LANES = 64
-#: Scalar/batch pairs per gate.
+#: One-lane/64-lane pairs per gate.
 PAIRS = 5
 #: Exhaustive sweeps per timed comb run (one batch sweep takes ~2 ms,
 #: too short to time on its own).
@@ -67,14 +67,14 @@ def _rate(count, run) -> float:
 def _record_and_gate(benchmark, key, unit, result, floor, **shape):
     speedup = result["ratio"]
     print()
-    print(f"scalar:  {result['a']:>12.0f} {unit}/s")
-    print(f"batch:   {result['b']:>12.0f} {unit}/s")
-    print(f"speedup: {speedup:>12.1f}x median over {PAIRS} pairs (floor {floor}x)")
+    print(f"one lane: {result['a']:>12.0f} {unit}/s")
+    print(f"{LANES} lanes: {result['b']:>12.0f} {unit}/s")
+    print(f"speedup:  {speedup:>12.1f}x median over {PAIRS} pairs (floor {floor}x)")
     measured = {
         **shape,
         "lanes": LANES,
         "pairs": PAIRS,
-        f"scalar_{unit}_per_s": round(result["a"], 1),
+        f"one_lane_{unit}_per_s": round(result["a"], 1),
         f"batch_{unit}_per_s": round(result["b"], 1),
         "speedup": round(speedup, 2),
         "pair_speedups": [round(ratio, 2) for ratio in result["ratios"]],
@@ -89,17 +89,17 @@ def test_bench_bit_parallel_comb_sweep(benchmark):
     flat, netlist = _adder_netlist()
     vectors = _all_vectors(netlist.inputs)
 
-    def scalar():
+    def one_lane():
         for _ in range(SWEEPS):
-            simulator = GateSimulator(netlist)
+            simulator = BatchGateSimulator(netlist, 1)
             for vector in vectors:
                 simulator.apply(vector)
 
     def batch():
         for _ in range(SWEEPS):
-            # One reusable 64-lane machine, like the scalar loop reuses one
-            # simulator (the netlist is combinational: lanes carry no state
-            # between blocks).
+            # One reusable 64-lane machine, like the one-lane loop reuses
+            # one simulator (the netlist is combinational: lanes carry no
+            # state between blocks).
             simulator = BatchGateSimulator(netlist, LANES)
             for offset in range(0, len(vectors), LANES):
                 block = vectors[offset : offset + LANES]
@@ -108,7 +108,7 @@ def test_bench_bit_parallel_comb_sweep(benchmark):
     result = run_once(
         benchmark,
         lambda: paired_median(
-            lambda: _rate(len(vectors) * SWEEPS, scalar),
+            lambda: _rate(len(vectors) * SWEEPS, one_lane),
             lambda: _rate(len(vectors) * SWEEPS, batch),
             PAIRS,
         ),
@@ -133,8 +133,8 @@ def test_bench_bit_parallel_sequential_lock_step(benchmark):
     stimuli = [{name: rng.getrandbits(LANES) for name in free} for _ in range(CYCLES)]
     applications = LANES * CYCLES
 
-    def scalar():
-        machines = [GateSimulator(netlist) for _ in range(LANES)]
+    def one_lane():
+        machines = [BatchGateSimulator(netlist, 1) for _ in range(LANES)]
         for stimulus in stimuli:
             for lane, machine in enumerate(machines):
                 machine.clock_cycle(
@@ -150,7 +150,7 @@ def test_bench_bit_parallel_sequential_lock_step(benchmark):
     result = run_once(
         benchmark,
         lambda: paired_median(
-            lambda: _rate(applications, scalar),
+            lambda: _rate(applications, one_lane),
             lambda: _rate(applications, batch),
             PAIRS,
         ),

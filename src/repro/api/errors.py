@@ -118,8 +118,7 @@ def error_from_exception(exc: BaseException) -> IcdbErrorInfo:
     from ..core.knowledge import KnowledgeError
     from ..core.progress import OperationCancelled
     from ..db import DatabaseError, StoreError
-    from ..sim.functional import SimulationError
-    from ..sim.gatesim import GateSimulationError
+    from ..sim.batch import GateSimulationError, SimulationError
 
     if isinstance(exc, OperationCancelled):
         code = E_CANCELLED

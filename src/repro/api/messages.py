@@ -55,7 +55,14 @@ from ..constraints import Constraints, PortPosition
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LOGIC
 from ..netlist.structural import StructuralNetlist
-from ..sim.verify import EQUIVALENCE_MODES, SIM_ENGINES
+from ..sim.verify import (
+    EQUIVALENCE_MODES,
+    MAX_CYCLES,
+    MAX_EXHAUSTIVE,
+    MAX_LANES,
+    MAX_SAMPLES,
+    SIM_ENGINES,
+)
 from ..wire import Wire
 from .errors import E_BAD_REQUEST, IcdbErrorInfo
 from .query import QuerySpec
@@ -254,8 +261,10 @@ class CheckEquivalence(Request):
     :data:`~repro.sim.verify.EQUIVALENCE_MODES`: ``"auto"`` picks the
     sequential lock-step check when either side holds state, the
     combinational sweep otherwise.  The answer embeds the
-    :class:`~repro.sim.vectors.EquivalenceResult` wire form, including a
-    counterexample vector on failure.
+    :class:`~repro.sim.verify.EquivalenceResult` wire form, including a
+    counterexample vector on failure.  The size fields are bounded by
+    the ``MAX_*`` caps of :mod:`repro.sim.verify`, so one request cannot
+    ask the server for unbounded work or memory.
     """
 
     kind: ClassVar[str] = "check_equivalence"
@@ -277,6 +286,19 @@ class CheckEquivalence(Request):
                 f"{EQUIVALENCE_MODES}",
                 code=E_BAD_REQUEST,
             )
+        for field_name, low, high in (
+            ("max_exhaustive", 0, MAX_EXHAUSTIVE),
+            ("samples", 1, MAX_SAMPLES),
+            ("cycles", 1, MAX_CYCLES),
+            ("lanes", 1, MAX_LANES),
+        ):
+            value = getattr(self, field_name)
+            if not low <= value <= high:
+                raise IcdbError(
+                    f"CheckEquivalence.{field_name} must be in "
+                    f"[{low}, {high}], got {value}",
+                    code=E_BAD_REQUEST,
+                )
 
 
 #: Valid operations of a :class:`DesignOp`.

@@ -429,7 +429,7 @@ class ClassicOps:
         The candidate's gate netlist is checked against the flat IIF form
         of ``reference`` (another instance; defaults to the candidate
         itself, i.e. "did synthesis preserve the specified function?").
-        The answer embeds the :class:`~repro.sim.vectors.EquivalenceResult`
+        The answer embeds the :class:`~repro.sim.verify.EquivalenceResult`
         fields.
         """
         return self.execute(

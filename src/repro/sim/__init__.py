@@ -1,13 +1,11 @@
 """Simulators used to verify generated components (flat and gate level).
 
-Two families:
-
-* scalar engines (:class:`FlatSimulator`, :class:`GateSimulator`) --
-  one vector at a time, the reference semantics;
-* bit-parallel batch engines (:class:`BatchFlatSimulator`,
-  :class:`BatchGateSimulator`, :mod:`repro.sim.batch`) -- ``W`` vectors
-  packed into big-integer lanes, one bitwise operation per gate per
-  step, with the verification layer (:mod:`repro.sim.verify`) on top.
+One engine family, bit-parallel: :class:`BatchFlatSimulator` (flat IIF)
+and :class:`BatchGateSimulator` (mapped gate netlist) pack ``W`` vectors
+into big-integer lanes, one bitwise operation per gate per step
+(:mod:`repro.sim.batch`); a one-lane engine simulates one vector at a
+time.  The verification layer (:mod:`repro.sim.verify`) builds the
+equivalence checks and vector simulation on top.
 
 See ``docs/sim.md``.
 """
@@ -15,28 +13,20 @@ See ``docs/sim.md``.
 from .batch import (
     BatchFlatSimulator,
     BatchGateSimulator,
+    GateSimulationError,
+    SimulationError,
     batch_evaluate,
     pack_vectors,
+    read_bus,
     unpack_lane,
     unpack_lanes,
-)
-from .functional import FlatSimulator, SimulationError
-from .gatesim import (
-    GateSimulationError,
-    GateSimulator,
-    evaluate_combinational_cell,
-    read_bus,
-)
-from .vectors import (
-    EquivalenceResult,
-    bus_assignment,
-    check_combinational_equivalence,
-    check_sequential_equivalence,
 )
 from .verify import (
     EQUIVALENCE_MODES,
     SIM_ENGINES,
+    EquivalenceResult,
     VerificationError,
+    bus_assignment,
     check_combinational_equivalence_batch,
     check_equivalence,
     check_sequential_equivalence_batch,
@@ -48,20 +38,15 @@ __all__ = [
     "BatchGateSimulator",
     "EQUIVALENCE_MODES",
     "EquivalenceResult",
-    "FlatSimulator",
     "GateSimulationError",
-    "GateSimulator",
     "SIM_ENGINES",
     "SimulationError",
     "VerificationError",
     "batch_evaluate",
     "bus_assignment",
-    "check_combinational_equivalence",
     "check_combinational_equivalence_batch",
     "check_equivalence",
-    "check_sequential_equivalence",
     "check_sequential_equivalence_batch",
-    "evaluate_combinational_cell",
     "pack_vectors",
     "read_bus",
     "simulate_vectors",

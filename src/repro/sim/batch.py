@@ -1,24 +1,27 @@
-"""Bit-parallel (word-level) batch simulation.
+"""Bit-parallel (word-level) simulation: repro.sim's two engines.
 
-The scalar simulators (:class:`~repro.sim.functional.FlatSimulator`,
-:class:`~repro.sim.gatesim.GateSimulator`) evaluate one test vector at a
-time -- a Python-level loop per gate per vector.  The engines here pack
-``W`` independent test vectors into **big-integer lanes**: every net
-carries one Python ``int`` whose bit ``i`` is the net's value in lane
-``i``, and every gate / expression node evaluates all ``W`` lanes with a
-single bitwise operation.  This extends the ``truth_mask`` trick of
+:class:`BatchFlatSimulator` runs a flat IIF component and
+:class:`BatchGateSimulator` a mapped gate netlist.  Both pack ``W``
+independent test vectors into **big-integer lanes**: every net carries
+one Python ``int`` whose bit ``i`` is the net's value in lane ``i``, and
+every gate / expression node evaluates all ``W`` lanes with a single
+bitwise operation.  This extends the ``truth_mask`` trick of
 :mod:`repro.logic.expr` (which evaluates all ``2**n`` truth-table rows in
 one pass over the hash-consed IR) from pure expressions to full
-components, including sequential (clocked) lock-step simulation.
+components, including sequential (clocked) lock-step simulation.  A
+one-lane engine (``W = 1``) is the one-vector-at-a-time simulator.
 
 Lanes are *independent experiments*: each carries its own primary-input
 stream and its own flip-flop / latch state, but all lanes share the one
 clocking schedule of the driving calls (``apply`` / ``clock_cycle``).
-The semantics per lane are exactly those of the scalar simulators --
-two-phase edge commit, asynchronous set-over-reset priority, latch
-transparency, TRIBUF bus-hold, WIREOR as OR (see ``docs/sim.md``);
-``tests/test_sim_batch.py`` asserts lane-for-lane identity against the
-scalar engines, including on random netlists and stimulus.
+Per lane, combinational logic settles to a fixpoint; flip-flops commit in
+two phases (every triggered flip-flop samples D before any updates);
+asynchronous set wins over reset, and both over a clock edge; a latch is
+transparent at its active level; a ``TRIBUF`` holds its output while
+``EN`` is 0 (a bus-keeper: the engines are two-valued, with no ``Z`` or
+``X``) and a ``WIREOR`` cell resolves as OR.  See ``docs/sim.md``;
+``tests/test_sim_batch.py`` checks the engines against references that
+share no code with them.
 """
 
 from __future__ import annotations
@@ -29,17 +32,51 @@ from ..iif.flat import CombAssign, FlatComponent, SeqAssign
 from ..logic import expr as E
 from ..netlist.gates import GateInstance, GateNetlist
 from ..netlist.graph import combinational_order
-from .functional import MAX_SETTLE_ITERATIONS, SimulationError
-from .gatesim import GateSimulationError
 
 __all__ = [
     "BatchFlatSimulator",
     "BatchGateSimulator",
+    "GateSimulationError",
+    "SimulationError",
     "batch_evaluate",
     "pack_vectors",
+    "read_bus",
     "unpack_lane",
     "unpack_lanes",
 ]
+
+
+class SimulationError(RuntimeError):
+    """Raised when the simulator cannot settle or inputs are missing."""
+
+
+class GateSimulationError(RuntimeError):
+    """Raised on unknown cells or missing input values."""
+
+
+#: Safety bound for the combinational / edge settling loop.
+MAX_SETTLE_ITERATIONS = 1000
+
+
+def read_bus(values: Mapping[str, int], base: str, width: int) -> int:
+    """Read ``base[width-1 .. 0]`` out of a name->value mapping.
+
+    The one shared bus unpacker; a missing bit net raises
+    :class:`GateSimulationError` naming the net instead of a bare
+    ``KeyError``.
+    """
+    total = 0
+    for index in range(width):
+        net = f"{base}[{index}]"
+        try:
+            bit = values[net]
+        except KeyError:
+            raise GateSimulationError(
+                f"no net named {net!r} while reading bus "
+                f"{base}[{width - 1}..0]"
+            ) from None
+        total |= (bit & 1) << index
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +195,12 @@ def batch_evaluate(
 
 
 class BatchFlatSimulator:
-    """Lane-parallel mirror of :class:`~repro.sim.functional.FlatSimulator`.
+    """Cycle-accurate simulator over a :class:`FlatComponent`, ``lanes`` wide.
 
-    Every value in :attr:`values` is a ``lanes``-bit integer; per lane the
-    settle / async / latch / edge semantics are identical to the scalar
-    simulator's.
+    Every value in :attr:`values` is a ``lanes``-bit integer.  Each call
+    settles combinational equations to a fixpoint, applies asynchronous
+    set / reset terms, latches and clock edges of the (possibly gated or
+    rippled) clock expressions, and repeats until nothing changes.
     """
 
     def __init__(self, component: FlatComponent, lanes: int, initial_state: int = 0):
@@ -179,10 +217,9 @@ class BatchFlatSimulator:
             self.values[signal] = initial
         for name in component.inputs:
             self.values[name] = 0
+        # The settle's last pass records every assignment's settled clock.
         self._previous_clock: Dict[str, int] = {}
         self._settle()
-        for assign in self._seq:
-            self._previous_clock[assign.target] = self._clock_value(assign)
 
     # ----------------------------------------------------------------- basics
 
@@ -244,8 +281,8 @@ class BatchFlatSimulator:
         for _ in range(MAX_SETTLE_ITERATIONS):
             pass_changed = False
             for assign in self._comb:
-                # No cross-assign memo: like the scalar simulator, each
-                # assignment sees the in-pass updates before it.
+                # No cross-assign memo: each assignment sees the in-pass
+                # updates before it.
                 new_value = batch_evaluate(assign.expr, self.values, self.full)
                 if self.values.get(assign.target) != new_value:
                     self.values[assign.target] = new_value
@@ -297,7 +334,8 @@ class BatchFlatSimulator:
 
     def _apply_edges(self) -> bool:
         # Two-phase commit per lane: all flip-flops sample D before any
-        # updates, exactly like the scalar simulator.
+        # updates, otherwise a synchronous counter would race through
+        # several states per edge.
         updates: List[Tuple[str, int, int]] = []
         for assign in self._seq:
             if assign.is_latch:
@@ -355,8 +393,8 @@ def _b_any(operands: Sequence[int], full: int) -> int:
 
 
 #: Lane-parallel cell evaluators: ``f(operands, full) -> lanes`` for every
-#: combinational kind of ``_COMBINATIONAL_KINDS`` (MUX2 / TRIBUF are
-#: special-cased like in the scalar engine).
+#: combinational cell kind but MUX2 and TRIBUF, which
+#: :func:`batch_evaluate_cell` special-cases.
 _BATCH_KINDS = {
     "INV": lambda v, full: full ^ v[0],
     "BUF": lambda v, full: v[0],
@@ -410,7 +448,7 @@ def batch_evaluate_cell(
 
 
 class BatchGateSimulator:
-    """Lane-parallel mirror of :class:`~repro.sim.gatesim.GateSimulator`."""
+    """Event-style simulator over a mapped gate netlist, ``lanes`` wide."""
 
     def __init__(self, netlist: GateNetlist, lanes: int, initial_state: int = 0):
         if lanes < 1:
@@ -426,11 +464,32 @@ class BatchGateSimulator:
         for instance in netlist.all_instances():
             for i in instance.cell.output_indices:
                 self.values[instance.nets[i]] = initial
+        # One record per sequential cell, built once because every settle
+        # step reads it: (name, is_latch, active_high, clock, D, S, R, Q).
+        # ``active_high`` is a latch's transparent level or a flip-flop's
+        # edge (rising when true); S / R are None on cells without them.
+        self._sequential: List[
+            Tuple[str, bool, bool, str, str, Optional[str], Optional[str], str]
+        ] = []
+        for instance in netlist.sequential_instances():
+            kind = instance.cell.kind
+            nets, pin_index = instance.nets, instance.cell.pin_index
+            latch = kind.startswith("LATCH")
+            self._sequential.append(
+                (
+                    instance.name,
+                    latch,
+                    kind == "LATCH_H" if latch else not kind.startswith("DFF_N"),
+                    instance.clock_net(),
+                    instance.net("D"),
+                    nets[pin_index["S"]] if "S" in pin_index else None,
+                    nets[pin_index["R"]] if "R" in pin_index else None,
+                    instance.output_net(),
+                )
+            )
+        # The settle's last step records every cell's settled clock.
         self._previous_clock: Dict[str, int] = {}
         self._settle()
-        for instance in netlist.sequential_instances():
-            clock_net = instance.clock_net()
-            self._previous_clock[instance.name] = self.values.get(clock_net, 0)
 
     # ------------------------------------------------------------------ drive
 
@@ -490,45 +549,41 @@ class BatchGateSimulator:
 
     def _sequential_step(self) -> bool:
         full = self.full
+        values = self.values
+        previous_clock = self._previous_clock
         updates: List[Tuple[str, int]] = []
-        for instance in self.netlist.sequential_instances():
-            kind = instance.cell.kind
-            clock = self.values.get(instance.clock_net(), 0)
-            out_net = instance.output_net()
-            pin_index = instance.cell.pin_index
-            set_mask = (
-                self.values.get(instance.nets[pin_index["S"]], 0) if "S" in pin_index else 0
-            )
-            reset_mask = (
-                self.values.get(instance.nets[pin_index["R"]], 0) if "R" in pin_index else 0
-            )
+        for name, latch, active_high, clock_net, d_net, s_net, r_net, out_net in (
+            self._sequential
+        ):
+            clock = values.get(clock_net, 0)
+            set_mask = values.get(s_net, 0) if s_net is not None else 0
+            reset_mask = values.get(r_net, 0) if r_net is not None else 0
 
-            if kind.startswith("LATCH"):
-                transparent = clock if kind == "LATCH_H" else (full ^ clock)
+            if latch:
+                transparent = clock if active_high else (full ^ clock)
                 if transparent:
-                    data = self.values[instance.net("D")]
-                    current = self.values[out_net]
+                    data = values[d_net]
+                    current = values[out_net]
                     updates.append(
                         (out_net, (current & ~transparent & full) | (data & transparent))
                     )
-                self._previous_clock[instance.name] = clock
+                previous_clock[name] = clock
                 continue
 
-            previous = self._previous_clock.get(instance.name, clock)
-            self._previous_clock[instance.name] = clock
-            falling_edge_cell = kind.startswith("DFF_N")
+            previous = previous_clock.get(name, clock)
+            previous_clock[name] = clock
             triggered = (
-                (previous & ~clock & full)
-                if falling_edge_cell
-                else (~previous & clock & full)
+                (~previous & clock & full)
+                if active_high
+                else (previous & ~clock & full)
             )
-            # Per-lane priority, like the scalar engine: set wins over
-            # reset, both win over the clock edge.
+            # Per-lane priority: set wins over reset, both win over the
+            # clock edge.
             triggered &= ~set_mask & ~reset_mask & full
-            current = self.values[out_net]
+            current = values[out_net]
             new_value = current
             if triggered:
-                data = self.values[instance.net("D")]
+                data = values[d_net]
                 new_value = (new_value & ~triggered & full) | (data & triggered)
             new_value &= ~(reset_mask & ~set_mask) & full
             new_value |= set_mask
@@ -536,7 +591,7 @@ class BatchGateSimulator:
                 updates.append((out_net, new_value))
         changed = False
         for net, value in updates:
-            if self.values.get(net) != value:
-                self.values[net] = value
+            if values.get(net) != value:
+                values[net] = value
                 changed = True
         return changed

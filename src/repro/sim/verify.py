@@ -1,4 +1,4 @@
-"""Batch verification: equivalence checks and vector simulation services.
+"""Verification: equivalence checks and vector simulation services.
 
 The paper's ICDB functionally verifies every generated component (Section
 4.3 runs a VHDL simulator over the synthesized design).  This module is
@@ -16,7 +16,9 @@ that verification step built on the bit-parallel engines of
   layer exposes (``auto`` picks sequential when either side has state);
 * :func:`simulate_vectors` -- batch vector simulation behind the
   ``simulate`` request: one lane per vector for combinational sweeps, a
-  single-lane trace of one cycle per vector when a clock is named.
+  single-lane trace of one cycle per vector when a clock is named;
+* :class:`EquivalenceResult` -- the typed verdict every check answers,
+  and :func:`bus_assignment`, which drives a bus with an integer.
 
 All loops call :func:`repro.core.progress.checkpoint` once per vector
 block / cycle, so a simulation or equivalence check submitted as a job is
@@ -30,25 +32,30 @@ and including it.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.progress import checkpoint
 from ..iif.flat import FlatComponent
 from ..netlist.gates import GateNetlist
+from ..wire import Wire
 from .batch import (
     BatchFlatSimulator,
     BatchGateSimulator,
+    SimulationError,
     batch_evaluate,
     pack_vectors,
     unpack_lane,
 )
-from .vectors import EquivalenceResult, _input_vectors
 
 __all__ = [
     "EQUIVALENCE_MODES",
+    "EquivalenceResult",
     "SIM_ENGINES",
     "VerificationError",
+    "bus_assignment",
     "check_combinational_equivalence_batch",
     "check_equivalence",
     "check_sequential_equivalence_batch",
@@ -73,14 +80,82 @@ SIM_ENGINES = ("gates", "flat")
 #: spacing of cancellation checkpoints.
 DEFAULT_BLOCK_LANES = 256
 
+#: Upper bounds on a ``check_equivalence`` request's size fields, each at
+#: least 64x the work of its default.  The exhaustive sweep is built as
+#: one dict per vector before the first block runs (about 470 B each),
+#: so ``max_exhaustive`` bounds memory: 16 inputs take about 30 MB.
+MAX_LANES = 4096
+MAX_CYCLES = 4096
+MAX_SAMPLES = 16384
+MAX_EXHAUSTIVE = 16
+
+
+@dataclass
+class EquivalenceResult(Wire):
+    """Outcome of an equivalence check.
+
+    ``vectors_checked`` counts the vectors (or, for lock-step sequential
+    checks, stimulus applications) actually simulated -- on an early
+    mismatch it includes the counterexample vector but nothing after it.
+    ``mode`` records which check produced the result
+    (``"combinational"`` / ``"sequential"``) when known.
+    """
+
+    equivalent: bool
+    vectors_checked: int
+    counterexample: Optional[Dict[str, int]] = None
+    mismatched_outputs: Tuple[str, ...] = ()
+    mode: str = ""
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def bus_assignment(base: str, width: int, value: int) -> Dict[str, int]:
+    """Input assignment driving ``base[width-1..0]`` with ``value``."""
+    return {f"{base}[{i}]": (value >> i) & 1 for i in range(width)}
+
+
+def _input_vectors(
+    inputs: Sequence[str], max_exhaustive: int, samples: int, seed: int
+) -> List[Dict[str, int]]:
+    if len(inputs) <= max_exhaustive:
+        return [
+            dict(zip(inputs, bits))
+            for bits in itertools.product((0, 1), repeat=len(inputs))
+        ]
+    rng = random.Random(seed)
+    vectors = []
+    for _ in range(samples):
+        vectors.append({name: rng.randint(0, 1) for name in inputs})
+    return vectors
+
 
 def _lowest_lane(mask: int) -> int:
     """Index of the lowest set bit (the earliest mismatching lane)."""
     return (mask & -mask).bit_length() - 1
 
 
+def _check_reference(flat: FlatComponent) -> None:
+    """A flat reference must drive every output it declares.
+
+    A cluster instance carries a flat form with ports and no equations:
+    there is nothing to simulate or compare against, so it is an invalid
+    operation rather than an all-zero answer or a bare ``KeyError``.
+    """
+    driven = flat.driven_signals()
+    undriven = [output for output in flat.outputs if output not in driven]
+    if undriven:
+        raise SimulationError(
+            f"{flat.name}: the flat form drives no value on output "
+            f"{undriven[0]!r}, so it cannot serve as a reference"
+        )
+
+
 def _check_ports(flat: FlatComponent, netlist: GateNetlist) -> None:
-    """The two sides of an equivalence check must expose the same ports."""
+    """The reference must drive its outputs, and the two sides of an
+    equivalence check must expose the same ports."""
+    _check_reference(flat)
     if sorted(flat.inputs) != sorted(netlist.inputs) or sorted(
         flat.outputs
     ) != sorted(netlist.outputs):
@@ -102,10 +177,10 @@ def check_combinational_equivalence_batch(
 ) -> EquivalenceResult:
     """Bit-parallel combinational comparison of ``flat`` vs ``netlist``.
 
-    Semantics match :func:`~repro.sim.vectors.check_combinational_equivalence`
-    (exhaustive when ``len(inputs) <= max_exhaustive``, seeded random
-    sampling otherwise); the work happens ``block_lanes`` vectors per
-    bitwise operation instead of one.
+    Exhaustive when ``len(inputs) <= max_exhaustive`` (in
+    ``itertools.product`` order over ``flat.inputs``), seeded random
+    sampling otherwise; the work happens ``block_lanes`` vectors per
+    bitwise operation.
     """
     _check_ports(flat, netlist)
     collapsed = flat.collapsed_output_expressions()
@@ -288,6 +363,8 @@ def simulate_vectors(
             return BatchFlatSimulator(flat, lanes)
         return BatchGateSimulator(netlist, lanes)
 
+    if engine == "flat":
+        _check_reference(flat)
     inputs = flat.inputs if engine == "flat" else netlist.inputs
     if clock is not None and clock not in inputs:
         raise VerificationError(f"clock {clock!r} is not an input")

@@ -11,7 +11,7 @@ from repro.db import Database, INSTANCES
 from repro.estimation import estimate_delay
 from repro.logic.milo import synthesize
 from repro.netlist import GateNetlist
-from repro.sim import check_combinational_equivalence
+from repro.sim import check_combinational_equivalence_batch
 from repro.techlib import standard_cells
 
 
@@ -53,7 +53,7 @@ def test_property_adder_synthesis_correct_across_widths(size):
     implementation = standard_catalog().get("ripple_carry_adder")
     flat = implementation.expand({"size": size})
     netlist = synthesize(flat, standard_cells())
-    result = check_combinational_equivalence(flat, netlist, max_exhaustive=9, samples=64)
+    result = check_combinational_equivalence_batch(flat, netlist, max_exhaustive=9, samples=64)
     assert result.equivalent, result.counterexample
 
 

@@ -65,9 +65,10 @@ from repro.api.planner import CandidateReport, PlanResult
 from repro.components import standard_catalog
 from repro.constraints import Constraints, PortPosition
 from repro.core.icdb import IcdbError
+from repro.net import RemoteClient
 from repro.net.server import FrameDispatcher
 from repro.netlist.structural import ComponentRef, StructuralNetlist
-from repro.sim.vectors import EquivalenceResult
+from repro.sim import EquivalenceResult
 
 SEED = 0xD_AC_19_90
 ROUNDS = 60
@@ -555,6 +556,77 @@ def test_simulation_requests_produce_structured_errors(fuzz_service):
         CheckEquivalence(name=name, mode="sequential", clock="NO_SUCH_PIN")
     )
     assert not response.ok and response.error.code == "BAD_REQUEST"
+
+
+@pytest.mark.parametrize(
+    "field_name,value",
+    [
+        ("cycles", -1),
+        ("cycles", 0),
+        ("samples", 0),
+        ("lanes", 0),
+        ("max_exhaustive", -1),
+        ("lanes", 4097),
+        ("cycles", 4097),
+        ("samples", 16385),
+        ("max_exhaustive", 17),
+    ],
+)
+def test_check_equivalence_size_fields_are_bounded_on_the_wire(
+    fuzz_service, field_name, value
+):
+    # A typed client cannot build these requests, so they go out as raw
+    # frames: each answers BAD_REQUEST naming the field, before any
+    # simulation, and the connection serves on.
+    client = RemoteClient.loopback(fuzz_service)
+    name = client.execute(
+        ComponentRequest(
+            implementation="counter", attributes={"size": 2}, detail="summary"
+        )
+    ).unwrap()["instance"]
+    reply = client.transport.send_payload(
+        {
+            "type": "request",
+            "request": {"kind": "check_equivalence", "name": name, field_name: value},
+        }
+    )
+    response = Response.from_dict(reply["response"])
+    assert not response.ok and response.error.code == "BAD_REQUEST"
+    assert f"CheckEquivalence.{field_name}" in response.error.message
+    assert client.check_equivalence(name, cycles=2, lanes=4)["equivalent"]
+    client.close()
+
+
+def test_cluster_instances_have_a_defined_verification_answer(service):
+    # A cluster's flat form has ports and no equations.  Simulating it, or
+    # checking against it, answers INVALID naming the instance and an
+    # output; its gates, and a check against a part's flat form, still
+    # answer.
+    part = service.execute(
+        ComponentRequest(
+            implementation="ripple_carry_adder", attributes={"size": 2}, detail="summary"
+        )
+    ).unwrap()["instance"]
+    inputs = ["I0[0]", "I0[1]", "I1[0]", "I1[1]", "Cin"]
+    outputs = ["O[0]", "O[1]", "Cout"]
+    structure = StructuralNetlist("cluster", inputs=inputs, outputs=outputs)
+    structure.add("u1", part, {port: port for port in inputs + outputs})
+    cluster = service.execute(
+        ComponentRequest(structure=structure, detail="summary")
+    ).unwrap()["instance"]
+    vector = {"I0[0]": 1, "I0[1]": 0, "I1[0]": 0, "I1[1]": 0, "Cin": 0}
+    for request in (
+        Simulate(name=cluster, vectors=(vector,), engine="flat"),
+        CheckEquivalence(name=cluster),
+    ):
+        response = service.execute(request)
+        assert not response.ok and response.error.code == "INVALID"
+        assert cluster in response.error.message
+        assert "'O[0]'" in response.error.message
+    gates = service.execute(Simulate(name=cluster, vectors=(vector,))).unwrap()
+    assert gates["vectors"] == [{"O[0]": 1, "O[1]": 0, "Cout": 0}]
+    verdict = service.execute(CheckEquivalence(name=cluster, reference=part)).unwrap()
+    assert verdict["equivalent"] and verdict["vectors_checked"] == 32
 
 
 def test_random_request_dicts_never_crash_the_dispatcher(fuzz_service):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.components import standard_catalog
 from repro.components.counters import counter_parameters, TYPE_RIPPLE, UP_DOWN, UP_ONLY, DOWN_ONLY
-from repro.sim import FlatSimulator, bus_assignment, read_bus
+from repro.sim import BatchFlatSimulator, bus_assignment, read_bus
 
 
 @pytest.fixture(scope="module")
@@ -206,95 +206,95 @@ def test_concat_and_extract(cat):
 
 def test_register_loads_and_holds(cat):
     flat = cat.get("register").expand({"size": 4})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     sim.clock_cycle("CLK", {"LOAD": 1, **bus_assignment("I", 4, 11)})
-    assert sim.bus_value("Q", 4) == 11
+    assert read_bus(sim.values, "Q", 4) == 11
     sim.clock_cycle("CLK", {"LOAD": 0, **bus_assignment("I", 4, 5)})
-    assert sim.bus_value("Q", 4) == 11  # hold
+    assert read_bus(sim.values, "Q", 4) == 11  # hold
 
 
 def test_shift_register_modes(cat):
     flat = cat.get("shift_register").expand({"size": 4})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     # Parallel load 0b1001.
     sim.clock_cycle("CLK", {"S0": 1, "S1": 1, "SIN_L": 0, "SIN_R": 0,
                             **bus_assignment("I", 4, 0b1001)})
-    assert sim.bus_value("Q", 4) == 0b1001
+    assert read_bus(sim.values, "Q", 4) == 0b1001
     # Shift left with 1 entering at bit 0.
     sim.clock_cycle("CLK", {"S0": 1, "S1": 0, "SIN_L": 1, "SIN_R": 0,
                             **bus_assignment("I", 4, 0)})
-    assert sim.bus_value("Q", 4) == ((0b1001 << 1) | 1) & 0xF
+    assert read_bus(sim.values, "Q", 4) == ((0b1001 << 1) | 1) & 0xF
     # Hold.
     sim.clock_cycle("CLK", {"S0": 0, "S1": 0, "SIN_L": 0, "SIN_R": 0,
                             **bus_assignment("I", 4, 0)})
-    assert sim.bus_value("Q", 4) == ((0b1001 << 1) | 1) & 0xF
+    assert read_bus(sim.values, "Q", 4) == ((0b1001 << 1) | 1) & 0xF
 
 
 def test_register_file_write_then_read(cat):
     flat = cat.get("register_file").expand({"size": 4, "awidth": 2})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     for word, value in [(0, 7), (1, 12), (2, 3), (3, 9)]:
         sim.clock_cycle("CLK", {"WE": 1, **bus_assignment("WA", 2, word),
                                 **bus_assignment("RA", 2, word),
                                 **bus_assignment("WD", 4, value)})
     for word, value in [(0, 7), (1, 12), (2, 3), (3, 9)]:
         sim.apply({"WE": 0, **bus_assignment("RA", 2, word)})
-        assert sim.bus_value("RD", 4) == value
+        assert read_bus(sim.values, "RD", 4) == value
 
 
 def test_counter_up_down_and_async_load(cat):
     flat = cat.get("counter").expand(
         counter_parameters(size=4, load=True, enable=True, up_or_down=UP_DOWN)
     )
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     base = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
     for expected in (1, 2, 3):
         sim.clock_cycle("CLK", base)
-        assert sim.bus_value("Q", 4) == expected
+        assert read_bus(sim.values, "Q", 4) == expected
     down = dict(base, DWUP=1)
     for expected in (2, 1, 0, 15):
         sim.clock_cycle("CLK", down)
-        assert sim.bus_value("Q", 4) == expected
+        assert read_bus(sim.values, "Q", 4) == expected
     # Asynchronous parallel load (active-low LOAD).
     sim.apply({"LOAD": 0, **bus_assignment("D", 4, 13)})
-    assert sim.bus_value("Q", 4) == 13
+    assert read_bus(sim.values, "Q", 4) == 13
 
 
 def test_counter_enable_gates_counting(cat):
     flat = cat.get("counter").expand(
         counter_parameters(size=4, enable=True, up_or_down=UP_ONLY)
     )
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     stim = {"LOAD": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
     sim.clock_cycle("CLK", dict(stim, ENA=1))
     sim.clock_cycle("CLK", dict(stim, ENA=1))
-    assert sim.bus_value("Q", 4) == 2
+    assert read_bus(sim.values, "Q", 4) == 2
     sim.clock_cycle("CLK", dict(stim, ENA=0))
     sim.clock_cycle("CLK", dict(stim, ENA=0))
-    assert sim.bus_value("Q", 4) == 2  # disabled: no counting
+    assert read_bus(sim.values, "Q", 4) == 2  # disabled: no counting
     sim.clock_cycle("CLK", dict(stim, ENA=1))
-    assert sim.bus_value("Q", 4) == 3
+    assert read_bus(sim.values, "Q", 4) == 3
 
 
 def test_down_only_counter(cat):
     flat = cat.get("counter").expand(counter_parameters(size=3, up_or_down=DOWN_ONLY))
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     stim = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 3, 0)}
     values = []
     for _ in range(3):
         sim.clock_cycle("CLK", stim)
-        values.append(sim.bus_value("Q", 3))
+        values.append(read_bus(sim.values, "Q", 3))
     assert values == [7, 6, 5]
 
 
 def test_ripple_counter_counts(cat):
     flat = cat.get("counter").expand(counter_parameters(size=4, style=TYPE_RIPPLE))
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     stim = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
-    values = [sim.bus_value("Q", 4)]
+    values = [read_bus(sim.values, "Q", 4)]
     for _ in range(6):
         sim.clock_cycle("CLK", stim)
-        values.append(sim.bus_value("Q", 4))
+        values.append(read_bus(sim.values, "Q", 4))
     # The ripple counter advances on the falling edge of CLK, so the value
     # observed after each rising edge lags the cycle count by one.
     assert values == [0, 0, 1, 2, 3, 4, 5]
@@ -302,7 +302,7 @@ def test_ripple_counter_counts(cat):
 
 def test_counter_minmax_flags_terminal_count(cat):
     flat = cat.get("counter").expand(counter_parameters(size=2, up_or_down=UP_ONLY))
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     stim = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 2, 0)}
     seen_minmax = []
     for _ in range(4):

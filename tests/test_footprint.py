@@ -180,7 +180,7 @@ def test_booted_server_loads_no_openssl_and_no_extra_modules(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["welcome"], result["cached"]) == ("welcome", False)
     assert result["loaded"] == []
-    assert result["boot_modules"] <= 77
+    assert result["boot_modules"] <= 74
 
 
 @pytest.mark.parametrize(

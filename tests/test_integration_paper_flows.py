@@ -13,7 +13,7 @@ from repro.components.counters import FIGURE5_CONFIGURATIONS, counter_parameters
 from repro.constraints import Constraints
 from repro.cql import CqlExecutor
 from repro.db import INSTANCES
-from repro.sim import GateSimulator, bus_assignment, read_bus
+from repro.sim import BatchGateSimulator, bus_assignment, read_bus
 
 
 def test_section3_running_example(shared_icdb):
@@ -51,7 +51,7 @@ def test_generated_counter_instance_is_functionally_correct(shared_icdb):
         parameters=counter_parameters(size=4, up_or_down=UP_DOWN, load=True, enable=True),
         instance_name=shared_icdb.instances.new_name("integ_counter"),
     )
-    simulator = GateSimulator(instance.netlist)
+    simulator = BatchGateSimulator(instance.netlist, 1)
     stimulus = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
     values = []
     for _ in range(3):

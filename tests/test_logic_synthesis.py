@@ -13,7 +13,11 @@ from repro.logic.milo import SynthesisOptions, sweep, synthesize
 from repro.logic.minimize import minimize, minimize_to_sop, prime_implicants, select_cover
 from repro.logic.sop import Cube, cube_minterms, expr_minterms, remove_contained_cubes
 from repro.netlist.gates import GateNetlist
-from repro.sim import check_combinational_equivalence, check_sequential_equivalence
+from repro.sim import (
+    BatchGateSimulator,
+    check_combinational_equivalence_batch,
+    check_sequential_equivalence_batch,
+)
 from repro.techlib import standard_cells
 
 
@@ -194,9 +198,7 @@ def test_mapping_wide_gates_build_trees():
     wide = E.and_(*(_v(f"I{i}") for i in range(9)))
     netlist = _map_single(wide)
     assert netlist.cell_count() >= 3
-    from repro.sim import GateSimulator
-
-    sim = GateSimulator(netlist)
+    sim = BatchGateSimulator(netlist, 1)
     assert sim.apply({f"I{i}": 1 for i in range(9)})["OUT"] == 1
     out = sim.apply({"I4": 0})
     assert out["OUT"] == 0
@@ -247,7 +249,7 @@ def test_sweep_propagates_constants_and_trivial_nets():
 
 def test_synthesize_combinational_equivalence(adder_flat, cells):
     netlist = synthesize(adder_flat, cells)
-    result = check_combinational_equivalence(adder_flat, netlist, max_exhaustive=9)
+    result = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
     assert result.equivalent, result.counterexample
 
 
@@ -256,7 +258,7 @@ def test_synthesize_sequential_equivalence(catalog, cells):
         {"size": 3, "type": 2, "load": 1, "enable": 1, "up_or_down": 3}
     )
     netlist = synthesize(flat, cells)
-    result = check_sequential_equivalence(flat, netlist, clock="CLK", cycles=24)
+    result = check_sequential_equivalence_batch(flat, netlist, clock="CLK", cycles=24)
     assert result.equivalent, (result.counterexample, result.mismatched_outputs)
 
 

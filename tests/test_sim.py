@@ -1,4 +1,4 @@
-"""Tests for the flat-level and gate-level simulators."""
+"""Tests for the flat-level and gate-level simulators, one lane wide."""
 
 from __future__ import annotations
 
@@ -7,15 +7,14 @@ import pytest
 from repro.iif import parse_module, Expander
 from repro.logic.milo import synthesize
 from repro.sim import (
+    BatchFlatSimulator,
+    BatchGateSimulator,
     EquivalenceResult,
-    FlatSimulator,
     GateSimulationError,
-    GateSimulator,
     SimulationError,
     bus_assignment,
-    check_combinational_equivalence,
-    check_sequential_equivalence,
-    evaluate_combinational_cell,
+    check_combinational_equivalence_batch,
+    check_sequential_equivalence_batch,
     read_bus,
 )
 
@@ -70,7 +69,7 @@ OUTORDER: Q;
 
 def test_flat_simulator_toggle_and_async_reset():
     flat = Expander().expand(parse_module(TOGGLE_IIF), {})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     assert sim.value("Q") == 0
     sim.clock_cycle("CLK", {"RST": 0})
     assert sim.value("Q") == 1
@@ -86,17 +85,17 @@ def test_flat_simulator_toggle_and_async_reset():
 
 def test_flat_simulator_rejects_unknown_inputs():
     flat = Expander().expand(parse_module(TOGGLE_IIF), {})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     with pytest.raises(SimulationError):
         sim.apply({"NOPE": 1})
 
 
-def test_flat_simulator_run_and_state(catalog):
+def test_flat_simulator_clock_cycles_and_state(catalog):
     flat = catalog.get("register").expand({"size": 2})
-    sim = FlatSimulator(flat)
-    trace = sim.run("CLK", 3, {"LOAD": 1, **bus_assignment("I", 2, 3)})
-    assert len(trace) == 3
-    assert read_bus(trace[-1], "Q", 2) == 3
+    sim = BatchFlatSimulator(flat, 1)
+    for _ in range(3):
+        outputs = sim.clock_cycle("CLK", {"LOAD": 1, **bus_assignment("I", 2, 3)})
+    assert read_bus(outputs, "Q", 2) == 3
     assert set(sim.state()) == {"Q[0]", "Q[1]"}
     assert sim.output_values()["Q[0]"] == 1
 
@@ -114,7 +113,7 @@ PIIFVARIABLE: X;
 """
     flat = Expander().expand(parse_module(source), {})
     with pytest.raises(SimulationError):
-        FlatSimulator(flat).apply({"A": 1})
+        BatchFlatSimulator(flat, 1).apply({"A": 1})
 
 
 def test_latch_transparency(catalog):
@@ -127,7 +126,7 @@ OUTORDER: Q;
 }
 """
     flat = Expander().expand(parse_module(source), {})
-    sim = FlatSimulator(flat)
+    sim = BatchFlatSimulator(flat, 1)
     sim.apply({"D": 1, "G": 1})
     assert sim.value("Q") == 1  # transparent
     sim.apply({"G": 0})
@@ -142,19 +141,8 @@ OUTORDER: Q;
 # ---------------------------------------------------------------------------
 
 
-def test_gate_cell_models(cells):
-    from repro.netlist import GateNetlist
-
-    netlist = GateNetlist("cells", ["A", "B", "C"], ["Y"], cells)
-    inst = netlist.add_instance(cells.by_kind("AOI21"), {"I0": "A", "I1": "B", "I2": "C", "O": "Y"})
-    values = {"A": 1, "B": 1, "C": 0, "Y": 0}
-    assert evaluate_combinational_cell(inst, values) == 0
-    values = {"A": 0, "B": 1, "C": 0, "Y": 0}
-    assert evaluate_combinational_cell(inst, values) == 1
-
-
 def test_gate_simulator_matches_adder(adder_flat, adder_netlist):
-    sim = GateSimulator(adder_netlist)
+    sim = BatchGateSimulator(adder_netlist, 1)
     for a, b, cin in [(3, 9, 0), (15, 1, 1), (7, 8, 0)]:
         outputs = sim.apply(
             {"Cin": cin, **bus_assignment("I0", 4, a), **bus_assignment("I1", 4, b)}
@@ -164,27 +152,29 @@ def test_gate_simulator_matches_adder(adder_flat, adder_netlist):
 
 
 def test_gate_simulator_counter_counts(updown_counter_flat, updown_counter_netlist):
-    sim = GateSimulator(updown_counter_netlist)
+    sim = BatchGateSimulator(updown_counter_netlist, 1)
     stim = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
     values = []
     for _ in range(4):
         out = sim.clock_cycle("CLK", stim)
         values.append(read_bus(out, "Q", 4))
     assert values == [1, 2, 3, 4]
-    assert sim.bus_value("Q", 4) == 4
+    assert read_bus(sim.values, "Q", 4) == 4
 
 
 def test_gate_simulator_unknown_input_rejected(adder_netlist):
-    sim = GateSimulator(adder_netlist)
+    sim = BatchGateSimulator(adder_netlist, 1)
     with pytest.raises(GateSimulationError):
         sim.apply({"NOT_A_PORT": 1})
 
 
 def test_equivalence_checks_pass_for_library_components(catalog, cells):
     mux = catalog.get("mux2").expand({"size": 2})
-    assert check_combinational_equivalence(mux, synthesize(mux, cells))
+    assert check_combinational_equivalence_batch(mux, synthesize(mux, cells))
     register = catalog.get("register").expand({"size": 2})
-    assert check_sequential_equivalence(register, synthesize(register, cells), clock="CLK", cycles=12)
+    assert check_sequential_equivalence_batch(
+        register, synthesize(register, cells), clock="CLK", cycles=12
+    )
 
 
 def test_equivalence_check_detects_broken_netlist(adder_flat, cells):
@@ -192,7 +182,7 @@ def test_equivalence_check_detects_broken_netlist(adder_flat, cells):
     # Sabotage: swap the pins of one XOR gate's inputs with a constant tie.
     victim = next(inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2")
     netlist.reconnect(victim.name, {"I0": victim.net("I1")})
-    result = check_combinational_equivalence(adder_flat, netlist, max_exhaustive=9)
+    result = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
     assert not result.equivalent
     assert result.counterexample is not None
     assert result.mismatched_outputs
@@ -205,13 +195,13 @@ def test_vectors_checked_counts_only_through_the_counterexample(adder_flat, cell
     netlist = synthesize(adder_flat, cells)
     victim = next(inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2")
     netlist.reconnect(victim.name, {"I0": victim.net("I1")})
-    result = check_combinational_equivalence(adder_flat, netlist, max_exhaustive=9)
+    result = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
     assert not result.equivalent
     total = 2 ** len(adder_flat.inputs)
     assert 1 <= result.vectors_checked < total
     # The counterexample is the vectors_checked-th vector: re-simulating it
     # reproduces the mismatch on the reported outputs.
     collapsed = adder_flat.collapsed_output_expressions()
-    gate_values = GateSimulator(netlist).apply(result.counterexample)
+    gate_values = BatchGateSimulator(netlist, 1).apply(result.counterexample)
     for output in result.mismatched_outputs:
         assert gate_values[output] != collapsed[output].evaluate(result.counterexample)

@@ -1,15 +1,18 @@
-"""Tests for the bit-parallel batch engines and the verification layer.
+"""Tests for the bit-parallel engines and the verification layer.
 
-The batch simulators of :mod:`repro.sim.batch` promise *lane-for-lane
-identity* with the scalar reference engines; these tests hold them to it
-on combinational sweeps, sequential lock-step traces, the tristate /
-wired-or resolution semantics, and seeded random netlists -- and then
-exercise the verification layer (:mod:`repro.sim.verify`) built on top,
+The engines of :mod:`repro.sim.batch` are checked against references
+that share no code with them: a one-bit table per cell kind and a small
+per-cell next-state stepper (both below), ``BExpr.evaluate`` on a flat
+component's collapsed outputs, and arithmetic models of the adder and
+the up/down counter.  Lane independence -- lane *i* of a W-lane run is a
+one-lane run fed lane *i*'s stimulus -- is checked on its own.  Then the
+verification layer (:mod:`repro.sim.verify`) built on top is exercised,
 including a catalog-wide equivalence sweep over every implementation.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,26 +24,156 @@ from repro.components.counters import (
     counter_parameters,
 )
 from repro.core.progress import OperationCancelled, observed
+from repro.iif import Expander, parse_module
 from repro.logic.milo import synthesize
 from repro.netlist import GateNetlist
 from repro.sim import (
     BatchFlatSimulator,
     BatchGateSimulator,
-    FlatSimulator,
     GateSimulationError,
-    GateSimulator,
     SimulationError,
     VerificationError,
     bus_assignment,
-    check_combinational_equivalence,
     check_combinational_equivalence_batch,
     check_equivalence,
     check_sequential_equivalence_batch,
     pack_vectors,
+    read_bus,
     simulate_vectors,
     unpack_lane,
     unpack_lanes,
 )
+
+
+# ---------------------------------------------------------------------------
+# References that share no code with the engines
+# ---------------------------------------------------------------------------
+
+
+#: One-bit function of every combinational cell kind but TRIBUF (which
+#: holds state, see ReferenceStepper), over the cell's inputs in declared
+#: order (MUX2: I0, I1, S).
+CELL_TABLE = {
+    "INV": lambda a: 1 - a,
+    "BUF": lambda a: a,
+    "BUFH": lambda a: a,
+    "SCHMITT": lambda a: a,
+    "DELAY": lambda a: a,
+    "AND2": lambda a, b: a & b,
+    "AND3": lambda a, b, c: a & b & c,
+    "AND4": lambda a, b, c, d: a & b & c & d,
+    "OR2": lambda a, b: a | b,
+    "OR3": lambda a, b, c: a | b | c,
+    "OR4": lambda a, b, c, d: a | b | c | d,
+    "NAND2": lambda a, b: 1 - (a & b),
+    "NAND3": lambda a, b, c: 1 - (a & b & c),
+    "NAND4": lambda a, b, c, d: 1 - (a & b & c & d),
+    "NOR2": lambda a, b: 1 - (a | b),
+    "NOR3": lambda a, b, c: 1 - (a | b | c),
+    "XOR2": lambda a, b: a ^ b,
+    "XNOR2": lambda a, b: 1 - (a ^ b),
+    "AOI21": lambda a, b, c: 1 - ((a & b) | c),
+    "AOI22": lambda a, b, c, d: 1 - ((a & b) | (c & d)),
+    "OAI21": lambda a, b, c: 1 - ((a | b) & c),
+    "MUX2": lambda i0, i1, s: i1 if s else i0,
+    "WIREOR": lambda a, b: a | b,
+    "TIE0": lambda: 0,
+    "TIE1": lambda: 1,
+}
+
+
+class ReferenceStepper:
+    """One-vector reference simulator for small gate netlists.
+
+    ``apply`` settles the combinational cells to a fixpoint (a TRIBUF
+    drives its data while EN is 1 and holds its output otherwise), then
+    gives every sequential cell its next Q from the settled values -- all
+    cells read before any writes (two-phase edge commit) -- and repeats
+    until no Q changes.  A latch follows D while its gate is at its
+    active level; a flip-flop takes 1 on S, else 0 on R, else D on its
+    clock edge.  Cells are visited in netlist order, so a TRIBUF must
+    come after the cells driving it.
+    """
+
+    def __init__(self, netlist: GateNetlist):
+        self.netlist = netlist
+        self.values = dict.fromkeys(netlist.inputs, 0)
+        for instance in netlist.all_instances():
+            self.values[instance.output_net()] = 0
+        self.previous_clock = {}
+        self.apply({})
+
+    def apply(self, inputs):
+        self.values.update(inputs)
+        while True:
+            self._settle_combinational()
+            updates = {
+                instance.output_net(): self._next_q(instance)
+                for instance in self.netlist.sequential_instances()
+            }
+            if all(self.values[net] == value for net, value in updates.items()):
+                return {name: self.values[name] for name in self.netlist.outputs}
+            self.values.update(updates)
+
+    def clock_cycle(self, clock, inputs):
+        self.apply({**inputs, clock: 0})
+        return self.apply({clock: 1})
+
+    def _settle_combinational(self):
+        changed = True
+        while changed:
+            changed = False
+            for instance in self.netlist.combinational_instances():
+                bits = [self.values[net] for net in instance.input_nets()]
+                out = instance.output_net()
+                if instance.cell.kind == "TRIBUF":
+                    data, enable = bits
+                    value = data if enable else self.values[out]
+                else:
+                    value = CELL_TABLE[instance.cell.kind](*bits)
+                if self.values[out] != value:
+                    self.values[out] = value
+                    changed = True
+
+    def _next_q(self, instance):
+        bit = {
+            pin: self.values[net]
+            for pin, net in zip(instance.cell.pins, instance.nets)
+        }
+        kind, q = instance.cell.kind, bit["Q"]
+        if kind in ("LATCH_H", "LATCH_L"):
+            gate = bit["G"]
+            self.previous_clock[instance.name] = gate
+            transparent = gate if kind == "LATCH_H" else 1 - gate
+            return bit["D"] if transparent else q
+        clock = bit["CK"]
+        before = self.previous_clock.get(instance.name, clock)
+        self.previous_clock[instance.name] = clock
+        if bit.get("S"):
+            return 1
+        if bit.get("R"):
+            return 0
+        edge = (1, 0) if kind in ("DFF_N", "DFF_N_SR") else (0, 1)
+        return bit["D"] if (before, clock) == edge else q
+
+
+def _counter_model(q, stimulus):
+    """Next state and outputs of the 4-bit up/down counter fixture after
+    one clock cycle: LOAD is an active-low asynchronous parallel load,
+    ENA gates counting, DWUP=1 counts down.  With CLK high after the
+    cycle, MINMAX flags the terminal count and RCLK is 1."""
+    if not stimulus["LOAD"]:
+        q = read_bus(stimulus, "D", 4)
+    elif stimulus["ENA"]:
+        q = (q + (-1 if stimulus["DWUP"] else 1)) % 16
+    terminal = q == (0 if stimulus["DWUP"] else 15)
+    return q, {**bus_assignment("Q", 4, q), "MINMAX": int(terminal), "RCLK": 1}
+
+
+def _all_input_vectors(inputs):
+    """Every assignment of ``inputs``, in the exhaustive checker's
+    ``itertools.product`` order."""
+    return [dict(zip(inputs, bits)) for bits in itertools.product((0, 1), repeat=len(inputs))]
 
 
 # ---------------------------------------------------------------------------
@@ -73,97 +206,77 @@ def test_batch_simulators_reject_zero_lanes(adder_flat, adder_netlist):
 
 
 # ---------------------------------------------------------------------------
-# Combinational lane identity against the scalar engines
+# Combinational lanes against independent references
 # ---------------------------------------------------------------------------
 
 
-def _all_input_vectors(inputs):
-    count = len(inputs)
-    return [
-        {name: (row >> bit) & 1 for bit, name in enumerate(inputs)}
-        for row in range(1 << count)
-    ]
+def test_every_combinational_cell_matches_its_table(cells):
+    kinds = {cell.kind for cell in cells.cells() if not cell.is_sequential}
+    assert kinds - {"TRIBUF"} == set(CELL_TABLE)
+    for kind, function in CELL_TABLE.items():
+        cell = cells.by_kind(kind)
+        netlist = GateNetlist(kind, list(cell.inputs), ["Y"], cells)
+        netlist.add_instance(cell, {**{pin: pin for pin in cell.inputs}, "O": "Y"})
+        vectors = _all_input_vectors(cell.inputs)
+        out = BatchGateSimulator(netlist, len(vectors)).apply(
+            pack_vectors(vectors, cell.inputs)
+        )
+        for lane, vector in enumerate(vectors):
+            bits = [vector[pin] for pin in cell.inputs]
+            assert (out["Y"] >> lane) & 1 == function(*bits), (kind, vector)
 
 
-def test_batch_gate_simulator_matches_scalar_on_adder(adder_netlist):
+def test_batch_gate_simulator_adds_exhaustively(adder_netlist):
     vectors = _all_input_vectors(adder_netlist.inputs)
     packed = pack_vectors(vectors, adder_netlist.inputs)
-    batch_out = BatchGateSimulator(adder_netlist, len(vectors)).apply(packed)
-    scalar = GateSimulator(adder_netlist)
+    out = BatchGateSimulator(adder_netlist, len(vectors)).apply(packed)
     for lane, vector in enumerate(vectors):
-        assert unpack_lane(batch_out, lane) == scalar.apply(vector)
+        values = unpack_lane(out, lane)
+        total = read_bus(values, "O", 4) + (values["Cout"] << 4)
+        expected = read_bus(vector, "I0", 4) + read_bus(vector, "I1", 4) + vector["Cin"]
+        assert total == expected
 
 
-def test_batch_flat_simulator_matches_scalar_on_adder(adder_flat):
+def test_batch_flat_simulator_matches_collapsed_expressions_on_adder(adder_flat):
     vectors = _all_input_vectors(adder_flat.inputs)
     packed = pack_vectors(vectors, adder_flat.inputs)
     batch_out = BatchFlatSimulator(adder_flat, len(vectors)).apply(packed)
-    scalar = FlatSimulator(adder_flat)
+    collapsed = adder_flat.collapsed_output_expressions()
     for lane, vector in enumerate(vectors):
-        assert unpack_lane(batch_out, lane) == scalar.apply(vector)
-
-
-def test_batch_gate_simulator_adds_correctly(adder_netlist):
-    # A semantic spot check independent of the scalar engine: 64 random
-    # additions, one lane each.
-    rng = random.Random(2026)
-    cases = [(rng.randrange(16), rng.randrange(16), rng.randrange(2)) for _ in range(64)]
-    vectors = [
-        {"Cin": cin, **bus_assignment("I0", 4, a), **bus_assignment("I1", 4, b)}
-        for a, b, cin in cases
-    ]
-    packed = pack_vectors(vectors, adder_netlist.inputs)
-    out = BatchGateSimulator(adder_netlist, len(vectors)).apply(packed)
-    for lane, (a, b, cin) in enumerate(cases):
-        values = unpack_lane(out, lane)
-        total = sum(values[f"O[{i}]"] << i for i in range(4)) + (values["Cout"] << 4)
-        assert total == a + b + cin
+        expected = {
+            output: collapsed[output].evaluate(vector) for output in adder_flat.outputs
+        }
+        assert unpack_lane(batch_out, lane) == expected
 
 
 # ---------------------------------------------------------------------------
-# Sequential lock-step lane identity
+# Sequential lock-step lanes against the counter model
 # ---------------------------------------------------------------------------
 
 
-def _random_lane_streams(rng, inputs, lanes, cycles):
-    """Per-cycle lane-packed stimulus plus its per-lane scalar view."""
-    packed_cycles = []
-    scalar_cycles = []
-    for _ in range(cycles):
-        stimulus = {name: rng.getrandbits(lanes) for name in inputs}
-        packed_cycles.append(stimulus)
-        scalar_cycles.append([unpack_lane(stimulus, lane) for lane in range(lanes)])
-    return packed_cycles, scalar_cycles
-
-
-def test_batch_counter_lock_step_matches_scalar_lanes(
+def test_batch_counter_lock_step_matches_counter_model(
     updown_counter_flat, updown_counter_netlist
 ):
-    lanes, cycles = 8, 12
+    lanes, cycles = 8, 24
     rng = random.Random(1990)
     free = [name for name in updown_counter_flat.inputs if name != "CLK"]
-    packed_cycles, scalar_cycles = _random_lane_streams(rng, free, lanes, cycles)
-
     batch_flat = BatchFlatSimulator(updown_counter_flat, lanes)
     batch_gate = BatchGateSimulator(updown_counter_netlist, lanes)
-    scalar_flats = [FlatSimulator(updown_counter_flat) for _ in range(lanes)]
-    scalar_gates = [GateSimulator(updown_counter_netlist) for _ in range(lanes)]
-
-    for cycle in range(cycles):
-        flat_out = batch_flat.clock_cycle("CLK", packed_cycles[cycle])
-        gate_out = batch_gate.clock_cycle("CLK", packed_cycles[cycle])
+    state = [0] * lanes
+    for _ in range(cycles):
+        stimulus = {name: rng.getrandbits(lanes) for name in free}
+        flat_out = batch_flat.clock_cycle("CLK", stimulus)
+        gate_out = batch_gate.clock_cycle("CLK", stimulus)
         for lane in range(lanes):
-            stimulus = scalar_cycles[cycle][lane]
-            assert unpack_lane(flat_out, lane) == scalar_flats[lane].clock_cycle(
-                "CLK", stimulus
+            state[lane], expected = _counter_model(
+                state[lane], unpack_lane(stimulus, lane)
             )
-            assert unpack_lane(gate_out, lane) == scalar_gates[lane].clock_cycle(
-                "CLK", stimulus
-            )
+            assert unpack_lane(flat_out, lane) == expected
+            assert unpack_lane(gate_out, lane) == expected
 
 
 # ---------------------------------------------------------------------------
-# TRIBUF / WIREOR resolution semantics (satellite: pinned-down tristate)
+# TRIBUF / WIREOR resolution semantics
 # ---------------------------------------------------------------------------
 
 
@@ -183,11 +296,11 @@ def wireor_netlist(cells):
     return netlist
 
 
-def test_tribuf_bus_hold_semantics_scalar(tribuf_netlist):
+def test_tribuf_bus_hold_semantics(tribuf_netlist):
     # Enabled: the data input drives the output.  Disabled: the output
     # *holds* its last driven value (bus-hold model) -- it does not float
     # or fall to 0.
-    sim = GateSimulator(tribuf_netlist)
+    sim = BatchGateSimulator(tribuf_netlist, 1)
     assert sim.apply({"D": 1, "EN": 1})["Y"] == 1
     assert sim.apply({"D": 0, "EN": 0})["Y"] == 1  # held high
     assert sim.apply({"D": 0, "EN": 1})["Y"] == 0
@@ -195,7 +308,7 @@ def test_tribuf_bus_hold_semantics_scalar(tribuf_netlist):
 
 
 def test_wireor_resolves_as_or(wireor_netlist):
-    sim = GateSimulator(wireor_netlist)
+    sim = BatchGateSimulator(wireor_netlist, 1)
     # Both drivers enabled: wired-or resolution is OR of the drivers.
     assert sim.apply({"A": 1, "B": 0, "EA": 1, "EB": 1})["Y"] == 1
     assert sim.apply({"A": 0, "B": 0, "EA": 1, "EB": 1})["Y"] == 0
@@ -204,25 +317,31 @@ def test_wireor_resolves_as_or(wireor_netlist):
     assert sim.apply({"A": 0, "B": 1, "EA": 0, "EB": 1})["Y"] == 1
 
 
-@pytest.mark.parametrize("fixture_name", ["tribuf_netlist", "wireor_netlist"])
-def test_batch_matches_scalar_on_tristate_netlists(fixture_name, request):
-    # Bus-hold makes TRIBUF stateful, so identity must hold across a whole
-    # stimulus *sequence*, not just independent vectors.
-    netlist = request.getfixturevalue(fixture_name)
-    lanes, steps = 16, 24
-    rng = random.Random(7)
-    batch = BatchGateSimulator(netlist, lanes)
-    scalars = [GateSimulator(netlist) for _ in range(lanes)]
+def _assert_lanes_track_reference(batch, netlist, steps, seed):
+    """Free-running ``apply`` with random stimulus: every lane of one
+    batch run tracks its own reference stepper over ``netlist``."""
+    rng = random.Random(seed)
+    references = [ReferenceStepper(netlist) for _ in range(batch.lanes)]
     for _ in range(steps):
-        stimulus = {name: rng.getrandbits(lanes) for name in netlist.inputs}
+        stimulus = {name: rng.getrandbits(batch.lanes) for name in netlist.inputs}
         batch_out = batch.apply(stimulus)
-        for lane in range(lanes):
-            scalar_out = scalars[lane].apply(unpack_lane(stimulus, lane))
-            assert unpack_lane(batch_out, lane) == scalar_out
+        for lane, reference in enumerate(references):
+            expected = reference.apply(unpack_lane(stimulus, lane))
+            assert unpack_lane(batch_out, lane) == expected
+
+
+@pytest.mark.parametrize("fixture_name", ["tribuf_netlist", "wireor_netlist"])
+def test_batch_matches_reference_on_tristate_netlists(fixture_name, request):
+    # Bus-hold makes TRIBUF stateful, so the lanes must track the
+    # reference across a whole stimulus *sequence*.
+    netlist = request.getfixturevalue(fixture_name)
+    _assert_lanes_track_reference(
+        BatchGateSimulator(netlist, 16), netlist, steps=24, seed=7
+    )
 
 
 # ---------------------------------------------------------------------------
-# Sequential cell semantics (satellite: untested _sequential_step paths)
+# Sequential cell semantics
 # ---------------------------------------------------------------------------
 
 
@@ -236,7 +355,7 @@ def dffsr_netlist(cells):
 
 
 def test_dff_sr_async_set_wins_over_reset(dffsr_netlist):
-    sim = GateSimulator(dffsr_netlist)
+    sim = BatchGateSimulator(dffsr_netlist, 1)
     # Asynchronous set acts without a clock edge.
     assert sim.apply({"D": 0, "CK": 0, "S": 1, "R": 0})["Q"] == 1
     # Set dominates reset when both are asserted.
@@ -252,7 +371,7 @@ def test_dff_sr_async_set_wins_over_reset(dffsr_netlist):
 def test_dff_n_triggers_on_falling_edge(cells):
     netlist = GateNetlist("fall", ["D", "CK"], ["Q"], cells)
     netlist.add_instance(cells.by_kind("DFF_N"), {"D": "D", "CK": "CK", "Q": "Q"})
-    sim = GateSimulator(netlist)
+    sim = BatchGateSimulator(netlist, 1)
     # Rising edge: no capture.
     sim.apply({"D": 1, "CK": 0})
     assert sim.apply({"CK": 1})["Q"] == 0
@@ -271,7 +390,7 @@ def test_dff_n_triggers_on_falling_edge(cells):
 def test_latch_transparency_and_hold(cells, kind, transparent_level):
     netlist = GateNetlist("latch", ["D", "G"], ["Q"], cells)
     netlist.add_instance(cells.by_kind(kind), {"D": "D", "G": "G", "Q": "Q"})
-    sim = GateSimulator(netlist)
+    sim = BatchGateSimulator(netlist, 1)
     opaque_level = 1 - transparent_level
     # Transparent: Q follows D.
     assert sim.apply({"D": 1, "G": transparent_level})["Q"] == 1
@@ -284,13 +403,25 @@ def test_latch_transparency_and_hold(cells, kind, transparent_level):
     assert sim.apply({"G": transparent_level})["Q"] == 0
 
 
+def test_edge_commit_is_two_phase(cells):
+    # Two flip-flops in a shift chain on one clock: the second samples
+    # the first's Q from *before* the edge, so a 1 needs two edges.
+    netlist = GateNetlist("chain", ["D", "CK"], ["Q1", "Q2"], cells)
+    netlist.add_instance(cells.by_kind("DFF"), {"D": "D", "CK": "CK", "Q": "Q1"})
+    netlist.add_instance(cells.by_kind("DFF"), {"D": "Q1", "CK": "CK", "Q": "Q2"})
+    sim = BatchGateSimulator(netlist, 1)
+    assert sim.clock_cycle("CK", {"D": 1}) == {"Q1": 1, "Q2": 0}
+    assert sim.clock_cycle("CK", {"D": 0}) == {"Q1": 0, "Q2": 1}
+
+
 @pytest.fixture()
 def mixed_sequential_netlist(cells):
-    """Every sequential cell kind in one netlist, sharing data and clocks."""
+    """Every sequential cell kind in one netlist, sharing data and clocks,
+    plus a second flip-flop shifting the first's Q (two-phase commit)."""
     netlist = GateNetlist(
         "mixed_seq",
         ["D", "CK", "S", "R", "G"],
-        ["Q_DFF", "Q_DFFN", "Q_SR", "Q_NSR", "Q_LH", "Q_LL"],
+        ["Q_DFF", "Q_DFFN", "Q_SR", "Q_NSR", "Q_LH", "Q_LL", "Q_SHIFT"],
         cells,
     )
     netlist.add_instance(cells.by_kind("DFF"), {"D": "D", "CK": "CK", "Q": "Q_DFF"})
@@ -304,29 +435,52 @@ def mixed_sequential_netlist(cells):
     )
     netlist.add_instance(cells.by_kind("LATCH_H"), {"D": "D", "G": "G", "Q": "Q_LH"})
     netlist.add_instance(cells.by_kind("LATCH_L"), {"D": "D", "G": "G", "Q": "Q_LL"})
+    netlist.add_instance(
+        cells.by_kind("DFF"), {"D": "Q_DFF", "CK": "CK", "Q": "Q_SHIFT"}
+    )
     return netlist
 
 
-def test_batch_matches_scalar_on_mixed_sequential_netlist(mixed_sequential_netlist):
+#: The flat twin of ``mixed_sequential_netlist``: the same state
+#: elements as IIF equations (set is the first, winning async term).
+MIXED_SEQUENTIAL_IIF = """
+NAME: MIXED_SEQ;
+INORDER: D, CK, S, R, G;
+OUTORDER: Q_DFF, Q_DFFN, Q_SR, Q_NSR, Q_LH, Q_LL, Q_SHIFT;
+{
+    Q_DFF = (D) @(~r CK);
+    Q_DFFN = (D) @(~f CK);
+    Q_SR = (D) @(~r CK) ~a(1/(S), 0/(R));
+    Q_NSR = (D) @(~f CK) ~a(1/(S), 0/(R));
+    Q_LH = (D) @(~h G);
+    Q_LL = (D) @(~l G);
+    Q_SHIFT = (Q_DFF) @(~r CK);
+}
+"""
+
+
+@pytest.fixture()
+def mixed_sequential_flat():
+    return Expander().expand(parse_module(MIXED_SEQUENTIAL_IIF), {})
+
+
+@pytest.mark.parametrize("engine", ["gates", "flat"])
+def test_batch_matches_reference_on_mixed_sequential_netlist(
+    engine, mixed_sequential_netlist, mixed_sequential_flat
+):
     # Free-running apply() (no fixed clocking discipline) exercises rising
-    # and falling edges, async set/reset priority and latch transparency in
-    # arbitrary interleavings; batch lanes must track scalar replicas
-    # exactly through all of it.
-    netlist = mixed_sequential_netlist
-    lanes, steps = 16, 30
-    rng = random.Random(42)
-    batch = BatchGateSimulator(netlist, lanes)
-    scalars = [GateSimulator(netlist) for _ in range(lanes)]
-    for _ in range(steps):
-        stimulus = {name: rng.getrandbits(lanes) for name in netlist.inputs}
-        batch_out = batch.apply(stimulus)
-        for lane in range(lanes):
-            scalar_out = scalars[lane].apply(unpack_lane(stimulus, lane))
-            assert unpack_lane(batch_out, lane) == scalar_out
+    # and falling edges, async set/reset priority, latch transparency and
+    # the two-phase shift in arbitrary interleavings, on both engines.
+    batch = (
+        BatchGateSimulator(mixed_sequential_netlist, 16)
+        if engine == "gates"
+        else BatchFlatSimulator(mixed_sequential_flat, 16)
+    )
+    _assert_lanes_track_reference(batch, mixed_sequential_netlist, steps=30, seed=42)
 
 
 # ---------------------------------------------------------------------------
-# Property test: random netlists, random stimulus
+# Random netlists, random stimulus
 # ---------------------------------------------------------------------------
 
 
@@ -367,20 +521,89 @@ def _random_netlist(cells, rng, inputs=5, gates=24):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_batch_matches_scalar_on_random_netlists(cells, seed):
+def test_batch_matches_cell_tables_on_random_netlists(cells, seed):
     rng = random.Random(seed)
     netlist = _random_netlist(cells, rng)
     lanes = 64
     stimulus = {name: rng.getrandbits(lanes) for name in netlist.inputs}
     batch_out = BatchGateSimulator(netlist, lanes).apply(stimulus)
     for lane in range(lanes):
-        scalar_out = GateSimulator(netlist).apply(unpack_lane(stimulus, lane))
-        assert unpack_lane(batch_out, lane) == scalar_out, f"lane {lane} diverged"
+        expected = ReferenceStepper(netlist).apply(unpack_lane(stimulus, lane))
+        assert unpack_lane(batch_out, lane) == expected, f"lane {lane} diverged"
+
+
+# ---------------------------------------------------------------------------
+# Lane independence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "engine,fixture_name,clock",
+    [
+        ("flat", "adder_flat", None),
+        ("gates", "adder_netlist", None),
+        ("flat", "updown_counter_flat", "CLK"),
+        ("gates", "updown_counter_netlist", "CLK"),
+        ("flat", "mixed_sequential_flat", None),
+        ("gates", "mixed_sequential_netlist", None),
+        ("gates", "tribuf_netlist", None),
+        ("gates", "wireor_netlist", None),
+    ],
+)
+def test_lanes_are_independent(engine, fixture_name, clock, request):
+    # Lane i of one W-lane run equals a one-lane run fed lane i's
+    # stimulus, on every net and at every step.
+    model = request.getfixturevalue(fixture_name)
+    simulator = BatchFlatSimulator if engine == "flat" else BatchGateSimulator
+    lanes, steps = 16, 12
+    rng = random.Random(2026)
+    free = [name for name in model.inputs if name != clock]
+    wide = simulator(model, lanes)
+    singles = [simulator(model, 1) for _ in range(lanes)]
+    for _ in range(steps):
+        stimulus = {name: rng.getrandbits(lanes) for name in free}
+        if clock is None:
+            wide.apply(stimulus)
+        else:
+            wide.clock_cycle(clock, stimulus)
+        for lane, single in enumerate(singles):
+            own = unpack_lane(stimulus, lane)
+            if clock is None:
+                single.apply(own)
+            else:
+                single.clock_cycle(clock, own)
+            assert wide.lane_values(lane) == single.values
 
 
 # ---------------------------------------------------------------------------
 # Verification layer
 # ---------------------------------------------------------------------------
+
+
+def _sabotaged_adder(adder_flat, cells):
+    netlist = synthesize(adder_flat, cells)
+    victim = next(
+        inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2"
+    )
+    netlist.reconnect(victim.name, {"I0": victim.net("I1")})
+    return netlist
+
+
+def _first_mismatch(flat, netlist, vectors):
+    """1-based index, vector and mismatched outputs of the first vector on
+    which a fresh reference stepper disagrees with the collapsed flat
+    outputs, or None."""
+    collapsed = flat.collapsed_output_expressions()
+    for index, vector in enumerate(vectors, start=1):
+        gates = ReferenceStepper(netlist).apply(vector)
+        mismatched = tuple(
+            output
+            for output in flat.outputs
+            if gates[output] != collapsed[output].evaluate(vector)
+        )
+        if mismatched:
+            return index, vector, mismatched
+    return None
 
 
 def test_batch_combinational_equivalence_passes(adder_flat, adder_netlist):
@@ -390,24 +613,19 @@ def test_batch_combinational_equivalence_passes(adder_flat, adder_netlist):
     assert result.vectors_checked == 512  # exhaustive over 9 inputs
 
 
-def test_batch_combinational_equivalence_matches_scalar_on_broken_netlist(
+def test_batch_combinational_equivalence_reports_the_earliest_counterexample(
     adder_flat, cells
 ):
-    netlist = synthesize(adder_flat, cells)
-    victim = next(
-        inst for inst in netlist.all_instances() if inst.cell.kind == "XOR2"
+    netlist = _sabotaged_adder(adder_flat, cells)
+    result = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
+    index, vector, mismatched = _first_mismatch(
+        adder_flat, netlist, _all_input_vectors(adder_flat.inputs)
     )
-    netlist.reconnect(victim.name, {"I0": victim.net("I1")})
-    scalar = check_combinational_equivalence(adder_flat, netlist, max_exhaustive=9)
-    batch = check_combinational_equivalence_batch(adder_flat, netlist, max_exhaustive=9)
-    assert not batch.equivalent
-    # Earliest-vector counterexample extraction: the batch checker reports
-    # exactly what the scalar checker reports, field for field.
-    assert batch.equivalent == scalar.equivalent
-    assert batch.vectors_checked == scalar.vectors_checked
-    assert batch.counterexample == scalar.counterexample
-    assert batch.mismatched_outputs == scalar.mismatched_outputs
-    assert batch.mode == scalar.mode
+    assert not result.equivalent
+    assert result.mode == "combinational"
+    assert result.vectors_checked == index
+    assert result.counterexample == vector
+    assert result.mismatched_outputs == mismatched
 
 
 def test_batch_sequential_equivalence_passes(
@@ -480,7 +698,7 @@ def test_simulate_vectors_engines_agree(adder_flat, adder_netlist):
         simulate_vectors(adder_flat, adder_netlist, vectors, engine="spice")
 
 
-def test_simulate_vectors_clocked_trace_matches_scalar(
+def test_simulate_vectors_clocked_trace_follows_the_counter_model(
     updown_counter_flat, updown_counter_netlist
 ):
     stim = {"LOAD": 1, "ENA": 1, "DWUP": 0, **bus_assignment("D", 4, 0)}
@@ -488,8 +706,10 @@ def test_simulate_vectors_clocked_trace_matches_scalar(
     trace = simulate_vectors(
         updown_counter_flat, updown_counter_netlist, vectors, clock="CLK"
     )
-    scalar = GateSimulator(updown_counter_netlist)
-    expected = [scalar.clock_cycle("CLK", stim) for _ in range(5)]
+    expected, q = [], 0
+    for vector in vectors:
+        q, outputs = _counter_model(q, vector)
+        expected.append(outputs)
     assert trace == expected
     with pytest.raises(VerificationError, match="not an input"):
         simulate_vectors(
@@ -552,9 +772,8 @@ def _catalog_names(catalog):
 def test_every_catalog_component_verifies_batch(catalog, cells):
     # tri_state is the one deliberate exception: the flat IIF models the
     # enable as a pure data passthrough while the gate TRIBUF models
-    # bus-hold, so flat-vs-gate equivalence legitimately fails -- but the
-    # batch checker must still report *exactly* what the scalar checker
-    # reports (see the companion test below).
+    # bus-hold, so flat-vs-gate equivalence legitimately fails (see the
+    # companion test below).
     names = _catalog_names(catalog)
     assert len(names) >= 25  # the sweep really is catalog-wide
     failures = []
@@ -570,15 +789,13 @@ def test_every_catalog_component_verifies_batch(catalog, cells):
     assert not failures, failures
 
 
-def test_tri_state_batch_reports_exactly_the_scalar_verdict(catalog, cells):
+def test_tri_state_verdict_names_an_enable_low_counterexample(catalog, cells):
     flat, netlist = _catalog_case(catalog, cells, "tri_state")
-    scalar = check_combinational_equivalence(flat, netlist)
-    batch = check_combinational_equivalence_batch(flat, netlist)
-    assert scalar.equivalent == batch.equivalent
-    assert scalar.vectors_checked == batch.vectors_checked
-    assert scalar.counterexample == batch.counterexample
-    assert scalar.mismatched_outputs == batch.mismatched_outputs
-    # And the divergence itself is the documented one: with EN=0 the flat
+    result = check_combinational_equivalence_batch(flat, netlist)
+    index, vector, mismatched = _first_mismatch(flat, netlist, _all_input_vectors(flat.inputs))
+    assert (result.vectors_checked, result.counterexample) == (index, vector)
+    assert result.mismatched_outputs == mismatched
+    # The divergence itself is the documented one: with EN=0 the flat
     # side passes data through while the gate side holds the bus.
-    assert not batch.equivalent
-    assert batch.counterexample["EN"] == 0
+    assert not result.equivalent
+    assert result.counterexample["EN"] == 0
