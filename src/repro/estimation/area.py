@@ -132,14 +132,22 @@ class AreaEstimator:
 
     def _multi_pin_counts(self) -> List[int]:
         """Pin counts of the nets with two or more connection points
-        (computed once: the net table does not change under estimation)."""
+        (computed once: connectivity does not change under estimation).
+
+        Every gate pin is one connection point; a primary input's own port
+        is not.  Nets run in :meth:`GateNetlist.nets` order (the inputs,
+        then each gate's output and input nets), which fixes the order
+        :meth:`wire_length` adds them in.
+        """
         if self._net_pin_counts is None:
-            counts: List[int] = []
-            for info in self.netlist.nets().values():
-                pins = info.fanout + (0 if info.driver_instance is None else 1)
-                if pins >= 2:
-                    counts.append(pins)
-            self._net_pin_counts = counts
+            pins: Dict[str, int] = dict.fromkeys(self.netlist.inputs, 0)
+            for instance in self.netlist.instances.values():
+                cell, nets = instance.cell, instance.nets
+                for i in cell.output_indices:
+                    pins[nets[i]] = pins.get(nets[i], 0) + 1
+                for i in cell.input_indices:
+                    pins[nets[i]] = pins.get(nets[i], 0) + 1
+            self._net_pin_counts = [count for count in pins.values() if count >= 2]
         return self._net_pin_counts
 
     def wire_length(self, strips: int) -> float:

@@ -119,7 +119,12 @@ class DelayAnalysis:
         self.netlist = netlist
         self.external_loads = dict(external_loads or {})
         self.loads = netlist.net_load_units(self.external_loads)
-        self.net_table = netlist.nets()
+        #: sink-pin count of every net some gate reads
+        self.fanout: Dict[str, int] = {}
+        for instance in netlist.instances.values():
+            nets = instance.nets
+            for i in instance.cell.input_indices:
+                self.fanout[nets[i]] = self.fanout.get(nets[i], 0) + 1
         self.order = combinational_order(netlist)
         #: worst arrival time at each net for paths starting at primary inputs
         self.arrival_from_inputs: Dict[str, float] = {}
@@ -137,14 +142,14 @@ class DelayAnalysis:
         """Delay through ``instance`` using the paper's X/Y/Z formula."""
         out_net = instance.output_net()
         load = self.loads.get(out_net, 0.0)
-        fanout = self.net_table[out_net].fanout if out_net in self.net_table else 0
+        fanout = self.fanout.get(out_net, 0)
         return instance.cell.output_delay(load, fanout, instance.size)
 
     def register_output_delay(self, instance: GateInstance) -> float:
         """Clock-to-Q delay of a sequential cell including its output load."""
         out_net = instance.output_net()
         load = self.loads.get(out_net, 0.0)
-        fanout = self.net_table[out_net].fanout if out_net in self.net_table else 0
+        fanout = self.fanout.get(out_net, 0)
         return instance.cell.clock_to_q + instance.cell.output_delay(
             load, fanout, instance.size
         )
@@ -222,7 +227,7 @@ class DelayAnalysis:
         for instance in self.netlist.sequential_instances():
             out_net = instance.output_net()
             load = self.loads.get(out_net, 0.0)
-            fanout = self.net_table[out_net].fanout if out_net in self.net_table else 0
+            fanout = self.fanout.get(out_net, 0)
             output_term = instance.cell.output_delay(load, fanout, instance.size)
             a_in.setdefault(out_net, _NEG_INF)
             a_reg[out_net] = launch[instance.name] + output_term

@@ -152,10 +152,10 @@ class Expander:
         flat: List[str] = []
         for item in items:
             if not item.dims:
-                flat.append(item.ident)
+                flat.append(E.shared_name(item.ident))
                 continue
             width = self._eval_int(item.dims[0], ctx)
-            flat.extend(f"{item.ident}[{i}]" for i in range(width))
+            flat.extend(E.shared_name(f"{item.ident}[{i}]") for i in range(width))
         return flat
 
     # --------------------------------------------------------------- statements
@@ -311,7 +311,7 @@ class Expander:
 
     def _fresh_base(self, callee_name: str, ident: str) -> str:
         self._fresh_counter += 1
-        base = f"{callee_name.lower()}_{self._fresh_counter}_{ident}"
+        base = E.shared_name(f"{callee_name.lower()}_{self._fresh_counter}_{ident}")
         self._extra_internals.append(base)
         return base
 
@@ -320,9 +320,9 @@ class Expander:
     def _flatten_name(self, name: Name, ctx: _Context) -> str:
         base = ctx.rename.get(name.ident, name.ident)
         if not name.indices:
-            return base
+            return E.shared_name(base)
         indices = [self._eval_int(index, ctx) for index in name.indices]
-        return base + "".join(f"[{index}]" for index in indices)
+        return E.shared_name(base + "".join(f"[{index}]" for index in indices))
 
     def _build_assignment(self, target: str, value: Node, ctx: _Context):
         asyncs: Tuple[AsyncTerm, ...] = ()

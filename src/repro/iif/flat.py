@@ -186,29 +186,16 @@ class FlatComponent:
         under the same options and cell library -- the key the generation
         cache memoizes synthesis on.  The component *name* is deliberately
         excluded (it differs per instance); ``functions`` / ``parameters``
-        are excluded because synthesis never reads them.  Expressions are
-        hash-consed, so the tuple is cheap to hash and compare.
+        are excluded because synthesis never reads them.  The assignments
+        enter as the component's own records: frozen, value-equal and
+        over hash-consed expressions, so the key costs one tuple of
+        references, not a copy of every assignment.
         """
-        assigns: List[Tuple] = []
-        for assign in self.assigns:
-            if isinstance(assign, CombAssign):
-                assigns.append(("c", assign.target, assign.expr))
-            else:
-                assigns.append(
-                    (
-                        "s",
-                        assign.target,
-                        assign.data,
-                        assign.clock,
-                        assign.edge,
-                        tuple((term.value, term.condition) for term in assign.asyncs),
-                    )
-                )
         return (
             tuple(self.inputs),
             tuple(self.outputs),
             tuple(self.internals),
-            tuple(assigns),
+            tuple(self.assigns),
         )
 
     # --------------------------------------------------------------- analysis

@@ -23,11 +23,16 @@ is thread-safe (the PR-3 job workers synthesize concurrently).
 Truth tables are computed over the shared subgraph with one big-integer
 bitmask per node (a cofactor-free evaluation of all ``2**n`` rows at
 once) instead of re-walking the tree once per input row.
+
+Signal names get the same treatment without the weak references a
+``str`` cannot take: :func:`shared_name` keeps one string object per
+live name for the expander and the netlist builder.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import weakref
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
@@ -35,6 +40,63 @@ from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 class ExprError(ValueError):
     """Raised for malformed boolean expressions."""
+
+
+# ---------------------------------------------------------------------------
+# Signal names
+# ---------------------------------------------------------------------------
+
+#: One string object per distinct live signal, gate or net name.  A str
+#: cannot be weakly referenced, so the table holds its names strongly and
+#: a sweep drops those that nothing else holds any more.
+_NAMES: Dict[str, str] = {}
+_NAMES_LOCK = threading.Lock()
+#: The table is swept when it grows past ``_names_bound`` entries; each
+#: sweep sets the bound to twice the names it kept, never below the floor.
+NAMES_FLOOR = 1024
+_names_bound = NAMES_FLOOR
+
+
+def shared_name(name: str) -> str:
+    """The one live string object equal to ``name``.
+
+    Generated designs repeat the same names across components and stages
+    (``A[0]``, ``U12_nand2``, ``n$7``); the expander and the netlist builder
+    pass every name they make through here, so a server keeps each live
+    name once.  Unlike ``sys.intern`` this forgets a name once nothing else
+    holds it: interned strings are immortal on Python 3.12, and client-chosen
+    IIF identifiers would grow the process for good.  A sweep runs whenever
+    the table has doubled since the last one, so it never holds more than
+    ``max(NAMES_FLOOR, 2 * k)`` names, ``k`` being the names alive at the
+    last sweep.
+    """
+    shared = _NAMES.get(name)
+    if shared is not None:
+        return shared
+    with _NAMES_LOCK:
+        shared = _NAMES.setdefault(name, name)
+        if len(_NAMES) > _names_bound:
+            _sweep_names()
+    return shared
+
+
+def _sweep_names() -> None:
+    """Drop the names only the table holds (the caller holds the lock)."""
+    global _names_bound
+    # What sys.getrefcount reports for a name nothing else holds differs
+    # between Python versions, so a fresh probe string calibrates it: the
+    # reversed loop meets the probe (inserted last) first.
+    probe = "".join(("\x00", str(len(_NAMES))))
+    _NAMES[probe] = probe
+    del probe
+    unheld = 0
+    for name in reversed(list(_NAMES)):
+        count = sys.getrefcount(name)
+        if not unheld:
+            unheld = count
+        if count <= unheld:
+            del _NAMES[name]
+    _names_bound = max(NAMES_FLOOR, 2 * len(_NAMES))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..logic.expr import shared_name
 from ..techlib import Cell, CellLibrary
 
 
@@ -151,7 +152,7 @@ class GateNetlist:
         nets = _ordered_nets(cell, pins)
         if name is None:
             self._counter += 1
-            name = f"U{self._counter}_{cell.name.lower()}"
+            name = shared_name(f"U{self._counter}_{cell.name.lower()}")
         if name in self.instances:
             raise NetlistError(f"instance name {name!r} already used")
         instance = GateInstance(name, cell, nets, size)
@@ -175,7 +176,7 @@ class GateNetlist:
     def new_net(self, hint: str = "n") -> str:
         """Return a fresh internal net name."""
         self._counter += 1
-        return f"{hint}${self._counter}"
+        return shared_name(f"{hint}${self._counter}")
 
     def clone(self, name: Optional[str] = None) -> "GateNetlist":
         """An independent copy safe to size separately.
@@ -217,7 +218,18 @@ class GateNetlist:
         return [inst for inst in self.instances.values() if not inst.is_sequential]
 
     def nets(self) -> Dict[str, NetInfo]:
-        """Build the net table (drivers and sinks) of the current netlist."""
+        """Build the net table (drivers and sinks) of the current netlist.
+
+        The strip layout (:mod:`repro.layout.strips`) and the public graph
+        helpers (``fanout_counts``, ``driver_of``, ``transitive_fanin``,
+        ``transitive_fanout``) read it.  The Figure-8 flow does not: one
+        :class:`NetInfo` (a ``__dict__`` and a sink list) per net was most
+        of a cold request's transient memory, so validation, the loads,
+        the topological order and the delay and area estimators each walk
+        the gates' net tuples for the one fact they read.  Nothing caches
+        the table on the netlist either, which would cost every stored
+        design one object per net.
+        """
         table: Dict[str, NetInfo] = {}
 
         def info(net: str) -> NetInfo:
@@ -244,31 +256,60 @@ class GateNetlist:
                 info(nets[i]).sinks.append((instance.name, cell.pins[i]))
         return table
 
+    def drivers(self) -> Dict[str, Optional[GateInstance]]:
+        """Every driven net -> the gate driving it (``None`` for a primary input).
+
+        One walk over the gates; a net driven twice (by two gates, or by a
+        gate and the inputs) raises :class:`NetlistError` for the first such
+        net in gate order, as :meth:`nets` does.
+        """
+        drivers: Dict[str, Optional[GateInstance]] = dict.fromkeys(self.inputs)
+        for instance in self.instances.values():
+            nets = instance.nets
+            for i in instance.cell.output_indices:
+                net = nets[i]
+                if net in drivers:
+                    raise NetlistError(f"net {net!r} has multiple drivers")
+                drivers[net] = instance
+        return drivers
+
     def net_load_units(self, external_loads: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
         """Unit-transistor load on every net (sink input loads plus any
-        externally supplied output loads, e.g. the ``oload`` constraints)."""
-        loads: Dict[str, float] = {}
-        for net, entry in self.nets().items():
-            total = 0.0
-            for sink_name, pin in entry.sinks:
-                sink = self.instances[sink_name]
-                total += sink.cell.input_load_at_size(sink.size)
-            loads[net] = total
+        externally supplied output loads, e.g. the ``oload`` constraints).
+
+        Nets run in :meth:`nets` order (the inputs, then each gate's output
+        and input nets) and each sum adds its sinks in gate order.
+        """
+        loads: Dict[str, float] = dict.fromkeys(self.inputs, 0.0)
+        for instance in self.instances.values():
+            cell, nets = instance.cell, instance.nets
+            for i in cell.output_indices:
+                loads.setdefault(nets[i], 0.0)
+            load = cell.input_load_at_size(instance.size)
+            for i in cell.input_indices:
+                net = nets[i]
+                loads[net] = loads.get(net, 0.0) + load
         if external_loads:
             for net, extra in external_loads.items():
                 loads[net] = loads.get(net, 0.0) + float(extra)
         return loads
 
     def validate(self) -> None:
-        """Check that every output is driven and every used net has a driver."""
-        table = self.nets()
+        """Check that every output is driven and every used net has a driver.
+
+        The first fault raises :class:`NetlistError`: a net driven twice,
+        else an undriven output, else the first net in gate order that is
+        read but never driven.
+        """
+        drivers = self.drivers()
         for output in self.outputs:
-            entry = table.get(output)
-            if entry is None or (entry.driver_instance is None and not entry.is_primary_input):
+            if output not in drivers:
                 raise NetlistError(f"output {output!r} is not driven")
-        for net, entry in table.items():
-            if entry.sinks and entry.driver_instance is None and not entry.is_primary_input:
-                raise NetlistError(f"net {net!r} is used but never driven")
+        for instance in self.instances.values():
+            nets = instance.nets
+            for i in instance.cell.input_indices:
+                if nets[i] not in drivers:
+                    raise NetlistError(f"net {nets[i]!r} is used but never driven")
 
     # ------------------------------------------------------------------ stats
 

@@ -21,52 +21,39 @@ def combinational_order(netlist: GateNetlist) -> List[GateInstance]:
     Sequential cell outputs and primary inputs are the sources; a cycle
     through combinational cells raises :class:`NetlistError` (the paper's
     components never contain one -- feedback always goes through a
-    flip-flop or latch).
+    flip-flop or latch).  So does a net driven twice, first.
     """
-    table = netlist.nets()
+    drivers = netlist.drivers()
     comb = netlist.combinational_instances()
-    ready_nets: Set[str] = set(netlist.inputs)
-    for instance in netlist.sequential_instances():
-        for i in instance.cell.output_indices:
-            ready_nets.add(instance.nets[i])
-    # Nets with no driver at all (tie-offs handled upstream) count as ready so
-    # a dangling constant does not deadlock the ordering.
-    for net, entry in table.items():
-        if entry.driver_instance is None and not entry.is_primary_input:
-            ready_nets.add(net)
+    # A gate waits on each input pin whose net a combinational gate drives;
+    # primary inputs, register outputs and undriven nets (tie-offs
+    # handled upstream) are ready from the start, so a dangling constant
+    # does not deadlock the ordering.
+    waiting = [0] * len(comb)
+    readers: Dict[str, List[int]] = {}
+    for index, instance in enumerate(comb):
+        nets = instance.nets
+        for i in instance.cell.input_indices:
+            driver = drivers.get(nets[i])
+            if driver is not None and not driver.is_sequential:
+                waiting[index] += 1
+                readers.setdefault(nets[i], []).append(index)
 
-    remaining: Dict[str, Set[str]] = {}
-    consumers: Dict[str, List[str]] = {}
-    for instance in comb:
-        pending = {
-            net for net in instance.input_nets() if net not in ready_nets
-        }
-        remaining[instance.name] = pending
-        for net in pending:
-            consumers.setdefault(net, []).append(instance.name)
-
-    queue = deque(name for name, pending in remaining.items() if not pending)
+    queue = deque(index for index, count in enumerate(waiting) if not count)
     order: List[GateInstance] = []
-    done: Set[str] = set()
     while queue:
-        name = queue.popleft()
-        if name in done:
-            continue
-        done.add(name)
-        instance = netlist.instances[name]
+        instance = comb[queue.popleft()]
         order.append(instance)
+        nets = instance.nets
         for i in instance.cell.output_indices:
-            net = instance.nets[i]
-            if net in ready_nets:
-                continue
-            ready_nets.add(net)
-            for consumer in consumers.get(net, []):
-                pending = remaining[consumer]
-                pending.discard(net)
-                if not pending and consumer not in done:
-                    queue.append(consumer)
+            for index in readers.pop(nets[i], ()):
+                waiting[index] -= 1
+                if not waiting[index]:
+                    queue.append(index)
     if len(order) != len(comb):
-        unresolved = sorted(set(remaining) - done)
+        unresolved = sorted(
+            instance.name for instance, count in zip(comb, waiting) if count
+        )
         raise NetlistError(
             f"combinational cycle involving instances {unresolved[:5]}"
         )

@@ -86,6 +86,7 @@ def _pick_candidate(
     """Choose the critical-path gate whose upsizing helps the most."""
     best_instance: Optional[GateInstance] = None
     best_gain = 0.0
+    drivers = analysis.netlist.drivers()
     candidates = analysis.critical_instances()
     if not candidates:
         candidates = [
@@ -98,7 +99,7 @@ def _pick_candidate(
             continue
         out_net = instance.output_net()
         load = analysis.loads.get(out_net, 0.0)
-        fanout = analysis.net_table[out_net].fanout if out_net in analysis.net_table else 0
+        fanout = analysis.fanout.get(out_net, 0)
         current = instance.cell.output_delay(load, fanout, instance.size)
         upsized = instance.cell.output_delay(load, fanout, instance.size * options.step)
         # Upsizing increases the load seen by the driver of each input net;
@@ -109,10 +110,9 @@ def _pick_candidate(
             instance.size * options.step
         ) - instance.cell.input_load_at_size(instance.size)
         for net in instance.input_nets():
-            info = analysis.net_table.get(net)
-            if info is None or info.driver_instance is None:
+            driver = drivers.get(net)
+            if driver is None:
                 continue
-            driver = analysis.netlist.instances[info.driver_instance]
             penalty += extra_load * driver.cell.load_delay_at_size(driver.size)
         gain = (current - upsized) - 0.5 * penalty
         if gain > best_gain:

@@ -95,7 +95,8 @@ SAMPLE_REQUESTS = [
 
 
 @pytest.mark.parametrize(
-    "request_obj", SAMPLE_REQUESTS, ids=lambda r: f"{r.kind}-{id(r) % 1000}"
+    "request_obj",
+    [pytest.param(r, id=f"{r.kind}-{i}") for i, r in enumerate(SAMPLE_REQUESTS)],
 )
 def test_every_request_survives_json_round_trip(request_obj):
     assert roundtrip(request_obj) == request_obj

@@ -12,11 +12,18 @@ take.
 They also pin what the server process does not hold at all: OpenSSL
 (no module it imports loads ``_hashlib``), and a second in-memory copy
 of the artifact text a generated instance has already written to disk.
+
+And what a cold request does not build: the Figure-8 flow derives its
+connectivity per pass without ``GateNetlist.nets()`` tables, designs
+share one string object per name, and the synthesis memo key reuses
+the flat component's own assignment records.  These guards count
+objects and calls, never time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -35,6 +42,8 @@ from repro.core import instances
 from repro.fingerprint import stable_fingerprint
 from repro.iif.flat import AsyncTerm, CombAssign, SeqAssign
 from repro.iif.printer import flat_to_milo
+from repro.logic import expr as E
+from repro.netlist.gates import GateNetlist
 from repro.netlist.vhdl import gate_netlist_to_vhdl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -130,6 +139,121 @@ def test_flat_components_and_netlists_survive_pickle(generated):
         )
         assert netlist.library is original.library
         assert netlist.instances == original.instances
+
+
+def test_synthesis_memo_key_reuses_the_flats_own_records(generated):
+    for instance in generated:
+        flat = instance.flat
+        own = {id(assign) for assign in flat.assigns}
+        key = flat.signature()[3]
+        assert len(key) == len(flat.assigns)
+        assert all(id(record) in own for record in key)
+
+
+# ---------------------------------------------------------------------------
+# What a cold request does not build
+# ---------------------------------------------------------------------------
+
+
+def test_a_cold_request_builds_no_net_table(tmp_path, monkeypatch):
+    calls = []
+    build_table = GateNetlist.nets
+
+    def counted(netlist):
+        calls.append(netlist.name)
+        return build_table(netlist)
+
+    monkeypatch.setattr(GateNetlist, "nets", counted)
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True), store_root=tmp_path
+    )
+    request = ComponentRequest(implementation="array_multiplier", attributes={"size": 8})
+    response = service.execute(request)
+    assert response.ok and not response.value["cached"]
+    assert calls == []
+
+
+def test_designs_share_one_string_per_name(tmp_path):
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True), store_root=tmp_path
+    )
+    session = service.create_session()
+    first = {}
+    common = set()
+    for implementation in ("counter", "alu"):
+        design = session.request_component(
+            implementation=implementation, parameters={"size": 8}
+        )
+        netlist = design.netlist
+        names = design.flat.signals() + list(netlist.instances)
+        names += [net for gate in netlist.all_instances() for net in gate.nets]
+        common |= {name for name in names if name in first}
+        for name in names:
+            assert first.setdefault(name, name) is name
+    # Signal names (the carry chain), counter-derived gate and net names.
+    assert {"C[1]", "U1_xor2", "n$2"} <= common
+
+
+#: A custom module whose identifiers carry a tag, so each request brings
+#: ``2 * size`` port names no other request uses.
+FRESH_IIF = """
+NAME: TAP{tag};
+PARAMETER: size;
+INORDER: FreshIn{tag}[size];
+OUTORDER: FreshOut{tag}[size];
+VARIABLE: i;
+{{
+    #for(i=0; i<size; i++)
+        FreshOut{tag}[i] = !FreshIn{tag}[i];
+}}
+"""
+
+
+def _sweep_shared_names():
+    with E._NAMES_LOCK:
+        E._sweep_names()
+
+
+def test_shared_names_forget_what_nothing_holds(tmp_path):
+    # 100 custom components of 256 fresh port names each: 25,600 names pass
+    # through the table, in batches that end the transaction and clear the
+    # stage memo, as a long-running server does.
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True), store_root=tmp_path
+    )
+    session = service.create_session()
+    session.start_a_design("fresh_names")
+    session.start_a_transaction()
+    per_batch, size = 4, 128
+    _sweep_shared_names()
+    live_before = len(E._NAMES)
+    peak = 0
+    for first in range(0, 100, per_batch):
+        designs = [
+            session.request_component(
+                iif=FRESH_IIF.format(tag=tag), parameters={"size": size}
+            )
+            for tag in range(first, first + per_batch)
+        ]
+        kept = designs[0].flat.inputs[0]
+        del designs
+        session.end_a_transaction()
+        session.start_a_transaction()
+        service.generator.generation_cache.clear()
+        gc.collect()
+        peak = max(peak, len(E._NAMES))
+    # Sweeps keep the table within its stated slack of the names alive at
+    # any one time (at most two batches' worth here), not of the run's.
+    assert peak <= max(E.NAMES_FLOOR, 2 * (live_before + 2 * per_batch * 2 * size))
+    # Once only this test holds one of the run's names, a sweep forgets
+    # every other one ...
+    _sweep_shared_names()
+    assert [name for name in E._NAMES if name.startswith("Fresh")] == [kept]
+    # ... and the kept one is an ordinary object, held by the table and
+    # this test alone.  A bare ``sys.intern`` name would be immortal on
+    # Python 3.12, which reports a refcount of about 2**32 for it.
+    alone = "".join(("Fresh", "Probe"))
+    assert sys.getrefcount(kept) == sys.getrefcount(alone) + 2
 
 
 # ---------------------------------------------------------------------------

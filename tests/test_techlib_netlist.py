@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pickle
+import random
+from collections import deque
 
 import pytest
 
+from repro.estimation import AreaEstimator, DelayAnalysis
+from repro.logic.milo import synthesize
 from repro.netlist import (
     GateNetlist,
     NetlistError,
@@ -31,6 +35,8 @@ from repro.techlib import (
     default_library,
     standard_cells,
 )
+from repro.sim import BatchGateSimulator
+from test_sim_batch import _random_netlist
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +197,199 @@ def test_combinational_cycle_detected(cells):
     netlist.add_instance(cells.by_kind("INV"), {"I0": "n1", "O": "Y"})
     with pytest.raises(NetlistError):
         combinational_order(netlist)
+
+
+# ---------------------------------------------------------------------------
+# Per-pass connectivity against the net table
+# ---------------------------------------------------------------------------
+#
+# The flow's passes walk the gates' net tuples instead of building
+# ``nets()``; these references rebuild each fact from the net table the
+# way the passes used to, and the passes must match them exactly: the
+# same floats, summed in the same order, and the same orders.
+
+
+def _reference_loads(netlist, external):
+    loads = {}
+    for net, info in netlist.nets().items():
+        total = 0.0
+        for sink_name, _pin in info.sinks:
+            sink = netlist.instances[sink_name]
+            total += sink.cell.input_load_at_size(sink.size)
+        loads[net] = total
+    for net, extra in external.items():
+        loads[net] = loads.get(net, 0.0) + float(extra)
+    return loads
+
+
+def _reference_order(netlist):
+    """Kahn's algorithm over the net table, one pending-net set per gate."""
+    table = netlist.nets()
+    ready = set(netlist.inputs)
+    for gate in netlist.sequential_instances():
+        ready.update(gate.nets[i] for i in gate.cell.output_indices)
+    ready.update(net for net, info in table.items() if info.driver_instance is None)
+    comb = netlist.combinational_instances()
+    pending = {gate.name: set(gate.input_nets()) - ready for gate in comb}
+    readers = {}
+    for gate in comb:
+        for net in pending[gate.name]:
+            readers.setdefault(net, []).append(gate)
+    queue = deque(gate for gate in comb if not pending[gate.name])
+    order = []
+    while queue:
+        gate = queue.popleft()
+        order.append(gate)
+        for net in (gate.nets[i] for i in gate.cell.output_indices):
+            if net in ready:
+                continue
+            ready.add(net)
+            for reader in readers.get(net, []):
+                pending[reader.name].discard(net)
+                if not pending[reader.name]:
+                    queue.append(reader)
+    return order
+
+
+def _reference_pin_counts(netlist):
+    counts = []
+    for info in netlist.nets().values():
+        pins = info.fanout + (0 if info.driver_instance is None else 1)
+        if pins >= 2:
+            counts.append(pins)
+    return counts
+
+
+def _resized_and_shuffled(netlist, rng):
+    """A copy with random drive sizes and its gates in a random order."""
+    gates = netlist.all_instances()
+    rng.shuffle(gates)
+    copy = GateNetlist(netlist.name, netlist.inputs, netlist.outputs, netlist.library)
+    for gate in gates:
+        pins = dict(zip(gate.cell.pins, gate.nets))
+        size = rng.choice((1.0, 1.3, 2.197, 4.0))
+        copy.add_instance(gate.cell, pins, name=gate.name, size=size)
+    return copy
+
+
+def _catalog_netlists(catalog, cells):
+    netlists = []
+    for implementation in catalog.implementations():
+        parameters = dict(implementation.default_parameters)
+        if "size" in parameters:
+            parameters["size"] = 4
+        try:
+            flat = implementation.expand(parameters)
+        except Exception:
+            # A few implementations need co-varying parameters; a bare
+            # size override is not meaningful there.
+            continue
+        netlists.append(synthesize(flat, cells))
+    return netlists
+
+
+def _assert_passes_match_the_net_table(netlist):
+    external = {output: 1.5 for output in netlist.outputs}
+    loads = netlist.net_load_units(external)
+    reference = _reference_loads(netlist, external)
+    assert list(loads.items()) == list(reference.items())
+
+    order = [gate.name for gate in combinational_order(netlist)]
+    assert order == [gate.name for gate in _reference_order(netlist)]
+
+    table = netlist.nets()
+    drivers = {
+        net: None if gate is None else gate.name for net, gate in netlist.drivers().items()
+    }
+    assert drivers == {
+        net: info.driver_instance
+        for net, info in table.items()
+        if info.driver_instance is not None or info.is_primary_input
+    }
+    analysis = DelayAnalysis(netlist, external)
+    assert analysis.fanout == {net: info.fanout for net, info in table.items() if info.sinks}
+    assert [gate.name for gate in analysis.order] == order
+
+    assert AreaEstimator(netlist)._multi_pin_counts() == _reference_pin_counts(netlist)
+
+
+def test_catalog_netlists_match_the_net_table(catalog, cells):
+    netlists = _catalog_netlists(catalog, cells)
+    assert len(netlists) >= 25  # the check really is catalog-wide
+    rng = random.Random(4)
+    for netlist in netlists:
+        _assert_passes_match_the_net_table(netlist)
+        _assert_passes_match_the_net_table(_resized_and_shuffled(netlist, rng))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_netlists_match_the_net_table(cells, seed):
+    rng = random.Random(seed)
+    netlist = _random_netlist(cells, rng)
+    _assert_passes_match_the_net_table(netlist)
+    _assert_passes_match_the_net_table(_resized_and_shuffled(netlist, rng))
+
+
+def _faulty_netlist(cells, faults):
+    """A small netlist carrying the named faults, built in a fixed order."""
+    inv, and2 = cells.by_kind("INV"), cells.by_kind("AND2")
+    netlist = GateNetlist("faulty", ["A", "B"], ["Y", "Z"], cells)
+    netlist.add_instance(and2, {"I0": "A", "I1": "B", "O": "n1"}, name="g1")
+    netlist.add_instance(inv, {"I0": "n1", "O": "Y"}, name="g2")
+    if "cycle" in faults:
+        netlist.add_instance(and2, {"I0": "A", "I1": "c2", "O": "c1"}, name="g3")
+        netlist.add_instance(inv, {"I0": "c1", "O": "c2"}, name="g4")
+    if "used_undriven" in faults:
+        netlist.add_instance(and2, {"I0": "n1", "I1": "u", "O": "n2"}, name="g5")
+    if "double_driver" in faults:
+        netlist.add_instance(inv, {"I0": "B", "O": "n1"}, name="g6")
+    if "driven_input" in faults:
+        netlist.add_instance(inv, {"I0": "n1", "O": "B"}, name="g7")
+    if "undriven_output" not in faults:
+        netlist.add_instance(inv, {"I0": "Y", "O": "Z"}, name="g8")
+    return netlist
+
+
+_CYCLE = "combinational cycle involving instances ['g3', 'g4']"
+
+
+@pytest.mark.parametrize(
+    "faults,from_validate,from_order",
+    [
+        (
+            ("double_driver", "undriven_output", "used_undriven", "cycle"),
+            "net 'n1' has multiple drivers",
+            "net 'n1' has multiple drivers",
+        ),
+        (
+            ("driven_input", "double_driver", "cycle"),
+            "net 'n1' has multiple drivers",
+            "net 'n1' has multiple drivers",
+        ),
+        (
+            ("driven_input", "undriven_output"),
+            "net 'B' has multiple drivers",
+            "net 'B' has multiple drivers",
+        ),
+        (("undriven_output", "used_undriven", "cycle"), "output 'Z' is not driven", _CYCLE),
+        (("used_undriven", "cycle"), "net 'u' is used but never driven", _CYCLE),
+        (("used_undriven",), "net 'u' is used but never driven", None),
+    ],
+)
+def test_faulty_netlists_report_their_first_fault(cells, faults, from_validate, from_order):
+    netlist = _faulty_netlist(cells, faults)
+    with pytest.raises(NetlistError) as raised:
+        netlist.validate()
+    assert str(raised.value) == from_validate
+    if from_order is None:
+        # An undriven net counts as ready, so the order still exists.
+        order = [gate.name for gate in combinational_order(netlist)]
+        assert order == [gate.name for gate in _reference_order(netlist)]
+        return
+    for build in (combinational_order, lambda n: BatchGateSimulator(n, 4)):
+        with pytest.raises(NetlistError) as raised:
+            build(netlist)
+        assert str(raised.value) == from_order
 
 
 # ---------------------------------------------------------------------------
