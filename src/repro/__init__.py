@@ -25,9 +25,9 @@ The package implements ICDB -- a component server for behavioral synthesis
 * :mod:`repro.sizing`, :mod:`repro.estimation`, :mod:`repro.layout` -- the
   transistor sizer, the delay / area / shape estimators, and the strip
   layout generator plus slicing floorplanner;
-* :mod:`repro.sim` -- functional and gate-level simulators plus the
-  bit-parallel batch engines and the equivalence-checking layer behind
-  the ``Simulate`` / ``CheckEquivalence`` requests and the planner's
+* :mod:`repro.sim` -- the bit-parallel flat (IIF) and gate-level
+  simulators and the equivalence-checking layer behind the ``Simulate`` /
+  ``CheckEquivalence`` requests and the planner's
   ``require_equivalent_to`` bound (see ``docs/sim.md``);
 * :mod:`repro.db` -- the relational store (INGRES substitute) and the
   design-data file store;

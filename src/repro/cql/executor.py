@@ -6,14 +6,12 @@ the parsed command plus the caller's input values (bound to ``%`` slots in
 order) and returns a dictionary keyed by the keywords of the ``?`` output
 slots.
 
-Since the service-layer redesign every command executes through a typed
-request object from :mod:`repro.api.messages`: the handler builds the
-request, the executor round-trips it through ``to_dict()`` -> JSON ->
-``from_dict()`` (so the CQL surface exercises the exact wire contract a
-remote transport would use) and hands it to the
-:class:`~repro.api.service.ComponentService`, which answers with a
-:class:`~repro.api.messages.Response` envelope.  Failures re-raise the
-original engine exception, keeping the legacy error behavior intact.
+Every command builds one typed request from :mod:`repro.api.messages`
+and sends it with ``server.execute(request).unwrap()``: a failure
+re-raises the original engine exception in process and the structured
+:class:`~repro.core.icdb.IcdbError` from a remote server.  One projection,
+:func:`_project`, copies the answer's fields onto the ``?`` slots, read
+off a per-command table (:data:`_SLOTS`).
 
 The executor binds to any object exposing ``execute(request) -> Response``:
 the legacy :class:`~repro.core.icdb.ICDB` facade (itself a session), a
@@ -24,7 +22,6 @@ network ICDB server unchanged.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,11 +40,9 @@ from ..api.messages import (
     LayoutRequest,
     Ping,
     PlanQuery,
-    Request,
     Response,
     Simulate,
     SubmitJob,
-    request_from_dict,
 )
 from ..api.planner import PlanResult
 from ..api.query import (
@@ -68,7 +63,7 @@ from ..constraints import (
 )
 from ..core.instances import TARGET_LAYOUT, TARGET_LOGIC
 from ..netlist.structural import StructuralNetlist
-from .parser import CqlCommand, CqlSyntaxError, CqlTerm, VariableSlot, parse_command
+from .parser import CqlCommand, CqlTerm, VariableSlot, parse_command
 
 
 class CqlExecutionError(RuntimeError):
@@ -97,6 +92,82 @@ def _as_float(value, keyword: str) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise CqlExecutionError(f"{keyword} expects a number, got {value!r}") from exc
+
+
+def _same(*keys: str) -> Dict[str, str]:
+    return {key: key for key in keys}
+
+
+#: Per command, the answer key each ``?`` slot keyword reads; a slot the
+#: table does not name gets no output.  ``None`` lets every key of the
+#: answer through under its own name.
+_SLOTS: Dict[str, Optional[Dict[str, str]]] = {
+    "component_query": _same("implementation", "component", "function"),
+    "request_component": _same("instance", "delay", "area", "shape_function"),
+    "layout": _same("cif_layout", "area"),
+    "explore": _same("winner", "front", "instance", "candidates", "explain"),
+    "simulate": _same("vectors", "engine"),
+    "verify": _same(
+        "equivalent",
+        "vectors_checked",
+        "counterexample",
+        "mismatched_outputs",
+        "mode",
+        "reference",
+    ),
+    "submit": {"job": "job_id", "job_id": "job_id", "state": "state"},
+    "instance_query": {
+        **_same("function", "delay", "area", "shape_function", "connect"),
+        "vhdl_net_list": "VHDL_net_list",
+        "vhdl_head": "VHDL_head",
+    },
+    "metrics": None,
+    "ping": None,
+}
+
+
+def _project(
+    command: CqlCommand,
+    answer: Mapping[str, Any],
+    table: str,
+    always: Sequence[str] = (),
+    default: Sequence[str] = (),
+) -> Dict[str, Any]:
+    """Copy ``answer``'s fields onto the command's ``?`` output slots.
+
+    ``table`` names the command's row of :data:`_SLOTS`.  Keywords in
+    ``always`` are answered whatever slots are asked, those in ``default``
+    only when no slot matched.  An ``instance`` slot takes its slot's
+    shape: an array slot gets a list, a scalar slot one name (``""`` when
+    the answer lists none).
+    """
+    slots = _SLOTS[table]
+
+    def key(keyword: str) -> Optional[str]:
+        if slots is None:
+            return keyword if keyword in answer else None
+        return slots.get(keyword)
+
+    outputs: Dict[str, Any] = {}
+    for term in command.output_slots():
+        source = key(term.keyword)
+        if source is not None:
+            outputs[term.keyword] = _shaped(term, answer[source])
+    if not outputs:
+        always = (*always, *default)
+    for keyword in always:
+        outputs.setdefault(keyword, answer[key(keyword) or keyword])
+    return outputs
+
+
+def _shaped(term: CqlTerm, value: Any) -> Any:
+    if term.keyword != "instance":
+        return value
+    if isinstance(term.value, VariableSlot) and term.value.is_array:
+        return value if isinstance(value, list) else [value]
+    if isinstance(value, list):
+        return value[0] if value else ""
+    return value
 
 
 class CqlExecutor:
@@ -140,26 +211,6 @@ class CqlExecutor:
                 values[term.keyword] = term.value
         return values
 
-    def _run(self, request: Request) -> Response:
-        """Execute a typed request through its wire form.
-
-        The request is serialized to JSON and parsed back before dispatch,
-        so every CQL command proves the ``to_dict`` / ``from_dict``
-        round-trip a socket transport would rely on.  A failed response
-        re-raises the original engine exception when it is available (the
-        in-process transports) and the structured
-        :class:`~repro.core.icdb.IcdbError` otherwise (remote clients).
-        """
-        wire = request_from_dict(json.loads(json.dumps(request.to_dict())))
-        response = self.server.execute(wire)
-        if not response.ok:
-            if response.exception is not None:
-                raise response.exception
-            if response.error is not None:
-                response.error.raise_as_exception()
-            raise CqlExecutionError("request failed with no error information")
-        return response
-
     # --------------------------------------------------------------- queries
 
     def _cmd_component_query(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
@@ -169,43 +220,38 @@ class CqlExecutor:
         wants_functions = any(term.keyword == "function" for term in command.output_slots())
         if wants_functions and (implementation or component):
             name = implementation or component
-            response = self._run(ComponentQuery(implementation=str(name)))
-            return {"function": response.value.get("function", [])}
+            answer = self.server.execute(ComponentQuery(implementation=str(name))).unwrap()
+            return {"function": answer.get("function", [])}
         attributes = self._attributes(values)
-        response = self._run(
+        result = self.server.execute(
             ComponentQuery(
                 component=str(component) if component else None,
                 implementation=str(implementation) if implementation else None,
                 functions=tuple(functions),
                 attributes=attributes or None,
             )
-        )
-        result = response.value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword in ("implementation",):
-                outputs["implementation"] = result.get("implementation", [])
-            elif term.keyword in ("component",):
-                outputs["component"] = result.get("component", [])
-            elif term.keyword == "function":
-                outputs["function"] = result.get("function", [])
-        return outputs or result
+        ).unwrap()
+        # The answer lists functions (a query by name) or implementations
+        # and components (a filter); a slot it does not list reads [].
+        answer = {"implementation": [], "component": [], "function": [], **result}
+        return _project(command, answer, "component_query") or result
 
     def _cmd_function_query(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         functions = _as_list(values.get("function"))
         if not functions:
             raise CqlExecutionError("function_query needs a 'function' term")
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword in ("component", "implementation"):
-                outputs[term.keyword] = self._run(
-                    FunctionQuery(functions=tuple(functions), want=term.keyword)
-                ).value
-        if not outputs:
-            outputs["implementation"] = self._run(
-                FunctionQuery(functions=tuple(functions))
-            ).value
-        return outputs
+        # One request per asked slot: each answers one list.
+        wanted = [
+            term.keyword
+            for term in command.output_slots()
+            if term.keyword in ("component", "implementation")
+        ] or ["implementation"]
+        return {
+            want: self.server.execute(
+                FunctionQuery(functions=tuple(functions), want=want)
+            ).unwrap()
+            for want in wanted
+        }
 
     # --------------------------------------------------------------- request
 
@@ -288,26 +334,6 @@ class CqlExecutor:
             instance_name=str(naming) if naming else None,
         )
 
-    @staticmethod
-    def _component_outputs(command: CqlCommand, summary: Mapping[str, Any]) -> Dict[str, Any]:
-        """Map a component summary onto the command's ``?`` output slots."""
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "instance":
-                outputs["instance"] = (
-                    [summary["instance"]]
-                    if isinstance(term.value, VariableSlot) and term.value.is_array
-                    else summary["instance"]
-                )
-            elif term.keyword == "delay":
-                outputs["delay"] = summary["delay"]
-            elif term.keyword == "area":
-                outputs["area"] = summary["area"]
-            elif term.keyword == "shape_function":
-                outputs["shape_function"] = summary["shape_function"]
-        outputs.setdefault("instance", summary["instance"])
-        return outputs
-
     def _cmd_request_component(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         # Layout request on an existing instance (Section 3.3): the command
         # carries an 'instance' input together with 'alternative' and/or port
@@ -317,8 +343,8 @@ class CqlExecutor:
         if existing and ("cif_layout" in output_keywords or "alternative" in values):
             return self._layout_request(command, values, str(existing))
 
-        summary = self._run(self._component_request_from_values(values)).value
-        return self._component_outputs(command, summary)
+        summary = self.server.execute(self._component_request_from_values(values)).unwrap()
+        return _project(command, summary, "request_component", always=("instance",))
 
     # ------------------------------------------------- design-space exploration
 
@@ -404,38 +430,20 @@ class CqlExecutor:
         (the planning report).
         """
         spec = self._plan_spec_from_values(values)
-        result = PlanResult.from_dict(self._run(PlanQuery(query=spec)).value)
+        result = PlanResult.from_dict(
+            self.server.execute(PlanQuery(query=spec)).unwrap()
+        )
         winner = result.winner
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            keyword = term.keyword
-            if keyword == "winner":
-                outputs["winner"] = winner.label if winner else ""
-            elif keyword == "front":
-                outputs["front"] = [report.label for report in result.front_reports()]
-            elif keyword == "instance":
-                names = [
-                    report.instance
-                    for report in result.winner_reports()
-                    if report.instance
-                ]
-                outputs["instance"] = (
-                    names
-                    if isinstance(term.value, VariableSlot) and term.value.is_array
-                    else (names[0] if names else "")
-                )
-            elif keyword == "candidates":
-                outputs["candidates"] = [
-                    report.to_dict() for report in result.candidates
-                ]
-            elif keyword == "explain":
-                outputs["explain"] = result.explain()
-        if not outputs:
-            outputs = {
-                "winner": winner.label if winner else "",
-                "front": [report.label for report in result.front_reports()],
-            }
-        return outputs
+        answer = {
+            "winner": winner.label if winner else "",
+            "front": [report.label for report in result.front_reports()],
+            "instance": [
+                report.instance for report in result.winner_reports() if report.instance
+            ],
+            "candidates": [report.to_dict() for report in result.candidates],
+            "explain": result.explain(),
+        }
+        return _project(command, answer, "explore", default=("winner", "front"))
 
     # The paper's appendix spells some commands several ways; accept the
     # typed request kind as a command name too.
@@ -465,22 +473,15 @@ class CqlExecutor:
                 "simulate expects 'vectors' to be a list of input assignments"
             )
         clock = values.get("clock")
-        value = self._run(
+        answer = self.server.execute(
             Simulate(
                 name=str(name),
                 vectors=tuple(dict(vector) for vector in vectors),
                 engine=str(values.get("engine") or "gates"),
                 clock=str(clock) if clock not in (None, "") else None,
             )
-        ).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "vectors":
-                outputs["vectors"] = value["vectors"]
-            elif term.keyword == "engine":
-                outputs["engine"] = value["engine"]
-        outputs.setdefault("vectors", value["vectors"])
-        return outputs
+        ).unwrap()
+        return _project(command, answer, "simulate", always=("vectors",))
 
     def _cmd_verify(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         """``command: verify``: equivalence-check an instance's netlist.
@@ -503,22 +504,8 @@ class CqlExecutor:
             mode=str(values.get("mode") or "auto"),
             clock=str(clock) if clock not in (None, "") else None,
         )
-        value = self._run(request).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword in (
-                "equivalent",
-                "vectors_checked",
-                "counterexample",
-                "mismatched_outputs",
-                "mode",
-                "reference",
-            ):
-                outputs[term.keyword] = value[term.keyword]
-        return outputs or {
-            "equivalent": value["equivalent"],
-            "vectors_checked": value["vectors_checked"],
-        }
+        answer = self.server.execute(request).unwrap()
+        return _project(command, answer, "verify", default=("equivalent", "vectors_checked"))
 
     _cmd_check_equivalence = _cmd_verify
 
@@ -532,17 +519,10 @@ class CqlExecutor:
         generated instance.  Collect the result with ``command: wait``.
         """
         request = self._component_request_from_values(values)
-        descriptor = self._run(
+        descriptor = self.server.execute(
             SubmitJob(request=request, label=str(values.get("label") or ""))
-        ).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword in ("job", "job_id"):
-                outputs[term.keyword] = descriptor["job_id"]
-            elif term.keyword == "state":
-                outputs["state"] = descriptor["state"]
-        outputs.setdefault("job", descriptor["job_id"])
-        return outputs
+        ).unwrap()
+        return _project(command, descriptor, "submit", always=("job",))
 
     def _cmd_wait(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         """``command: wait``: block until a submitted job finishes.
@@ -556,7 +536,7 @@ class CqlExecutor:
         if not job_id:
             raise CqlExecutionError("wait needs a 'job' term")
         timeout = values.get("timeout")
-        descriptor = self._run(
+        descriptor = self.server.execute(
             JobStatus(
                 job_id=str(job_id),
                 wait=True,
@@ -566,21 +546,21 @@ class CqlExecutor:
                     else None
                 ),
             )
-        ).value
-        response = Response.from_dict(descriptor.get("response") or {})
-        summary = response.unwrap()  # raises the job's structured error
-        outputs = self._component_outputs(command, summary) if isinstance(
-            summary, Mapping
-        ) and "instance" in summary else {"value": summary}
-        outputs.setdefault("state", descriptor["state"])
-        return outputs
+        ).unwrap()
+        # Raises the job's structured error.
+        summary = Response.from_dict(descriptor.get("response") or {}).unwrap()
+        state = descriptor["state"]
+        if isinstance(summary, Mapping) and "instance" in summary:
+            answer = {**summary, "state": state}
+            return _project(command, answer, "request_component", always=("instance", "state"))
+        return {"value": summary, "state": state}
 
     def _cmd_cancel(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         """``command: cancel``: cooperatively cancel a submitted job."""
         job_id = values.get("job") or values.get("job_id")
         if not job_id:
             raise CqlExecutionError("cancel needs a 'job' term")
-        descriptor = self._run(CancelJob(job_id=str(job_id))).value
+        descriptor = self.server.execute(CancelJob(job_id=str(job_id))).unwrap()
         return {"job": descriptor["job_id"], "state": descriptor["state"]}
 
     def _cmd_metrics(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
@@ -596,17 +576,10 @@ class CqlExecutor:
             prefixes = tuple(
                 part.strip() for part in prefix.split(",") if part.strip()
             )
-        snapshot = self._run(GetMetrics(prefixes=prefixes)).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "metrics":
-                outputs["metrics"] = snapshot
-            elif term.keyword in snapshot["counters"]:
-                outputs[term.keyword] = snapshot["counters"][term.keyword]
-            elif term.keyword in snapshot["gauges"]:
-                outputs[term.keyword] = snapshot["gauges"][term.keyword]
-        outputs.setdefault("metrics", snapshot)
-        return outputs
+        snapshot = self.server.execute(GetMetrics(prefixes=prefixes)).unwrap()
+        # A counter shadows a gauge of the same name; "metrics" shadows both.
+        answer = {**snapshot["gauges"], **snapshot["counters"], "metrics": snapshot}
+        return _project(command, answer, "metrics", always=("metrics",))
 
     def _cmd_ping(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         """``command: ping``: the server's liveness / health report.
@@ -616,17 +589,10 @@ class CqlExecutor:
         ``?health`` (the default) answers the whole report.
         """
         echo = values.get("echo")
-        health = self._run(
+        health = self.server.execute(
             Ping(echo=str(echo) if echo not in (None, "") else "")
-        ).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "health":
-                outputs["health"] = health
-            elif term.keyword in health:
-                outputs[term.keyword] = health[term.keyword]
-        outputs.setdefault("health", health)
-        return outputs
+        ).unwrap()
+        return _project(command, {**health, "health": health}, "ping", always=("health",))
 
     def _layout_request(self, command: CqlCommand, values: Dict[str, Any], instance_name: str) -> Dict[str, Any]:
         alternative = values.get("alternative")
@@ -634,7 +600,7 @@ class CqlExecutor:
         port_positions: Tuple = ()
         if isinstance(positions, str) and positions.strip():
             port_positions = parse_port_positions(positions)
-        result = self._run(
+        answer = self.server.execute(
             LayoutRequest(
                 name=instance_name,
                 alternative=(
@@ -644,15 +610,8 @@ class CqlExecutor:
                 ),
                 port_positions=port_positions,
             )
-        ).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "cif_layout":
-                outputs["cif_layout"] = result["cif_layout"]
-            elif term.keyword == "area":
-                outputs["area"] = result["area"]
-        outputs.setdefault("cif_layout", result["cif_layout"])
-        return outputs
+        ).unwrap()
+        return _project(command, answer, "layout", always=("cif_layout",))
 
     # ----------------------------------------------------------- instance info
 
@@ -660,77 +619,52 @@ class CqlExecutor:
         name = values.get("instance") or values.get("implementation")
         if not name:
             raise CqlExecutionError("instance_query needs an 'instance' term")
-        info = self._run(InstanceQuery(name=str(name))).value
-        outputs: Dict[str, Any] = {}
-        for term in command.output_slots():
-            if term.keyword == "function":
-                outputs["function"] = info["function"]
-            elif term.keyword == "delay":
-                outputs["delay"] = info["delay"]
-            elif term.keyword == "area":
-                outputs["area"] = info["area"]
-            elif term.keyword == "shape_function":
-                outputs["shape_function"] = info["shape_function"]
-            elif term.keyword == "vhdl_net_list":
-                outputs["vhdl_net_list"] = info["VHDL_net_list"]
-            elif term.keyword == "vhdl_head":
-                outputs["vhdl_head"] = info["VHDL_head"]
-            elif term.keyword == "connect":
-                outputs["connect"] = info["connect"]
-        return outputs or info
+        info = self.server.execute(InstanceQuery(name=str(name))).unwrap()
+        return _project(command, info, "instance_query") or info
 
     def _cmd_connect_component(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         name = values.get("instance")
         if not name:
             raise CqlExecutionError("connect_component needs an 'instance' term")
-        info = self._run(InstanceQuery(name=str(name), fields=("connect",))).value
+        info = self.server.execute(InstanceQuery(name=str(name), fields=("connect",))).unwrap()
         return {"connect": info["connect"]}
 
     # -------------------------------------------------------- list management
 
     def _cmd_start_a_design(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
-        self._run(DesignOp(op="start_design", design=str(values.get("design"))))
+        self.server.execute(DesignOp(op="start_design", design=str(values.get("design")))).unwrap()
         return {"design": values.get("design")}
 
     def _cmd_start_a_transaction(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
-        response = self._run(
-            DesignOp(
-                op="start_transaction",
-                design=str(values.get("design")) if values.get("design") else "",
-            )
-        )
-        return {"design": response.value["design"]}
+        answer = self.server.execute(
+            DesignOp(op="start_transaction", design=str(values.get("design") or ""))
+        ).unwrap()
+        return {"design": answer["design"]}
 
     def _cmd_put_in_component_list(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         instance = values.get("instance")
         if not instance:
             raise CqlExecutionError("put_in_component_list needs an 'instance' term")
-        self._run(
+        self.server.execute(
             DesignOp(
                 op="put_in_list",
-                design=str(values.get("design")) if values.get("design") else "",
+                design=str(values.get("design") or ""),
                 instance=str(instance),
             )
-        )
+        ).unwrap()
         return {"instance": instance}
 
     def _cmd_end_a_transaction(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
-        response = self._run(
-            DesignOp(
-                op="end_transaction",
-                design=str(values.get("design")) if values.get("design") else "",
-            )
-        )
-        return {"removed": response.value["removed"]}
+        answer = self.server.execute(
+            DesignOp(op="end_transaction", design=str(values.get("design") or ""))
+        ).unwrap()
+        return {"removed": answer["removed"]}
 
     def _cmd_end_a_design(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
-        response = self._run(
-            DesignOp(
-                op="end_design",
-                design=str(values.get("design")) if values.get("design") else "",
-            )
-        )
-        return {"removed": response.value["removed"]}
+        answer = self.server.execute(
+            DesignOp(op="end_design", design=str(values.get("design") or ""))
+        ).unwrap()
+        return {"removed": answer["removed"]}
 
     # Some examples in the paper spell the list-management commands with
     # spaces ("start_a_design" vs "start_design"); accept short aliases.

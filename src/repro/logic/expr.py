@@ -22,7 +22,9 @@ is thread-safe (the PR-3 job workers synthesize concurrently).
 
 Truth tables are computed over the shared subgraph with one big-integer
 bitmask per node (a cofactor-free evaluation of all ``2**n`` rows at
-once) instead of re-walking the tree once per input row.
+once) instead of re-walking the tree once per input row.  The same walk,
+:func:`evaluate_lanes`, runs the simulator's lane-packed test vectors
+(:func:`repro.sim.batch.batch_evaluate`).
 
 Signal names get the same treatment without the weak references a
 ``str`` cannot take: :func:`shared_name` keeps one string object per
@@ -35,7 +37,7 @@ import itertools
 import sys
 import threading
 import weakref
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 
 class ExprError(ValueError):
@@ -748,21 +750,25 @@ def _var_mask(n: int, shift: int) -> int:
     return mask
 
 
-def truth_mask(expr: BExpr, order: Sequence[str]) -> int:
-    """The truth table of ``expr`` over ``order`` packed into one integer.
+def evaluate_lanes(
+    expr: BExpr,
+    variable: Callable[[str], int],
+    full: int,
+    memo: Optional[Dict[BExpr, int]] = None,
+) -> int:
+    """Evaluate ``expr`` on many assignments at once, one bit per lane.
 
-    Bit ``i`` of the result is the value of the expression on row ``i``
-    of the table, with ``order[0]`` the most-significant index bit (the
-    same row convention as :func:`truth_table`).  Every node of the shared
-    expression graph is evaluated exactly once, for all rows at once.
+    ``variable(name)`` answers a variable's lanes as one integer (bit
+    ``i`` is its value in lane ``i``); its exceptions propagate, and lanes
+    beyond ``full``, the all-lanes mask, are dropped.  Every node of the
+    shared expression graph is evaluated once, for all lanes with one
+    bitwise operation; ``memo`` carries node results across calls against
+    the same variable values.  :func:`truth_mask` runs it over the
+    ``2**n`` truth-table rows, the simulator over lane-packed test
+    vectors.
     """
-    names = list(order)
-    n = len(names)
-    if n > 24:
-        raise ExprError(f"truth table over {n} variables is too large")
-    full = (1 << (1 << n)) - 1
-    shifts = {name: n - 1 - position for position, name in enumerate(names)}
-    memo: Dict[BExpr, int] = {}
+    if memo is None:
+        memo = {}
 
     def rec(node: BExpr) -> int:
         result = memo.get(node)
@@ -771,7 +777,7 @@ def truth_mask(expr: BExpr, order: Sequence[str]) -> int:
         if isinstance(node, Const):
             result = full if node.value else 0
         elif isinstance(node, Var):
-            result = _var_mask(n, shifts[node.name])  # KeyError on missing vars
+            result = variable(node.name) & full
         elif isinstance(node, Not):
             result = full ^ rec(node.operand)
         elif isinstance(node, Buf):
@@ -789,6 +795,9 @@ def truth_mask(expr: BExpr, order: Sequence[str]) -> int:
         elif isinstance(node, Xnor):
             result = full ^ rec(node.left) ^ rec(node.right)
         elif isinstance(node, Special):
+            # Functional (zero-delay, driven) semantics, as in
+            # ``Special.evaluate``: wire-or resolves as OR, the data input
+            # wins for tri-state / delay / schmitt.
             if node.kind == "wireor":
                 result = 0
                 for arg in node.args:
@@ -801,6 +810,25 @@ def truth_mask(expr: BExpr, order: Sequence[str]) -> int:
         return result
 
     return rec(expr)
+
+
+def truth_mask(expr: BExpr, order: Sequence[str]) -> int:
+    """The truth table of ``expr`` over ``order`` packed into one integer.
+
+    Bit ``i`` of the result is the value of the expression on row ``i``
+    of the table, with ``order[0]`` the most-significant index bit (the
+    same row convention as :func:`truth_table`).  Every node of the shared
+    expression graph is evaluated exactly once, for all rows at once; a
+    variable missing from ``order`` raises ``KeyError``.
+    """
+    names = list(order)
+    n = len(names)
+    if n > 24:
+        raise ExprError(f"truth table over {n} variables is too large")
+    shifts = {name: n - 1 - position for position, name in enumerate(names)}
+    return evaluate_lanes(
+        expr, lambda name: _var_mask(n, shifts[name]), (1 << (1 << n)) - 1
+    )
 
 
 def truth_table(expr: BExpr, order: Optional[Sequence[str]] = None) -> Tuple[int, ...]:

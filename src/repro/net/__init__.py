@@ -12,7 +12,8 @@ concurrently.  This package puts the typed service layer of
   ``python -m repro.net.server`` command line;
 * :mod:`repro.net.client` -- :class:`RemoteClient` (the full session
   surface over the wire), :class:`RemoteInstance`,
-  :class:`LoopbackTransport` and :func:`connect`.
+  :class:`LoopbackTransport`, and :func:`connect` / :func:`attach`
+  (``RemoteClient.connect`` / ``RemoteClient.attach``).
 
 Quick tour::
 
@@ -42,7 +43,8 @@ failure story (reconnect, retry, dedupe, breaker, drain) in
 
 * :mod:`repro.net.resilience` -- :class:`ResilientClient` /
   :class:`ResilientTransport` (reconnect + re-``attach``, idempotency-
-  aware retries, circuit breaker) and :func:`connect_resilient`;
+  aware retries, circuit breaker) and :func:`connect_resilient`
+  (``ResilientClient.connect``);
 * :mod:`repro.net.chaos` -- the seeded fault-injection harness
   (:class:`~repro.net.chaos.ChaosProxy`,
   :class:`~repro.net.chaos.FlakyTransport`,

@@ -16,8 +16,9 @@ The asynchronous job surface is shared too: ``submit`` /
 ``submit_component`` answer a :class:`~repro.api.surface.JobHandle`
 (futures-style ``result(timeout)`` / ``cancel()`` / ``events()``),
 server-pushed ``job_event`` frames keep handles live between replies,
-and :func:`attach` resumes a session -- with its jobs -- on a fresh
-connection after a disconnect.
+and :meth:`RemoteClient.attach` resumes a session -- with its jobs -- on a
+fresh connection after a disconnect.  The module's :func:`connect` and
+:func:`attach` are those two constructors under their public names.
 
 Two transports share the codec:
 
@@ -414,6 +415,7 @@ class RemoteClient(ClassicOps):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         timeout: Optional[float] = None,
     ) -> "RemoteClient":
+        """Connect to a running :class:`~repro.net.server.ICDBServer`."""
         return cls(
             SocketTransport(host, port, max_frame_bytes, timeout), client=client
         )
@@ -428,7 +430,8 @@ class RemoteClient(ClassicOps):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         timeout: Optional[float] = None,
     ) -> "RemoteClient":
-        """Resume an existing server-side session on a new connection."""
+        """Resume an existing session (by its welcome token) on a new
+        connection to a running :class:`~repro.net.server.ICDBServer`."""
         return cls(
             SocketTransport(host, port, max_frame_bytes, timeout),
             client=client,
@@ -580,34 +583,5 @@ class RemoteClient(ClassicOps):
         return RemoteInstance(self, summary)
 
 
-def connect(
-    host: str,
-    port: int,
-    client: str = "",
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    timeout: Optional[float] = None,
-) -> RemoteClient:
-    """Connect to a running :class:`~repro.net.server.ICDBServer`."""
-    return RemoteClient.connect(
-        host, port, client=client, max_frame_bytes=max_frame_bytes, timeout=timeout
-    )
-
-
-def attach(
-    host: str,
-    port: int,
-    token: str,
-    client: str = "",
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    timeout: Optional[float] = None,
-) -> RemoteClient:
-    """Resume an existing session (by its welcome token) on a new
-    connection to a running :class:`~repro.net.server.ICDBServer`."""
-    return RemoteClient.attach(
-        host,
-        port,
-        token,
-        client=client,
-        max_frame_bytes=max_frame_bytes,
-        timeout=timeout,
-    )
+connect = RemoteClient.connect
+attach = RemoteClient.attach

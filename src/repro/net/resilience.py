@@ -25,7 +25,8 @@ supported.  This module closes that gap on the client side:
   over a :class:`ResilientTransport` that additionally stamps every
   mutating request with a fresh ``request_id`` (making *all* retries
   at-most-once) and honors ``retry_after_ms`` hints on ``E_BUSY``
-  envelopes.
+  envelopes.  :func:`connect_resilient` is :meth:`ResilientClient.connect`
+  under its public name.
 
 A server announcing a planned drain (:class:`~repro.net.client.ServerDrained`)
 is always retry-worthy -- the failure is known to have lost nothing -- and
@@ -486,13 +487,16 @@ class ResilientClient(RemoteClient):
         metrics: Optional[MetricsRegistry] = None,
         attach_token: Optional[str] = None,
     ) -> "ResilientClient":
-        transport = ResilientTransport(
+        """Connect a resilient client (reconnect / retry / breaker) to a
+        running :class:`~repro.net.server.ICDBServer`."""
+        return cls.wrap(
             lambda: SocketTransport(host, port, max_frame_bytes, timeout),
+            client=client,
             policy=policy,
             breaker=breaker,
             metrics=metrics,
+            attach_token=attach_token,
         )
-        return cls(transport, client=client, attach_token=attach_token)
 
     @classmethod
     def wrap(
@@ -548,24 +552,4 @@ class ResilientClient(RemoteClient):
             time.sleep(delay)
 
 
-def connect_resilient(
-    host: str,
-    port: int,
-    client: str = "",
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    timeout: Optional[float] = None,
-    policy: Optional[RetryPolicy] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> ResilientClient:
-    """Connect a :class:`ResilientClient` (reconnect / retry / breaker)."""
-    return ResilientClient.connect(
-        host,
-        port,
-        client=client,
-        max_frame_bytes=max_frame_bytes,
-        timeout=timeout,
-        policy=policy,
-        breaker=breaker,
-        metrics=metrics,
-    )
+connect_resilient = ResilientClient.connect

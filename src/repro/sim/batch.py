@@ -5,11 +5,12 @@
 independent test vectors into **big-integer lanes**: every net carries
 one Python ``int`` whose bit ``i`` is the net's value in lane ``i``, and
 every gate / expression node evaluates all ``W`` lanes with a single
-bitwise operation.  This extends the ``truth_mask`` trick of
-:mod:`repro.logic.expr` (which evaluates all ``2**n`` truth-table rows in
-one pass over the hash-consed IR) from pure expressions to full
-components, including sequential (clocked) lock-step simulation.  A
-one-lane engine (``W = 1``) is the one-vector-at-a-time simulator.
+bitwise operation.  Expressions go through
+:func:`repro.logic.expr.evaluate_lanes`, the walk ``truth_mask`` runs
+over all ``2**n`` truth-table rows; the engines extend it from pure
+expressions to full components, including sequential (clocked) lock-step
+simulation.  A one-lane engine (``W = 1``) is the one-vector-at-a-time
+simulator.
 
 Lanes are *independent experiments*: each carries its own primary-input
 stream and its own flip-flop / latch state, but all lanes share the one
@@ -30,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..iif.flat import CombAssign, FlatComponent, SeqAssign
 from ..logic import expr as E
-from ..netlist.gates import GateInstance, GateNetlist
+from ..netlist.gates import GateInstance, GateNetlist, NetlistError
 from ..netlist.graph import combinational_order
 
 __all__ = [
@@ -133,60 +134,14 @@ def batch_evaluate(
 ) -> int:
     """Evaluate ``expr`` over lane-packed variable values.
 
-    ``full`` is the all-lanes mask ``(1 << lanes) - 1``; every node costs
-    one bitwise operation for all lanes at once, and the hash-consed
-    expression graph is walked once per distinct node (``memo`` carries
+    ``full`` is the all-lanes mask ``(1 << lanes) - 1``; ``memo`` carries
     shared-subgraph results across calls evaluated against the *same*
-    environment snapshot).
+    environment snapshot (see :func:`repro.logic.expr.evaluate_lanes`).
     """
-    if memo is None:
-        memo = {}
-
-    def rec(node: E.BExpr) -> int:
-        result = memo.get(node)
-        if result is not None:
-            return result
-        if isinstance(node, E.Const):
-            result = full if node.value else 0
-        elif isinstance(node, E.Var):
-            try:
-                result = env[node.name] & full
-            except KeyError:
-                raise SimulationError(
-                    f"no value for signal {node.name!r}"
-                ) from None
-        elif isinstance(node, E.Not):
-            result = full ^ rec(node.operand)
-        elif isinstance(node, E.Buf):
-            result = rec(node.operand)
-        elif isinstance(node, E.And):
-            result = full
-            for arg in node.args:
-                result &= rec(arg)
-        elif isinstance(node, E.Or):
-            result = 0
-            for arg in node.args:
-                result |= rec(arg)
-        elif isinstance(node, E.Xor):
-            result = rec(node.left) ^ rec(node.right)
-        elif isinstance(node, E.Xnor):
-            result = full ^ rec(node.left) ^ rec(node.right)
-        elif isinstance(node, E.Special):
-            # Functional (zero-delay, driven) semantics, exactly like the
-            # scalar ``Special.evaluate``: wire-or resolves as OR, the
-            # data input wins for tri-state / delay / schmitt.
-            if node.kind == "wireor":
-                result = 0
-                for arg in node.args:
-                    result |= rec(arg)
-            else:
-                result = rec(node.args[0])
-        else:
-            raise SimulationError(f"cannot batch-evaluate {node!r}")
-        memo[node] = result
-        return result
-
-    return rec(expr)
+    try:
+        return E.evaluate_lanes(expr, env.__getitem__, full, memo)
+    except KeyError as exc:
+        raise SimulationError(f"no value for signal {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +412,13 @@ class BatchGateSimulator:
         self.lanes = lanes
         self.full = (1 << lanes) - 1
         self.order = combinational_order(netlist)
+        # After the order, so a double driver or a cycle still raises its
+        # NetlistError first; an undriven output or a gate input nothing
+        # drives would otherwise surface as a bare KeyError.
+        try:
+            netlist.validate()
+        except NetlistError as exc:
+            raise GateSimulationError(f"{netlist.name}: {exc}") from None
         initial = initial_state & self.full
         self.values: Dict[str, int] = {}
         for name in netlist.inputs:

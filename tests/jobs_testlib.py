@@ -55,6 +55,31 @@ def make_slow_service(store_root, delay=0.3, slices=6, job_workers=None):
     return service
 
 
+def make_gated_service(store_root, job_workers=1):
+    """A fresh service whose generator's flow waits until ``gate`` is set.
+
+    Returns ``(service, started, gate)``: the flow sets the
+    ``threading.Event`` ``started`` on entry and then blocks on ``gate``,
+    so a test holds a job on a worker for exactly as long as it needs to,
+    without timing anything.
+    """
+    started, gate = threading.Event(), threading.Event()
+
+    class GatedGenerator(EmbeddedGenerator):
+        def run_flow(self, flat, constraints, target, **kwargs):
+            started.set()
+            gate.wait(30.0)
+            return super().run_flow(flat, constraints, target, **kwargs)
+
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True),
+        store_root=store_root,
+        job_workers=job_workers,
+    )
+    service.generator = GatedGenerator(service.cell_library)
+    return service, started, gate
+
+
 def make_barrier_service(store_root, parties, job_workers):
     """A fresh service whose generator's flow first waits on a
     ``threading.Barrier(parties)``.

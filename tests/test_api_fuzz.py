@@ -629,6 +629,30 @@ def test_cluster_instances_have_a_defined_verification_answer(service):
     assert verdict["equivalent"] and verdict["vectors_checked"] == 32
 
 
+def test_cluster_with_an_unconnected_part_input_answers_invalid(service):
+    # A cluster may leave a part's input port unconnected: it is valid for
+    # estimation, but its gates cannot be simulated, and the answer names
+    # the undriven net instead of a bare KeyError.
+    part = service.execute(
+        ComponentRequest(
+            implementation="ripple_carry_adder", attributes={"size": 2}, detail="summary"
+        )
+    ).unwrap()["instance"]
+    inputs = ["I0[0]", "I0[1]", "I1[0]", "Cin"]
+    outputs = ["O[0]", "O[1]", "Cout"]
+    structure = StructuralNetlist("cluster", inputs=inputs, outputs=outputs)
+    structure.add("u1", part, {port: port for port in inputs + outputs})
+    summary = service.execute(ComponentRequest(structure=structure, detail="summary")).unwrap()
+    assert summary["cells"] > 0 and summary["area_um2"] > 0
+    vector = {"I0[0]": 1, "I0[1]": 0, "I1[0]": 0, "Cin": 0}
+    response = service.execute(Simulate(name=summary["instance"], vectors=(vector,)))
+    assert not response.ok and response.error.code == "INVALID"
+    assert response.error.exception_type == "GateSimulationError"
+    assert response.error.message == (
+        f"{summary['instance']}: net 'u1.I1[1]' is used but never driven"
+    )
+
+
 def test_random_request_dicts_never_crash_the_dispatcher(fuzz_service):
     """Feed the wire dispatcher random request payloads: every answer must
     be a response or error frame, never an exception."""

@@ -7,6 +7,9 @@ import io
 
 import pytest
 
+from jobs_testlib import make_gated_service
+
+from repro.core.icdb import IcdbError
 from repro.cql import (
     CqlExecutionError,
     CqlExecutor,
@@ -360,3 +363,90 @@ def test_executor_metrics_command(icdb):
     assert all(
         name.startswith("cache.") for name in filtered["metrics"]["counters"]
     )
+
+
+# ---------------------------------------------------------------------------
+# Asynchronous job commands
+# ---------------------------------------------------------------------------
+
+
+def test_executor_submit_and_wait_commands(icdb):
+    executor = CqlExecutor(icdb)
+    submitted = executor.execute_text(
+        "command: submit; implementation: ripple_carry_adder; attribute: (size:2);"
+        "job: ?s; state: ?s"
+    )
+    assert set(submitted) == {"job", "state"}
+    assert submitted["job"].startswith("job-")
+    assert submitted["state"] in ("queued", "running", "done")
+    done = executor.execute_text(
+        "command: wait; job: %s; instance: ?s; delay: ?s; area: ?s; shape_function: ?s",
+        [submitted["job"]],
+    )
+    assert set(done) == {"instance", "delay", "area", "shape_function", "state"}
+    assert done["state"] == "done"
+    instance = icdb.instance(done["instance"])
+    assert done["delay"] == instance.render_delay()
+    assert done["area"] == instance.render_area_records()
+    assert done["shape_function"] == instance.render_shape()
+    # The job id under its wire name, and the outputs a wait answers when
+    # no slot asks for any (an array slot wraps the instance name).
+    again = executor.execute_text(
+        "command: submit; implementation: ripple_carry_adder; attribute: (size:2);"
+        "job_id: ?s"
+    )
+    assert set(again) == {"job_id", "job"} and again["job_id"] == again["job"]
+    plain = executor.execute_text("command: wait; job: %s", [again["job"]])
+    assert set(plain) == {"instance", "state"} and plain["state"] == "done"
+    listed = executor.execute_text(
+        "command: wait; job_id: %s; instance: ?s[]", [again["job"]]
+    )
+    assert listed == {"instance": [plain["instance"]], "state": "done"}
+    with pytest.raises(CqlExecutionError):
+        executor.execute_text("command: wait; instance: ?s")
+
+
+def test_executor_wait_reraises_a_failed_jobs_error(icdb):
+    executor = CqlExecutor(icdb)
+    job = executor.execute_text(
+        "command: submit; implementation: no_such_implementation; job: ?s"
+    )["job"]
+    with pytest.raises(IcdbError) as raised:
+        executor.execute_text("command: wait; job: %s; instance: ?s", [job])
+    assert raised.value.code == "NOT_FOUND"
+    assert "no_such_implementation" in str(raised.value)
+
+
+def test_executor_cancel_command_and_wait_timeout(tmp_path):
+    service, started, gate = make_gated_service(tmp_path / "store", job_workers=1)
+    executor = CqlExecutor(service.create_session())
+    try:
+        held = executor.execute_text(
+            "command: submit; implementation: register; size: 3; job: ?s"
+        )["job"]
+        assert started.wait(30)
+        queued = executor.execute_text(
+            "command: submit; implementation: register; size: 4; job: ?s; state: ?s"
+        )
+        assert queued["state"] == "queued"
+        with pytest.raises(IcdbError) as raised:
+            executor.execute_text("command: wait; job: %s; timeout: 0.05", [held])
+        assert raised.value.code == "TIMEOUT"
+        cancelled = executor.execute_text(
+            "command: cancel; job: %s; state: ?s", [queued["job"]]
+        )
+        assert cancelled == {"job": queued["job"], "state": "cancelled"}
+        with pytest.raises(IcdbError) as raised:
+            executor.execute_text("command: wait; job: %s", [queued["job"]])
+        assert raised.value.code == "CANCELLED"
+        with pytest.raises(CqlExecutionError):
+            executor.execute_text("command: cancel; state: ?s")
+    finally:
+        gate.set()
+    finished = executor.execute_text("command: wait; job: %s; timeout: 30", [held])
+    assert finished["state"] == "done"
+    # Cancelling a finished job leaves it as it is.
+    assert executor.execute_text("command: cancel; job_id: %s", [held]) == {
+        "job": held,
+        "state": "done",
+    }

@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from jobs_testlib import make_barrier_service, make_slow_service
+from jobs_testlib import make_barrier_service, make_gated_service, make_slow_service
 
 from repro.api import (
     CancelJob,
@@ -298,6 +299,69 @@ def test_loopback_jobs_push_events_and_match_blocking_path(tmp_path):
     # same renders as the blocking path
     assert remote_instance.render_delay() == blocking.render_delay()
     client.close()
+
+
+def test_blocking_request_behind_a_held_job_goes_through_run_sync(
+    tmp_path, monkeypatch
+):
+    # docs/net.md: while the session has a job in flight, a blocking
+    # request is submit+wait over the job queue (FIFO with the session's
+    # jobs) and answers the envelope direct execution gives.
+    service, started, gate = make_gated_service(tmp_path / "gated", job_workers=1)
+    log = []
+    execute = service.execute
+
+    def logged_execute(request, session=None):
+        log.append(("start", request.kind))
+        response = execute(request, session)
+        log.append(("end", request.kind))
+        return response
+
+    run_sync_calls = []
+    entered = threading.Event()
+    run_sync = service.jobs.run_sync
+
+    def spied_run_sync(request, session):
+        run_sync_calls.append(request.kind)
+        entered.set()
+        return run_sync(request, session)
+
+    monkeypatch.setattr(service, "execute", logged_execute)
+    monkeypatch.setattr(service.jobs, "run_sync", spied_run_sync)
+    client = RemoteClient.loopback(service, client="fifo")
+    request = FunctionQuery(functions=("ADD",))
+    answers = []
+    handle = client.submit_component(implementation="register", attributes={"size": 3})
+    try:
+        assert started.wait(30)
+        sender = threading.Thread(target=lambda: answers.append(client.execute(request)))
+        sender.start()
+        assert entered.wait(30)
+        assert sender.is_alive()  # queued behind the held job on the one worker
+    finally:
+        gate.set()
+    sender.join(60)
+    assert not sender.is_alive()
+    assert handle.result(timeout=60)["instance"].startswith("register_")
+    direct = client.execute(request)  # the session is idle again: direct
+    client.close()
+    service.jobs.shutdown()
+
+    assert run_sync_calls == ["function_query"]
+    flow = [entry for entry in log if entry[1] != "submit_job"]
+    assert flow[:4] == [
+        ("start", "request_component"),
+        ("end", "request_component"),
+        ("start", "function_query"),
+        ("end", "function_query"),
+    ]
+
+    def envelope(response):
+        data = response.to_dict()
+        data.pop("elapsed_ms")
+        return data
+
+    assert answers[0].ok and envelope(answers[0]) == envelope(direct)
 
 
 def test_session_token_attach_resumes_jobs_over_tcp(tmp_path):

@@ -35,7 +35,7 @@ from repro.techlib import (
     default_library,
     standard_cells,
 )
-from repro.sim import BatchGateSimulator
+from repro.sim import BatchGateSimulator, GateSimulationError
 from test_sim_batch import _random_netlist
 
 
@@ -374,6 +374,7 @@ _CYCLE = "combinational cycle involving instances ['g3', 'g4']"
         (("undriven_output", "used_undriven", "cycle"), "output 'Z' is not driven", _CYCLE),
         (("used_undriven", "cycle"), "net 'u' is used but never driven", _CYCLE),
         (("used_undriven",), "net 'u' is used but never driven", None),
+        (("undriven_output",), "output 'Z' is not driven", None),
     ],
 )
 def test_faulty_netlists_report_their_first_fault(cells, faults, from_validate, from_order):
@@ -382,9 +383,13 @@ def test_faulty_netlists_report_their_first_fault(cells, faults, from_validate, 
         netlist.validate()
     assert str(raised.value) == from_validate
     if from_order is None:
-        # An undriven net counts as ready, so the order still exists.
+        # An undriven net counts as ready, so the order still exists; the
+        # simulator then refuses the netlist with validate's message.
         order = [gate.name for gate in combinational_order(netlist)]
         assert order == [gate.name for gate in _reference_order(netlist)]
+        with pytest.raises(GateSimulationError) as raised:
+            BatchGateSimulator(netlist, 4)
+        assert str(raised.value) == f"faulty: {from_validate}"
         return
     for build in (combinational_order, lambda n: BatchGateSimulator(n, 4)):
         with pytest.raises(NetlistError) as raised:
