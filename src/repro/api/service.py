@@ -65,6 +65,7 @@ from ..db import (
     DesignDataStore,
     new_database,
 )
+from ..db.store import TextPieces
 from ..layout.generator import ComponentLayout, generate_layout
 from ..netlist.cif import layout_to_cif
 from ..techlib import CellLibrary, standard_cells
@@ -1165,11 +1166,12 @@ class ComponentService:
 
     def _artifact_producers(
         self, instance: ComponentInstance
-    ) -> Dict[str, Callable[[], str]]:
-        """Producers of every artifact the instance persists, by kind."""
-        producers: Dict[str, Callable[[], str]] = {
+    ) -> Dict[str, Callable[[], Union[str, TextPieces]]]:
+        """Producers of every artifact the instance persists, by kind: the
+        text, or the pieces :meth:`DesignDataStore.write` streams."""
+        producers: Dict[str, Callable[[], Union[str, TextPieces]]] = {
             "flat_iif": instance.flat_milo,
-            "vhdl": instance.vhdl_netlist,
+            "vhdl": lambda: TextPieces(instance.vhdl_chunks()),
             "vhdl_head": instance.vhdl_head,
             "delay": lambda: instance.render_delay() + "\n",
             "shape": lambda: instance.render_shape() + "\n",
@@ -1394,6 +1396,7 @@ class JobRecord:
         "events",
         "response",
         "cancel_event",
+        "delivering_end",
     )
 
     def __init__(
@@ -1430,6 +1433,15 @@ class JobRecord:
         self.events: "deque[JobEvent]" = deque(maxlen=max_events)
         self.response: Optional[Response] = None
         self.cancel_event = threading.Event()
+        #: Set with the terminal state while the job's terminal event is
+        #: still on its way to subscribers; waiters keep waiting until the
+        #: delivery is done (see :meth:`JobManager._deliver_end`).
+        self.delivering_end = False
+
+    def ended(self) -> bool:
+        """True once the job is terminal and every subscriber holds its
+        terminal event (the condition every waiter waits for)."""
+        return self.state in JOB_TERMINAL_STATES and not self.delivering_end
 
 
 class JobManager:
@@ -1567,7 +1579,7 @@ class JobManager:
         job_id = str(descriptor["job_id"])
         with self._cond:
             record = self._jobs[job_id]
-            while record.state not in JOB_TERMINAL_STATES:
+            while not record.ended():
                 if self._shutdown:
                     raise IcdbError(
                         "the job manager shut down mid-request", code=E_UNAVAILABLE
@@ -1615,7 +1627,7 @@ class JobManager:
                 if job_id is None:
                     continue
                 record = self._jobs[job_id]
-                while record.state not in JOB_TERMINAL_STATES:
+                while not record.ended():
                     if self._shutdown:
                         raise IcdbError(
                             "the job manager shut down mid-request",
@@ -1658,7 +1670,7 @@ class JobManager:
         with self._cond:
             record = self._record_locked(job_id, session)
             if wait:
-                while record.state not in JOB_TERMINAL_STATES:
+                while not record.ended():
                     if self._shutdown:
                         raise IcdbError(
                             "the job manager is shut down", code=E_UNAVAILABLE
@@ -1745,6 +1757,7 @@ class JobManager:
             if record.state in JOB_TERMINAL_STATES:
                 return self._descriptor_locked(record)
             record.cancel_event.set()
+            subscribers = self._subscribers_locked(record)
             if record.state == JOB_QUEUED:
                 record.state = JOB_CANCELLED
                 record.finished_at = self.clock.time()
@@ -1764,14 +1777,14 @@ class JobManager:
                 event = self._emit_locked(
                     record, stage="cancel", message="cancelled while queued"
                 )
+                record.delivering_end = bool(subscribers)
                 self._cond.notify_all()
             else:
                 event = self._emit_locked(
                     record, stage="cancel", message="cancellation requested"
                 )
-            subscribers = self._subscribers_locked(record)
             descriptor = self._descriptor_locked(record)
-        self._deliver(subscribers, event)
+        self._deliver_end(record, subscribers, event)
         return descriptor
 
     # ------------------------------------------------------------ event push
@@ -1780,7 +1793,10 @@ class JobManager:
         self, session_id: str, callback: Callable[[Dict[str, Any]], None]
     ) -> int:
         """Receive every event of the session's jobs; returns an unsubscribe
-        token.  Callbacks run on worker threads and must not block long."""
+        token.  Callbacks run on worker threads and must not block long:
+        a job's waiters (``wait()``, ``result()``, the session's blocking
+        requests) return only once every callback has taken the job's
+        terminal event."""
         with self._cond:
             self._subscriber_counter += 1
             token = self._subscriber_counter
@@ -1983,6 +1999,29 @@ class JobManager:
                     error=repr(exc),
                 )
 
+    def _deliver_end(
+        self,
+        record: JobRecord,
+        subscribers: List[Callable[[Dict[str, Any]], None]],
+        event: Optional[Dict[str, Any]],
+    ) -> None:
+        """Deliver an event that may end the job, then release its waiters.
+
+        A caller that made the job terminal raised ``record.delivering_end``
+        in the same critical section when anyone subscribes, so a waiter
+        that wakes before the delivery is done keeps waiting: by the time
+        ``wait()`` returns, every subscriber, a handle's event stream
+        included, holds the terminal event.  Waiters are released however
+        the delivery ends.
+        """
+        try:
+            self._deliver(subscribers, event)
+        finally:
+            if record.delivering_end:
+                with self._cond:
+                    record.delivering_end = False
+                    self._cond.notify_all()
+
     def _progress(self, record: JobRecord, stage: str, fraction: float) -> None:
         with self._cond:
             record.stage = stage
@@ -2054,7 +2093,8 @@ class JobManager:
                 ),
             )
             subscribers = self._subscribers_locked(record)
+            record.delivering_end = bool(subscribers)
             self._retire_locked()
             self._cond.notify_all()
-        self._deliver(subscribers, event)
+        self._deliver_end(record, subscribers, event)
 

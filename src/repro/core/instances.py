@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import Constraints
 from ..estimation.area import AreaRecord
@@ -24,7 +24,7 @@ from ..layout.generator import ComponentLayout
 from ..netlist.gates import GateNetlist
 from ..netlist.vhdl import (
     gate_netlist_architecture_body,
-    gate_netlist_to_vhdl,
+    gate_netlist_vhdl_header,
     vhdl_component_declaration,
     vhdl_port_block,
 )
@@ -169,15 +169,29 @@ class ComponentInstance:
             lambda: vhdl_port_block(self.netlist.inputs, self.netlist.outputs),
         )
 
+    def vhdl_chunks(self) -> Iterator[str]:
+        """The VHDL netlist in pieces, as the persist step writes it.
+
+        The entity header always carries this instance's name.  The
+        architecture body is name-independent and shared with cache
+        clones, under the rule of :meth:`_render_body`: its first render
+        is handed on gate by gate and kept nowhere, a later render keeps
+        the joined text.
+        """
+        yield gate_netlist_vhdl_header(
+            self.netlist, name=self.name, ports=self._vhdl_ports()
+        )
+        if "vhdl_body" in self.render_cache:
+            yield self._render_body(
+                "vhdl_body",
+                lambda: "".join(gate_netlist_architecture_body(self.netlist)),
+            )
+        else:
+            self.render_cache["vhdl_body"] = None
+            yield from gate_netlist_architecture_body(self.netlist)
+
     def vhdl_netlist(self) -> str:
-        # The architecture body is name-independent and shared with cache
-        # clones; the entity header always carries this instance's name.
-        body = self._render_body(
-            "vhdl_body", lambda: gate_netlist_architecture_body(self.netlist)
-        )
-        return gate_netlist_to_vhdl(
-            self.netlist, name=self.name, body=body, ports=self._vhdl_ports()
-        )
+        return "".join(self.vhdl_chunks())
 
     def flat_milo(self) -> str:
         """The flat IIF in MILO form, headed by this instance's name."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 
 class StoreError(ValueError):
@@ -51,6 +52,29 @@ def _safe_name(name: str) -> str:
     if not cleaned.strip("."):
         return "unnamed"
     return cleaned
+
+
+class TextPieces:
+    """An artifact's text as pieces, for :meth:`DesignDataStore.write` to
+    write as they come instead of holding the whole text first.
+
+    ``len()`` counts the characters handed out so far, so code that sizes a
+    write after it returns sees the whole text's length, as for a ``str``.
+    """
+
+    __slots__ = ("_pieces", "_length")
+
+    def __init__(self, pieces: Iterable[str]):
+        self._pieces = pieces
+        self._length = 0
+
+    def __iter__(self) -> Iterator[str]:
+        for piece in self._pieces:
+            self._length += len(piece)
+            yield piece
+
+    def __len__(self) -> int:
+        return self._length
 
 
 class DesignDataStore:
@@ -97,8 +121,15 @@ class DesignDataStore:
             paths[kind] = base + extension
         return paths
 
-    def write(self, instance: str, kind: str, text: str) -> Path:
-        """Store one artifact; returns the file path."""
+    def write(self, instance: str, kind: str, text: Union[str, TextPieces]) -> Path:
+        """Store one artifact; returns the file path.
+
+        ``text`` is the artifact's text, or its :class:`TextPieces` (a VHDL
+        netlist streams gate by gate).  The text goes to a temporary file
+        beside the artifact, which then replaces it: a reader sees the old
+        file or the whole new one, never a file still being rendered, and a
+        render that raises leaves the old file in place.
+        """
         if kind not in ARTIFACT_EXTENSIONS:
             raise StoreError(
                 f"unknown artifact kind {kind!r}; expected one of {sorted(ARTIFACT_EXTENSIONS)}"
@@ -106,7 +137,19 @@ class DesignDataStore:
         directory = self.root / _safe_name(instance)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{_safe_name(instance)}{ARTIFACT_EXTENSIONS[kind]}"
-        path.write_text(text)
+        # One name per writing thread: the same artifact may be rewritten
+        # concurrently (see ComponentService.materialize_artifacts).
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            with tmp.open("w") as handle:
+                if isinstance(text, str):
+                    handle.write(text)
+                else:
+                    handle.writelines(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     # ------------------------------------------------------------------- read

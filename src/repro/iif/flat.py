@@ -160,7 +160,7 @@ class FlatComponent:
         seen: Set[str] = set()
         frontier: List[str] = []
         for clock in clock_exprs:
-            frontier.extend(clock.variables())
+            frontier.extend(clock.support())
         while frontier:
             name = frontier.pop()
             if name in seen:
@@ -170,10 +170,10 @@ class FlatComponent:
                 if name not in found:
                     found.append(name)
             elif name in comb:
-                frontier.extend(comb[name].variables())
+                frontier.extend(comb[name].support())
             elif name in seq:
-                frontier.extend(seq[name].clock.variables())
-                frontier.extend(seq[name].data.variables())
+                frontier.extend(seq[name].clock.support())
+                frontier.extend(seq[name].data.support())
         return found
 
     # ------------------------------------------------------------- signature
@@ -213,7 +213,7 @@ class FlatComponent:
             if assign.target not in declared:
                 raise FlatIifError(f"assignment to undeclared signal {assign.target!r}")
             for expression in _assign_expressions(assign):
-                for name in expression.variables():
+                for name in expression.support():
                     if name not in declared:
                         raise FlatIifError(
                             f"reference to undeclared signal {name!r} in {assign.target!r}"
@@ -232,7 +232,7 @@ class FlatComponent:
         names: Set[str] = set()
         for assign in self.assigns:
             for expression in _assign_expressions(assign):
-                names |= expression.variables()
+                names.update(expression.support())
         return names
 
     # --------------------------------------------------------------- collapse
@@ -255,7 +255,7 @@ class FlatComponent:
             expression = comb[name]
             mapping = {
                 ref: resolve(ref, trail + (name,))
-                for ref in expression.variables()
+                for ref in expression.support()
             }
             result = E.substitute(expression, mapping)
             cache[name] = result

@@ -14,11 +14,21 @@ optimizer.
 Expressions are immutable, *hash-consed* and structurally shared: one
 canonical node exists per structurally-distinct expression, so equality
 and hashing are by identity (``object``'s own ``__eq__`` and
-``__hash__``), ``variables()`` / ``depth`` / literal counts are cached
+``__hash__``), ``support()`` / ``depth`` / literal counts are cached
 O(1) lookups, and expressions can be used directly as memoization keys
-by the generation cache.  The intern table holds nodes weakly, so
-expressions no stage references any more are garbage-collected; interning
-is thread-safe (the PR-3 job workers synthesize concurrently).
+by the generation cache.  Interning is thread-safe (job workers
+synthesize concurrently).
+
+A server keeps every generated design's equations, so a node holds no
+set of its own, and the common nodes need no key object either.  A
+node's support is one sorted tuple of names: ``Not`` and ``Buf`` share
+their operand's tuple, and an n-ary node whose support one child already
+covers shares that child's.  ``variables()`` builds its frozenset from
+that tuple on each call.  Each node class has its own weak intern table,
+keyed by what the node already holds: a ``Var`` by its name, a ``Not``
+or ``Buf`` by its operand, an ``And`` or ``Or`` by its ``args`` tuple.
+The tables hold nodes weakly, so expressions no stage references any
+more are garbage-collected.
 
 Truth tables are computed over the shared subgraph with one big-integer
 bitmask per node (a cofactor-free evaluation of all ``2**n`` rows at
@@ -37,6 +47,7 @@ import itertools
 import sys
 import threading
 import weakref
+from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 
@@ -105,14 +116,21 @@ def _sweep_names() -> None:
 # Interning machinery
 # ---------------------------------------------------------------------------
 
-#: One canonical node per structurally-distinct expression.  Values are held
-#: weakly: an expression nothing references dies, and its table entry (whose
-#: key holds the only remaining strong references to its children) follows.
-_INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: One weak intern table per node class, one canonical node per
+#: structurally-distinct expression.  ``Var`` nodes are keyed by their
+#: name, ``Not`` / ``Buf`` by their operand and ``And`` / ``Or`` by their
+#: own ``args`` tuple: objects the node holds anyway, so the table adds
+#: no key object per node.  ``Const`` nodes key by their value, and the
+#: rarer ``Xor`` / ``Xnor`` / ``Special`` nodes by a small tuple.
+#: Values are held weakly: an expression nothing references dies, and
+#: its entry (whose key holds the only remaining strong references to its
+#: children) follows.  The lookups outside ``_INTERN_LOCK`` are the
+#: unlocked fast path: dict operations are atomic under the GIL, and a
+#: ref that died mid-read falls through to the locked slow path.
+_CONSTS, _VARS, _NOTS, _BUFS, _ANDS, _ORS, _XORS, _XNORS, _SPECIALS = (
+    weakref.WeakValueDictionary() for _ in range(9)
+)
 _INTERN_LOCK = threading.Lock()
-
-# Class tags used in intern keys (cheaper to hash than class objects).
-_T_CONST, _T_VAR, _T_NOT, _T_BUF, _T_AND, _T_OR, _T_XOR, _T_XNOR, _T_SPECIAL = range(9)
 
 
 class BExpr:
@@ -123,7 +141,12 @@ class BExpr:
     # -- structural queries -------------------------------------------------
 
     def variables(self) -> FrozenSet[str]:
-        """The set of variable names appearing in the expression (cached)."""
+        """The set of variable names appearing in the expression (a new
+        frozenset; :meth:`support` answers the same names without a copy)."""
+        return frozenset(self._vars)
+
+    def support(self) -> Tuple[str, ...]:
+        """The variable names appearing in the expression, sorted (cached)."""
         return self._vars
 
     def children(self) -> Tuple["BExpr", ...]:
@@ -163,10 +186,27 @@ class BExpr:
         return not_(self)
 
 
-def _lookup(key):
-    # Unlocked fast path: dict operations are atomic under the GIL and a
-    # ref that died mid-read simply falls through to the locked slow path.
-    return _INTERN.get(key)
+def _support(args: Sequence[BExpr]) -> Tuple[str, ...]:
+    """The sorted union of the arguments' supports.
+
+    When one argument's support already covers the others, the node
+    shares that argument's tuple instead of building its own.
+    """
+    widest: Tuple[str, ...] = ()
+    for arg in args:
+        if len(arg._vars) > len(widest):
+            widest = arg._vars
+    names = None
+    for arg in args:
+        support = arg._vars
+        if support is widest or not support:
+            continue
+        if names is None:
+            names = set(widest)
+        names.update(support)
+    if names is None or len(names) == len(widest):
+        return widest
+    return tuple(sorted(names))
 
 
 def _finish(node: BExpr, vars_, depth, lits, nodes, opaque) -> None:
@@ -185,17 +225,16 @@ class Const(BExpr):
     def __new__(cls, value: int):
         if value not in (0, 1):
             raise ExprError(f"constant must be 0 or 1, got {value!r}")
-        key = (_T_CONST, value)
-        self = _lookup(key)
+        self = _CONSTS.get(value)
         if self is not None:
             return self
         with _INTERN_LOCK:
-            self = _INTERN.get(key)
+            self = _CONSTS.get(value)
             if self is None:
                 self = object.__new__(cls)
                 self.value = value
-                _finish(self, frozenset(), 0, 0, 0, False)
-                _INTERN[key] = self
+                _finish(self, (), 0, 0, 0, False)
+                _CONSTS[value] = self
             return self
 
     def evaluate(self, env: Mapping[str, int]) -> int:
@@ -222,17 +261,16 @@ class Var(BExpr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        key = (_T_VAR, name)
-        self = _lookup(key)
+        self = _VARS.get(name)
         if self is not None:
             return self
         with _INTERN_LOCK:
-            self = _INTERN.get(key)
+            self = _VARS.get(name)
             if self is None:
                 self = object.__new__(cls)
                 self.name = name
-                _finish(self, frozenset((name,)), 0, 1, 0, False)
-                _INTERN[key] = self
+                _finish(self, (name,), 0, 1, 0, False)
+                _VARS[name] = self
             return self
 
     def evaluate(self, env: Mapping[str, int]) -> int:
@@ -245,13 +283,12 @@ class Var(BExpr):
         return f"Var({self.name!r})"
 
 
-def _unary_new(cls, tag, operand: BExpr):
-    key = (tag, operand)
-    self = _lookup(key)
+def _unary_new(cls, table, operand: BExpr):
+    self = table.get(operand)
     if self is not None:
         return self
     with _INTERN_LOCK:
-        self = _INTERN.get(key)
+        self = table.get(operand)
         if self is None:
             self = object.__new__(cls)
             self.operand = operand
@@ -261,9 +298,9 @@ def _unary_new(cls, tag, operand: BExpr):
                 operand._depth + 1,
                 operand._lits,
                 operand._nodes + 1,
-                tag == _T_BUF or operand._opaque,
+                cls is Buf or operand._opaque,
             )
-            _INTERN[key] = self
+            table[operand] = self
         return self
 
 
@@ -271,7 +308,7 @@ class Not(BExpr):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: BExpr):
-        return _unary_new(cls, _T_NOT, operand)
+        return _unary_new(cls, _NOTS, operand)
 
     def children(self) -> Tuple[BExpr, ...]:
         return (self.operand,)
@@ -292,7 +329,7 @@ class Buf(BExpr):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: BExpr):
-        return _unary_new(cls, _T_BUF, operand)
+        return _unary_new(cls, _BUFS, operand)
 
     def children(self) -> Tuple[BExpr, ...]:
         return (self.operand,)
@@ -307,28 +344,25 @@ class Buf(BExpr):
         return f"Buf(operand={self.operand!r})"
 
 
-def _nary_new(cls, tag, args: Tuple[BExpr, ...]):
+def _nary_new(cls, table, args: Tuple[BExpr, ...]):
     args = tuple(args)
-    key = (tag, args)
-    self = _lookup(key)
+    self = table.get(args)
     if self is not None:
         return self
     with _INTERN_LOCK:
-        self = _INTERN.get(key)
+        self = table.get(args)
         if self is None:
             self = object.__new__(cls)
             self.args = args
-            vars_: FrozenSet[str] = frozenset().union(*(a._vars for a in args)) if args else frozenset()
-            depth = 1 + max((a._depth for a in args), default=-1)
             _finish(
                 self,
-                vars_,
-                depth,
+                _support(args),
+                1 + max((a._depth for a in args), default=-1),
                 sum(a._lits for a in args),
                 1 + sum(a._nodes for a in args),
                 any(a._opaque for a in args),
             )
-            _INTERN[key] = self
+            table[args] = self
         return self
 
 
@@ -336,7 +370,7 @@ class And(BExpr):
     __slots__ = ("args",)
 
     def __new__(cls, args):
-        return _nary_new(cls, _T_AND, args)
+        return _nary_new(cls, _ANDS, args)
 
     def children(self) -> Tuple[BExpr, ...]:
         return self.args
@@ -358,7 +392,7 @@ class Or(BExpr):
     __slots__ = ("args",)
 
     def __new__(cls, args):
-        return _nary_new(cls, _T_OR, args)
+        return _nary_new(cls, _ORS, args)
 
     def children(self) -> Tuple[BExpr, ...]:
         return self.args
@@ -376,26 +410,26 @@ class Or(BExpr):
         return f"Or(args={self.args!r})"
 
 
-def _binary_new(cls, tag, left: BExpr, right: BExpr):
-    key = (tag, left, right)
-    self = _lookup(key)
+def _binary_new(cls, table, left: BExpr, right: BExpr):
+    key = (left, right)
+    self = table.get(key)
     if self is not None:
         return self
     with _INTERN_LOCK:
-        self = _INTERN.get(key)
+        self = table.get(key)
         if self is None:
             self = object.__new__(cls)
             self.left = left
             self.right = right
             _finish(
                 self,
-                left._vars | right._vars,
+                _support(key),
                 1 + max(left._depth, right._depth),
                 left._lits + right._lits,
                 1 + left._nodes + right._nodes,
                 left._opaque or right._opaque,
             )
-            _INTERN[key] = self
+            table[key] = self
         return self
 
 
@@ -403,7 +437,7 @@ class Xor(BExpr):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: BExpr, right: BExpr):
-        return _binary_new(cls, _T_XOR, left, right)
+        return _binary_new(cls, _XORS, left, right)
 
     def children(self) -> Tuple[BExpr, ...]:
         return (self.left, self.right)
@@ -422,7 +456,7 @@ class Xnor(BExpr):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: BExpr, right: BExpr):
-        return _binary_new(cls, _T_XNOR, left, right)
+        return _binary_new(cls, _XNORS, left, right)
 
     def children(self) -> Tuple[BExpr, ...]:
         return (self.left, self.right)
@@ -455,27 +489,26 @@ class Special(BExpr):
         if kind not in SPECIAL_KINDS:
             raise ExprError(f"unknown special kind {kind!r}")
         args = tuple(args)
-        key = (_T_SPECIAL, kind, args, param)
-        self = _lookup(key)
+        key = (kind, args, param)
+        self = _SPECIALS.get(key)
         if self is not None:
             return self
         with _INTERN_LOCK:
-            self = _INTERN.get(key)
+            self = _SPECIALS.get(key)
             if self is None:
                 self = object.__new__(cls)
                 self.kind = kind
                 self.args = args
                 self.param = param
-                vars_: FrozenSet[str] = frozenset().union(*(a._vars for a in args)) if args else frozenset()
                 _finish(
                     self,
-                    vars_,
+                    _support(args),
                     1 + max((a._depth for a in args), default=-1),
                     sum(a._lits for a in args),
                     1 + sum(a._nodes for a in args),
                     True,
                 )
-                _INTERN[key] = self
+                _SPECIALS[key] = self
             return self
 
     def children(self) -> Tuple[BExpr, ...]:
@@ -662,16 +695,31 @@ def substitute(expr: BExpr, mapping: Mapping[str, BExpr]) -> BExpr:
     """Replace variables by expressions (simultaneously).
 
     Subtrees whose support is disjoint from the mapping are returned
-    unchanged (an O(1) check on the cached variable sets), and shared
-    subgraphs are rewritten once per :func:`substitute` call.
+    unchanged (a binary search of the cached sorted support per mapped
+    name), and shared subgraphs are rewritten once per :func:`substitute`
+    call.
     """
     if not mapping:
         return expr
     return _substitute(expr, mapping, {})
 
 
+def _reads(support: Tuple[str, ...], mapping: Mapping[str, BExpr]) -> bool:
+    """True when the sorted ``support`` holds a name ``mapping`` maps."""
+    if len(mapping) < len(support):
+        for name in mapping:
+            index = bisect_left(support, name)
+            if index < len(support) and support[index] == name:
+                return True
+        return False
+    for name in support:
+        if name in mapping:
+            return True
+    return False
+
+
 def _substitute(expr: BExpr, mapping: Mapping[str, BExpr], memo: Dict[BExpr, BExpr]) -> BExpr:
-    if expr._vars.isdisjoint(mapping):
+    if not _reads(expr._vars, mapping):
         return expr
     done = memo.get(expr)
     if done is not None:
@@ -838,7 +886,7 @@ def truth_table(expr: BExpr, order: Optional[Sequence[str]] = None) -> Tuple[int
     expression when the variables take the bits of ``i`` (``order[0]`` is the
     most-significant bit).  Only usable for small variable counts.
     """
-    names = list(order) if order is not None else sorted(expr._vars)
+    names = list(order) if order is not None else list(expr._vars)
     n = len(names)
     if n > 20:
         raise ExprError(f"truth table over {n} variables is too large")
@@ -854,7 +902,7 @@ def equivalent(left: BExpr, right: BExpr, max_vars: int = 16) -> bool:
     """Check semantic equivalence by exhaustive evaluation over the union of
     the two expressions' variables.  Intended for tests and assertions on the
     small component functions ICDB manipulates."""
-    names = sorted(left._vars | right._vars)
+    names = sorted(set(left._vars).union(right._vars))
     if len(names) > max_vars:
         raise ExprError(
             f"equivalence check over {len(names)} variables exceeds max_vars={max_vars}"
@@ -901,7 +949,7 @@ def canonical_form(expr: BExpr) -> Tuple[BExpr, Tuple[str, ...]]:
     on.  The rename maps ``sorted(vars)[i]`` to :func:`canonical_name`
     ``(i)``, preserving relative sorted order.
     """
-    names = tuple(sorted(expr._vars))
+    names = expr._vars
     mapping = {name: Var(canonical_name(index)) for index, name in enumerate(names)}
     return substitute(expr, mapping), names
 

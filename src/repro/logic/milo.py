@@ -59,50 +59,73 @@ def sweep(flat: FlatComponent, options: Optional[SynthesisOptions] = None) -> Fl
     or that are used exactly once (and are reasonably small) are substituted
     into their uses.  Multi-fanout signals (carry chains, decoded selects)
     are kept as shared nets.  Outputs are never removed.
+
+    The sweep runs in passes until one eliminates nothing.  A net's use
+    count is the number of expressions that read it (a sequential
+    assignment's data, clock and asynchronous conditions count one each).
+    Each pass decides on a snapshot of the counts taken at its start, so a
+    net that an earlier elimination of the same pass gave more readers
+    still counts as it did then.  A user index (net -> the equations that
+    read it, with how many of their expressions do) keeps the counts as
+    equations change, and an eliminated net is substituted into its
+    users only: the work grows with the equations rewritten, not with
+    eliminated nets times equations.
     """
     options = options or SynthesisOptions()
     comb: Dict[str, E.BExpr] = {a.target: a.expr for a in flat.combinational()}
     seq: Dict[str, SeqAssign] = {a.target: a for a in flat.sequential()}
     outputs = set(flat.outputs)
+    users: Dict[str, Dict[str, int]] = {}
 
-    def use_counts() -> Dict[str, int]:
-        counts: Dict[str, int] = {}
+    def index(target: str, expressions: Sequence[E.BExpr], step: int) -> None:
+        for expression in expressions:
+            for name in expression.support():
+                readers = users.setdefault(name, {})
+                count = readers.get(target, 0) + step
+                if count:
+                    readers[target] = count
+                else:
+                    del readers[target]
+                    if not readers:
+                        del users[name]
 
-        def visit(expression: E.BExpr) -> None:
-            for name in expression.variables():
-                counts[name] = counts.get(name, 0) + 1
+    def seq_expressions(assign: SeqAssign) -> List[E.BExpr]:
+        return [assign.data, assign.clock] + [term.condition for term in assign.asyncs]
 
-        for expression in comb.values():
-            visit(expression)
-        for assign in seq.values():
-            visit(assign.data)
-            visit(assign.clock)
-            for term in assign.asyncs:
-                visit(term.condition)
-        return counts
+    for target, expression in comb.items():
+        index(target, (expression,), 1)
+    for target, assign in seq.items():
+        index(target, seq_expressions(assign), 1)
 
-    def substitute_everywhere(name: str, value: E.BExpr) -> None:
+    def substitute_into_users(name: str, value: E.BExpr) -> None:
         mapping = {name: value}
-        for target in list(comb):
-            comb[target] = E.substitute(comb[target], mapping)
-        for target, assign in list(seq.items()):
-            seq[target] = SeqAssign(
-                target=assign.target,
-                data=E.substitute(assign.data, mapping),
-                clock=E.substitute(assign.clock, mapping),
-                edge=assign.edge,
-                asyncs=tuple(
-                    AsyncTerm(term.value, E.substitute(term.condition, mapping))
-                    for term in assign.asyncs
-                ),
-            )
+        for target in list(users.get(name, ())):
+            if target in comb:
+                old = comb[target]
+                comb[target] = E.substitute(old, mapping)
+                index(target, (old,), -1)
+                index(target, (comb[target],), 1)
+            assign = seq.get(target)
+            if assign is not None:
+                seq[target] = SeqAssign(
+                    target=assign.target,
+                    data=E.substitute(assign.data, mapping),
+                    clock=E.substitute(assign.clock, mapping),
+                    edge=assign.edge,
+                    asyncs=tuple(
+                        AsyncTerm(term.value, E.substitute(term.condition, mapping))
+                        for term in assign.asyncs
+                    ),
+                )
+                index(target, seq_expressions(assign), -1)
+                index(target, seq_expressions(seq[target]), 1)
 
     changed = True
     iterations = 0
     while changed and iterations < 100:
         changed = False
         iterations += 1
-        counts = use_counts()
+        counts = {name: sum(readers.values()) for name, readers in users.items()}
         for name in list(comb):
             if name in outputs:
                 continue
@@ -117,10 +140,11 @@ def sweep(flat: FlatComponent, options: Optional[SynthesisOptions] = None) -> Fl
             )
             if not (trivial or single_use):
                 continue
-            if name in expression.variables():
+            if name in expression.support():
                 continue
             del comb[name]
-            substitute_everywhere(name, expression)
+            index(name, (expression,), -1)
+            substitute_into_users(name, expression)
             changed = True
 
     result = FlatComponent(

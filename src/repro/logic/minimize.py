@@ -122,7 +122,7 @@ def minimize_to_sop(
     expression: E.BExpr, order: Optional[Sequence[str]] = None
 ) -> SumOfProducts:
     """Exact two-level minimization of a (small) expression."""
-    names = tuple(order) if order is not None else tuple(sorted(expression.variables()))
+    names = tuple(order) if order is not None else expression.support()
     minterms = expr_minterms(expression, names)
     primes = prime_implicants(minterms, names)
     cover = select_cover(minterms, primes, names)
@@ -192,7 +192,7 @@ def minimize(expression: E.BExpr, max_vars: int = DEFAULT_MAX_VARS) -> E.BExpr:
 
     table: Dict[E.BExpr, str] = {}
     abstract = _abstract_opaque(expression, table)
-    support = abstract.variables()
+    support = abstract.support()
     if len(support) > max_vars:
         minimized_abstract = abstract
     else:

@@ -9,22 +9,23 @@ structural VHDL for composed designs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import re
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .gates import GateNetlist
 
+#: A run of characters that are not letters or digits (``str.isalnum``).
+_NOT_ALNUM_RE = re.compile(r"[\W_]+")
+
 
 def _vhdl_identifier(name: str) -> str:
-    """Turn a flat signal name (``Q[3]``) into a legal VHDL identifier."""
-    out = []
-    for char in name:
-        if char.isalnum():
-            out.append(char)
-        else:
-            out.append("_")
-    text = "".join(out).strip("_")
-    while "__" in text:
-        text = text.replace("__", "_")
+    """Turn a flat signal name (``Q[3]``) into a legal VHDL identifier.
+
+    Every run of characters other than letters and digits becomes one
+    underscore, leading and trailing ones are dropped, and a name that
+    does not start with a letter gets an ``s_`` prefix.
+    """
+    text = _NOT_ALNUM_RE.sub("_", name).strip("_")
     if not text or not text[0].isalpha():
         text = "s_" + text
     return text.lower()
@@ -81,12 +82,7 @@ def vhdl_entity(
     )
 
 
-def gate_netlist_to_vhdl(
-    netlist: GateNetlist,
-    name: Optional[str] = None,
-    body: Optional[str] = None,
-    ports: Optional[str] = None,
-) -> str:
+def gate_netlist_to_vhdl(netlist: GateNetlist, name: Optional[str] = None) -> str:
     """Structural VHDL of a mapped gate netlist.
 
     Cells are instantiated as components from an ``icdb_cells`` library; the
@@ -94,36 +90,40 @@ def gate_netlist_to_vhdl(
     generics so the layout generator downstream can honour them.
 
     ``name`` overrides the entity name (a cached component clone shares the
-    template's netlist but must be emitted under its own instance name);
-    ``body`` supplies a pre-rendered architecture body from
-    :func:`gate_netlist_architecture_body`, which is name-independent and
-    therefore shareable between such clones.
+    template's netlist but must be emitted under its own instance name).
     """
-    display = name or netlist.name
-    entity_name = _vhdl_identifier(display)
-    lines: List[str] = []
-    lines.append(f"-- structural netlist of {display} (generated by ICDB)")
-    lines.append("library icdb_cells;")
-    lines.append(
-        vhdl_entity(display, netlist.inputs, netlist.outputs, ports=ports).rstrip()
+    return gate_netlist_vhdl_header(netlist, name=name) + "".join(
+        gate_netlist_architecture_body(netlist)
     )
-    lines.append("")
-    lines.append(f"architecture structure of {entity_name} is")
-    if body is None:
-        body = gate_netlist_architecture_body(netlist)
-    return "\n".join(lines) + "\n" + body
 
 
-def gate_netlist_architecture_body(netlist: GateNetlist) -> str:
-    """The architecture body of :func:`gate_netlist_to_vhdl`.
+def gate_netlist_vhdl_header(
+    netlist: GateNetlist,
+    name: Optional[str] = None,
+    ports: Optional[str] = None,
+) -> str:
+    """The text of :func:`gate_netlist_to_vhdl` before the architecture body:
+    the library clause, the entity and the ``architecture ... is`` line
+    (``ports`` as for :func:`vhdl_entity`)."""
+    display = name or netlist.name
+    entity = vhdl_entity(display, netlist.inputs, netlist.outputs, ports=ports)
+    return (
+        f"-- structural netlist of {display} (generated by ICDB)\n"
+        f"library icdb_cells;\n{entity}\n"
+        f"architecture structure of {_vhdl_identifier(display)} is\n"
+    )
+
+
+def gate_netlist_architecture_body(netlist: GateNetlist) -> Iterator[str]:
+    """The architecture body of :func:`gate_netlist_to_vhdl`, in pieces.
 
     Signal declarations, cell component declarations and instantiations --
-    everything between ``architecture ... is`` and the end of the file.  The
-    text never mentions the entity name, so it can be rendered once per
-    synthesized netlist and reused by every instance sharing it.
+    everything between ``architecture ... is`` and the end of the file --
+    yielded one declaration or gate at a time, so a file can take the text
+    without anyone holding all of it.  The text never mentions the entity
+    name, so it can be rendered once per synthesized netlist and reused by
+    every instance sharing it.
     """
-    lines: List[str] = []
-
     port_nets = set(netlist.inputs) | set(netlist.outputs)
     internal_nets = sorted(
         {
@@ -134,35 +134,43 @@ def gate_netlist_architecture_body(netlist: GateNetlist) -> str:
         }
     )
     for net in internal_nets:
-        lines.append(f"  signal {_vhdl_identifier(net)} : bit;")
+        yield f"  signal {_vhdl_identifier(net)} : bit;\n"
 
-    cell_names = sorted({inst.cell.name for inst in netlist.all_instances()})
-    for cell_name in cell_names:
-        sample = next(
-            inst.cell for inst in netlist.all_instances() if inst.cell.name == cell_name
-        )
-        lines.append(f"  component {cell_name.lower()}")
-        lines.append("    generic (drive : real := 1.0);")
-        lines.append("    port (")
+    cells = {}
+    for instance in netlist.all_instances():
+        cells.setdefault(instance.cell.name, instance.cell)
+    for cell_name in sorted(cells):
+        sample = cells[cell_name]
+        lines = [
+            f"  component {cell_name.lower()}",
+            "    generic (drive : real := 1.0);",
+            "    port (",
+        ]
         pins = list(sample.inputs) + list(sample.outputs)
         for index, pin in enumerate(pins):
             separator = ";" if index < len(pins) - 1 else ""
             direction = "in" if pin in sample.inputs else "out"
             lines.append(f"      {_vhdl_identifier(pin)} : {direction} bit{separator}")
-        lines.append("    );")
-        lines.append("  end component;")
+        lines += ["    );", "  end component;"]
+        yield "\n".join(lines) + "\n"
 
-    lines.append("begin")
+    yield "begin\n"
+    # Each cell's pin identifiers in ``Cell.pins`` order, by cell object.
+    pin_names: Dict[int, List[str]] = {}
     for instance in netlist.all_instances():
-        lines.append(f"  {_vhdl_identifier(instance.name)} : {instance.cell.name.lower()}")
-        lines.append(f"    generic map (drive => {instance.size:.3f})")
-        mappings = [
-            f"{_vhdl_identifier(pin)} => {_vhdl_identifier(net)}"
-            for pin, net in zip(instance.cell.pins, instance.nets)
-        ]
-        lines.append("    port map (" + ", ".join(mappings) + ");")
-    lines.append("end structure;")
-    return "\n".join(lines) + "\n"
+        cell = instance.cell
+        pins = pin_names.get(id(cell))
+        if pins is None:
+            pins = pin_names[id(cell)] = [_vhdl_identifier(pin) for pin in cell.pins]
+        mappings = ", ".join(
+            f"{pin} => {_vhdl_identifier(net)}" for pin, net in zip(pins, instance.nets)
+        )
+        yield (
+            f"  {_vhdl_identifier(instance.name)} : {cell.name.lower()}\n"
+            f"    generic map (drive => {instance.size:.3f})\n"
+            f"    port map ({mappings});\n"
+        )
+    yield "end structure;\n"
 
 
 def structural_vhdl(

@@ -28,6 +28,7 @@ from repro.db import (
     Table,
     new_database,
 )
+from repro.db.store import TextPieces
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,27 @@ def test_store_never_escapes_its_root(tmp_path):
         )
         for path in store.paths_for(hostile, ("vhdl", "delay")).values():
             assert str(Path(path).resolve()).startswith(str(root.resolve()))
+
+
+def test_a_streamed_write_replaces_the_old_file_only_once_complete(tmp_path):
+    store = DesignDataStore(tmp_path)
+    path = store.write("adder_1", "vhdl", "old text\n")
+    seen_mid_render = []
+
+    def failing_render():
+        yield "new "
+        seen_mid_render.append(path.read_text())
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError):
+        store.write("adder_1", "vhdl", TextPieces(failing_render()))
+    assert seen_mid_render == ["old text\n"]
+    assert path.read_text() == "old text\n"
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    pieces = TextPieces(iter(["new ", "text\n"]))
+    assert store.write("adder_1", "vhdl", pieces) == path
+    assert path.read_text() == "new text\n"
+    assert len(pieces) == len("new text\n")
 
 
 def test_store_uses_temporary_directory_by_default():

@@ -7,7 +7,9 @@ of objects.  These checks pin the compact representation: gates keep one
 net tuple in their cell's pin order, gates / expression nodes / flat
 assignment records have no ``__dict__``, expression nodes hash by
 identity, and all of it survives the pickle round trip fleet bundles
-take.
+take.  Expression nodes hold no per-node set and no per-node key tuple:
+a node's support is a sorted tuple it shares with a child that covers
+it, and its intern entry is keyed by an object it already holds.
 
 They also pin what the server process does not hold at all: OpenSSL
 (no module it imports loads ``_hashlib``), and a second in-memory copy
@@ -30,6 +32,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,110 @@ def test_flat_records_and_expression_nodes_are_compact(generated):
             assert not hasattr(node, "__dict__")
             assert type(node).__hash__ is object.__hash__
     assert seen == {AsyncTerm, CombAssign, SeqAssign}
+
+
+def _slot_values(node):
+    """Every object an expression node holds in its slots."""
+    return [
+        getattr(node, slot)
+        for klass in type(node).__mro__
+        for slot in getattr(klass, "__slots__", ())
+        if slot != "__weakref__"
+    ]
+
+
+def test_expression_nodes_hold_no_frozenset(generated):
+    _, nodes = _records_and_nodes(generated[1].flat)
+    assert nodes
+    for node in nodes:
+        assert not any(isinstance(value, frozenset) for value in _slot_values(node))
+
+
+#: The node classes whose intern entry is keyed by one of their own slots.
+_KEYED_BY = {E.Var: "name", E.Not: "operand", E.Buf: "operand", E.And: "args", E.Or: "args"}
+
+
+def test_intern_entries_are_keyed_by_what_the_node_holds(generated):
+    nodes = [node for instance in generated for node in _records_and_nodes(instance.flat)[1]]
+    nodes.append(E.buf(E.Var("A[0]")))
+    keys = {}
+    for table in vars(E).values():
+        if isinstance(table, weakref.WeakValueDictionary):
+            for key, ref in list(table.data.items()):
+                keys[id(ref())] = key
+    checked = set()
+    for node in nodes:
+        attribute = _KEYED_BY.get(type(node))
+        if attribute is not None:
+            assert keys[id(node)] is getattr(node, attribute)
+            checked.add(type(node))
+    assert checked == set(_KEYED_BY)
+
+
+def test_a_node_shares_the_support_of_a_child_that_covers_it(generated):
+    # No multiplier node reads only what one child reads; the counter's
+    # inverters and one OR gate do.
+    nodes = [node for instance in generated for node in _records_and_nodes(instance.flat)[1]]
+    shared = set()
+    for node in nodes:
+        covering = [child._vars for child in node.children() if child._vars == node._vars]
+        if covering:
+            assert any(node._vars is support for support in covering)
+            shared.add(type(node))
+    assert {E.Not, E.Or} <= shared
+
+
+#: Itemizes what each live expression node costs, in a fresh interpreter
+#: that holds array_multiplier/8's flat component: the node, its ``args``
+#: tuple and support (each distinct object once), an intern key the node
+#: does not hold itself, the table's ``KeyedRef`` and the tables' dicts.
+_NODE_BYTES_PROBE = """
+import gc, json, sys, weakref
+
+from repro.components import standard_catalog
+from repro.logic import expr as E
+
+flat = standard_catalog().get("array_multiplier").expand({"size": 8})
+gc.collect()
+parts = dict.fromkeys(("node", "args", "support", "key", "keyedref", "dict"), 0)
+seen, nodes = set(), 0
+for table in [v for v in vars(E).values() if isinstance(v, weakref.WeakValueDictionary)]:
+    parts["dict"] += sys.getsizeof(table.data)
+    for key, ref in list(table.data.items()):
+        node = ref()
+        if node is None:
+            continue
+        nodes += 1
+        parts["node"] += sys.getsizeof(node)
+        parts["keyedref"] += sys.getsizeof(ref)
+        owned = [getattr(node, slot) for klass in type(node).__mro__
+                 for slot in getattr(klass, "__slots__", ()) if slot != "__weakref__"]
+        for kind, value in (("args", getattr(node, "args", None)), ("support", node._vars)):
+            if value is not None and id(value) not in seen:
+                seen.add(id(value))
+                parts[kind] += sys.getsizeof(value)
+        if not any(key is value for value in owned) and id(key) not in seen:
+            seen.add(id(key))
+            parts["key"] += sys.getsizeof(key)
+print(json.dumps({"nodes": nodes, "bytes": sum(parts.values()), "parts": parts}))
+"""
+
+
+def test_bytes_per_live_expression_node(tmp_path):
+    # A subprocess, so the intern tables hold this one flat component.
+    proc = subprocess.run(
+        [sys.executable, "-c", _NODE_BYTES_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["nodes"] >= 600
+    # 311 B on Python 3.9.18, 314 B on 3.11.7 and 322 B on 3.12.1 (a
+    # frozenset support and a key tuple per node cost 526-543 B).
+    assert result["bytes"] / result["nodes"] < 360, result["parts"]
 
 
 def test_flat_components_and_netlists_survive_pickle(generated):

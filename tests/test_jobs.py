@@ -141,6 +141,58 @@ def test_local_and_loopback_jobs_stream_the_same_events_and_summary(tmp_path):
     client.close()
 
 
+@pytest.mark.parametrize("surface", ["local", "loopback"])
+def test_wait_returns_only_after_every_subscriber_holds_the_end_event(tmp_path, surface):
+    service = _fresh_service(tmp_path)
+    owner = (
+        service.create_session() if surface == "local" else RemoteClient.loopback(service)
+    )
+    held, gate = threading.Event(), threading.Event()
+
+    def slow_subscriber(event):
+        if event["state"] in JOB_TERMINAL_STATES:
+            held.set()
+            gate.wait(30)
+
+    service.jobs.subscribe(owner.session_id, slow_subscriber)
+    try:
+        handle = owner.submit_component(implementation="register", attributes={"size": 4})
+        assert held.wait(30)
+        # The end event is still on its way to a subscriber, so no waiter
+        # may see the job end yet.
+        with pytest.raises(IcdbError) as raised:
+            handle.wait(timeout=0.05)
+        assert raised.value.code == "TIMEOUT"
+    finally:
+        gate.set()
+    assert handle.wait(timeout=30)["state"] == "done"
+    last = handle.events()[-1]
+    assert (last.state, last.stage) == ("done", "end")
+    if surface == "loopback":
+        owner.close()
+
+
+def test_an_end_delivery_that_raises_still_releases_the_waiters(tmp_path):
+    service = _fresh_service(tmp_path)
+    handle = service.create_session().submit_component(
+        implementation="register", attributes={"size": 4}
+    )
+    handle.wait(timeout=30)
+    record = service.jobs._jobs[handle.job_id]
+    record.delivering_end = True
+
+    class Escapes(BaseException):
+        pass
+
+    def broken_subscriber(event):
+        raise Escapes
+
+    with pytest.raises(Escapes):
+        service.jobs._deliver_end(record, [broken_subscriber], handle.events()[-1].to_dict())
+    assert record.ended()
+    assert handle.wait(timeout=0.05)["state"] == "done"
+
+
 def test_failing_local_job_reraises_the_original_exception(tmp_path):
     from repro.api import JobHandle
     from repro.components.catalog import CatalogError
