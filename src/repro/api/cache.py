@@ -20,7 +20,7 @@ of one service share a single cache concurrently.
 from __future__ import annotations
 
 import copy
-from typing import Hashable, Mapping, Tuple
+from typing import TYPE_CHECKING, Hashable, Mapping, Tuple
 
 from ..constraints import (
     Constraints,
@@ -28,7 +28,9 @@ from ..constraints import (
     canonical_constraints_json,
 )
 from ..core.gencache import CountedLruCache
-from ..core.instances import ComponentInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.instances import ComponentInstance
 
 __all__ = ["DEFAULT_CONSTRAINTS", "ResultCache", "clone_instance"]
 

@@ -11,8 +11,9 @@ envelope so the legacy call paths re-raise exactly what they always did.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.icdb import IcdbError
 
@@ -109,16 +110,23 @@ class IcdbErrorInfo:
         )
 
 
+def _loaded(module: str, *names: str) -> Tuple[type, ...]:
+    """The named classes of ``module`` if something imported it, else none:
+    an exception class from a module never imported cannot have been
+    raised, and mapping an error must not load the Figure-8 flow."""
+    loaded = sys.modules.get(module)
+    return tuple(getattr(loaded, name) for name in names if hasattr(loaded, name))
+
+
 def error_from_exception(exc: BaseException) -> IcdbErrorInfo:
     """Map an engine exception onto a structured error payload."""
     from ..components.catalog import CatalogError
     from ..constraints import ConstraintError
-    from ..core.generation import GenerationError
     from ..core.instances import InstanceError
     from ..core.knowledge import KnowledgeError
     from ..core.progress import OperationCancelled
+    from ..core.tools import GenerationError
     from ..db import DatabaseError, StoreError
-    from ..sim.batch import GateSimulationError, SimulationError
 
     if isinstance(exc, OperationCancelled):
         code = E_CANCELLED
@@ -128,7 +136,7 @@ def error_from_exception(exc: BaseException) -> IcdbErrorInfo:
         code = E_NOT_FOUND
     elif isinstance(exc, GenerationError):
         code = E_GENERATION_FAILED
-    elif isinstance(exc, (SimulationError, GateSimulationError)):
+    elif isinstance(exc, _loaded("repro.sim.batch", "SimulationError", "GateSimulationError")):
         # Simulator failures (unknown inputs / nets, non-settling logic)
         # are invalid-operation answers, not malformed requests.
         code = E_INVALID

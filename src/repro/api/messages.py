@@ -54,15 +54,7 @@ from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 from ..constraints import Constraints, PortPosition
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LOGIC
-from ..netlist.structural import StructuralNetlist
-from ..sim.verify import (
-    EQUIVALENCE_MODES,
-    MAX_CYCLES,
-    MAX_EXHAUSTIVE,
-    MAX_LANES,
-    MAX_SAMPLES,
-    SIM_ENGINES,
-)
+from ..structure import StructuralNetlist
 from ..wire import Wire
 from .errors import E_BAD_REQUEST, IcdbErrorInfo
 from .query import QuerySpec
@@ -211,6 +203,11 @@ class LayoutRequest(Request):
     port_positions: Tuple[PortPosition, ...] = ()
 
 
+#: Valid ``engine`` values of a :class:`Simulate` request (and of
+#: :func:`repro.sim.verify.simulate_vectors`).
+SIM_ENGINES = ("gates", "flat")
+
+
 @dataclass(frozen=True)
 class Simulate(Request):
     """Batch-simulate test vectors on an existing instance.
@@ -218,7 +215,7 @@ class Simulate(Request):
     The server runs the named instance's bit-parallel engine
     (:mod:`repro.sim.batch`) over the vectors -- one lane per vector --
     and answers one output assignment per vector.  ``engine`` selects the
-    model (:data:`~repro.sim.verify.SIM_ENGINES`): ``"gates"`` simulates
+    model (:data:`SIM_ENGINES`): ``"gates"`` simulates
     the synthesized gate netlist, ``"flat"`` the flat IIF reference.
     Without a ``clock`` every vector is an independent experiment from
     reset; with one, the vectors are the consecutive per-cycle stimuli of
@@ -249,6 +246,20 @@ class Simulate(Request):
         )
 
 
+#: Valid ``mode`` values of a :class:`CheckEquivalence` request (and of
+#: :func:`repro.sim.verify.check_equivalence`).
+EQUIVALENCE_MODES = ("auto", "combinational", "sequential")
+
+#: Upper bounds on a :class:`CheckEquivalence` request's size fields, each
+#: at least 64x the work of its default.  The exhaustive sweep is built as
+#: one dict per vector before the first block runs (about 470 B each), so
+#: ``max_exhaustive`` bounds memory: 16 inputs take about 30 MB.
+MAX_LANES = 4096
+MAX_CYCLES = 4096
+MAX_SAMPLES = 16384
+MAX_EXHAUSTIVE = 16
+
+
 @dataclass(frozen=True)
 class CheckEquivalence(Request):
     """Check an instance's gate netlist against a flat reference.
@@ -258,13 +269,13 @@ class CheckEquivalence(Request):
     referenced instance's flat form is the specification -- the planner's
     ``require_equivalent_to`` bound and cross-implementation comparisons
     use this.  ``mode`` is one of
-    :data:`~repro.sim.verify.EQUIVALENCE_MODES`: ``"auto"`` picks the
+    :data:`EQUIVALENCE_MODES`: ``"auto"`` picks the
     sequential lock-step check when either side holds state, the
     combinational sweep otherwise.  The answer embeds the
     :class:`~repro.sim.verify.EquivalenceResult` wire form, including a
     counterexample vector on failure.  The size fields are bounded by
-    the ``MAX_*`` caps of :mod:`repro.sim.verify`, so one request cannot
-    ask the server for unbounded work or memory.
+    the ``MAX_*`` caps above, so one request cannot ask the server for
+    unbounded work or memory.
     """
 
     kind: ClassVar[str] = "check_equivalence"

@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..components.catalog import (
     ComponentCatalog,
@@ -46,7 +46,6 @@ from ..components.catalog import (
 )
 from ..constraints import Constraints
 from ..core.gencache import GenerationCache
-from ..core.generation import EmbeddedGenerator, ToolManager, default_tool_manager
 from ..core.icdb import IcdbError
 from ..core.instances import (
     ComponentInstance,
@@ -56,6 +55,7 @@ from ..core.instances import (
 )
 from ..core.knowledge import KnowledgeServer
 from ..core.progress import OperationCancelled, observed
+from ..core.tools import ToolManager, default_tool_manager
 from ..db import (
     DESIGNS,
     DESIGN_FILES,
@@ -66,9 +66,6 @@ from ..db import (
     new_database,
 )
 from ..db.store import TextPieces
-from ..layout.generator import ComponentLayout, generate_layout
-from ..netlist.cif import layout_to_cif
-from ..techlib import CellLibrary, standard_cells
 from .cache import DEFAULT_CONSTRAINTS, ResultCache, clone_instance
 from .errors import (
     E_BAD_REQUEST,
@@ -83,7 +80,6 @@ from .errors import (
 )
 from ..obs.metrics import Clock, MetricsRegistry, SYSTEM_CLOCK
 from ..obs.reqlog import RequestLog, get_logger
-from ..sim.verify import check_equivalence, simulate_vectors
 from .messages import (
     COMPONENT_DETAILS,
     FUNCTION_QUERY_WANTS,
@@ -131,6 +127,11 @@ from .query import (
     TypePredicate,
 )
 from .surface import ClassicOps
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.generation import EmbeddedGenerator
+    from ..layout.generator import ComponentLayout
+    from ..techlib import CellLibrary
 
 
 def instance_summary(
@@ -348,7 +349,7 @@ class Session(ClassicOps):
     def _component_instance(self, summary: Dict[str, Any]) -> ComponentInstance:
         return self.instances.get(str(summary["instance"]))
 
-    def _layout_answer(self, value: Dict[str, Any]) -> ComponentLayout:
+    def _layout_answer(self, value: Dict[str, Any]) -> "ComponentLayout":
         return self.instances.get(str(value["instance"])).layout
 
     def plan(self, spec: QuerySpec) -> PlanResult:
@@ -525,6 +526,9 @@ def _plan_query(service: "ComponentService", session: Session, request: PlanQuer
 
 
 def _request_layout(service: "ComponentService", session: Session, request: LayoutRequest):
+    from ..layout.generator import generate_layout
+    from ..netlist.cif import layout_to_cif
+
     name = request.name
     instance = service.instances.get(name)
     strips = request.strips
@@ -571,6 +575,8 @@ def _request_layout(service: "ComponentService", session: Session, request: Layo
 
 
 def _simulate(service: "ComponentService", session: Session, request: Simulate):
+    from ..sim.verify import simulate_vectors
+
     service.metrics.counter("sim.requests").inc()
     service.metrics.counter("sim.vectors").inc(len(request.vectors))
     instance = service.instances.get(request.name)
@@ -592,6 +598,8 @@ def _simulate(service: "ComponentService", session: Session, request: Simulate):
 def _check_equivalence(
     service: "ComponentService", session: Session, request: CheckEquivalence
 ):
+    from ..sim.verify import check_equivalence
+
     service.metrics.counter("verify.checks").inc()
     candidate = service.instances.get(request.name)
     specification = (
@@ -832,7 +840,7 @@ class ComponentService:
     def __init__(
         self,
         catalog: Optional[ComponentCatalog] = None,
-        cell_library: Optional[CellLibrary] = None,
+        cell_library: Optional["CellLibrary"] = None,
         database: Optional[Database] = None,
         store: Optional[DesignDataStore] = None,
         store_root: Optional[Union[str, Path]] = None,
@@ -884,13 +892,17 @@ class ComponentService:
         self._obs_latency = self.metrics.histogram("request.latency_ms")
         self._obs_kind_counters: Dict[str, Any] = {}
         self.catalog = catalog or standard_catalog(fresh=True)
-        self.cell_library = cell_library or standard_cells()
         self.database = database or new_database()
         self.store = store or DesignDataStore(store_root)
         self.instances = InstanceManager()
         self.tool_manager: ToolManager = default_tool_manager()
-        self.generator = EmbeddedGenerator(
-            self.cell_library, generation_cache=generation_cache
+        #: The Figure-8 generator and what it is built from: see
+        #: :attr:`generator`.
+        self._generator: Optional["EmbeddedGenerator"] = None
+        self._generator_lock = threading.Lock()
+        self._cell_library = cell_library
+        self._generation_cache = (
+            generation_cache if generation_cache is not None else GenerationCache()
         )
         self.knowledge = KnowledgeServer(
             self.catalog, self.database, self.store, self.tool_manager
@@ -947,6 +959,41 @@ class ComponentService:
             # store.journal.* / store.snapshot.* / store.recovery.* counters
             # plus the journal append/fsync latency histograms.
             durable_store.bind_metrics(self.metrics)
+
+    # -------------------------------------------------------------- generator
+
+    @property
+    def generator(self) -> "EmbeddedGenerator":
+        """ICDB's embedded Figure-8 generator, built on first use.
+
+        Building it imports the flow (:mod:`repro.core.generation` and the
+        IIF, logic, netlist, sizing, estimation and layout modules it
+        runs), so a server loads the flow with the first request that
+        generates -- directly, in a plan, a cache warm-up or a fleet
+        install -- and not at boot.  Concurrent first requests build one
+        generator: the others wait on its lock until the flow is imported.
+        Assigning replaces it (tests install slow or gated ones).
+        """
+        generator = self._generator
+        if generator is None:
+            with self._generator_lock:
+                if self._generator is None:
+                    from ..core.generation import EmbeddedGenerator
+
+                    self._generator = EmbeddedGenerator(
+                        self._cell_library, generation_cache=self._generation_cache
+                    )
+                generator = self._generator
+        return generator
+
+    @generator.setter
+    def generator(self, generator: "EmbeddedGenerator") -> None:
+        self._generator = generator
+
+    @property
+    def cell_library(self) -> "CellLibrary":
+        """The generator's standard-cell library."""
+        return self.generator.cell_library
 
     # ------------------------------------------------------------------- fleet
 
@@ -1170,7 +1217,7 @@ class ComponentService:
         """Producers of every artifact the instance persists, by kind: the
         text, or the pieces :meth:`DesignDataStore.write` streams."""
         producers: Dict[str, Callable[[], Union[str, TextPieces]]] = {
-            "flat_iif": instance.flat_milo,
+            "flat_iif": lambda: TextPieces(instance.flat_milo_chunks()),
             "vhdl": lambda: TextPieces(instance.vhdl_chunks()),
             "vhdl_head": instance.vhdl_head,
             "delay": lambda: instance.render_delay() + "\n",
@@ -1180,6 +1227,8 @@ class ComponentService:
         if instance.connection_info:
             producers["connect"] = lambda: instance.connection_info + "\n"
         if instance.layout is not None:
+            from ..netlist.cif import layout_to_cif
+
             producers["cif"] = lambda: layout_to_cif(instance.layout)
         return producers
 
@@ -1297,8 +1346,10 @@ class ComponentService:
 
     @property
     def generation_cache(self) -> GenerationCache:
-        """The generator's stage-level memo (shared by all sessions)."""
-        return self.generator.generation_cache
+        """The generator's stage-level memo (shared by all sessions); the
+        one it will be built with while no request has generated."""
+        generator = self._generator
+        return self._generation_cache if generator is None else generator.generation_cache
 
     def generation_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-stage generation cache counters plus a ``total`` aggregate.
@@ -1330,7 +1381,7 @@ class ICDB(Session):
     def __init__(
         self,
         catalog: Optional[ComponentCatalog] = None,
-        cell_library: Optional[CellLibrary] = None,
+        cell_library: Optional["CellLibrary"] = None,
         database: Optional[Database] = None,
         store: Optional[DesignDataStore] = None,
         store_root: Optional[Union[str, Path]] = None,

@@ -33,11 +33,10 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import Constraints, PortPosition
 from ..core.instances import TARGET_LOGIC
-from ..netlist.structural import StructuralNetlist
 from .messages import (
     JOB_QUEUED,
     JOB_TERMINAL_STATES,
@@ -59,6 +58,9 @@ from .messages import (
 )
 from .planner import PlanResult, tradeoff_rows, tradeoff_spec
 from .query import QuerySpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..structure import StructuralNetlist
 
 
 def _component_request(

@@ -15,16 +15,22 @@ component (Section 4.1 of the paper).  Here every implementation carries:
 :class:`ComponentCatalog` is the in-memory generic component library; the
 ICDB core stores its records in the relational database and resolves back to
 these objects for generation.
+
+A catalog holds IIF source text.  It parses a description the first time
+it is read (an expansion, a parameter list), so building and recording a
+catalog loads no part of the IIF front end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..fingerprint import stable_fingerprint
-from ..iif import Expander, FlatComponent, IifModule, parse_module
 from . import genus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..iif import FlatComponent, IifModule
 
 
 class CatalogError(KeyError):
@@ -122,12 +128,16 @@ class ComponentImplementation:
     def module(self) -> IifModule:
         """Parsed (and cached) IIF module of this implementation."""
         if self._module is None:
+            from ..iif import parse_module
+
             self._module = parse_module(self.iif_source)
         return self._module
 
     def subfunction_modules(self) -> Dict[str, IifModule]:
         """Parsed modules of the sub-functions this implementation calls."""
         if self._subfunctions is None:
+            from ..iif import parse_module
+
             modules: Dict[str, IifModule] = {}
             for source in self.subfunction_sources:
                 module = parse_module(source)
@@ -172,6 +182,8 @@ class ComponentImplementation:
         extra_library: Optional[Mapping[str, IifModule]] = None,
     ) -> FlatComponent:
         """Expand the implementation with the given parameter overrides."""
+        from ..iif import Expander
+
         library: Dict[str, IifModule] = dict(self.subfunction_modules())
         if extra_library:
             for key, module in extra_library.items():

@@ -1,118 +1,39 @@
-"""Component generation manager and tool management (Section 4.2 / 4.3).
+"""The component generation manager: ICDB's embedded generator (Section 4.3).
 
-A *component generator* is an ordered list of tool steps: step 1 produces
-delay and shape-function estimates from a design description, step 2
-generates the layout.  ICDB's embedded generator runs the full path of
-Figure 8 -- IIF expansion, MILO-like logic synthesis and technology
-mapping, transistor sizing, delay / area estimation and (on request) strip
-layout generation.  Additional generators can be registered through the
-tool manager, exactly as the paper inserts external tools via shell
-scripts.
+ICDB's embedded generator runs the full path of Figure 8 -- IIF expansion,
+MILO-like logic synthesis and technology mapping, transistor sizing,
+delay / area estimation and (on request) strip layout generation.  Its
+tool steps are registered with the tool manager of :mod:`repro.core.tools`,
+exactly as the paper inserts external tools via shell scripts.
+
+This module is the Figure-8 flow's front door: a server imports it on the
+first request that generates (see :attr:`ComponentService.generator
+<repro.api.service.ComponentService.generator>`), not at boot.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import astuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from ..components.catalog import ComponentImplementation, FunctionBinding
+from ..components.catalog import ComponentImplementation
 from ..constraints import Constraints, canonical_constraints_json
 from ..estimation.area import AreaEstimator, AreaRecord
-from ..estimation.delay import estimate_delay
 from ..estimation.shape import ShapeFunction, shape_function
-from ..iif import FlatComponent, IifModule, flat_to_milo, parse_module
+from ..iif import Expander, FlatComponent, IifModule, parse_module
 from ..layout.generator import ComponentLayout, generate_layout
 from ..logic.milo import SynthesisOptions, synthesize
 from ..netlist.gates import GateNetlist
-from ..netlist.structural import StructuralNetlist, flatten_to_gates
+from ..netlist.structural import flatten_to_gates
 from ..sizing import SizingOptions, size_for_constraints
 from ..techlib import CellLibrary, standard_cells
 from .gencache import GenerationCache
 from .instances import ComponentInstance, TARGET_LAYOUT, TARGET_LOGIC
 from .progress import checkpoint
+from .tools import EMBEDDED_GENERATOR, GenerationError  # noqa: F401 - re-exported
 
-
-class GenerationError(RuntimeError):
-    """Raised when a component cannot be generated."""
-
-
-@dataclass
-class ToolDescription:
-    """One registered tool: a named callable with a step classification."""
-
-    name: str
-    step: str  # "estimate" or "layout"
-    description: str = ""
-    runner: Optional[Callable] = None
-
-
-@dataclass
-class GeneratorDescription:
-    """A component generator: an ordered list of (step number, tool name)."""
-
-    name: str
-    input_format: str
-    steps: Tuple[Tuple[int, str], ...]
-    description: str = ""
-
-
-class ToolManager:
-    """Registry of tools and component generators (Section 4.2)."""
-
-    def __init__(self) -> None:
-        self._tools: Dict[str, ToolDescription] = {}
-        self._generators: Dict[str, GeneratorDescription] = {}
-
-    def register_tool(
-        self,
-        name: str,
-        step: str,
-        runner: Optional[Callable] = None,
-        description: str = "",
-    ) -> ToolDescription:
-        tool = ToolDescription(name=name, step=step, description=description, runner=runner)
-        self._tools[name] = tool
-        return tool
-
-    def register_generator(
-        self,
-        name: str,
-        input_format: str,
-        steps: Sequence[Tuple[int, str]],
-        description: str = "",
-    ) -> GeneratorDescription:
-        for _, tool_name in steps:
-            if tool_name not in self._tools:
-                raise GenerationError(
-                    f"generator {name!r} references unknown tool {tool_name!r}; "
-                    "a tool which does not belong to any component generator will "
-                    "never be used"
-                )
-        generator = GeneratorDescription(
-            name=name,
-            input_format=input_format,
-            steps=tuple(sorted(steps)),
-            description=description,
-        )
-        self._generators[name] = generator
-        return generator
-
-    def tools(self) -> List[ToolDescription]:
-        return list(self._tools.values())
-
-    def generators(self) -> List[GeneratorDescription]:
-        return list(self._generators.values())
-
-    def generator_for_format(self, input_format: str) -> Optional[GeneratorDescription]:
-        for generator in self._generators.values():
-            if generator.input_format == input_format:
-                return generator
-        return None
-
-    def unused_tools(self) -> List[str]:
-        """Tools not referenced by any generator (never used by ICDB)."""
-        used = {tool for gen in self._generators.values() for _, tool in gen.steps}
-        return [name for name in self._tools if name not in used]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..structure import StructuralNetlist
 
 
 def _area_record(
@@ -160,7 +81,7 @@ class EmbeddedGenerator:
     producing byte-identical artifacts.
     """
 
-    name = "icdb_embedded_generator"
+    name = EMBEDDED_GENERATOR
 
     def __init__(
         self,
@@ -444,8 +365,6 @@ class EmbeddedGenerator:
         the library is part of the expansion's meaning but has no stable
         identity to key on.
         """
-        from ..iif import Expander
-
         cache = self.generation_cache
         key = None
         if not subfunction_library:
@@ -602,30 +521,3 @@ class EmbeddedGenerator:
             constraint_violations=report.violations(constraints),
             sizing_iterations=sizing.iterations,
         )
-
-
-def default_tool_manager() -> ToolManager:
-    """Tool manager pre-loaded with the embedded generator's tool steps."""
-    manager = ToolManager()
-    manager.register_tool("iif_expander", "estimate", description="IIF macro expansion")
-    manager.register_tool("milo", "estimate", description="logic optimization and technology mapping")
-    manager.register_tool("tilos_sizer", "estimate", description="transistor sizing")
-    manager.register_tool("delay_estimator", "estimate", description="X/Y/Z path delay estimation")
-    manager.register_tool("area_estimator", "estimate", description="strip width / track estimation")
-    manager.register_tool("les_layout", "layout", description="strip layout generation")
-    manager.register_tool("cif_writer", "layout", description="CIF emission")
-    manager.register_generator(
-        EmbeddedGenerator.name,
-        input_format="iif",
-        steps=(
-            (1, "iif_expander"),
-            (1, "milo"),
-            (1, "tilos_sizer"),
-            (1, "delay_estimator"),
-            (1, "area_estimator"),
-            (2, "les_layout"),
-            (2, "cif_writer"),
-        ),
-        description="ICDB embedded component generation path (Figure 8)",
-    )
-    return manager

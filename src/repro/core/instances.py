@@ -5,29 +5,27 @@ A *component instance* is a design ICDB generated for one
 sized gate netlist, the delay report, the shape function, the connection
 information and the generated files.  Instances are kept so they can be
 queried, refined and reused instead of regenerated (Section 2.2).
+
+The manager is built at boot, before any instance exists, so this module
+names the flow's types for annotations only; the renderers are imported
+by the first render, which follows a generation.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..constraints import Constraints
-from ..estimation.area import AreaRecord
-from ..estimation.delay import DelayReport
-from ..estimation.shape import ShapeFunction
-from ..iif.flat import FlatComponent
-from ..iif.printer import flat_to_milo
-from ..layout.generator import ComponentLayout
-from ..netlist.gates import GateNetlist
-from ..netlist.vhdl import (
-    gate_netlist_architecture_body,
-    gate_netlist_vhdl_header,
-    vhdl_component_declaration,
-    vhdl_port_block,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..estimation.area import AreaRecord
+    from ..estimation.delay import DelayReport
+    from ..estimation.shape import ShapeFunction
+    from ..iif.flat import FlatComponent
+    from ..layout.generator import ComponentLayout
+    from ..netlist.gates import GateNetlist
 
 
 class InstanceError(KeyError):
@@ -161,7 +159,19 @@ class ComponentInstance:
             lambda: "\n".join(record.render() for record in self.shape.alternatives),
         )
 
+    def _body_chunks(self, kind: str, pieces: Callable[[], Iterable[str]]) -> Iterator[str]:
+        # A body under the rule of _render_body, as its pieces: the first
+        # render is handed on piece by piece and kept nowhere, a later
+        # render keeps the joined text.
+        if kind in self.render_cache:
+            yield self._render_body(kind, lambda: "".join(pieces()))
+        else:
+            self.render_cache[kind] = None
+            yield from pieces()
+
     def _vhdl_ports(self) -> str:
+        from ..netlist.vhdl import vhdl_port_block
+
         # The port-declaration block is name-independent and shared with
         # cache clones, like the architecture body.
         return self._render_body(
@@ -174,33 +184,36 @@ class ComponentInstance:
 
         The entity header always carries this instance's name.  The
         architecture body is name-independent and shared with cache
-        clones, under the rule of :meth:`_render_body`: its first render
-        is handed on gate by gate and kept nowhere, a later render keeps
-        the joined text.
+        clones: its first render is handed on gate by gate and kept
+        nowhere, a later render keeps the joined text.
         """
+        from ..netlist.vhdl import gate_netlist_architecture_body, gate_netlist_vhdl_header
+
         yield gate_netlist_vhdl_header(
             self.netlist, name=self.name, ports=self._vhdl_ports()
         )
-        if "vhdl_body" in self.render_cache:
-            yield self._render_body(
-                "vhdl_body",
-                lambda: "".join(gate_netlist_architecture_body(self.netlist)),
-            )
-        else:
-            self.render_cache["vhdl_body"] = None
-            yield from gate_netlist_architecture_body(self.netlist)
+        yield from self._body_chunks(
+            "vhdl_body", lambda: gate_netlist_architecture_body(self.netlist)
+        )
 
     def vhdl_netlist(self) -> str:
         return "".join(self.vhdl_chunks())
 
+    def flat_milo_chunks(self) -> Iterator[str]:
+        """The flat IIF in MILO form in pieces, headed by this instance's
+        name; the body is shared with cache clones like the VHDL body."""
+        from ..iif.printer import flat_milo_body
+
+        yield f"NAME={self.name};\n"
+        yield from self._body_chunks("flat_iif_body", lambda: flat_milo_body(self.flat))
+
     def flat_milo(self) -> str:
         """The flat IIF in MILO form, headed by this instance's name."""
-        body = self._render_body(
-            "flat_iif_body", lambda: flat_to_milo(self.flat).split("\n", 1)[1]
-        )
-        return f"NAME={self.name};\n{body}"
+        return "".join(self.flat_milo_chunks())
 
     def vhdl_head(self) -> str:
+        from ..netlist.vhdl import vhdl_component_declaration, vhdl_port_block
+
         # Same sharing trick, but over the flat component's port lists
         # (their ordering can differ from the mapped netlist's).
         ports = self._render_body(

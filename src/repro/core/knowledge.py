@@ -27,8 +27,7 @@ from ..db import (
     Database,
     DesignDataStore,
 )
-from ..iif import parse_module
-from .generation import GeneratorDescription, ToolDescription, ToolManager
+from .tools import GeneratorDescription, ToolDescription, ToolManager
 
 
 class KnowledgeError(ValueError):
@@ -105,6 +104,8 @@ class KnowledgeServer:
         subfunction_sources: Sequence[str] = (),
     ) -> ComponentImplementation:
         """Insert a new parameterized component implementation from IIF text."""
+        from ..iif import parse_module
+
         module = parse_module(iif_source)
         implementation_name = name or module.name.lower()
         if implementation_name in self.catalog:

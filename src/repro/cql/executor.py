@@ -62,7 +62,7 @@ from ..constraints import (
     parse_port_positions,
 )
 from ..core.instances import TARGET_LAYOUT, TARGET_LOGIC
-from ..netlist.structural import StructuralNetlist
+from ..structure import StructuralNetlist
 from .parser import CqlCommand, CqlTerm, VariableSlot, parse_command
 
 
@@ -226,15 +226,27 @@ class CqlExecutor:
         result = self.server.execute(
             ComponentQuery(
                 component=str(component) if component else None,
-                implementation=str(implementation) if implementation else None,
                 functions=tuple(functions),
                 attributes=attributes or None,
             )
         ).unwrap()
-        # The answer lists functions (a query by name) or implementations
-        # and components (a filter); a slot it does not list reads [].
+        if implementation:
+            # Without a function slot a name is one more filter term.
+            result = self._named(str(implementation), result)
         answer = {"implementation": [], "component": [], "function": [], **result}
         return _project(command, answer, "component_query") or result
+
+    def _named(self, name: str, result: Dict[str, List[str]]) -> Dict[str, List[str]]:
+        """A component query's answer kept to the implementation ``name``."""
+        kept = [impl for impl in result["implementation"] if impl.lower() == name.lower()]
+        if not kept:
+            return {"implementation": [], "component": []}
+        # A component term matches a component type or an implementation's
+        # own name; of the types it lists for the name, the one not spelled
+        # like the name (if any) is the implementation's own.
+        types = self.server.execute(ComponentQuery(component=kept[0])).unwrap()["component"]
+        own = [kind for kind in types if kind.lower() != name.lower()] or types
+        return {"implementation": kept, "component": own}
 
     def _cmd_function_query(self, command: CqlCommand, values: Dict[str, Any]) -> Dict[str, Any]:
         functions = _as_list(values.get("function"))

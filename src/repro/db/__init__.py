@@ -1,40 +1,22 @@
 """Relational engine, ICDB schema and design-data file store."""
 
-from .engine import Column, Database, DatabaseError, Table
-from .schema import (
-    COMPONENT_TYPES,
-    DESIGNS,
-    DESIGN_FILES,
-    DESIGN_INSTANCES,
-    FUNCTIONS,
-    GENERATORS,
-    IMPLEMENTATIONS,
-    IMPLEMENTATION_FUNCTIONS,
-    INSTANCES,
-    TOOLS,
-    create_schema,
-    new_database,
-)
-from .store import ARTIFACT_EXTENSIONS, DesignDataStore, StoreError
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_EXTENSIONS",
-    "COMPONENT_TYPES",
-    "Column",
-    "DESIGNS",
-    "DESIGN_FILES",
-    "DESIGN_INSTANCES",
-    "Database",
-    "DatabaseError",
-    "DesignDataStore",
-    "FUNCTIONS",
-    "GENERATORS",
-    "IMPLEMENTATIONS",
-    "IMPLEMENTATION_FUNCTIONS",
-    "INSTANCES",
-    "StoreError",
-    "TOOLS",
-    "Table",
-    "create_schema",
-    "new_database",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".engine": ("Column", "Database", "DatabaseError", "Table"),
+    ".schema": (
+        "COMPONENT_TYPES",
+        "DESIGNS",
+        "DESIGN_FILES",
+        "DESIGN_INSTANCES",
+        "FUNCTIONS",
+        "GENERATORS",
+        "IMPLEMENTATIONS",
+        "IMPLEMENTATION_FUNCTIONS",
+        "INSTANCES",
+        "TOOLS",
+        "create_schema",
+        "new_database",
+    ),
+    ".store": ("ARTIFACT_EXTENSIONS", "DesignDataStore", "StoreError"),
+})

@@ -1,19 +1,15 @@
 """Delay, area and shape-function estimators (Section 4.4 of the paper)."""
 
-from .area import AreaEstimator, AreaRecord, estimate_area, render_area_records, track_utilization
-from .delay import DelayAnalysis, DelayReport, estimate_delay
-from .shape import ShapeFunction, pareto_filter, shape_function
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AreaEstimator",
-    "AreaRecord",
-    "DelayAnalysis",
-    "DelayReport",
-    "ShapeFunction",
-    "estimate_area",
-    "estimate_delay",
-    "pareto_filter",
-    "render_area_records",
-    "shape_function",
-    "track_utilization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".area": (
+        "AreaEstimator",
+        "AreaRecord",
+        "estimate_area",
+        "render_area_records",
+        "track_utilization",
+    ),
+    ".delay": ("DelayAnalysis", "DelayReport", "estimate_delay"),
+    ".shape": ("ShapeFunction", "pareto_filter", "shape_function"),
+})

@@ -24,11 +24,13 @@ between a server and the worker children it spawned itself
 from __future__ import annotations
 
 import pickle
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..components.catalog import ComponentImplementation
 from ..constraints import Constraints
-from ..core.generation import EmbeddedGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.generation import EmbeddedGenerator
 
 __all__ = ["BUNDLE_STAGES", "compute_bundle", "install_bundle"]
 

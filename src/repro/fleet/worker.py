@@ -16,7 +16,6 @@ import signal
 import sys
 
 from ..components.catalog import standard_catalog
-from ..core.generation import EmbeddedGenerator
 from .bundle import compute_bundle
 
 #: The first object a child writes: its catalog and generator are built.
@@ -24,6 +23,9 @@ READY = "icdb-fleet-ready"
 
 
 def main() -> int:
+    # Imported here, so a server can read READY without loading the flow.
+    from ..core.generation import EmbeddedGenerator
+
     # The server decides when a child stops: by closing its stdin.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     tasks, answers = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")

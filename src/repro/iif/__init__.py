@@ -8,68 +8,42 @@ Public surface::
     flat = Expander().expand(module, {"size": 4, "type": 2, ...})
 """
 
-from .ast import (
-    Assign,
-    Binary,
-    Block,
-    CLine,
-    CallExpr,
-    DeclItem,
-    For,
-    If,
-    IifModule,
-    IifSyntaxError,
-    Name,
-    Num,
-    SubCall,
-    Unary,
-)
-from .expander import Expander, IifExpansionError, expand_module
-from .flat import (
-    AsyncTerm,
-    CombAssign,
-    FlatComponent,
-    FlatIifError,
-    SeqAssign,
-    bus_signals,
-    expand_signal,
-)
-from .lexer import Token, tokenize
-from .parser import parse_expression, parse_module, parse_modules
-from .printer import assign_to_text, expr_to_text, flat_to_milo, module_to_iif
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "AsyncTerm",
-    "Binary",
-    "Block",
-    "CLine",
-    "CallExpr",
-    "CombAssign",
-    "DeclItem",
-    "Expander",
-    "FlatComponent",
-    "FlatIifError",
-    "For",
-    "If",
-    "IifExpansionError",
-    "IifModule",
-    "IifSyntaxError",
-    "Name",
-    "Num",
-    "SeqAssign",
-    "SubCall",
-    "Token",
-    "Unary",
-    "assign_to_text",
-    "bus_signals",
-    "expand_module",
-    "expand_signal",
-    "expr_to_text",
-    "flat_to_milo",
-    "module_to_iif",
-    "parse_expression",
-    "parse_module",
-    "parse_modules",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".ast": (
+        "Assign",
+        "Binary",
+        "Block",
+        "CLine",
+        "CallExpr",
+        "DeclItem",
+        "For",
+        "If",
+        "IifModule",
+        "IifSyntaxError",
+        "Name",
+        "Num",
+        "SubCall",
+        "Unary",
+    ),
+    ".expander": ("Expander", "IifExpansionError", "expand_module"),
+    ".flat": (
+        "AsyncTerm",
+        "CombAssign",
+        "FlatComponent",
+        "FlatIifError",
+        "SeqAssign",
+        "bus_signals",
+        "expand_signal",
+    ),
+    ".lexer": ("Token", "tokenize"),
+    ".parser": ("parse_expression", "parse_module", "parse_modules"),
+    ".printer": (
+        "assign_to_text",
+        "expr_to_text",
+        "flat_milo_body",
+        "flat_to_milo",
+        "module_to_iif",
+    ),
+})

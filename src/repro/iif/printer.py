@@ -12,7 +12,7 @@ Two forms are produced:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 from ..logic import expr as E
 from .ast import (
@@ -148,12 +148,17 @@ def _maybe_paren(node: Node) -> str:
 
 def flat_to_milo(component: FlatComponent) -> str:
     """Render a flat component in the MILO-style non-parameterized form."""
-    lines = [f"NAME={component.name};"]
-    lines.append("INORDER= " + " ".join(component.inputs) + ";")
-    lines.append("OUTORDER= " + " ".join(component.outputs) + ";")
+    return f"NAME={component.name};\n" + "".join(flat_milo_body(component))
+
+
+def flat_milo_body(component: FlatComponent) -> Iterator[str]:
+    """The lines of :func:`flat_to_milo` after its ``NAME=`` line, one at a
+    time, so a file can take the text without anyone holding all of it.
+    The body never mentions the component's name."""
+    yield "INORDER= " + " ".join(component.inputs) + ";\n"
+    yield "OUTORDER= " + " ".join(component.outputs) + ";\n"
     for assign in component.assigns:
-        lines.append(assign_to_text(assign))
-    return "\n".join(lines) + "\n"
+        yield assign_to_text(assign) + "\n"
 
 
 def assign_to_text(assign) -> str:

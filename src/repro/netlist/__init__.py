@@ -1,44 +1,24 @@
 """Gate-level netlist data structures, analysis and emitters."""
 
-from .cif import floorplan_to_cif, layout_to_cif, parse_cif_boxes
-from .gates import GateInstance, GateNetlist, NetInfo, NetlistError
-from .graph import (
-    combinational_order,
-    driver_of,
-    fanout_counts,
-    logic_depth,
-    transitive_fanin,
-    transitive_fanout,
-)
-from .structural import ComponentRef, StructuralNetlist, flatten_to_gates
-from .vhdl import (
-    gate_netlist_architecture_body,
-    gate_netlist_to_vhdl,
-    structural_vhdl,
-    vhdl_component_declaration,
-    vhdl_entity,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ComponentRef",
-    "GateInstance",
-    "GateNetlist",
-    "NetInfo",
-    "NetlistError",
-    "StructuralNetlist",
-    "combinational_order",
-    "driver_of",
-    "fanout_counts",
-    "flatten_to_gates",
-    "floorplan_to_cif",
-    "gate_netlist_architecture_body",
-    "gate_netlist_to_vhdl",
-    "layout_to_cif",
-    "logic_depth",
-    "parse_cif_boxes",
-    "structural_vhdl",
-    "transitive_fanin",
-    "transitive_fanout",
-    "vhdl_component_declaration",
-    "vhdl_entity",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".cif": ("floorplan_to_cif", "layout_to_cif", "parse_cif_boxes"),
+    ".gates": ("GateInstance", "GateNetlist", "NetInfo", "NetlistError"),
+    ".graph": (
+        "combinational_order",
+        "driver_of",
+        "fanout_counts",
+        "logic_depth",
+        "transitive_fanin",
+        "transitive_fanout",
+    ),
+    ".structural": ("ComponentRef", "StructuralNetlist", "flatten_to_gates"),
+    ".vhdl": (
+        "gate_netlist_architecture_body",
+        "gate_netlist_to_vhdl",
+        "structural_vhdl",
+        "vhdl_component_declaration",
+        "vhdl_entity",
+    ),
+})

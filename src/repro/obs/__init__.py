@@ -25,34 +25,21 @@ CQL, and ``--metrics-interval`` / ``--metrics-path`` snapshot files on
 ``python -m repro.net.server``.  See ``docs/observability.md``.
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BOUNDS_MS,
-    SNAPSHOT_VERSION,
-    Clock,
-    Counter,
-    Gauge,
-    Histogram,
-    ManualClock,
-    MetricsExporter,
-    MetricsRegistry,
-    SYSTEM_CLOCK,
-    validate_snapshot,
-)
-from .reqlog import RequestLog, StructuredLogger, get_logger
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "Counter",
-    "DEFAULT_LATENCY_BOUNDS_MS",
-    "Gauge",
-    "Histogram",
-    "ManualClock",
-    "MetricsExporter",
-    "MetricsRegistry",
-    "RequestLog",
-    "SNAPSHOT_VERSION",
-    "SYSTEM_CLOCK",
-    "StructuredLogger",
-    "get_logger",
-    "validate_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".metrics": (
+        "DEFAULT_LATENCY_BOUNDS_MS",
+        "SNAPSHOT_VERSION",
+        "Clock",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "ManualClock",
+        "MetricsExporter",
+        "MetricsRegistry",
+        "SYSTEM_CLOCK",
+        "validate_snapshot",
+    ),
+    ".reqlog": ("RequestLog", "StructuredLogger", "get_logger"),
+})

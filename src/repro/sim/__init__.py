@@ -10,46 +10,29 @@ equivalence checks and vector simulation on top.
 See ``docs/sim.md``.
 """
 
-from .batch import (
-    BatchFlatSimulator,
-    BatchGateSimulator,
-    GateSimulationError,
-    SimulationError,
-    batch_evaluate,
-    pack_vectors,
-    read_bus,
-    unpack_lane,
-    unpack_lanes,
-)
-from .verify import (
-    EQUIVALENCE_MODES,
-    SIM_ENGINES,
-    EquivalenceResult,
-    VerificationError,
-    bus_assignment,
-    check_combinational_equivalence_batch,
-    check_equivalence,
-    check_sequential_equivalence_batch,
-    simulate_vectors,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "BatchFlatSimulator",
-    "BatchGateSimulator",
-    "EQUIVALENCE_MODES",
-    "EquivalenceResult",
-    "GateSimulationError",
-    "SIM_ENGINES",
-    "SimulationError",
-    "VerificationError",
-    "batch_evaluate",
-    "bus_assignment",
-    "check_combinational_equivalence_batch",
-    "check_equivalence",
-    "check_sequential_equivalence_batch",
-    "pack_vectors",
-    "read_bus",
-    "simulate_vectors",
-    "unpack_lane",
-    "unpack_lanes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".batch": (
+        "BatchFlatSimulator",
+        "BatchGateSimulator",
+        "GateSimulationError",
+        "SimulationError",
+        "batch_evaluate",
+        "pack_vectors",
+        "read_bus",
+        "unpack_lane",
+        "unpack_lanes",
+    ),
+    ".verify": (
+        "EQUIVALENCE_MODES",
+        "SIM_ENGINES",
+        "EquivalenceResult",
+        "VerificationError",
+        "bus_assignment",
+        "check_combinational_equivalence_batch",
+        "check_equivalence",
+        "check_sequential_equivalence_batch",
+        "simulate_vectors",
+    ),
+})

@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..api.messages import EQUIVALENCE_MODES, SIM_ENGINES
 from ..core.progress import checkpoint
 from ..iif.flat import FlatComponent
 from ..netlist.gates import GateNetlist
@@ -68,26 +69,9 @@ class VerificationError(ValueError):
     mismatched ports, missing clock)."""
 
 
-#: Valid ``mode`` values of :func:`check_equivalence` (and the
-#: ``check_equivalence`` request).
-EQUIVALENCE_MODES = ("auto", "combinational", "sequential")
-
-#: Valid ``engine`` values of :func:`simulate_vectors` (and the
-#: ``simulate`` request).
-SIM_ENGINES = ("gates", "flat")
-
 #: Vectors per lane block: bounds both the big-integer width and the
 #: spacing of cancellation checkpoints.
 DEFAULT_BLOCK_LANES = 256
-
-#: Upper bounds on a ``check_equivalence`` request's size fields, each at
-#: least 64x the work of its default.  The exhaustive sweep is built as
-#: one dict per vector before the first block runs (about 470 B each),
-#: so ``max_exhaustive`` bounds memory: 16 inputs take about 30 MB.
-MAX_LANES = 4096
-MAX_CYCLES = 4096
-MAX_SAMPLES = 16384
-MAX_EXHAUSTIVE = 16
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Transistor sizing tool (TILOS-like greedy critical-path sizing)."""
 
-from .tilos import SizingOptions, SizingResult, size_for_constraints
+from ..lazy import lazy_exports
 
-__all__ = ["SizingOptions", "SizingResult", "size_for_constraints"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".tilos": ("SizingOptions", "SizingResult", "size_for_constraints"),
+})

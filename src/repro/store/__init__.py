@@ -12,62 +12,37 @@ See ``docs/durability.md``; the operational CLI is
 ``python -m repro.store {inspect,verify,compact,restore}``.
 """
 
-from .durable import (
-    DEFAULT_SNAPSHOT_INTERVAL,
-    DurableStore,
-    RecoveryReport,
-    StoreError,
-    journal_dir,
-    recover_database,
-    snapshot_dir,
-)
-from .events import ALL_OPS, EventError, apply_event
-from .journal import (
-    DEFAULT_FSYNC_INTERVAL,
-    DEFAULT_SEGMENT_MAX_BYTES,
-    FSYNC_POLICIES,
-    JournalCorruptError,
-    JournalError,
-    JournalWriter,
-    encode_record,
-    decode_record,
-    list_segments,
-    scan_segment,
-    segment_path,
-)
-from .snapshot import (
-    SnapshotError,
-    latest_snapshot,
-    list_snapshots,
-    load_snapshot,
-    write_snapshot,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ALL_OPS",
-    "DEFAULT_FSYNC_INTERVAL",
-    "DEFAULT_SEGMENT_MAX_BYTES",
-    "DEFAULT_SNAPSHOT_INTERVAL",
-    "DurableStore",
-    "EventError",
-    "FSYNC_POLICIES",
-    "JournalCorruptError",
-    "JournalError",
-    "JournalWriter",
-    "RecoveryReport",
-    "SnapshotError",
-    "StoreError",
-    "apply_event",
-    "decode_record",
-    "encode_record",
-    "journal_dir",
-    "latest_snapshot",
-    "list_segments",
-    "list_snapshots",
-    "load_snapshot",
-    "recover_database",
-    "scan_segment",
-    "segment_path",
-    "snapshot_dir",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".durable": (
+        "DEFAULT_SNAPSHOT_INTERVAL",
+        "DurableStore",
+        "RecoveryReport",
+        "StoreError",
+        "journal_dir",
+        "recover_database",
+        "snapshot_dir",
+    ),
+    ".events": ("ALL_OPS", "EventError", "apply_event"),
+    ".journal": (
+        "DEFAULT_FSYNC_INTERVAL",
+        "DEFAULT_SEGMENT_MAX_BYTES",
+        "FSYNC_POLICIES",
+        "JournalCorruptError",
+        "JournalError",
+        "JournalWriter",
+        "encode_record",
+        "decode_record",
+        "list_segments",
+        "scan_segment",
+        "segment_path",
+    ),
+    ".snapshot": (
+        "SnapshotError",
+        "latest_snapshot",
+        "list_snapshots",
+        "load_snapshot",
+        "write_snapshot",
+    ),
+})

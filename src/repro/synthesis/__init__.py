@@ -1,48 +1,32 @@
 """Behavioral-synthesis client demonstrating ICDB's role (Figure 1)."""
 
-from .allocation import Allocation, AllocationError, FunctionalUnit, allocate, storage_requirements
-from .datapath import (
-    Datapath,
-    DatapathError,
-    IcdbClient,
-    SimpleComputer,
-    build_datapath,
-    build_simple_computer,
-    control_logic_iif,
-    generate_control_logic,
-)
-from .dfg import DataFlowGraph, DfgError, Operation, expression_dfg
-from .scheduling import (
-    Schedule,
-    ScheduledOperation,
-    SchedulingError,
-    choose_clock_width,
-    function_delay_table,
-    schedule_asap,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "AllocationError",
-    "DataFlowGraph",
-    "Datapath",
-    "DatapathError",
-    "DfgError",
-    "FunctionalUnit",
-    "IcdbClient",
-    "Operation",
-    "Schedule",
-    "ScheduledOperation",
-    "SchedulingError",
-    "SimpleComputer",
-    "allocate",
-    "build_datapath",
-    "build_simple_computer",
-    "choose_clock_width",
-    "control_logic_iif",
-    "expression_dfg",
-    "function_delay_table",
-    "generate_control_logic",
-    "schedule_asap",
-    "storage_requirements",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".allocation": (
+        "Allocation",
+        "AllocationError",
+        "FunctionalUnit",
+        "allocate",
+        "storage_requirements",
+    ),
+    ".datapath": (
+        "Datapath",
+        "DatapathError",
+        "IcdbClient",
+        "SimpleComputer",
+        "build_datapath",
+        "build_simple_computer",
+        "control_logic_iif",
+        "generate_control_logic",
+    ),
+    ".dfg": ("DataFlowGraph", "DfgError", "Operation", "expression_dfg"),
+    ".scheduling": (
+        "Schedule",
+        "ScheduledOperation",
+        "SchedulingError",
+        "choose_clock_width",
+        "function_delay_table",
+        "schedule_asap",
+    ),
+})

@@ -26,8 +26,8 @@ from ..api.service import Session
 from ..constraints import Constraints
 from ..core.instances import ComponentInstance
 from ..estimation.shape import ShapeFunction
-from ..layout.floorplan import Block, FloorplanResult, floorplan, row, stack
-from ..netlist.structural import StructuralNetlist
+from ..layout.slicing import Block, FloorplanResult, floorplan, row, stack
+from ..structure import StructuralNetlist
 from .allocation import Allocation, storage_requirements
 from .dfg import DataFlowGraph
 from .scheduling import Schedule

@@ -104,6 +104,43 @@ def test_executor_component_and_function_queries(icdb):
         executor.execute_text("command: function_query; implementation: ?s[]")
 
 
+@pytest.mark.parametrize(
+    "terms, answer",
+    [
+        ("implementation: counter; implementation: ?s[]", {"implementation": ["counter"]}),
+        ("implementation: counter; component: ?s[]", {"component": ["Counter"]}),
+        (
+            "implementation: COUNTER; implementation: ?s[]; component: ?s[]",
+            {"implementation": ["counter"], "component": ["Counter"]},
+        ),
+        # A name that is no type's: its own type is the one listed.
+        ("implementation: incrementer; component: ?s[]", {"component": ["Counter"]}),
+        (
+            "implementation: no_such_impl; implementation: ?s[]; component: ?s[]",
+            {"implementation": [], "component": []},
+        ),
+        # The name narrows the other filter terms and is narrowed by them.
+        ("component: Counter; implementation: counter; implementation: ?s[]",
+         {"implementation": ["counter"]}),
+        ("component: Register; implementation: counter; implementation: ?s[]",
+         {"implementation": []}),
+        ("implementation: counter; function: (ADD); implementation: ?s[]",
+         {"implementation": []}),
+    ],
+)
+def test_component_query_without_a_function_slot_filters_by_name(icdb, terms, answer):
+    executor = CqlExecutor(icdb)
+    assert executor.execute_text(f"command: component_query; {terms}") == answer
+
+
+def test_component_query_with_a_function_slot_answers_the_names_functions(icdb):
+    executor = CqlExecutor(icdb)
+    result = executor.execute_text(
+        "command: component_query; implementation: counter; function: ?s[]"
+    )
+    assert result == {"function": icdb.functions_of("counter")}
+
+
 def test_executor_request_and_instance_query(icdb):
     executor = CqlExecutor(icdb)
     result = executor.execute_text(

@@ -12,8 +12,10 @@ a node's support is a sorted tuple it shares with a child that covers
 it, and its intern entry is keyed by an object it already holds.
 
 They also pin what the server process does not hold at all: OpenSSL
-(no module it imports loads ``_hashlib``), and a second in-memory copy
-of the artifact text a generated instance has already written to disk.
+(no module it imports loads ``_hashlib``), the Figure-8 flow before a
+request needs it (a booted server that has answered queries, pings and
+errors has imported no flow module), and a second in-memory copy of the
+artifact text a generated instance has already written to disk.
 
 And what a cold request does not build: the Figure-8 flow derives its
 connectivity per pass without ``GateNetlist.nets()`` tables, designs
@@ -41,11 +43,12 @@ from repro.api import ComponentService
 from repro.api.messages import ComponentRequest
 from repro.components import standard_catalog
 from repro.constraints import Constraints
-from repro.core import instances
 from repro.fingerprint import stable_fingerprint
+from repro.iif import printer
 from repro.iif.flat import AsyncTerm, CombAssign, SeqAssign
 from repro.iif.printer import flat_to_milo
 from repro.logic import expr as E
+from repro.netlist import vhdl
 from repro.netlist.gates import GateNetlist
 from repro.netlist.vhdl import gate_netlist_to_vhdl
 
@@ -367,32 +370,58 @@ def test_shared_names_forget_what_nothing_holds(tmp_path):
 # What the server process does not hold
 # ---------------------------------------------------------------------------
 
-#: Boots the server module, then serves one cold request_component through
-#: a FrameDispatcher (hello mints a session token) on a durable store.
+#: The Figure-8 flow: no request before the first generation runs it, so
+#: a booted server has not imported it.
+FLOW_PACKAGES = (
+    "repro.iif",
+    "repro.logic",
+    "repro.netlist",
+    "repro.sizing",
+    "repro.estimation",
+    "repro.layout",
+    "repro.sim",
+    "repro.core.generation",
+)
+
+#: Boots the server module, then serves what needs no generation through a
+#: FrameDispatcher on a durable store (hello mints a session token, a ping,
+#: a component query, one error answer), then one cold request_component.
 _BOOT_PROBE = """
 import json
 import sys
 
 import repro.net.server
 
-boot_modules = [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
+def loaded():
+    return [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
+
+boot_modules = loaded()
 
 from repro.api import PROTOCOL_VERSION, ComponentService
-from repro.api.messages import ComponentRequest
+from repro.api.messages import ComponentQuery, ComponentRequest, InstanceQuery, Ping
 from repro.store import DurableStore
 
 durable = DurableStore(sys.argv[1] + "/data")
 service = ComponentService(store_root=sys.argv[1] + "/files", durable_store=durable)
 dispatcher = repro.net.server.FrameDispatcher(service, client_label="probe")
 welcome = dispatcher.dispatch({"type": "hello", "protocol": PROTOCOL_VERSION})
-request = ComponentRequest(implementation="counter", attributes={"size": 4})
-reply = dispatcher.dispatch({"type": "request", "request": request.to_dict()})
+
+def send(request):
+    return dispatcher.dispatch({"type": "request", "request": request.to_dict()})["response"]
+
+answers = [send(Ping()), send(ComponentQuery(component="Counter"))]
+error = send(InstanceQuery(name="no_such_instance"))
+lean_modules = loaded()
+reply = send(ComponentRequest(implementation="counter", attributes={"size": 4}))
 dispatcher.close()
 durable.close()
 print(json.dumps({
     "welcome": welcome["type"],
-    "cached": reply["response"]["value"]["cached"],
+    "lean_ok": [answer["ok"] for answer in answers],
+    "error": error["error"]["code"],
+    "cached": reply["value"]["cached"],
     "boot_modules": len(boot_modules),
+    "lean_modules": lean_modules,
     "loaded": [m for m in ("_hashlib", "hashlib", "hmac", "ssl") if m in sys.modules],
 }))
 """
@@ -409,9 +438,17 @@ def test_booted_server_loads_no_openssl_and_no_extra_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert (result["welcome"], result["cached"]) == ("welcome", False)
+    assert (result["welcome"], result["lean_ok"], result["error"]) == (
+        "welcome", [True, True], "NOT_FOUND"
+    )
+    flow = [
+        m for m in result["lean_modules"]
+        if any(m == p or m.startswith(p + ".") for p in FLOW_PACKAGES)
+    ]
+    assert flow == []
+    assert result["cached"] is False
     assert result["loaded"] == []
-    assert result["boot_modules"] <= 74
+    assert result["boot_modules"] <= 39
 
 
 @pytest.mark.parametrize(
@@ -462,16 +499,22 @@ def test_lazy_clone_materializes_the_bytes_of_a_fresh_render(tmp_path):
 
 @pytest.fixture
 def body_renders(monkeypatch):
-    """Names of the body producers ``ComponentInstance`` calls, in order."""
+    """Names of the body producers ``ComponentInstance`` calls, in order
+    (patched in their own modules: an instance imports its renderers when
+    it renders)."""
     calls = []
-    for producer in ("gate_netlist_architecture_body", "vhdl_port_block", "flat_to_milo"):
-        original = getattr(instances, producer)
+    for module, producer in (
+        (vhdl, "gate_netlist_architecture_body"),
+        (vhdl, "vhdl_port_block"),
+        (printer, "flat_milo_body"),
+    ):
+        original = getattr(module, producer)
 
         def counted(*args, _original=original, _producer=producer):
             calls.append(_producer)
             return _original(*args)
 
-        monkeypatch.setattr(instances, producer, counted)
+        monkeypatch.setattr(module, producer, counted)
     return calls
 
 

@@ -9,6 +9,7 @@ mid-request disconnects, handshake violations and graceful shutdown.
 
 from __future__ import annotations
 
+import importlib
 import re
 import signal
 import socket
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -630,15 +632,19 @@ def test_server_import_loads_no_client_side_subsystem():
 
 
 def test_lazy_package_exports_resolve():
+    # Every package re-exports lazily; a star import resolves each name in
+    # its __all__, the submodules it lists (repro.logic's expr) included.
     import repro
-    import repro.cql
-    import repro.fleet
-    import repro.net
 
-    for package in (repro, repro.cql, repro.fleet, repro.net):
-        for name in package.__all__:
-            assert getattr(package, name) is not None, (package.__name__, name)
-        assert set(package.__all__) <= set(dir(package))
+    root = Path(repro.__file__).parent
+    for init in sorted(root.rglob("__init__.py")):
+        name = ".".join(("repro", *init.parent.relative_to(root).parts))
+        package = importlib.import_module(name)
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        for export in package.__all__:
+            assert namespace[export] is not None, (name, export)
+        assert set(package.__all__) <= set(dir(package)), name
 
 
 def test_cli_server_stops_cleanly_on_sigint_right_after_banner(tmp_path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import Constraints
-from repro.layout.floorplan import Block, Shape
+from repro.layout.slicing import Block, Shape
 from repro.synthesis import (
     AllocationError,
     DataFlowGraph,
