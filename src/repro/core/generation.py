@@ -121,40 +121,61 @@ class EmbeddedGenerator:
     def _constraints_signature(constraints: Constraints) -> str:
         return canonical_constraints_json(constraints)
 
-    def stage_keys(
+    def expand_key(
         self,
         implementation: ComponentImplementation,
         parameters: Optional[Mapping[str, int]],
-        constraints: Constraints,
-    ) -> Tuple[Tuple, Tuple, Tuple]:
-        """The (expand, synth, flow) memo keys of one catalog generation.
+    ) -> Tuple:
+        """The expand memo key of one catalog elaboration.
 
-        This is the contract the fleet rides on: a worker process with the
-        same catalog and cell library computes byte-identical keys (every
-        component is content-derived -- fingerprints, resolved parameter
-        values, canonical constraints JSON, re-interned expressions), so
-        stage entries it ships install under exactly the keys the server's
-        own :meth:`run_flow` will look up.  Computing the synth key
-        requires the expansion, which is memoized; repeat calls are cheap.
+        It uses the *resolved* values (defaults applied), so requests
+        spelling the same elaboration differently share one entry.
         """
         values = implementation.resolve_parameters(parameters)
-        expand_key = (
+        return (
             "impl",
             implementation.name,
             implementation.fingerprint(),
             tuple(sorted(values.items())),
         )
-        flat = self._expand_implementation(
-            implementation, parameters, implementation.name
-        )
-        synth_key = (flat.signature(), self._synthesis_signature())
-        flow_key = (
-            synth_key,
+
+    def _flow_key(
+        self, flat: FlatComponent, constraints: Constraints, cache_context: Hashable
+    ) -> Tuple:
+        """The flows memo key; its first item is the synth memo key."""
+        return (
+            (flat.signature(), self._synthesis_signature()),
             self._constraints_signature(constraints),
             self._sizing_signature(),
-            (implementation.name, implementation.component_type),
+            cache_context,
         )
-        return expand_key, synth_key, flow_key
+
+    def stage_keys(
+        self,
+        implementation: ComponentImplementation,
+        parameters: Optional[Mapping[str, int]],
+        constraints: Constraints,
+        flat: Optional[FlatComponent] = None,
+    ) -> Tuple[Tuple, Tuple, Tuple]:
+        """The (expand, synth, flow) memo keys of one catalog generation.
+
+        Every component is content-derived (fingerprints, resolved
+        parameter values, canonical constraints JSON, re-interned
+        expressions), so any process with the same catalog and cell
+        library computes equal keys.  The synth and flow keys are built
+        over ``flat``, the elaboration's expand entry; without one the
+        memoized expansion is used (repeat calls are cheap).  A fleet
+        install passes the server's own entry, so the keys it stores
+        hold that entry's assignment records.
+        """
+        if flat is None:
+            flat = self._expand_implementation(
+                implementation, parameters, implementation.name
+            )
+        flow_key = self._flow_key(
+            flat, constraints, (implementation.name, implementation.component_type)
+        )
+        return self.expand_key(implementation, parameters), flow_key[0], flow_key
 
     def prewarm_signature(
         self,
@@ -170,12 +191,9 @@ class EmbeddedGenerator:
         and coalescing maps on this, so routing work to a worker never
         costs the server a full expansion of its own.
         """
-        values = implementation.resolve_parameters(parameters)
         return (
             "prewarm",
-            implementation.name,
-            implementation.fingerprint(),
-            tuple(sorted(values.items())),
+            *self.expand_key(implementation, parameters)[1:],
             self._constraints_signature(constraints),
             self._sizing_signature(),
             self._synthesis_signature(),
@@ -239,13 +257,8 @@ class EmbeddedGenerator:
         """
         cache = self.generation_cache
         checkpoint("synthesize", 0.10)
-        synth_key = (flat.signature(), self._synthesis_signature())
-        flow_key = (
-            synth_key,
-            self._constraints_signature(constraints),
-            self._sizing_signature(),
-            cache_context,
-        )
+        flow_key = self._flow_key(flat, constraints, cache_context)
+        synth_key = flow_key[0]
         flow = cache.flows.lookup(flow_key)
         if flow is not None:
             netlist, report, shape, area_record, iterations, violations, renders = flow
@@ -333,19 +346,12 @@ class EmbeddedGenerator:
     ) -> FlatComponent:
         """Catalog expansion, memoized per (implementation, resolved values)."""
         cache = self.generation_cache
-        # The key uses the *resolved* values (defaults applied) so requests
-        # spelling the same elaboration differently share one entry; the
-        # expansion itself gets the caller's overrides untouched --
-        # resolve_parameters validates overrides strictly, and re-feeding
-        # it its own output would reject implementations whose defaults
-        # carry keys the top module does not declare.
-        values = implementation.resolve_parameters(parameters)
-        key = (
-            "impl",
-            implementation.name,
-            implementation.fingerprint(),
-            tuple(sorted(values.items())),
-        )
+        # The key uses the resolved values; the expansion itself gets the
+        # caller's overrides untouched -- resolve_parameters validates
+        # overrides strictly, and re-feeding it its own output would
+        # reject implementations whose defaults carry keys the top module
+        # does not declare.
+        key = self.expand_key(implementation, parameters)
         template = cache.expand.lookup(key)
         if template is None:
             template = implementation.expand(parameters, name=name)

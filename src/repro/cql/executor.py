@@ -234,7 +234,21 @@ class CqlExecutor:
             # Without a function slot a name is one more filter term.
             result = self._named(str(implementation), result)
         answer = {"implementation": [], "component": [], "function": [], **result}
+        if wants_functions:
+            # Without a name the slot answers the filtered types' functions.
+            answer["function"] = self._functions_of_types(answer["component"])
         return _project(command, answer, "component_query") or result
+
+    def _functions_of_types(self, kinds: Sequence[str]) -> List[str]:
+        """The functions the implementations of ``kinds`` execute, once each
+        in first-seen order."""
+        functions: List[str] = []
+        for kind in kinds:
+            names = self.server.execute(ComponentQuery(component=kind)).unwrap()
+            for name in names["implementation"]:
+                answer = self.server.execute(ComponentQuery(implementation=name)).unwrap()
+                functions += [f for f in answer["function"] if f not in functions]
+        return functions
 
     def _named(self, name: str, result: Dict[str, List[str]]) -> Dict[str, List[str]]:
         """A component query's answer kept to the implementation ``name``."""

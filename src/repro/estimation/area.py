@@ -30,6 +30,11 @@ class AreaRecord:
     width: float
     height: float
 
+    def __reduce__(self):
+        # A constructor call: an object unpickled from its state dict keeps
+        # a dict of its own, a third larger than a constructed one's.
+        return (AreaRecord, (self.strips, self.width, self.height))
+
     @property
     def area(self) -> float:
         return self.width * self.height

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..constraints import Constraints
+from ..logic.expr import shared_name
 from ..netlist.gates import GateInstance, GateNetlist
 from ..netlist.graph import combinational_order
 
@@ -43,6 +44,20 @@ class DelayReport:
     comb_delays: Dict[str, float] = field(default_factory=dict)
     min_pulse_width: float = 0.0
     is_sequential: bool = False
+
+    def __reduce__(self):
+        return (
+            _delay_report,
+            (
+                self.component,
+                self.clock_width,
+                self.clock_to_output,
+                self.setup_times,
+                self.comb_delays,
+                self.min_pulse_width,
+                self.is_sequential,
+            ),
+        )
 
     def worst_output_delay(self) -> float:
         """Worst delay to any output (clock-to-output, else combinational)."""
@@ -96,6 +111,26 @@ class DelayReport:
                         f"{constraints.setup_time:.2f}"
                     )
         return problems
+
+
+def _delay_report(
+    component, clock_width, clock_to_output, setup_times, comb_delays,
+    min_pulse_width, is_sequential,
+) -> DelayReport:
+    # An unpickled report (a fleet bundle's) keys its delays by the shared
+    # port-name objects, as a report estimated in this process does.
+    def shared(delays: Dict[str, float]) -> Dict[str, float]:
+        return {shared_name(port): delay for port, delay in delays.items()}
+
+    return DelayReport(
+        component,
+        clock_width,
+        shared(clock_to_output),
+        shared(setup_times),
+        shared(comb_delays),
+        min_pulse_width,
+        is_sequential,
+    )
 
 
 def _port_key(port: str) -> Tuple[str, int]:

@@ -28,6 +28,10 @@ class ShapeFunction:
             sorted(self.alternatives, key=lambda record: record.strips)
         )
 
+    def __reduce__(self):
+        # A constructor call, as for :class:`AreaRecord`.
+        return (ShapeFunction, (self.component, self.alternatives))
+
     def __len__(self) -> int:
         return len(self.alternatives)
 

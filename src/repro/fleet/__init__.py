@@ -13,7 +13,7 @@ server's authority:
   stdout.
 
 * The server-side :class:`~repro.fleet.dispatcher.FleetDispatcher` feeds
-  its children from one shared queue, installs the returned entries into
+  its children from one shared queue, merges the returned entries into
   the server's own :class:`~repro.core.gencache.GenerationCache`, and
   lets the normal in-process path replay the request as a warm hit.
 
@@ -27,11 +27,12 @@ generation because they *are* in-process generation, served from a
 warmed memo.  Pickles only cross the pipes to children the server
 spawned: no socket and no request kind carries one.
 
-Cache keys cross process boundaries, so everything they contain is
-content-derived: implementation / cell-library fingerprints
-(:mod:`repro.fingerprint`), canonical constraints JSON, structural
-signatures over the hash-consed expression IR (whose ``__reduce__``
-re-interns on unpickling).  See ``docs/fleet.md``.
+No cache key crosses a process boundary: the server computes every key
+itself, from content-derived parts -- implementation / cell-library
+fingerprints (:mod:`repro.fingerprint`), canonical constraints JSON,
+structural signatures over the hash-consed expression IR (whose
+``__reduce__`` re-interns on unpickling) -- over the entries it already
+holds.  See ``docs/fleet.md``.
 """
 
 from ..lazy import lazy_exports

@@ -1,19 +1,25 @@
 """Stage-cache bundles: how generation work travels between fleet processes.
 
-A bundle is the pickled expand / synth / flows memo entries of exactly
-one catalog elaboration.  A worker child computes one by running the
-elaboration through its own
-:class:`~repro.core.gencache.GenerationCache`; the server installs it and
-then replays the original request locally as a warm hit.  The expression
-IR re-interns on unpickling (every node type defines ``__reduce__`` in
-terms of the hash-consing constructors), and the standard cell library
-and its cells pickle as references -- ``(library fingerprint, cell
-name)`` -- that resolve to the receiver's own objects, so an unpickled
-netlist is indistinguishable from a locally synthesized one, and the
-keys -- built from content fingerprints, canonical constraints JSON and
-structural signatures -- match bit-for-bit across processes.  A
-reference whose fingerprint differs from the receiver's standard library
-fails the whole install.
+A bundle is what a worker child computed for one catalog elaboration:
+the expanded flat component and the synthesized netlist (each pickled on
+its own inside the bundle) and the flow's results, with the sized
+netlist reduced to the sizes the sizer gave its gates.  The server
+merges the bundle into its own
+:class:`~repro.core.gencache.GenerationCache` and then replays the
+original request locally as a warm hit.
+
+The merge makes a fleet-generated design cost the server what a local
+one does.  The server computes the memo keys itself, over its own
+expand entry; it keeps the expand and synth entries it already holds
+(their copies in the bundle are not even unpickled); and it rebuilds a
+sized flow as a ``clone()`` of its synth netlist with the shipped sizes,
+as local sizing builds it (sizing only resizes gates).  Names unpickle
+through reconstructors that pass them through
+:func:`~repro.logic.expr.shared_name`, and expression nodes re-intern,
+so an installed design holds the server's one object per name and per
+expression.  Standard cells pickle as references that resolve to the
+receiver's own objects, and the bundle carries the child's cell-library
+fingerprint, checked before anything is unpickled or stored.
 
 Pickle is only safe among mutually trusting processes; a bundle is a
 code-execution vector.  Bundles therefore travel only over the pipes
@@ -24,17 +30,18 @@ between a server and the worker children it spawned itself
 from __future__ import annotations
 
 import pickle
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from ..components.catalog import ComponentImplementation
 from ..constraints import Constraints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.generation import EmbeddedGenerator
+    from ..netlist.gates import GateNetlist
 
 __all__ = ["BUNDLE_STAGES", "compute_bundle", "install_bundle"]
 
-#: The stages a bundle may carry, in install order.  ``optimize`` entries
+#: The stages a bundle fills, in install order.  ``optimize`` entries
 #: stay local: they are keyed per equation and already folded into the
 #: shipped synthesis result.
 BUNDLE_STAGES = ("expand", "synth", "flows")
@@ -47,7 +54,7 @@ def compute_bundle(
     constraints: Optional[Constraints],
     name: Optional[str] = None,
 ) -> bytes:
-    """Run one elaboration to warmth and pickle its stage entries.
+    """Run one elaboration to warmth and pickle what the install reads.
 
     ``name`` labels the synthesized template the way the eventual
     requester would (flow templates keep their creator's name), which is
@@ -57,32 +64,108 @@ def compute_bundle(
     constraints = constraints if constraints is not None else Constraints()
     keys = generator.stage_keys(implementation, parameters, constraints)
     generator.warm_implementation(implementation, parameters, constraints, name=name)
-    entries = []
-    for stage, key in zip(BUNDLE_STAGES, keys):
-        value = cache.stage(stage).peek(key)
-        if value is not None:
-            entries.append((stage, key, value))
-    return pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+    flat, netlist, flow = (
+        cache.stage(stage).peek(key) for stage, key in zip(BUNDLE_STAGES, keys)
+    )
+    if flat is None or netlist is None or flow is None:
+        # An earlier task's flow hit outlived its synth entry; the server
+        # generates this one itself.
+        raise LookupError(f"{implementation.name}: stage entries evicted before packing")
+    sized, report, shape, area_record, iterations, violations, _renders = flow
+    sizes = None
+    if sized is not netlist:
+        sizes = tuple(
+            (gate.name, gate.size)
+            for gate in sized.instances.values()
+            if gate.size != netlist.instances[gate.name].size
+        )
+    dump = pickle.dumps
+    return dump(
+        (
+            generator.cell_library.fingerprint(),
+            dump(flat, protocol=pickle.HIGHEST_PROTOCOL),
+            dump(netlist, protocol=pickle.HIGHEST_PROTOCOL),
+            (sizes, report, shape, area_record, iterations, violations),
+        ),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
 
 
-def install_bundle(generator: EmbeddedGenerator, bundle: bytes) -> int:
-    """Install a bundle's stage entries; the number actually stored.
+def install_bundle(
+    generator: EmbeddedGenerator,
+    bundle: bytes,
+    implementation: ComponentImplementation,
+    parameters: Optional[Mapping[str, int]],
+    constraints: Optional[Constraints],
+) -> int:
+    """Merge a bundle of this elaboration into the memo; the entries stored.
 
-    First-writer-wins: an entry whose key is already present is skipped,
-    so a bundle arriving after a local generation (or another worker's
+    First-writer-wins: an entry whose key is already present is kept, so
+    a bundle arriving after a local generation (or another worker's
     bundle) raced it never replaces a template other instances may
-    already share.  Skipping uses :meth:`~repro.core.gencache.CountedLruCache.peek`,
-    so installs do not distort the hit/miss accounting.  Raises
+    already share.  Presence probes use
+    :meth:`~repro.core.gencache.CountedLruCache.peek`, so installs do not
+    distort the hit/miss accounting.  Raises
     :class:`~repro.techlib.cells.CellLibraryError` -- before storing
-    anything -- when the bundle was mapped onto another standard library.
+    anything -- when the bundle was computed on another cell library.
     """
+    # Loaded with the generator; not at import, which a server does at boot.
+    from ..techlib.cells import CellLibraryError
+
+    fingerprint, flat_pickle, netlist_pickle, flow = pickle.loads(bundle)
+    library = generator.cell_library
+    if fingerprint != library.fingerprint():
+        raise CellLibraryError(
+            f"bundle computed on cell library {fingerprint:#x}, not this "
+            f"process's {library.name!r} ({library.fingerprint():#x})"
+        )
     cache = generator.generation_cache
+    constraints = constraints if constraints is not None else Constraints()
+    expand_key = generator.expand_key(implementation, parameters)
+    new_flat = new_netlist = new_flow = None
+    flat = cache.expand.peek(expand_key)
+    if flat is None:
+        flat = new_flat = pickle.loads(flat_pickle)
+    _, synth_key, flow_key = generator.stage_keys(
+        implementation, parameters, constraints, flat=flat
+    )
+    netlist = cache.synth.peek(synth_key)
+    if netlist is None:
+        netlist = new_netlist = pickle.loads(netlist_pickle)
+    if cache.flows.peek(flow_key) is None:
+        sizes, report, shape, area_record, iterations, violations = flow
+        new_flow = (
+            _sized(netlist, sizes),
+            report,
+            shape,
+            area_record,
+            iterations,
+            violations,
+            {},
+        )
     installed = 0
-    for stage, key, value in pickle.loads(bundle):
-        if stage not in BUNDLE_STAGES:
-            continue
-        store = cache.stage(stage)
-        if store.peek(key) is None:
+    for store, key, value in (
+        (cache.expand, expand_key, new_flat),
+        (cache.synth, synth_key, new_netlist),
+        (cache.flows, flow_key, new_flow),
+    ):
+        if value is not None and store.peek(key) is None:
             store.store(key, value)
             installed += 1
     return installed
+
+
+def _sized(
+    netlist: GateNetlist, sizes: Optional[Sequence[Tuple[str, float]]]
+) -> GateNetlist:
+    """The flow's netlist, as ``size_for_constraints(in_place=False)`` left it.
+
+    ``None`` means the sizer handed the synthesized netlist back as is;
+    otherwise it sized a clone, whose resized gates ``sizes`` lists.
+    """
+    if sizes is None:
+        return netlist
+    sized = netlist.clone()
+    for name, size in sizes:
+        sized.instance(name).size = size
+    return sized

@@ -5,7 +5,7 @@ and owns its worker children (``python -m repro.fleet.worker``).
 Eligible generation work -- the CPU-heavy expand / synth / size /
 estimate middle of a cold catalog request, whether it arrived directly,
 as a job, or as plan fan-out -- becomes one task on a single shared
-queue, and the returned stage bundle is installed into the server's
+queue, and the returned stage bundle is merged into the server's
 generation cache so the normal in-process path replays the request as a
 warm hit.
 
@@ -64,9 +64,13 @@ _SRC_ROOT = str(Path(__file__).resolve().parents[2])
 class _Task:
     """One elaboration: the child's answer, then the owner's install."""
 
-    __slots__ = ("job", "attempts", "bundle", "answered", "warmed", "settled")
+    __slots__ = (
+        "implementation", "job", "attempts", "bundle", "answered", "warmed", "settled"
+    )
 
-    def __init__(self, job: tuple):
+    def __init__(self, implementation: ComponentImplementation, job: tuple):
+        #: The server's own implementation object, which the install keys on.
+        self.implementation = implementation
         #: ``(implementation name, parameters, constraints, name)``.
         self.job = job
         self.attempts = 0
@@ -375,7 +379,7 @@ class FleetDispatcher:
                 constraints,
                 name,
             )
-            task = self._inflight[flow_key] = _Task(job)
+            task = self._inflight[flow_key] = _Task(implementation, job)
             self._queue.append(task)
             self._cond.notify()
         return flow_key, task, True
@@ -407,8 +411,11 @@ class FleetDispatcher:
         return task.warmed
 
     def _install(self, flow_key: Tuple, task: _Task, bundle: bytes) -> bool:
+        _, parameters, constraints, _ = task.job
         try:
-            installed = install_bundle(self.service.generator, bundle)
+            installed = install_bundle(
+                self.service.generator, bundle, task.implementation, parameters, constraints
+            )
         except Exception as exc:  # noqa: BLE001 - never into the request
             # A child on another cell library (or a corrupt bundle): its
             # entries would be wrong here, so none install and the caller

@@ -37,7 +37,18 @@ CLOCK_EDGES = ("r", "f", "h", "l")
 # 3.10): a component holds one per assignment, and every cached or
 # unpickled component holds its own, so a per-record ``__dict__`` would
 # outweigh the record.  A frozen slotted class cannot restore its slots
-# through ``__setattr__`` on unpickling, hence ``__reduce__``.
+# through ``__setattr__`` on unpickling, hence ``__reduce__``.  The
+# reconstructors pass every signal name through
+# :func:`~repro.logic.expr.shared_name`, so an unpickled component holds
+# the receiver's one string per name, as an expanded one does.
+
+
+def _comb_assign(target: str, expr: E.BExpr) -> "CombAssign":
+    return CombAssign(E.shared_name(target), expr)
+
+
+def _seq_assign(target, data, clock, edge, asyncs) -> "SeqAssign":
+    return SeqAssign(E.shared_name(target), data, clock, edge, asyncs)
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class CombAssign:
     expr: E.BExpr
 
     def __reduce__(self):
-        return (CombAssign, (self.target, self.expr))
+        return (_comb_assign, (self.target, self.expr))
 
     @property
     def is_sequential(self) -> bool:
@@ -91,7 +102,7 @@ class SeqAssign:
             raise FlatIifError(f"unknown clock qualifier {self.edge!r}")
 
     def __reduce__(self):
-        return (SeqAssign, (self.target, self.data, self.clock, self.edge, self.asyncs))
+        return (_seq_assign, (self.target, self.data, self.clock, self.edge, self.asyncs))
 
     @property
     def is_sequential(self) -> bool:
@@ -106,6 +117,19 @@ class SeqAssign:
 FlatAssign = (CombAssign, SeqAssign)
 
 
+def _flat_component(name, inputs, outputs, internals, assigns, functions, parameters):
+    share = E.shared_name
+    return FlatComponent(
+        name,
+        [share(signal) for signal in inputs],
+        [share(signal) for signal in outputs],
+        [share(signal) for signal in internals],
+        assigns,
+        functions,
+        parameters,
+    )
+
+
 @dataclass
 class FlatComponent:
     """A fully elaborated component: flat signals plus assignments."""
@@ -117,6 +141,20 @@ class FlatComponent:
     assigns: List = field(default_factory=list)
     functions: List[str] = field(default_factory=list)
     parameters: Dict[str, int] = field(default_factory=dict)
+
+    def __reduce__(self):
+        return (
+            _flat_component,
+            (
+                self.name,
+                self.inputs,
+                self.outputs,
+                self.internals,
+                self.assigns,
+                self.functions,
+                self.parameters,
+            ),
+        )
 
     # ------------------------------------------------------------------ views
 

@@ -264,6 +264,9 @@ class Var(BExpr):
         self = _VARS.get(name)
         if self is not None:
             return self
+        # A new node keeps the shared name object (an unpickled name is a
+        # fresh copy), and so does every support tuple built from it.
+        name = shared_name(name)
         with _INTERN_LOCK:
             self = _VARS.get(name)
             if self is None:

@@ -73,7 +73,7 @@ class GateInstance:
     def __reduce__(self):
         # A constructor call pickles smaller and loads faster than the
         # default slot-state dict, and fleet bundles carry every gate.
-        return (GateInstance, (self.name, self.cell, self.nets, self.size))
+        return (_gate, (self.name, self.cell, self.nets, self.size))
 
     def net(self, pin: str) -> str:
         """The net on ``pin``."""
@@ -102,6 +102,11 @@ class GateInstance:
 
     def transistor_units(self) -> float:
         return self.cell.transistor_units_at_size(self.size)
+
+
+def _gate(name: str, cell: Cell, nets: Tuple[str, ...], size: float) -> GateInstance:
+    # Unpickled names are fresh copies; a netlist keeps the shared ones.
+    return GateInstance(shared_name(name), cell, tuple(map(shared_name, nets)), size)
 
 
 @dataclass
@@ -135,6 +140,19 @@ class GateNetlist:
         self.library = library
         self.instances: Dict[str, GateInstance] = {}
         self._counter = 0
+
+    def __reduce__(self):
+        return (
+            _gate_netlist,
+            (
+                self.name,
+                self.inputs,
+                self.outputs,
+                self.library,
+                tuple(self.instances.values()),
+                self._counter,
+            ),
+        )
 
     # ----------------------------------------------------------------- build
 
@@ -337,3 +355,14 @@ class GateNetlist:
             f"({self.flip_flop_count()} sequential), "
             f"{self.transistor_units():.0f} transistor units"
         )
+
+
+def _gate_netlist(name, inputs, outputs, library, gates, counter) -> GateNetlist:
+    # The gates come back with shared names (``_gate``); the instance map
+    # is keyed by those, not by second unpickled copies.
+    netlist = GateNetlist(
+        name, map(shared_name, inputs), map(shared_name, outputs), library
+    )
+    netlist.instances = {gate.name: gate for gate in gates}
+    netlist._counter = counter
+    return netlist

@@ -141,6 +141,20 @@ def test_component_query_with_a_function_slot_answers_the_names_functions(icdb):
     assert result == {"function": icdb.functions_of("counter")}
 
 
+def test_component_query_with_a_function_slot_and_no_name_answers_the_types_functions(icdb):
+    """The functions of the types the filter returns (ALU, Adder,
+    Adder_Subtractor), each once, in first-seen order."""
+    executor = CqlExecutor(icdb)
+    result = executor.execute_text(
+        "command: component_query; function: (ADD); function: ?s[]; component: ?s[]"
+    )
+    assert result["component"] == ["ALU", "Adder", "Adder_Subtractor"]
+    assert result["function"] == ["ADD", "SUB", "AND", "OR", "XOR", "NOT"]
+    assert executor.execute_text(
+        "command: component_query; function: (ADD); function: ?s[]"
+    ) == {"function": result["function"]}
+
+
 def test_executor_request_and_instance_query(icdb):
     executor = CqlExecutor(icdb)
     result = executor.execute_text(

@@ -20,10 +20,13 @@ import time
 
 import pytest
 
-from repro.api import ComponentRequest, ComponentService, WarmCache
+from repro.api import ComponentRequest, ComponentService, PlanQuery, WarmCache
+from repro.api.query import QuerySpec, TypePredicate, pareto
 from repro.components import standard_catalog
 from repro.constraints import Constraints
 from repro.core import IcdbError
+from repro.core.gencache import GenerationCache
+from repro.iif.flat import CombAssign, SeqAssign
 from repro.fleet import BUNDLE_STAGES, FleetDispatcher, compute_bundle, install_bundle
 from repro.fleet import dispatcher as dispatcher_module
 from repro.fleet.worker import READY
@@ -66,8 +69,10 @@ def test_bundle_roundtrip_is_byte_identical(tmp_path):
     )
     assert isinstance(bundle, bytes)
 
-    installed = install_bundle(consumer.generator, bundle)
-    assert installed >= 2  # synth + flows at minimum
+    installed = install_bundle(
+        consumer.generator, bundle, consumer.catalog.get("alu"), {"size": 6}, constraints
+    )
+    assert installed == 3  # expand + synth + flows
 
     warm = consumer.create_session().request_component(
         implementation="alu",
@@ -94,9 +99,10 @@ def test_install_bundle_is_first_writer_wins(tmp_path):
     consumer = _service(tmp_path, "consumer")
     implementation = producer.catalog.get("mux4")
     bundle = compute_bundle(producer.generator, implementation, {"size": 4}, None)
-    assert install_bundle(consumer.generator, bundle) >= 1
+    task = (consumer.catalog.get("mux4"), {"size": 4}, None)
+    assert install_bundle(consumer.generator, bundle, *task) == 3
     # The same entries again: every key is already present, nothing stored.
-    assert install_bundle(consumer.generator, bundle) == 0
+    assert install_bundle(consumer.generator, bundle, *task) == 0
 
 
 def test_bundle_references_the_standard_library(tmp_path):
@@ -106,7 +112,8 @@ def test_bundle_references_the_standard_library(tmp_path):
     bundle = compute_bundle(
         producer.generator, producer.catalog.get("counter"), {"size": 8}, None, name="c8"
     )
-    assert install_bundle(consumer.generator, bundle) >= 2
+    task = (consumer.catalog.get("counter"), {"size": 8}, None)
+    assert install_bundle(consumer.generator, bundle, *task) == 3
     instance = consumer.create_session().request_component(
         implementation="counter", parameters={"size": 8}, instance_name="c8"
     )
@@ -132,9 +139,205 @@ def test_foreign_library_bundle_raises_before_storing(tmp_path, monkeypatch):
             producer.generator, producer.catalog.get("alu"), {"size": 5}, None
         )
     with pytest.raises(CellLibraryError):
-        install_bundle(consumer.generator, bundle)
+        install_bundle(consumer.generator, bundle, consumer.catalog.get("alu"), {"size": 5}, None)
     stats = consumer.generation_stats()
     assert [stats[stage]["entries"] for stage in BUNDLE_STAGES] == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Install by merge
+# ---------------------------------------------------------------------------
+
+
+def _constraints(clock_width):
+    return Constraints(clock_width=clock_width) if clock_width else None
+
+
+def _bundle(implementation, size, clock_width, name):
+    """A bundle as a fresh child computes it, on its own netlists."""
+    producer = ComponentService(catalog=standard_catalog(fresh=True))
+    return compute_bundle(
+        producer.generator,
+        producer.catalog.get(implementation),
+        {"size": size},
+        _constraints(clock_width),
+        name=name,
+    )
+
+
+def _answer(response):
+    """What two services must answer alike: neither store paths nor timings."""
+    assert response.ok, response.error
+    value = response.value
+    if "candidates" in value:  # a plan; its explain block times the stages
+        return value["candidates"], value["front"]
+    return {key: val for key, val in value.items() if key != "files"}
+
+
+def _assert_replays_like_in_process(consumer, reference, requests):
+    """Each ``(implementation, size, clock width, name)`` replays warm on
+    ``consumer`` and answers what ``reference`` generates in process."""
+    for implementation, size, clock_width, name in requests:
+        misses = consumer.generation_stats()["flows"]["misses"]
+        request = ComponentRequest(
+            implementation=implementation,
+            parameters={"size": size},
+            constraints=_constraints(clock_width),
+            instance_name=name,
+        )
+        warm = consumer.execute(request)
+        cold = reference.execute(request)
+        assert consumer.generation_stats()["flows"]["misses"] == misses
+        assert _answer(warm) == _answer(cold)
+        warm, cold = consumer.instances.get(name), reference.instances.get(name)
+        assert warm.vhdl_netlist() == cold.vhdl_netlist()
+        assert warm.render_delay() == cold.render_delay()
+
+
+@pytest.mark.parametrize("widths", [(None, 20.0), (20.0, None)])
+def test_bundles_of_one_family_merge_onto_one_synth_netlist(tmp_path, widths):
+    """Two children's bundles of one family, installed in either order:
+    the server keeps one synth netlist, and both flows' netlists are it
+    or its clone, sharing its net tuples."""
+    consumer = _service(tmp_path, "consumer")
+    counter = consumer.catalog.get("counter")
+    generator = consumer.generator
+    for width in widths:
+        bundle = _bundle("counter", 6, width, f"c_{width}")
+        installed = install_bundle(generator, bundle, counter, {"size": 6}, _constraints(width))
+        assert installed == (3 if width == widths[0] else 1)  # then only the flow
+    cache = generator.generation_cache
+    assert [len(cache.stage(stage)) for stage in BUNDLE_STAGES] == [1, 1, 2]
+    keys = {
+        width: generator.stage_keys(counter, {"size": 6}, _constraints(width) or Constraints())
+        for width in widths
+    }
+    synth = cache.synth.peek(keys[None][1])
+    unsized, sized = (cache.flows.peek(keys[width][2])[0] for width in (None, 20.0))
+    nets = {gate.name: gate.nets for gate in synth.all_instances()}
+    assert unsized is synth
+    assert sized is not synth and sized.instances.keys() == nets.keys()
+    assert all(gate.nets is nets[gate.name] for gate in sized.all_instances())
+    assert any(gate.size > 1.0 for gate in sized.all_instances())
+    _assert_replays_like_in_process(
+        consumer,
+        _service(tmp_path, "reference"),
+        [("counter", 6, width, f"c_{width}") for width in widths],
+    )
+
+
+def test_bundle_installs_after_its_family_was_evicted(tmp_path):
+    """With its expand and synth entries evicted (and its first flow kept),
+    a family's next bundle installs them again and replays warm."""
+    consumer = _service(
+        tmp_path, "consumer", generation_cache=GenerationCache(max_expansions=1, max_netlists=1)
+    )
+    reference = _service(tmp_path, "reference")
+    counter = consumer.catalog.get("counter")
+    generator = consumer.generator
+    bundle = _bundle("counter", 6, 20.0, "c20")
+    assert install_bundle(generator, bundle, counter, {"size": 6}, _constraints(20.0)) == 3
+    _assert_replays_like_in_process(consumer, reference, [("counter", 6, 20.0, "c20")])
+    # Another family, generated in process, takes the only expand and
+    # synth slots.
+    alu = ComponentRequest(implementation="alu", parameters={"size": 4}, instance_name="alu4")
+    assert _answer(consumer.execute(alu)) == _answer(reference.execute(alu))
+    cache = generator.generation_cache
+    assert cache.expand.peek(generator.expand_key(counter, {"size": 6})) is None
+    assert cache.synth.stats()["evictions"] == 1
+    bundle = _bundle("counter", 6, 40.0, "c40")
+    assert install_bundle(generator, bundle, counter, {"size": 6}, _constraints(40.0)) == 3
+    _assert_replays_like_in_process(
+        consumer, reference, [("counter", 6, 40.0, "c40"), ("counter", 6, 20.0, "c20_again")]
+    )
+
+
+#: Plans whose families recur at several clock widths, so bundles of one
+#: family arrive while the server already holds its expansion.
+CENSUS_PLANS = (
+    ("Counter", None), ("ALU", None), ("Counter", 20.0), ("ALU", 30.0), ("Counter", 40.0),
+)
+
+
+def _census(service):
+    """Distinct objects behind the designs ``service`` holds: its stage
+    memos (keys and values) and its registered instances."""
+    cache = service.generator.generation_cache
+    netlists, flats, reports, records = {}, {}, {}, {}
+
+    def keep(table, *objects):
+        table.update((id(obj), obj) for obj in objects)
+
+    keep(flats, *cache.expand._entries.values())
+    for (signature, _), netlist in cache.synth._entries.items():
+        keep(netlists, netlist)
+        keep(records, *signature[3])
+    for ((signature, _), *_), flow in cache.flows._entries.items():
+        keep(netlists, flow[0])
+        keep(reports, flow[1])
+        keep(records, *signature[3])
+    for name in service.instances.names():
+        instance = service.instances.get(name)
+        keep(netlists, instance.netlist)
+        keep(flats, instance.flat)
+        keep(reports, instance.delay_report)
+    for flat in flats.values():
+        keep(records, *flat.assigns)
+    gates = {id(gate): gate for netlist in netlists.values() for gate in netlist.all_instances()}
+    names = {}
+    strings = []
+    for netlist in netlists.values():
+        strings += [*netlist.inputs, *netlist.outputs, *netlist.instances]
+    for gate in gates.values():
+        strings += [gate.name, *gate.nets]
+    for flat in flats.values():
+        strings += flat.signals()
+    for record in records.values():
+        strings.append(record.target)
+        if isinstance(record, CombAssign):
+            strings += record.expr.support()
+        else:
+            for expression in (record.data, record.clock, *(a.condition for a in record.asyncs)):
+                strings += expression.support()
+    for report in reports.values():
+        strings += [*report.clock_to_output, *report.setup_times, *report.comb_delays]
+    for string in strings:
+        names.setdefault(string, set()).add(id(string))
+    return {
+        "names": len(names),
+        "name strings": sum(len(objects) for objects in names.values()),
+        "GateNetlist": len(netlists),
+        "GateInstance": len(gates),
+        "net tuples": len({id(gate.nets) for gate in gates.values()}),
+        "CombAssign": sum(isinstance(r, CombAssign) for r in records.values()),
+        "SeqAssign": sum(isinstance(r, SeqAssign) for r in records.values()),
+    }
+
+
+def test_fleet_installed_designs_cost_what_local_ones_do(fleet_rig, tmp_path):
+    """The same cold plans through a two-child fleet and in process leave
+    the same objects behind: one string per gate or net name, and as many
+    netlists, gates, net tuples and assignment records."""
+    service, fleet = fleet_rig
+    twin = _service(tmp_path, "twin")
+    try:
+        for family, clock_width in CENSUS_PLANS:
+            request = PlanQuery(
+                query=QuerySpec(
+                    select=(TypePredicate(component=family),),
+                    sweep=(("size", (2, 4)),),
+                    constraints=_constraints(clock_width),
+                    objective=pareto("area", "delay"),
+                )
+            )
+            assert _answer(service.execute(request)) == _answer(twin.execute(request))
+        stats = fleet.stats()
+        assert stats["dispatched"] == stats["completed"] > 0 and stats["fallbacks"] == 0
+        held, local = _census(service), _census(twin)
+        assert held["name strings"] == held["names"], held
+        assert held == local
+    finally:
+        twin.jobs.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +393,7 @@ def test_failed_install_is_a_counted_fallback(fleet_rig, tmp_path, monkeypatch):
     generation, byte-identical, counted as a fallback."""
     service, fleet = fleet_rig
 
-    def foreign(generator, bundle):
+    def foreign(generator, bundle, implementation, parameters, constraints):
         raise CellLibraryError("bundle mapped onto another standard library")
 
     monkeypatch.setattr(dispatcher_module, "install_bundle", foreign)

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,9 @@ from repro.core.icdb import IcdbError
 from repro.net import RemoteClient, connect, serve
 from repro.net.client import attach
 from repro.synthesis import build_simple_computer
+
+#: The checkout this file belongs to: the CLI tests start its server.
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fresh_service(tmp_path, tag="svc", **kwargs):
@@ -547,8 +551,8 @@ def test_cli_rejects_invalid_worker_and_session_flags(args):
         capture_output=True,
         text=True,
         timeout=60,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd="/root/repo",
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=ROOT,
     )
     assert proc.returncode == 2
     assert "expected" in proc.stderr
