@@ -69,6 +69,15 @@ def _requests():
     ]
 
 
+def _await_boot(fleet: FleetDispatcher) -> None:
+    """Return once every child has booted: the constructor does not wait,
+    and children booting inside the window would share the CPUs."""
+    deadline = time.monotonic() + 60.0
+    while fleet.stats()["workers_ready"] < WORKERS:
+        assert time.monotonic() < deadline, "fleet children did not boot"
+        time.sleep(0.01)
+
+
 def _fresh_service(tmp_path, tag: str) -> ComponentService:
     return ComponentService(
         catalog=standard_catalog(fresh=True), store_root=tmp_path / tag
@@ -104,6 +113,7 @@ def test_bench_fleet_cold_sweep(benchmark, tmp_path):
         service.attach_fleet(fleet)
         session = service.create_session()
         try:
+            _await_boot(fleet)
             start = time.perf_counter()
             service.execute(
                 WarmCache(

@@ -9,12 +9,16 @@ queue, and the returned stage bundle is merged into the server's
 generation cache so the normal in-process path replays the request as a
 warm hit.
 
-One feed thread per child takes the next task, pickles it onto the
-child's stdin and reads the bundle off its stdout, so the next idle
-child always gets the next task.  A child that dies shows up as EOF or
-a broken pipe: its thread requeues the task (up to :data:`MAX_ATTEMPTS`
-sends), reaps the child and starts a new one.  Bundles are pure and
-installs first-writer-wins, so a task that ran twice still applies once.
+The children boot beside the server: the constructor spawns them and
+returns, and one feed thread per child waits for its child's ready
+marker, then takes the next task, pickles it onto the child's stdin and
+reads the bundle off its stdout, so the next idle child always gets the
+next task.  Tasks queued while the children boot wait for the first
+one ready.  A child that dies shows up as EOF or a broken pipe: its
+thread requeues the task (up to :data:`MAX_ATTEMPTS` sends), reaps the
+child and starts a new one, as it does for a child that fails to boot.
+Bundles are pure and installs first-writer-wins, so a task that ran
+twice still applies once.
 
 When no child is left, or a task fails for good, callers fall back to
 plain in-process generation -- the fleet degrades to the plain server,
@@ -134,13 +138,20 @@ def _reap(child: subprocess.Popen, grace: float = 0.0) -> None:
 
 
 class FleetDispatcher:
-    """Routes generation work from one service onto ``workers`` children."""
+    """Routes generation work from one service onto ``workers`` children.
+
+    A slot holds one child at a time; ``stats()`` counts the slots with
+    a child (``workers_live``) and those whose child has reported ready
+    (``workers_ready``).
+    """
 
     def __init__(self, service, workers: int):
-        """Start every child side by side; return once all are ready.
+        """Spawn every child and its feed thread; return without waiting.
 
-        All or nothing, against one deadline: if any child fails to
-        start, every child is killed and reaped and the error raised.
+        Each feed thread waits for its own child's ready marker before
+        it takes a task.  A child that fails to boot is handled like one
+        that died: its thread reaps it and boots one replacement, and a
+        slot whose replacement fails too retires.
         """
         self.service = service
         self._cond = threading.Condition()
@@ -149,10 +160,13 @@ class FleetDispatcher:
         #: prewarm signature -> the task computing it: concurrent requests
         #: for one signature share a single dispatch and its install.
         self._inflight: Dict[Tuple, _Task] = {}
-        #: Signatures whose bundles already installed: the dispatcher's
-        #: own warm-skip memo, deliberately *not* a generation-cache
-        #: probe -- probing the flow memo would require an expansion,
-        #: and routing must stay cheap on the server.
+        #: ``hash()`` of each signature whose bundle already installed:
+        #: the dispatcher's own warm-skip memo, deliberately *not* a
+        #: generation-cache probe -- probing the flow memo would require
+        #: an expansion, and routing must stay cheap on the server.  One
+        #: int per signature, not the signature: a collision can only
+        #: make a cold flow look warm, and its caller then generates in
+        #: process, byte-identical, so correctness never rests on it.
         self._warmed: set = set()
         self._counters: Dict[str, int] = dict.fromkeys(
             (
@@ -167,19 +181,10 @@ class FleetDispatcher:
             ),
             0,
         )
-        children: List[Optional[subprocess.Popen]] = []
-        try:
-            for _ in range(workers):
-                children.append(_spawn())
-            deadline = time.monotonic() + BOOT_TIMEOUT
-            for child in children:
-                _await_ready(child, deadline)
-        except BaseException:
-            for child in children:
-                _reap(child)
-            raise
         #: slot -> its current child; ``None`` once the slot retired.
-        self._children = children
+        self._children = [self._launch(slot) for slot in range(workers)]
+        #: slot -> whether its current child has reported ready.
+        self._ready = [False] * workers
         self._threads = [
             threading.Thread(
                 target=self._feed, args=(slot,), name=f"fleet-{slot}", daemon=True
@@ -192,8 +197,10 @@ class FleetDispatcher:
     # -------------------------------------------------------------- children
 
     def _feed(self, slot: int) -> None:
-        """One child's loop: take the next task, send it, read the bundle."""
+        """One child's loop: await its boot, then send tasks, read bundles."""
         child = self._children[slot]
+        if child is not None and not self._booted(slot, child):
+            child = self._restart(slot, child)
         while child is not None:
             with self._cond:
                 while not self._queue and not self._closed:
@@ -237,6 +244,26 @@ class FleetDispatcher:
             _reap(child, CLOSE_GRACE)
             with self._cond:
                 self._children[slot] = None
+                self._ready[slot] = False
+
+    def _launch(self, slot: int) -> Optional[subprocess.Popen]:
+        """Spawn a child for ``slot``; ``None`` (logged) if none starts."""
+        try:
+            return _spawn()
+        except OSError as exc:
+            _LOG.warning("fleet_worker_failed_to_start", slot=slot, error=repr(exc))
+            return None
+
+    def _booted(self, slot: int, child: subprocess.Popen) -> bool:
+        """Wait for ``child``'s ready marker; False (logged) if none comes."""
+        try:
+            _await_ready(child, time.monotonic() + BOOT_TIMEOUT)
+        except IcdbError as exc:
+            _LOG.warning("fleet_worker_failed_to_start", slot=slot, error=repr(exc))
+            return False
+        with self._cond:
+            self._ready[slot] = True
+        return True
 
     def _restart(
         self, slot: int, old: subprocess.Popen
@@ -248,17 +275,13 @@ class FleetDispatcher:
         """
         _reap(old)
         child: Optional[subprocess.Popen] = None
-        try:
-            with self._cond:
-                # Registered before it boots, so close() can kill it.
-                if not self._closed:
-                    child = self._children[slot] = _spawn()
-            if child is not None:
-                _await_ready(child, time.monotonic() + BOOT_TIMEOUT)
-        except (OSError, IcdbError) as exc:  # the slot retires
-            _LOG.warning("fleet_restart_failed", slot=slot, error=repr(exc))
-            if child is not None:
-                _reap(child)
+        with self._cond:
+            self._ready[slot] = False
+            # Registered before it boots, so close() can kill it.
+            if not self._closed:
+                child = self._children[slot] = self._launch(slot)
+        if child is not None and not self._booted(slot, child):
+            _reap(child)
             child = None
         orphans: List[_Task] = []
         with self._cond:
@@ -364,7 +387,7 @@ class FleetDispatcher:
         except Exception:  # noqa: BLE001 - let the real path raise it
             return None
         with self._cond:
-            if flow_key in self._warmed:
+            if hash(flow_key) in self._warmed:
                 return None
             task = self._inflight.get(flow_key)
             if task is not None:
@@ -428,7 +451,7 @@ class FleetDispatcher:
             self._counters["installs"] += installed
             if len(self._warmed) > 65536:  # runaway-signature backstop
                 self._warmed.clear()
-            self._warmed.add(flow_key)
+            self._warmed.add(hash(flow_key))
         return True
 
     # ------------------------------------------------------------------ admin
@@ -438,6 +461,7 @@ class FleetDispatcher:
         with self._cond:
             out = dict(self._counters)
             out["workers_live"] = sum(child is not None for child in self._children)
+            out["workers_ready"] = sum(self._ready)
         return out
 
     def close(self) -> None:

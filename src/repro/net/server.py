@@ -1030,13 +1030,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     fleet = None
     if args.fleet_workers:
         # Local import: only a fleet server loads the dispatcher.  It
-        # returns once every child is ready and raises if any is not,
-        # so a broken fleet exits before the banner.
+        # returns once the children are spawned; they boot while the
+        # server finishes its own, and work queues for them meanwhile.
         from ..fleet.dispatcher import FleetDispatcher
 
         fleet = FleetDispatcher(service, args.fleet_workers)
         service.attach_fleet(fleet)
-        print(f"icdb fleet ready: {args.fleet_workers} workers", flush=True)
+        print(f"icdb fleet starting: {args.fleet_workers} workers", flush=True)
     exporter: Optional[MetricsExporter] = None
     if args.metrics_path is not None:
         exporter = MetricsExporter(

@@ -24,7 +24,6 @@ from repro.api import ComponentRequest, ComponentService, PlanQuery, WarmCache
 from repro.api.query import QuerySpec, TypePredicate, pareto
 from repro.components import standard_catalog
 from repro.constraints import Constraints
-from repro.core import IcdbError
 from repro.core.gencache import GenerationCache
 from repro.iif.flat import CombAssign, SeqAssign
 from repro.fleet import BUNDLE_STAGES, FleetDispatcher, compute_bundle, install_bundle
@@ -49,6 +48,15 @@ def fleet_rig(tmp_path):
     yield service, fleet
     fleet.close()
     service.jobs.shutdown()
+
+
+def _await_workers_ready(fleet, count):
+    """Wait until ``count`` children have booted (the constructor returns
+    while they boot)."""
+    deadline = time.monotonic() + 30.0
+    while fleet.stats()["workers_ready"] < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert fleet.stats()["workers_ready"] == count
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +495,7 @@ def test_idle_child_death_restarts_without_charging_the_task(tmp_path):
     service = _service(tmp_path)
     fleet = FleetDispatcher(service, 1)
     try:
+        _await_workers_ready(fleet, 1)  # the death under test is an idle one
         child = fleet._children[0]
         child.kill()
         child.wait()
@@ -585,6 +594,9 @@ def test_slot_that_cannot_restart_retires(tmp_path, monkeypatch):
     service = _service(tmp_path)
     fleet = FleetDispatcher(service, 1)
     try:
+        # Ready, so the feed thread sees the death only when work arrives,
+        # after the replacement's executable is broken.
+        _await_workers_ready(fleet, 1)
         child = fleet._children[0]
         child.kill()
         child.wait()
@@ -606,19 +618,70 @@ def test_slot_that_cannot_restart_retires(tmp_path, monkeypatch):
         service.jobs.shutdown()
 
 
-def test_child_that_cannot_start_fails_the_constructor(
+def test_child_that_cannot_start_retires_its_slot(
     tmp_path, monkeypatch, started_processes
 ):
-    """All or nothing: one child that never reports ready fails the
-    constructor, and no child outlives it."""
+    """A child that never reports ready is handled like one that died:
+    one replacement, then the slot retires.  The constructor does not
+    wait or raise, callers fall back long before the boot timeout, and
+    no child outlives close()."""
     monkeypatch.setattr(sys, "executable", "/bin/false")
     service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 2)
     try:
-        with pytest.raises(IcdbError, match="failed to start"):
-            FleetDispatcher(service, 2)
-        assert len(started_processes) == 2
-        assert all(child.returncode is not None for child in started_processes)
+        begun = time.monotonic()
+        assert fleet.prewarm(service.catalog.get("mux2"), {"size": 2}, None) is False
+        assert time.monotonic() - begun < dispatcher_module.BOOT_TIMEOUT / 10
+        stats = fleet.stats()
+        assert stats["workers_live"] == 0 and stats["workers_ready"] == 0
+        assert stats["dispatched"] == 0 and stats["restarts"] == 0
+        assert stats["fallbacks"] == 1
     finally:
+        fleet.close()
+        service.jobs.shutdown()
+    assert len(started_processes) == 4  # per slot: its child, one replacement
+    assert all(child.returncode is not None for child in started_processes)
+
+
+def test_prewarm_during_boot_waits_for_a_child(tmp_path, monkeypatch):
+    """Work that arrives before any child is ready queues for the first
+    one that boots instead of falling back."""
+    booted = threading.Event()
+    await_ready = dispatcher_module._await_ready
+
+    def held(child, deadline):
+        booted.wait(30)
+        await_ready(child, deadline)
+
+    monkeypatch.setattr(dispatcher_module, "_await_ready", held)
+    service = _service(tmp_path)
+    fleet = FleetDispatcher(service, 2)
+    outcome = {}
+
+    def warm():
+        outcome["warmed"] = fleet.prewarm(
+            service.catalog.get("alu"), {"size": 6}, None, name="early"
+        )
+
+    runner = threading.Thread(target=warm)
+    try:
+        runner.start()
+        deadline = time.monotonic() + 30.0
+        while not fleet._queue and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(fleet._queue) == 1
+        assert fleet.stats()["workers_ready"] == 0
+        booted.set()
+        runner.join(60)
+        assert not runner.is_alive()
+        assert outcome["warmed"] is True
+        stats = fleet.stats()
+        assert stats["dispatched"] == 1
+        assert stats["fallbacks"] == 0
+    finally:
+        booted.set()
+        runner.join(60)
+        fleet.close()
         service.jobs.shutdown()
 
 
@@ -630,6 +693,7 @@ def test_children_share_the_process_group_and_ignore_sigint(
     service = _service(tmp_path)
     fleet = FleetDispatcher(service, 2)
     try:
+        _await_workers_ready(fleet, 2)  # a booting child still stops on SIGINT
         for child in started_processes:
             assert os.getpgid(child.pid) == os.getpgid(0)
             child.send_signal(signal.SIGINT)
