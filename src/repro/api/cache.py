@@ -9,18 +9,21 @@ instance name instead of re-running logic synthesis, sizing and
 estimation -- the hot path of every datapath builder that instantiates the
 same register or multiplexer dozens of times.
 
-The cache key is a canonical signature tuple (implementation, sorted
-parameters, canonical constraints JSON, target); entries are detached
-snapshot instances (never registered with any design), so later mutations
-of served instances -- a ``request_layout``, a transaction delete --
-cannot corrupt the template.  All operations are lock-protected: sessions
-of one service share a single cache concurrently.
+The cache key is :meth:`ResultCache.signature`, the one identity of a
+catalog elaboration (implementation, resolved parameter values, canonical
+constraints JSON, target): two spellings of one elaboration -- a default
+size left out or given as an attribute -- share one entry, and the
+planner's duplicate prune and the fleet dispatcher key on the same tuple.
+Entries are detached snapshot instances (never registered with any
+design), so later mutations of served instances -- a ``request_layout``, a
+transaction delete -- cannot corrupt the template.  All operations are
+lock-protected: sessions of one service share a single cache concurrently.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Hashable, Mapping, Tuple
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Tuple
 
 from ..constraints import (
     Constraints,
@@ -30,6 +33,7 @@ from ..constraints import (
 from ..core.gencache import CountedLruCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..components.catalog import ComponentImplementation
     from ..core.instances import ComponentInstance
 
 __all__ = ["DEFAULT_CONSTRAINTS", "ResultCache", "clone_instance"]
@@ -65,20 +69,27 @@ class ResultCache(CountedLruCache):
     before its store leaves no counter or entry behind) live in the shared
     :class:`~repro.core.gencache.CountedLruCache` base, which the
     generation cache's stage caches use too.  This subclass adds the
-    canonical request signature and snapshot-on-store semantics.
+    elaboration identity and snapshot-on-store semantics.
     """
 
     @staticmethod
     def signature(
-        implementation: str,
-        parameters: Mapping[str, int],
+        implementation: ComponentImplementation,
+        overrides: Optional[Mapping[str, int]],
         constraints: Constraints,
         target: str,
     ) -> Tuple[str, Tuple[Tuple[str, int], ...], str, str]:
-        """Canonical signature of a catalog-based generation request."""
+        """The identity of one catalog elaboration.
+
+        It keys the *resolved* parameter values (the implementation's
+        defaults with ``overrides`` applied), so every spelling of one
+        elaboration has one signature.  Raises
+        :class:`~repro.components.catalog.CatalogError` for an override
+        the implementation does not declare.
+        """
         return (
-            implementation,
-            tuple(sorted((key, int(value)) for key, value in parameters.items())),
+            implementation.name,
+            tuple(sorted(implementation.resolve_parameters(overrides).items())),
             canonical_constraints_json(constraints),
             target,
         )

@@ -588,7 +588,9 @@ class Planner:
                 continue
             impl = catalog.get(report.implementation)
             try:
-                resolved = impl.resolve_parameters(report.parameters)
+                signature = ResultCache.signature(
+                    impl, report.parameters, constraints, spec.target
+                )
             except CatalogError as exc:
                 report.status = PRUNED
                 report.reason = f"invalid parameters: {exc.args[0]}"
@@ -596,9 +598,6 @@ class Planner:
                     counts.get("invalid-parameters", 0) + 1
                 )
                 continue
-            signature = ResultCache.signature(
-                impl.name, resolved, constraints, spec.target
-            )
             twin = seen.get(signature)
             if twin is not None:
                 report.status = PRUNED

@@ -460,23 +460,16 @@ def _request_component(
             f"expected one of {COMPONENT_DETAILS}",
             code=E_BAD_REQUEST,
         )
-    # Constraints are immutable by convention (with_updates returns
-    # copies), so the no-constraints case shares one default object.
-    constraints = (
-        request.constraints if request.constraints is not None else DEFAULT_CONSTRAINTS
-    )
-    if request.strategy is not None:
-        constraints = constraints.with_updates(strategy=request.strategy)
     target = request.target
     if target not in (TARGET_LOGIC, TARGET_LAYOUT):
         raise IcdbError(f"unknown generation target {target!r}")
     instances = service.instances
-    functions = list(request.functions) or None
+    chosen, overrides, constraints = service.elaboration(request)
 
     if request.iif is not None:
         name = request.instance_name or instances.new_name("custom")
         instance = service.generator.generate_from_iif(
-            request.iif, request.parameters, constraints, name, target, functions or ()
+            request.iif, overrides, constraints, name, target, request.functions
         )
     elif request.structure is not None:
         name = request.instance_name or instances.new_name(request.structure.name)
@@ -488,17 +481,10 @@ def _request_component(
             target,
         )
     else:
-        chosen = service.choose_implementation(
-            request.component_name, request.implementation, functions
-        )
-        overrides = dict(request.parameters or {})
-        overrides.update(chosen.attributes_to_parameters(request.attributes))
-        key = (
-            service.cache.signature(chosen.name, overrides, constraints, target)
-            if request.use_cache
-            else None
-        )
-        template = service.cache.lookup(key) if key is not None else None
+        # Computed with or without the cache: it validates the parameters
+        # before the request takes an instance name.
+        key = service.cache.signature(chosen, overrides, constraints, target)
+        template = service.cache.lookup(key) if request.use_cache else None
         name = request.instance_name or instances.new_name(chosen.name)
         if template is not None:
             instance = clone_instance(template, name)
@@ -513,7 +499,7 @@ def _request_component(
             instance = service.generator.generate_from_implementation(
                 chosen, overrides, constraints, name, target
             )
-            if key is not None:
+            if request.use_cache:
                 service.cache.store(key, instance)
 
     instance.design = session.current_design
@@ -776,11 +762,13 @@ def _warm_cache(service: "ComponentService", session: Session, request: WarmCach
                 name = entry.get("name")
                 # Through the fleet when one is attached, so its warm-skip
                 # set learns the entry; locally when it cannot take it.
+                # The instance is dropped: the stage memos keep the work.
                 if service.fleet is None or not service.fleet.prewarm(
                     implementation, overrides, constraints, name
                 ):
-                    service.generator.warm_implementation(
-                        implementation, overrides, constraints, name=name
+                    service.generator.generate_from_implementation(
+                        implementation, overrides, constraints,
+                        name or implementation.name,
                     )
                 warmed += 1
         except Exception as exc:  # noqa: BLE001 - per-entry reporting
@@ -835,7 +823,13 @@ HANDLERS: Dict[str, Callable[["ComponentService", Session, Any], Tuple[Any, bool
 
 
 class ComponentService:
-    """The shared ICDB engine behind every session and the legacy facade."""
+    """The shared ICDB engine behind every session and the legacy facade.
+
+    A component request names its elaboration through one resolver,
+    :meth:`elaboration`, and a catalog elaboration is identified by one
+    key, :meth:`ResultCache.signature
+    <repro.api.cache.ResultCache.signature>`.
+    """
 
     def __init__(
         self,
@@ -1173,6 +1167,37 @@ class ComponentService:
             return [self.execute(request, session) for request in requests]
 
     # -------------------------------------------------------- engine internals
+
+    def elaboration(
+        self, request: ComponentRequest
+    ) -> Tuple[Optional[ComponentImplementation], Dict[str, int], Constraints]:
+        """What a component request asks to generate.
+
+        Answers ``(implementation, overrides, constraints)``: the catalog
+        implementation :meth:`choose_implementation` resolves, or
+        ``None`` for an IIF or structural request; the request's
+        parameters plus its attributes as parameters; and its
+        constraints with the ``strategy`` shorthand applied.  The request
+        handler and the fleet dispatcher both ask this one method, so they
+        agree on which elaboration a request names;
+        :meth:`ResultCache.signature <repro.api.cache.ResultCache.signature>`
+        then identifies it.
+        """
+        # Constraints are immutable by convention (with_updates returns
+        # copies), so the no-constraints case shares one default object.
+        constraints = (
+            request.constraints if request.constraints is not None else DEFAULT_CONSTRAINTS
+        )
+        if request.strategy is not None:
+            constraints = constraints.with_updates(strategy=request.strategy)
+        overrides = dict(request.parameters or {})
+        if request.iif is not None or request.structure is not None:
+            return None, overrides, constraints
+        chosen = self.choose_implementation(
+            request.component_name, request.implementation, list(request.functions) or None
+        )
+        overrides.update(chosen.attributes_to_parameters(request.attributes))
+        return chosen, overrides, constraints
 
     def choose_implementation(
         self,

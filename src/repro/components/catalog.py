@@ -179,16 +179,11 @@ class ComponentImplementation:
         self,
         parameters: Optional[Mapping[str, int]] = None,
         name: Optional[str] = None,
-        extra_library: Optional[Mapping[str, IifModule]] = None,
     ) -> FlatComponent:
         """Expand the implementation with the given parameter overrides."""
         from ..iif import Expander
 
-        library: Dict[str, IifModule] = dict(self.subfunction_modules())
-        if extra_library:
-            for key, module in extra_library.items():
-                library[key.upper()] = module
-        expander = Expander(library)
+        expander = Expander(self.subfunction_modules())
         values = self.resolve_parameters(parameters)
         flat = expander.expand(self.module(), values, name=name)
         if not flat.functions:

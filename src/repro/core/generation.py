@@ -8,7 +8,12 @@ exactly as the paper inserts external tools via shell scripts.
 
 This module is the Figure-8 flow's front door: a server imports it on the
 first request that generates (see :attr:`ComponentService.generator
-<repro.api.service.ComponentService.generator>`), not at boot.
+<repro.api.service.ComponentService.generator>`), not at boot.  Which
+elaboration a request names, and what identifies it, is decided before
+the flow runs (:meth:`ComponentService.elaboration
+<repro.api.service.ComponentService.elaboration>`,
+:meth:`ResultCache.signature <repro.api.cache.ResultCache.signature>`);
+the generator receives the caller's parameter overrides as given.
 """
 
 from __future__ import annotations
@@ -117,10 +122,6 @@ class EmbeddedGenerator:
     def _sizing_signature(self) -> Tuple:
         return astuple(self.sizing_options)
 
-    @staticmethod
-    def _constraints_signature(constraints: Constraints) -> str:
-        return canonical_constraints_json(constraints)
-
     def expand_key(
         self,
         implementation: ComponentImplementation,
@@ -145,7 +146,7 @@ class EmbeddedGenerator:
         """The flows memo key; its first item is the synth memo key."""
         return (
             (flat.signature(), self._synthesis_signature()),
-            self._constraints_signature(constraints),
+            canonical_constraints_json(constraints),
             self._sizing_signature(),
             cache_context,
         )
@@ -176,60 +177,6 @@ class EmbeddedGenerator:
             flat, constraints, (implementation.name, implementation.component_type)
         )
         return self.expand_key(implementation, parameters), flow_key[0], flow_key
-
-    def prewarm_signature(
-        self,
-        implementation: ComponentImplementation,
-        parameters: Optional[Mapping[str, int]],
-        constraints: Constraints,
-    ) -> Tuple:
-        """An expansion-free proxy for :meth:`stage_keys`' flow key.
-
-        Equal proxies guarantee equal flow keys: the flow key is a
-        deterministic function of exactly these inputs (expansion and
-        synthesis are pure).  The fleet dispatcher keys its warm-skip
-        and coalescing maps on this, so routing work to a worker never
-        costs the server a full expansion of its own.
-        """
-        return (
-            "prewarm",
-            *self.expand_key(implementation, parameters)[1:],
-            self._constraints_signature(constraints),
-            self._sizing_signature(),
-            self._synthesis_signature(),
-        )
-
-    def warm_implementation(
-        self,
-        implementation: ComponentImplementation,
-        parameters: Optional[Mapping[str, int]],
-        constraints: Constraints,
-        name: Optional[str] = None,
-    ) -> None:
-        """Prime the stage memo for one catalog elaboration.
-
-        Runs expansion, synthesis, sizing and estimation through the
-        normal memoized pipeline *without* building or registering an
-        instance: afterwards the expand / synth / optimize / flows
-        stages hold everything a later ``request_component`` with the
-        same signature needs.  Layouts are per-instance and never
-        memoized, so no layout is generated.
-
-        ``name`` labels the synthesized template exactly the way a cold
-        in-process generation for that instance would, so warmed results
-        are byte-identical to unwarmed ones (flow-cache templates keep
-        their creator's name; the creator should be the real requester,
-        not the warmer).
-        """
-        flat = self._expand_implementation(
-            implementation, parameters, name or implementation.name
-        )
-        self.run_flow(
-            flat,
-            constraints,
-            TARGET_LOGIC,
-            cache_context=(implementation.name, implementation.component_type),
-        )
 
     # --------------------------------------------------------------- pipeline
 
@@ -363,34 +310,66 @@ class EmbeddedGenerator:
         iif_source: str,
         parameters: Optional[Mapping[str, int]],
         name: str,
-        subfunction_library: Optional[Mapping[str, IifModule]],
     ) -> Tuple[IifModule, FlatComponent]:
-        """IIF-source expansion, memoized per (source text, parameters).
-
-        Requests carrying an ad-hoc sub-function library are not memoized:
-        the library is part of the expansion's meaning but has no stable
-        identity to key on.
-        """
+        """IIF-source expansion, memoized per (source text, parameters)."""
         cache = self.generation_cache
-        key = None
-        if not subfunction_library:
-            key = (
-                "iif",
-                iif_source,
-                tuple(sorted((k, int(v)) for k, v in (parameters or {}).items())),
-            )
-            cached = cache.expand.lookup(key)
-            if cached is not None:
-                module, template = cached
-                return module, _flat_with_name(template, name)
+        key = (
+            "iif",
+            iif_source,
+            tuple(sorted((k, int(v)) for k, v in (parameters or {}).items())),
+        )
+        cached = cache.expand.lookup(key)
+        if cached is not None:
+            module, template = cached
+            return module, _flat_with_name(template, name)
         module = parse_module(iif_source)
-        expander = Expander(subfunction_library)
-        flat = expander.expand(module, parameters or {}, name=name)
-        if key is not None:
-            cache.expand.store(key, (module, flat))
+        flat = Expander().expand(module, parameters or {}, name=name)
+        cache.expand.store(key, (module, flat))
         return module, flat
 
     # ------------------------------------------------------------- front ends
+
+    def _generate(
+        self,
+        flat: FlatComponent,
+        constraints: Constraints,
+        target: str,
+        *,
+        implementation: str,
+        component_type: str,
+        functions: Sequence[str],
+        connection_info: str,
+    ) -> ComponentInstance:
+        """Run the flow on an expanded component; build the instance it names.
+
+        ``implementation`` and ``component_type`` label the instance and
+        are the flow's ``cache_context``.
+        """
+        netlist, report, shape, area_record, layout, iterations, violations, renders = self.run_flow(
+            flat,
+            constraints,
+            target,
+            cache_context=(implementation, component_type),
+        )
+        return ComponentInstance(
+            name=flat.name,
+            implementation=implementation,
+            component_type=component_type,
+            parameters=dict(flat.parameters),
+            functions=list(functions),
+            constraints=constraints,
+            flat=flat,
+            netlist=netlist,
+            delay_report=report,
+            shape=shape,
+            area_record=area_record,
+            connection_info=connection_info,
+            target=target,
+            layout=layout,
+            constraint_violations=violations,
+            sizing_iterations=iterations,
+            render_cache=renders,
+        )
 
     def generate_from_implementation(
         self,
@@ -400,32 +379,19 @@ class EmbeddedGenerator:
         instance_name: str,
         target: str = TARGET_LOGIC,
     ) -> ComponentInstance:
-        """Generate an instance from a catalog implementation."""
-        flat = self._expand_implementation(implementation, parameters, instance_name)
-        netlist, report, shape, area_record, layout, iterations, violations, renders = self.run_flow(
-            flat,
+        """Generate an instance from a catalog implementation.
+
+        Warming (a ``warm_cache`` entry, a fleet child's bundle) calls
+        this too and drops the instance: the stage memos keep the work.
+        """
+        return self._generate(
+            self._expand_implementation(implementation, parameters, instance_name),
             constraints,
             target,
-            cache_context=(implementation.name, implementation.component_type),
-        )
-        return ComponentInstance(
-            name=instance_name,
             implementation=implementation.name,
             component_type=implementation.component_type,
-            parameters=dict(flat.parameters),
-            functions=list(implementation.functions),
-            constraints=constraints,
-            flat=flat,
-            netlist=netlist,
-            delay_report=report,
-            shape=shape,
-            area_record=area_record,
+            functions=implementation.functions,
             connection_info=implementation.connection_info(),
-            target=target,
-            layout=layout,
-            constraint_violations=violations,
-            sizing_iterations=iterations,
-            render_cache=renders,
         )
 
     def generate_from_iif(
@@ -436,41 +402,24 @@ class EmbeddedGenerator:
         instance_name: str,
         target: str = TARGET_LOGIC,
         functions: Sequence[str] = (),
-        subfunction_library: Optional[Mapping[str, IifModule]] = None,
     ) -> ComponentInstance:
         """Generate an instance directly from an IIF description.
 
         This is the path control-logic generation uses (Section 3.2.2): the
         control synthesis tool emits boolean equations and registers in IIF
-        and asks ICDB for the component.
+        and asks ICDB for the component.  The description defines every
+        sub-function it calls, so its expansion is memoized per (source
+        text, parameters).
         """
-        module, flat = self._expand_iif(
-            iif_source, parameters, instance_name, subfunction_library
-        )
-        netlist, report, shape, area_record, layout, iterations, violations, renders = self.run_flow(
+        module, flat = self._expand_iif(iif_source, parameters, instance_name)
+        return self._generate(
             flat,
             constraints,
             target,
-            cache_context=(module.name, "Custom"),
-        )
-        return ComponentInstance(
-            name=instance_name,
             implementation=module.name,
             component_type="Custom",
-            parameters=dict(flat.parameters),
-            functions=list(functions) or list(module.functions),
-            constraints=constraints,
-            flat=flat,
-            netlist=netlist,
-            delay_report=report,
-            shape=shape,
-            area_record=area_record,
+            functions=functions or module.functions,
             connection_info="",
-            target=target,
-            layout=layout,
-            constraint_violations=violations,
-            sizing_iterations=iterations,
-            render_cache=renders,
         )
 
     def generate_from_structure(
@@ -502,13 +451,6 @@ class EmbeddedGenerator:
         checkpoint("estimate", 0.70)
         shape = shape_function(merged)
         area_record = _area_record(merged, shape, constraints)
-        layout = None
-        if target == TARGET_LAYOUT:
-            layout = generate_layout(
-                merged,
-                strips=constraints.strips or area_record.strips,
-                port_positions=constraints.port_positions,
-            )
         return ComponentInstance(
             name=instance_name,
             implementation=structure.name,
@@ -523,7 +465,7 @@ class EmbeddedGenerator:
             area_record=area_record,
             connection_info="",
             target=target,
-            layout=layout,
+            layout=self._layout_for_target(merged, constraints, area_record, target),
             constraint_violations=report.violations(constraints),
             sizing_iterations=sizing.iterations,
         )

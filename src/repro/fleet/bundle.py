@@ -56,14 +56,19 @@ def compute_bundle(
 ) -> bytes:
     """Run one elaboration to warmth and pickle what the install reads.
 
-    ``name`` labels the synthesized template the way the eventual
-    requester would (flow templates keep their creator's name), which is
-    what makes warmed results byte-identical to unwarmed ones.
+    The elaboration is generated as an instance named ``name`` (the
+    implementation's name without one) and the instance dropped: the
+    stage memos keep the work.  ``name`` labels the synthesized template
+    the way the eventual requester would (flow templates keep their
+    creator's name), which is what makes warmed results byte-identical to
+    unwarmed ones.
     """
     cache = generator.generation_cache
     constraints = constraints if constraints is not None else Constraints()
     keys = generator.stage_keys(implementation, parameters, constraints)
-    generator.warm_implementation(implementation, parameters, constraints, name=name)
+    generator.generate_from_implementation(
+        implementation, parameters, constraints, name or implementation.name
+    )
     flat, netlist, flow = (
         cache.stage(stage).peek(key) for stage, key in zip(BUNDLE_STAGES, keys)
     )

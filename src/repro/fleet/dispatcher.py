@@ -38,10 +38,12 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..api.cache import ResultCache
 from ..api.messages import ComponentRequest, Request
 from ..components.catalog import ComponentImplementation
 from ..constraints import DEFAULT_CONSTRAINTS, Constraints
 from ..core.icdb import IcdbError
+from ..core.instances import TARGET_LOGIC
 from ..obs.reqlog import get_logger
 from .bundle import install_bundle
 from .worker import READY
@@ -114,13 +116,27 @@ def _receive(child: subprocess.Popen, timeout: float):
 
 
 def _await_ready(child: subprocess.Popen, deadline: float) -> None:
-    """Return once ``child`` reports ready; raise if it dies or is late."""
+    """Return once ``child`` reports ready; raise if it dies or is late.
+
+    A child still silent at ``deadline`` is late.  Any other failure means
+    the child is dying: it is waited for (at most :data:`CLOSE_GRACE`
+    seconds), so the error names its exit status.
+    """
+    timeout = deadline - time.monotonic()
     try:
-        marker = _receive(child, deadline - time.monotonic())
+        if _receive(child, timeout) == READY:
+            return
+    except TimeoutError:  # an OSError, but the child is alive
+        raise IcdbError(
+            f"fleet worker sent no ready marker within {max(0.0, timeout):.3g} s"
+        ) from None
     except (EOFError, OSError, pickle.UnpicklingError):  # died booting
-        marker = None
-    if marker != READY:
-        raise IcdbError(f"fleet worker failed to start (exit {child.poll()})")
+        pass
+    try:
+        status = child.wait(CLOSE_GRACE)
+    except subprocess.TimeoutExpired:
+        status = None
+    raise IcdbError(f"fleet worker failed to start (exit {status})")
 
 
 def _reap(child: subprocess.Popen, grace: float = 0.0) -> None:
@@ -157,8 +173,9 @@ class FleetDispatcher:
         self._cond = threading.Condition()
         self._queue: Deque[_Task] = deque()
         self._closed = False
-        #: prewarm signature -> the task computing it: concurrent requests
-        #: for one signature share a single dispatch and its install.
+        #: elaboration signature -> the task computing it: concurrent
+        #: requests for one elaboration share a single dispatch and its
+        #: install.
         self._inflight: Dict[Tuple, _Task] = {}
         #: ``hash()`` of each signature whose bundle already installed:
         #: the dispatcher's own warm-skip memo, deliberately *not* a
@@ -327,9 +344,12 @@ class FleetDispatcher:
         Used by the planner before it hands candidates to the job pool:
         every eligible :class:`ComponentRequest` is queued at once, the
         children work through them side by side, and the pool then
-        replays them as warm hits.  Ineligible requests (IIF /
-        structural, unknown names) are left for the normal path
-        untouched.  Returns how many warmed.
+        replays them as warm hits.  A request resolves as the request
+        handler resolves it (:meth:`ComponentService.elaboration
+        <repro.api.service.ComponentService.elaboration>`); one that
+        names no catalog elaboration (IIF, structural) or does not
+        resolve is left for the normal path untouched.  Returns how many
+        warmed.
         """
         with self._cond:
             if self._closed or not any(self._children):
@@ -338,25 +358,12 @@ class FleetDispatcher:
         for request in requests:
             if not isinstance(request, ComponentRequest):
                 continue
-            if request.iif is not None or request.structure is not None:
-                continue
             try:
-                chosen = self.service.choose_implementation(
-                    request.component_name,
-                    request.implementation,
-                    request.functions,
-                )
+                chosen, overrides, constraints = self.service.elaboration(request)
             except Exception:  # noqa: BLE001 - the real path reports it
                 continue
-            overrides = dict(request.parameters or {})
-            overrides.update(chosen.attributes_to_parameters(request.attributes))
-            constraints = (
-                request.constraints
-                if request.constraints is not None
-                else DEFAULT_CONSTRAINTS
-            )
-            if request.strategy is not None:
-                constraints = constraints.with_updates(strategy=request.strategy)
+            if chosen is None:
+                continue
             claim = self._claim(chosen, overrides, constraints, request.instance_name)
             if claim is not None:
                 claims.append(claim)
@@ -374,25 +381,29 @@ class FleetDispatcher:
 
         Returns ``(signature, task, owner)``, or ``None`` when there is
         nothing to wait for: the flow is warm, or no child can take work.
-        The warm-skip check, the in-flight check and the owner's insert
-        share one lock hold, so racing callers dispatch once.
+        The signature is the result cache's identity of the elaboration
+        (:meth:`ResultCache.signature
+        <repro.api.cache.ResultCache.signature>`) at the logic target a
+        child warms; what the stage keys add to it is constant for this
+        server's generator.  The warm-skip check, the in-flight check and
+        the owner's insert share one lock hold, so racing callers
+        dispatch once.
         """
-        generator = self.service.generator
         if constraints is None:
             constraints = DEFAULT_CONSTRAINTS
         try:
-            flow_key = generator.prewarm_signature(
-                implementation, parameters, constraints
+            signature = ResultCache.signature(
+                implementation, parameters, constraints, TARGET_LOGIC
             )
         except Exception:  # noqa: BLE001 - let the real path raise it
             return None
         with self._cond:
-            if hash(flow_key) in self._warmed:
+            if hash(signature) in self._warmed:
                 return None
-            task = self._inflight.get(flow_key)
+            task = self._inflight.get(signature)
             if task is not None:
                 self._counters["coalesced"] += 1
-                return flow_key, task, False
+                return signature, task, False
             if self._closed or not any(self._children):
                 self._counters["fallbacks"] += 1
                 return None
@@ -402,13 +413,13 @@ class FleetDispatcher:
                 constraints,
                 name,
             )
-            task = self._inflight[flow_key] = _Task(implementation, job)
+            task = self._inflight[signature] = _Task(implementation, job)
             self._queue.append(task)
             self._cond.notify()
-        return flow_key, task, True
+        return signature, task, True
 
     def _settle(
-        self, flow_key: Tuple, task: _Task, owner: bool, deadline: float
+        self, signature: Tuple, task: _Task, owner: bool, deadline: float
     ) -> bool:
         """Wait for ``task``; its owner installs the bundle.  True if warm.
 
@@ -420,11 +431,11 @@ class FleetDispatcher:
                 task.answered.wait(max(0.0, deadline - time.monotonic()))
                 bundle = task.bundle
                 task.warmed = bundle is not None and self._install(
-                    flow_key, task, bundle
+                    signature, task, bundle
                 )
             finally:
                 with self._cond:
-                    self._inflight.pop(flow_key, None)
+                    self._inflight.pop(signature, None)
                 task.settled.set()
         else:
             task.settled.wait(max(0.0, deadline - time.monotonic()))
@@ -433,7 +444,7 @@ class FleetDispatcher:
                 self._counters["fallbacks"] += 1
         return task.warmed
 
-    def _install(self, flow_key: Tuple, task: _Task, bundle: bytes) -> bool:
+    def _install(self, signature: Tuple, task: _Task, bundle: bytes) -> bool:
         _, parameters, constraints, _ = task.job
         try:
             installed = install_bundle(
@@ -451,7 +462,7 @@ class FleetDispatcher:
             self._counters["installs"] += installed
             if len(self._warmed) > 65536:  # runaway-signature backstop
                 self._warmed.clear()
-            self._warmed.add(hash(flow_key))
+            self._warmed.add(hash(signature))
         return True
 
     # ------------------------------------------------------------------ admin

@@ -19,7 +19,7 @@ Two builders live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Tuple, Union
+from typing import Dict, List, Mapping, Optional, TYPE_CHECKING, Tuple, Union
 
 from ..components.counters import counter_parameters, TYPE_SYNCHRONOUS, UP_ONLY
 from ..api.service import Session
@@ -39,26 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: network :class:`~repro.net.client.RemoteClient`; both expose the classic
 #: surface and the shared instance registry's naming surface.
 IcdbClient = Union[Session, "RemoteClient"]
-
-
-def _generate_components(
-    icdb: IcdbClient,
-    specs: Sequence[Tuple[str, Dict[str, object]]],
-    parallel: bool = False,
-) -> Dict[str, ComponentInstance]:
-    """Generate the named component specs, optionally as concurrent jobs.
-
-    ``specs`` is an ordered ``(key, request_component kwargs)`` list; every
-    spec must carry an explicit ``instance_name`` so the result is
-    identical whichever path runs.  With ``parallel``, all specs are
-    submitted to the job scheduler first (``submit_component``) and
-    collected in order afterwards, so independent generations overlap
-    while the answer dict keeps the spec order.
-    """
-    if not parallel:
-        return {key: icdb.request_component(**kwargs) for key, kwargs in specs}
-    handles = [(key, icdb.submit_component(**kwargs)) for key, kwargs in specs]
-    return {key: handle.instance() for key, handle in handles}
 
 
 class DatapathError(RuntimeError):
@@ -169,14 +149,8 @@ def build_datapath(
     width: int = 8,
     name: Optional[str] = None,
     constraints: Optional[Constraints] = None,
-    parallel: bool = False,
 ) -> Datapath:
-    """Assemble the microarchitecture for a scheduled, allocated DFG.
-
-    With ``parallel`` the independent register and multiplexer
-    generations are submitted as concurrent jobs and collected in order
-    -- same instances, overlapped generation time.
-    """
+    """Assemble the microarchitecture for a scheduled, allocated DFG."""
     dfg = schedule.dfg
     datapath_name = name or f"{dfg.name}_datapath"
     structure = StructuralNetlist(
@@ -195,10 +169,9 @@ def build_datapath(
 
     # Registers for values that live across control steps (and the
     # outputs), plus a multiplexer in front of every functional unit that
-    # serves more than one operation (operand steering).  All of these
-    # generations are independent, so they fan out as concurrent jobs on
-    # the parallel path; names are allocated up front either way, keeping
-    # the result identical.
+    # serves more than one operation (operand steering).  Every name is
+    # allocated up front, before the first of them generates, which fixes
+    # the names the builder has always given.
     lifetimes = storage_requirements(schedule)
     specs: List[Tuple[str, Dict[str, object]]] = []
     for value, (produced, last_use) in sorted(lifetimes.items()):
@@ -230,7 +203,7 @@ def build_datapath(
                 ),
             )
         )
-    generated = _generate_components(icdb, specs, parallel=parallel)
+    generated = {key: icdb.request_component(**kwargs) for key, kwargs in specs}
 
     for value, (produced, last_use) in sorted(lifetimes.items()):
         register = generated[f"reg_{value}"]
@@ -310,14 +283,8 @@ def build_simple_computer(
     icdb: IcdbClient,
     width: int = 8,
     constraints: Optional[Constraints] = None,
-    parallel: bool = False,
 ) -> SimpleComputer:
-    """Generate the components of the Figure 13 simple computer.
-
-    With ``parallel`` the five datapath parts are submitted as concurrent
-    jobs; instance names are pre-allocated, so the resulting computer is
-    identical to the sequential build.
-    """
+    """Generate the components of the Figure 13 simple computer."""
     constraints = constraints or Constraints()
     specs = [
         (
@@ -364,7 +331,7 @@ def build_simple_computer(
             ),
         ),
     ]
-    parts = _generate_components(icdb, specs, parallel=parallel)
+    parts = {key: icdb.request_component(**kwargs) for key, kwargs in specs}
     control = generate_control_logic(
         icdb, "cpu_control", steps=8, command_bits=12, constraints=constraints
     )

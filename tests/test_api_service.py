@@ -233,6 +233,35 @@ def test_identical_catalog_requests_hit_the_cache(service):
         assert service.store.path_of(name, "vhdl") is not None
 
 
+def test_two_spellings_of_one_elaboration_share_a_cache_entry(service):
+    """The cache keys resolved parameter values: naming the default size
+    is the same elaboration as leaving it out."""
+    session = service.create_session()
+    first = session.execute(ComponentRequest(implementation="counter"))
+    second = session.execute(
+        ComponentRequest(implementation="counter", attributes={"size": 4})
+    )
+    assert first.ok and not first.cached
+    assert second.ok and second.cached
+    assert second.value["instance"] != first.value["instance"]
+    assert second.value["area"] == first.value["area"]
+    assert service.cache.stats()["stores"] == 1
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_undeclared_parameter_fails_before_taking_a_name(service, use_cache):
+    session = service.create_session()
+    bad = session.execute(
+        ComponentRequest(
+            implementation="counter", parameters={"bogus": 1}, use_cache=use_cache
+        )
+    )
+    assert not bad.ok and bad.error.code == E_NOT_FOUND
+    assert "counter has no parameter 'bogus'" in bad.error.message
+    good = session.execute(ComponentRequest(implementation="counter"))
+    assert good.value["instance"] == "counter_1"
+
+
 def test_cache_respects_parameters_constraints_and_target(service):
     session = service.create_session()
     base = ComponentRequest(implementation="register", attributes={"size": 4})

@@ -10,6 +10,8 @@ The SIGKILL-every-child-mid-generation story lives in
 from __future__ import annotations
 
 import dataclasses
+import json
+import logging
 import os
 import pickle
 import signal
@@ -619,13 +621,15 @@ def test_slot_that_cannot_restart_retires(tmp_path, monkeypatch):
 
 
 def test_child_that_cannot_start_retires_its_slot(
-    tmp_path, monkeypatch, started_processes
+    tmp_path, monkeypatch, started_processes, caplog
 ):
     """A child that never reports ready is handled like one that died:
     one replacement, then the slot retires.  The constructor does not
-    wait or raise, callers fall back long before the boot timeout, and
-    no child outlives close()."""
+    wait or raise, callers fall back long before the boot timeout, no
+    child outlives close(), and every boot failure names the child's
+    exit status, however soon its closed stdout is read."""
     monkeypatch.setattr(sys, "executable", "/bin/false")
+    caplog.set_level(logging.WARNING, logger="repro.fleet.dispatcher")
     service = _service(tmp_path)
     fleet = FleetDispatcher(service, 2)
     try:
@@ -641,6 +645,16 @@ def test_child_that_cannot_start_retires_its_slot(
         service.jobs.shutdown()
     assert len(started_processes) == 4  # per slot: its child, one replacement
     assert all(child.returncode is not None for child in started_processes)
+    failures = [
+        event["error"]
+        for event in (
+            json.loads(record.message)
+            for record in caplog.records
+            if record.name == "repro.fleet.dispatcher"
+        )
+        if event["event"] == "fleet_worker_failed_to_start"
+    ]
+    assert len(failures) == 4 and all("exit 1)" in error for error in failures), failures
 
 
 def test_prewarm_during_boot_waits_for_a_child(tmp_path, monkeypatch):

@@ -12,8 +12,7 @@ Covers the v2 service surface end to end:
   ``attach`` rebinds a new connection (jobs and design context survive a
   killed connection), session limits answer ``E_BUSY`` with
   detached-session eviction;
-* the server CLI's ``--workers`` / ``--max-sessions`` validation;
-* the parallel synthesis-builder path producing identical results.
+* the server CLI's ``--workers`` / ``--max-sessions`` validation.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.components import standard_catalog
 from repro.core.icdb import IcdbError
 from repro.net import RemoteClient, connect, serve
 from repro.net.client import attach
-from repro.synthesis import build_simple_computer
 
 #: The checkout this file belongs to: the CLI tests start its server.
 ROOT = Path(__file__).resolve().parents[1]
@@ -532,7 +530,7 @@ def test_attached_connection_receives_pushed_events(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI validation and parallel builders
+# CLI validation
 # ---------------------------------------------------------------------------
 
 
@@ -556,19 +554,3 @@ def test_cli_rejects_invalid_worker_and_session_flags(args):
     )
     assert proc.returncode == 2
     assert "expected" in proc.stderr
-
-
-def test_parallel_simple_computer_matches_sequential(tmp_path):
-    sequential = build_simple_computer(
-        _fresh_service(tmp_path, "seq").create_session(), width=4
-    )
-    parallel = build_simple_computer(
-        _fresh_service(tmp_path, "par").create_session(), width=4, parallel=True
-    )
-    assert set(sequential.datapath_parts) == set(parallel.datapath_parts)
-    for label, part in sequential.datapath_parts.items():
-        twin = parallel.datapath_parts[label]
-        assert part.name == twin.name
-        assert part.area == twin.area
-        assert part.netlist.cell_count() == twin.netlist.cell_count()
-    assert sequential.total_component_area() == parallel.total_component_area()
