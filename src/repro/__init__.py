@@ -5,7 +5,7 @@ The package implements ICDB -- a component server for behavioral synthesis
 -- together with every substrate the paper relies on:
 
 * :mod:`repro.api` -- the typed service layer: request / response message
-  dataclasses (JSON round-trippable), structured error codes, the
+  records (:mod:`repro.wire`, JSON round-trippable), structured error codes, the
   :class:`~repro.api.service.ComponentService` engine with per-client
   sessions, and the result cache that memoizes catalog-based generations;
 * :mod:`repro.net` -- the component server on the network: a

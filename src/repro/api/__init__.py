@@ -2,9 +2,10 @@
 
 The contract a socket / HTTP transport would speak:
 
-* :mod:`repro.api.messages` -- frozen request dataclasses (one per server
-  operation) and the :class:`Response` envelope, all JSON round-trippable
-  via ``to_dict()`` / ``from_dict()``;
+* :mod:`repro.api.messages` -- frozen request records (one per server
+  operation, declared with :class:`repro.wire.Wire`) and the
+  :class:`Response` envelope, all JSON round-trippable via ``to_dict()`` /
+  ``from_dict()``;
 * :mod:`repro.api.errors` -- structured error codes and payloads;
 * :mod:`repro.api.service` -- the :class:`ComponentService` engine and
   per-client :class:`Session` objects;

@@ -12,10 +12,10 @@ envelope so the legacy call paths re-raise exactly what they always did.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.icdb import IcdbError
+from ..wire import Record
 
 #: The request is malformed or references an unknown option.
 E_BAD_REQUEST = "BAD_REQUEST"
@@ -64,8 +64,7 @@ ERROR_CODES = (
 )
 
 
-@dataclass(frozen=True)
-class IcdbErrorInfo:
+class IcdbErrorInfo(Record, frozen=True):
     """Wire-format description of a failed request.
 
     ``retry_after_ms`` rides along on retryable failures (the ``BUSY``

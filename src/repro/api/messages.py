@@ -2,7 +2,8 @@
 
 The paper's ICDB is a *component server*: many synthesis tools call it
 concurrently through the ``ICDB()`` / CQL interface.  This module defines
-the wire contract of that server as frozen dataclasses, one per operation:
+the wire contract of that server as frozen :class:`~repro.wire.Wire`
+records, one per operation:
 
 ========================  =================================================
 request type              server operation
@@ -27,16 +28,19 @@ request type              server operation
 :class:`DatabaseDump`     the relational state (all or named tables)
 ========================  =================================================
 
-Two more wire dataclasses are not requests: :class:`JobEvent` is the
+Two more wire records are not requests: :class:`JobEvent` is the
 server-pushed progress record of a running job, and
 :class:`AttachSession` is the alternative opening handshake frame that
 resumes an existing session by token (sessions are decoupled from
 connections; see :mod:`repro.net`).
 
 Each class declares its wire form in its typed fields and nothing else:
-``to_dict()`` / ``from_dict()`` come from :class:`repro.wire.Wire`, one
-codec derived from the fields, so a malformed field answers
-``BAD_REQUEST`` naming ``Class.field`` before anything executes.  The
+a ``Request`` subclass inherits ``frozen=True``, and ``__init__``,
+``==``, the hash and ``repr`` come from :class:`repro.wire.Record`'s field
+table.  ``to_dict()`` / ``from_dict()`` come from
+:class:`repro.wire.Wire`, one codec derived from the fields, so a
+malformed field answers ``BAD_REQUEST`` naming ``Class.field`` before
+anything executes.  The
 :class:`Response` envelope keeps a hand-written sparse codec (it omits
 default fields on every batch item).  Responses carry
 ``ok`` / ``value`` / ``error`` (a structured
@@ -48,14 +52,13 @@ facade raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 from ..constraints import Constraints, PortPosition
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LOGIC
 from ..structure import StructuralNetlist
-from ..wire import Wire
+from ..wire import Record, Wire, field
 from .errors import E_BAD_REQUEST, IcdbErrorInfo
 from .query import QuerySpec
 
@@ -70,8 +73,7 @@ from .query import QuerySpec
 PROTOCOL_VERSION = 3
 
 
-@dataclass(frozen=True)
-class Request(Wire):
+class Request(Wire, frozen=True):
     """Base class: every server operation is one frozen request object.
 
     Its empty ``kind`` makes a field typed ``Request`` accept any
@@ -81,7 +83,6 @@ class Request(Wire):
     kind: ClassVar[str] = ""
 
 
-@dataclass(frozen=True)
 class ComponentQuery(Request):
     """The CQL ``component_query``.
 
@@ -102,7 +103,6 @@ class ComponentQuery(Request):
 FUNCTION_QUERY_WANTS = ("implementation", "component")
 
 
-@dataclass(frozen=True)
 class FunctionQuery(Request):
     """The CQL ``function_query``: what can execute *all* given functions."""
 
@@ -112,7 +112,6 @@ class FunctionQuery(Request):
     want: str = "implementation"
 
 
-@dataclass(frozen=True)
 class InstanceQuery(Request):
     """The CQL ``instance_query`` (and ``connect_component``).
 
@@ -130,7 +129,6 @@ class InstanceQuery(Request):
 COMPONENT_DETAILS = ("full", "summary")
 
 
-@dataclass(frozen=True)
 class ComponentRequest(Request):
     """The CQL ``request_component``: generate a component instance.
 
@@ -161,7 +159,6 @@ class ComponentRequest(Request):
     detail: str = "full"
 
 
-@dataclass(frozen=True)
 class PlanQuery(Request):
     """A declarative component query: select, bound, sweep, rank.
 
@@ -187,7 +184,6 @@ class PlanQuery(Request):
     query: QuerySpec = field(default_factory=QuerySpec)
 
 
-@dataclass(frozen=True)
 class LayoutRequest(Request):
     """Generate (and store) the layout of an existing instance.
 
@@ -208,7 +204,6 @@ class LayoutRequest(Request):
 SIM_ENGINES = ("gates", "flat")
 
 
-@dataclass(frozen=True)
 class Simulate(Request):
     """Batch-simulate test vectors on an existing instance.
 
@@ -260,7 +255,6 @@ MAX_SAMPLES = 16384
 MAX_EXHAUSTIVE = 16
 
 
-@dataclass(frozen=True)
 class CheckEquivalence(Request):
     """Check an instance's gate netlist against a flat reference.
 
@@ -323,7 +317,6 @@ DESIGN_OPS = (
 )
 
 
-@dataclass(frozen=True)
 class DesignOp(Request):
     """Design / transaction / component-list management.
 
@@ -345,7 +338,6 @@ class DesignOp(Request):
             )
 
 
-@dataclass(frozen=True)
 class BatchRequest(Request):
     """A pipelined batch: several requests executed in one server pass.
 
@@ -424,7 +416,6 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 JOB_TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
 
-@dataclass(frozen=True)
 class SubmitJob(Request):
     """Run any service request as an asynchronous server-side job.
 
@@ -453,7 +444,6 @@ class SubmitJob(Request):
             )
 
 
-@dataclass(frozen=True)
 class JobStatus(Request):
     """Poll one job's descriptor; optionally wait and fetch its events.
 
@@ -474,7 +464,6 @@ class JobStatus(Request):
     events_since: int = 0
 
 
-@dataclass(frozen=True)
 class CancelJob(Request):
     """Cooperatively cancel a job.
 
@@ -489,7 +478,6 @@ class CancelJob(Request):
     job_id: str = ""
 
 
-@dataclass(frozen=True)
 class GetMetrics(Request):
     """Export the service's metrics registry snapshot.
 
@@ -508,7 +496,6 @@ class GetMetrics(Request):
     include_histograms: bool = True
 
 
-@dataclass(frozen=True)
 class Ping(Request):
     """Liveness and health probe.
 
@@ -525,8 +512,7 @@ class Ping(Request):
     echo: str = ""
 
 
-@dataclass(frozen=True)
-class JobEvent(Wire):
+class JobEvent(Wire, frozen=True):
     """One progress record of a job (pushed as a ``job_event`` frame).
 
     ``seq`` is monotonic per job (starting at 1); ``state`` is the job
@@ -544,8 +530,7 @@ class JobEvent(Wire):
     timestamp: float = 0.0
 
 
-@dataclass(frozen=True)
-class AttachSession(Wire):
+class AttachSession(Wire, frozen=True):
     """The alternative opening frame: resume an existing session by token.
 
     The ``hello`` / ``welcome`` handshake issues a ``session_token``; a
@@ -563,7 +548,6 @@ class AttachSession(Wire):
     client: str = ""
 
 
-@dataclass(frozen=True)
 class WarmCache(Request):
     """Prime the server's generation-stage memo for catalog elaborations.
 
@@ -583,7 +567,6 @@ class WarmCache(Request):
     entries: Tuple[Dict[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
 class NewName(Request):
     """Allocate a fresh instance name derived from ``base``.
 
@@ -598,7 +581,6 @@ class NewName(Request):
     base: str = "component"
 
 
-@dataclass(frozen=True)
 class DatabaseDump(Request):
     """The relational state in ``Database.to_payload()`` form.
 
@@ -701,8 +683,7 @@ def request_from_dict(data: Mapping[str, Any]) -> Request:
     return Request.from_dict(data)
 
 
-@dataclass(frozen=True)
-class Hello(Wire):
+class Hello(Wire, frozen=True):
     """The client's opening frame of a transport connection.
 
     Carries the protocol version the client speaks and a client label the
@@ -717,8 +698,7 @@ class Hello(Wire):
     client: str = ""
 
 
-@dataclass(frozen=True)
-class Welcome(Wire):
+class Welcome(Wire, frozen=True):
     """The server's answer to a :class:`Hello` (or ``attach``): the
     session is open.
 
@@ -735,8 +715,7 @@ class Welcome(Wire):
     session_token: str = ""
 
 
-@dataclass
-class Response:
+class Response(Record):
     """The envelope every service call returns.
 
     ``value`` is JSON-serializable (renders and summaries, never live engine
@@ -745,9 +724,8 @@ class Response:
     result cache.  ``exception`` is in-process only (never serialized): the
     original exception, kept so legacy entry points re-raise it unchanged.
 
-    The envelope is a plain (unfrozen) dataclass: responses are built and
-    re-parsed once per request on the pipelined hot path, where the
-    ``object.__setattr__`` cost of a frozen dataclass is measurable.
+    The envelope is a mutable record: responses are built and re-parsed
+    once per request on the pipelined hot path, and nothing hashes one.
     """
 
     ok: bool

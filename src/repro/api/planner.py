@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
@@ -61,7 +60,7 @@ from ..components.catalog import (
     ComponentImplementation,
 )
 from ..core.icdb import IcdbError
-from ..wire import Wire
+from ..wire import Wire, field
 from .cache import DEFAULT_CONSTRAINTS, ResultCache
 from .errors import E_BAD_REQUEST, E_INVALID, E_NOT_FOUND, IcdbErrorInfo
 from .messages import ComponentRequest
@@ -219,7 +218,6 @@ def select_implementation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CandidateReport(Wire):
     """One candidate point of a plan, through its whole lifecycle.
 
@@ -256,7 +254,6 @@ class CandidateReport(Wire):
     requested_implementation: str = field(default="", repr=False, compare=False)
 
 
-@dataclass
 class PlanResult(Wire):
     """The full answer of a plan: candidates, ranking, front, explain.
 

@@ -29,13 +29,12 @@ with its ``kind``.  The evaluation engine lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..constraints import Constraints
 from ..core.icdb import IcdbError
 from ..core.instances import TARGET_LAYOUT, TARGET_LOGIC
-from ..wire import Wire
+from ..wire import Wire, field
 from .errors import E_BAD_REQUEST, E_INVALID
 
 #: Metrics a bound or objective may reference, measured on every generated
@@ -83,16 +82,14 @@ def _int_map(raw: Any, context: str) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionPredicate(Wire):
+class FunctionPredicate(Wire, frozen=True):
     """Match implementations that perform *all* of the given functions."""
 
     functions: Tuple[str, ...] = ()
     kind = "function"
 
 
-@dataclass(frozen=True)
-class TypePredicate(Wire):
+class TypePredicate(Wire, frozen=True):
     """Match implementations of a component type (or named exactly so).
 
     The match is case-insensitive and mirrors the classic
@@ -104,16 +101,14 @@ class TypePredicate(Wire):
     kind = "type"
 
 
-@dataclass(frozen=True)
-class NamePredicate(Wire):
+class NamePredicate(Wire, frozen=True):
     """Restrict candidates to an explicit implementation shortlist."""
 
     implementations: Tuple[str, ...] = ()
     kind = "name"
 
 
-@dataclass(frozen=True)
-class AttributePredicate(Wire):
+class AttributePredicate(Wire, frozen=True):
     """Match implementations that support every named GENUS attribute.
 
     ``attributes`` maps attribute names to the values the caller will
@@ -134,8 +129,7 @@ Predicate = Union[FunctionPredicate, TypePredicate, NamePredicate, AttributePred
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bound(Wire):
+class Bound(Wire, frozen=True):
     """An upper bound on a measured metric: feasible iff value <= limit."""
 
     #: A bound without ``metric`` on the wire reads as "", which the
@@ -180,8 +174,7 @@ def max_cells(limit: float) -> Bound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Objective(Wire):
+class Objective(Wire, frozen=True):
     """How feasible candidates are ranked.
 
     * ``minimize``: one metric, ascending;
@@ -315,8 +308,7 @@ def parse_objective(text: str) -> Objective:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanPoint(Wire):
+class PlanPoint(Wire, frozen=True):
     """One explicit labelled configuration of the design space.
 
     ``parameters`` are raw IIF parameter overrides, ``attributes`` GENUS
@@ -342,8 +334,7 @@ class PlanPoint(Wire):
         )
 
 
-@dataclass(frozen=True)
-class QuerySpec(Wire):
+class QuerySpec(Wire, frozen=True):
     """A complete declarative component query.
 
     ``select`` filters the catalog, ``sweep`` *or* ``points`` (mutually

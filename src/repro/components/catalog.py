@@ -23,10 +23,10 @@ catalog loads no part of the IIF front end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..fingerprint import stable_fingerprint
+from ..wire import Record, field
 from . import genus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,8 +37,7 @@ class CatalogError(KeyError):
     """Raised when a catalog lookup fails."""
 
 
-@dataclass(frozen=True)
-class ControlSetting:
+class ControlSetting(Record, frozen=True):
     """One ``** port value [qualifier]`` line of connection information."""
 
     port: str
@@ -52,8 +51,7 @@ class ControlSetting:
         return text
 
 
-@dataclass(frozen=True)
-class FunctionBinding:
+class FunctionBinding(Record, frozen=True):
     """How a component executes one function.
 
     ``operand_map`` maps function operand names (``I0``, ``I1``, ``O0``,
@@ -80,8 +78,7 @@ class FunctionBinding:
         return "\n".join(lines)
 
 
-@dataclass
-class ComponentImplementation:
+class ComponentImplementation(Record):
     """A parameterized component implementation stored in the library."""
 
     name: str

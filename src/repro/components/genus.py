@@ -14,8 +14,9 @@ library [Dutt 88].  This module defines that vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..wire import Record
 
 
 class UnknownFunctionError(KeyError):
@@ -145,8 +146,7 @@ def merge_attributes(overrides: Optional[Mapping[str, object]] = None) -> Dict[s
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentType:
+class ComponentType(Record, frozen=True):
     """A predefined microarchitecture component type.
 
     ``functions`` lists the functions an implementation of this type is

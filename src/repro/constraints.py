@@ -15,10 +15,9 @@ assignments such as ``CLK left s1.0``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .wire import Wire
+from .wire import Wire, field, fields
 
 
 class ConstraintError(ValueError):
@@ -39,8 +38,7 @@ FASTEST_TARGET_NS = 0.0
 CHEAPEST_TARGET_NS = 1000.0
 
 
-@dataclass(frozen=True)
-class PortPosition(Wire):
+class PortPosition(Wire, frozen=True):
     """One port-position assignment: ``D[0] top 10``.
 
     ``side`` is ``left``, ``right``, ``top`` or ``bottom``; ``order`` is the
@@ -57,7 +55,6 @@ class PortPosition(Wire):
             raise ConstraintError(f"unknown side {self.side!r} for port {self.port!r}")
 
 
-@dataclass
 class Constraints(Wire):
     """Delay and geometry constraints for component generation."""
 
@@ -117,19 +114,12 @@ class Constraints(Wire):
     # ----------------------------------------------------------------- update
 
     def with_updates(self, **changes) -> "Constraints":
-        """Return a copy with the given fields replaced."""
-        data = {
-            "clock_width": self.clock_width,
-            "comb_delay": dict(self.comb_delay),
-            "default_comb_delay": self.default_comb_delay,
-            "setup_time": self.setup_time,
-            "output_loads": dict(self.output_loads),
-            "default_output_load": self.default_output_load,
-            "strategy": self.strategy,
-            "strips": self.strips,
-            "aspect_ratio": self.aspect_ratio,
-            "port_positions": self.port_positions,
-        }
+        """Return a copy with the given fields replaced (every field is
+        carried over; the dict fields are copied, not shared)."""
+        data = {}
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            data[entry.name] = dict(value) if isinstance(value, dict) else value
         data.update(changes)
         return Constraints(**data)
 

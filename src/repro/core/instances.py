@@ -14,10 +14,10 @@ by the first render, which follows a generation.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..constraints import Constraints
+from ..wire import Record, field
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..estimation.area import AreaRecord
@@ -37,8 +37,7 @@ TARGET_LOGIC = "logic"
 TARGET_LAYOUT = "layout"
 
 
-@dataclass
-class ComponentInstance:
+class ComponentInstance(Record):
     """One generated component and everything ICDB knows about it."""
 
     name: str

@@ -13,8 +13,9 @@ loading the Figure-8 flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..wire import Record
 
 #: The name the embedded Figure-8 generator registers under.
 EMBEDDED_GENERATOR = "icdb_embedded_generator"
@@ -24,8 +25,7 @@ class GenerationError(RuntimeError):
     """Raised when a component cannot be generated."""
 
 
-@dataclass
-class ToolDescription:
+class ToolDescription(Record):
     """One registered tool: a named callable with a step classification."""
 
     name: str
@@ -34,8 +34,7 @@ class ToolDescription:
     runner: Optional[Callable] = None
 
 
-@dataclass
-class GeneratorDescription:
+class GeneratorDescription(Record):
     """A component generator: an ordered list of (step number, tool name)."""
 
     name: str

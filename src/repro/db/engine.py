@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+from ..wire import Record
 
 
 class DatabaseError(ValueError):
@@ -36,8 +37,7 @@ COLUMN_TYPES = {"str": str, "int": int, "float": float, "bool": bool, "json": ob
 Predicate = Union[Mapping[str, Any], Callable[[Dict[str, Any]], bool], None]
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record, frozen=True):
     """A typed table column."""
 
     name: str
@@ -225,6 +225,13 @@ class Table:
         return rows
 
     def get(self, **key_values: Any) -> Optional[Dict[str, Any]]:
+        if len(key_values) == 1 and self.key in key_values:
+            # A key the index lacks matches no row: answer without a scan.
+            try:
+                if key_values[self.key] not in self._key_index:
+                    return None
+            except TypeError:  # an unhashable value: the scan decides
+                pass
         matches = self.select(key_values)
         if not matches:
             return None

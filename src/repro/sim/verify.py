@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.messages import EQUIVALENCE_MODES, SIM_ENGINES
@@ -74,7 +73,6 @@ class VerificationError(ValueError):
 DEFAULT_BLOCK_LANES = 256
 
 
-@dataclass
 class EquivalenceResult(Wire):
     """Outcome of an equivalence check.
 

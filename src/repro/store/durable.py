@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..db.engine import Database
 from ..db.schema import create_schema
+from ..wire import Record
 from .events import EventError, apply_event
 from .journal import (
     DEFAULT_FSYNC_INTERVAL,
@@ -48,8 +48,7 @@ class StoreError(ValueError):
     """Raised on invalid durable-store configuration or state."""
 
 
-@dataclass
-class RecoveryReport:
+class RecoveryReport(Record):
     """What one recovery pass found and did."""
 
     snapshot_seq: int = 0

@@ -35,9 +35,10 @@ import re
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
+
+from ..wire import Record, field
 
 #: Valid ``fsync`` policy names.
 FSYNC_POLICIES = ("always", "interval", "never")
@@ -118,8 +119,7 @@ def decode_record(line: bytes) -> Dict[str, Any]:
     return event
 
 
-@dataclass
-class SegmentScan:
+class SegmentScan(Record):
     """The outcome of reading one segment file front to back."""
 
     path: Path

@@ -20,10 +20,10 @@ import json
 import os
 import re
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..wire import Record
 from .journal import fsync_directory
 
 _SNAPSHOT_RE = re.compile(r"snapshot-(\d{12})\.json$")
@@ -111,8 +111,7 @@ def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
     return seq, payload
 
 
-@dataclass
-class LatestSnapshot:
+class LatestSnapshot(Record):
     """The newest loadable snapshot plus how many newer ones were corrupt."""
 
     path: Optional[Path]

@@ -15,10 +15,9 @@ cluster's gate netlists for the estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Set
 
-from .wire import Wire
+from .wire import Wire, field
 
 
 def _duplicate_label(label: str, netlist: str) -> Exception:
@@ -27,7 +26,6 @@ def _duplicate_label(label: str, netlist: str) -> Exception:
     return NetlistError(f"instance label {label!r} already used in {netlist}")
 
 
-@dataclass
 class ComponentRef(Wire):
     """One instantiation of an ICDB component inside a structural netlist."""
 
@@ -39,7 +37,6 @@ class ComponentRef(Wire):
         return list(self.port_map.values())
 
 
-@dataclass
 class StructuralNetlist(Wire):
     """A netlist whose instances are ICDB component instances."""
 

@@ -1,9 +1,35 @@
-"""The wire codec: ``to_dict()`` / ``from_dict()`` derived from dataclass fields.
+"""The record base and the wire codec: one field table per class.
 
 Every typed message of the ICDB server -- the requests, the handshake
 frames, the query IR, constraints, structural netlists and the plan and
-equivalence answers -- is a dataclass that inherits :class:`Wire`.  Its
-field annotations are its wire contract; this module turns them into one
+equivalence answers -- is a :class:`Wire` record, and the value records a
+server builds at boot (the response envelope, catalog entries, table
+columns, recovery reports) are :class:`Record` s.  A record class is
+declared by its annotated fields::
+
+    class Hello(Wire, frozen=True):
+        protocol: int = field(default=PROTOCOL_VERSION, metadata={"wire_default": 0})
+        client: str = ""
+
+**Records.**  When a record class is created, :class:`Record` builds its
+field table (:func:`fields`): the bases' fields, then the class's own
+annotated ones, skipping ``ClassVar``; an overriding field keeps its
+base's position.  A default is a class attribute or a :func:`field`
+(``default``, ``default_factory`` run once per instance, ``compare``,
+``repr``, ``metadata``); :data:`MISSING` marks a field with none, and a
+field without a default may not follow one with a default.  From that
+table the class serves ``__init__`` (keyword or positional, in field
+order; ``__post_init__`` runs after the fields are set), ``==`` and
+``repr`` over the compared / shown fields, and a ``__hash__``: over the
+compared fields for a frozen class, ``None`` for a mutable one.
+``frozen=True`` is inherited; setting or deleting a field of a frozen
+instance raises :class:`FrozenInstanceError`, and ``__post_init__``
+normalises through ``object.__setattr__``.  A method the class body
+defines itself is kept.  Nothing is compiled per class: every method is
+a closure over the table, so a booted server imports neither
+``dataclasses`` nor ``inspect``.
+
+The codec turns a :class:`Wire` class's field annotations into one
 encoder and one decoder per class, built on first use.
 
 **Encode.**  Every field that takes part in comparison goes out under its
@@ -44,9 +70,249 @@ to an object built in process.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
+from operator import itemgetter
+from reprlib import recursive_repr
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, NoReturn, Optional, Tuple, Union
+
+# ---------------------------------------------------------------------------
+# Records: one field table per class, and the methods it serves
+# ---------------------------------------------------------------------------
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on setting or deleting a field of a frozen record."""
+
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+#: The default of a field that has none (and the factory of one that has
+#: no factory).
+MISSING: Any = _Missing()
+
+#: Stands in a class's ``__init__`` template for a factory-made default.
+_FACTORY = object()
+
+_NO_METADATA: Mapping[str, Any] = MappingProxyType({})
+
+
+class Field:
+    """One entry of a record class's field table."""
+
+    __slots__ = ("name", "default", "default_factory", "compare", "repr", "metadata")
+
+    def __init__(
+        self,
+        default: Any,
+        default_factory: Any,
+        compare: bool,
+        repr: bool,
+        metadata: Mapping[str, Any],
+    ) -> None:
+        self.name = ""
+        self.default = default
+        self.default_factory = default_factory
+        self.compare = compare
+        self.repr = repr
+        self.metadata = metadata
+
+
+def field(
+    *,
+    default: Any = MISSING,
+    default_factory: Any = MISSING,
+    compare: bool = True,
+    repr: bool = True,
+    metadata: Optional[Mapping[str, Any]] = None,
+) -> Any:
+    """Declare a field with a default value or a ``default_factory`` run
+    once per instance.  A ``compare=False`` field takes no part in ``==``,
+    the hash or the wire form; a ``repr=False`` one is left out of
+    ``repr``.  ``metadata`` carries the codec's ``wire_key`` /
+    ``wire_default``."""
+    if default is not MISSING and default_factory is not MISSING:
+        raise ValueError("a field takes a default or a default_factory, not both")
+    if metadata:
+        metadata = MappingProxyType(dict(metadata))
+    return Field(default, default_factory, compare, repr, metadata or _NO_METADATA)
+
+
+def fields(record: Any) -> Tuple[Field, ...]:
+    """The field table of a record class or instance, in ``__init__`` order."""
+    try:
+        return record.__record_fields__
+    except AttributeError:
+        raise TypeError(f"{record!r} is not a record class or instance") from None
+
+
+class Record:
+    """Base of a class declared by its annotated fields (see the module
+    docstring); ``class X(Record, frozen=True)`` makes it immutable."""
+
+    __record_fields__ = ()
+    __record_frozen__ = False
+
+    def __init_subclass__(cls, frozen: Optional[bool] = None, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if frozen is None:
+            frozen = cls.__record_frozen__
+        elif cls.__record_frozen__ and not frozen:
+            raise TypeError(f"{cls.__name__}: a subclass of a frozen record is frozen")
+        table: Dict[str, Field] = {}
+        for base in reversed(cls.__mro__[1:]):
+            for entry in base.__dict__.get("__record_fields__", ()):
+                table[entry.name] = entry
+        # The class's own annotations: on Python 3.9 cls.__annotations__
+        # falls through to a base's when the class declares none.
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+            if _is_class_var(annotation):
+                continue
+            value = cls.__dict__.get(name, MISSING)
+            if isinstance(value, Field):
+                entry = value
+            elif value.__class__ in (list, dict, set):
+                raise ValueError(
+                    f"{cls.__name__}.{name}: a mutable default would be shared "
+                    "by every instance; use default_factory"
+                )
+            else:
+                entry = Field(value, MISSING, True, True, _NO_METADATA)
+            entry.name = name
+            # As with @dataclass: the class attribute is the default, if any.
+            if entry.default is not MISSING:
+                setattr(cls, name, entry.default)
+            elif name in cls.__dict__:
+                delattr(cls, name)
+            table[name] = entry
+        cls.__record_fields__ = tuple(table.values())
+        cls.__record_frozen__ = frozen
+        _serve(cls, cls.__record_fields__, frozen)
+
+
+def _is_class_var(annotation: Any) -> bool:
+    if isinstance(annotation, str):  # under ``from __future__ import annotations``
+        return annotation.startswith(("ClassVar", "typing.ClassVar"))
+    return annotation is typing.ClassVar or typing.get_origin(annotation) is typing.ClassVar
+
+
+def _serve(cls: type, table: Tuple[Field, ...], frozen: bool) -> None:
+    """Install the methods ``cls`` serves from its field table."""
+    template = {
+        entry.name: entry.default if entry.default_factory is MISSING else _FACTORY
+        for entry in table
+    }
+    names = tuple(template)
+    count = len(names)
+    required = tuple(name for name in names if template[name] is MISSING)
+    if names[: len(required)] != required:
+        raise TypeError(
+            f"{cls.__name__}: a field without a default follows one with a default"
+        )
+    factories = tuple(
+        (entry.name, entry.default_factory)
+        for entry in table
+        if entry.default_factory is not MISSING
+    )
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
+        if args:
+            kwargs = _bind(cls, names, args, kwargs)
+        values = {**template, **kwargs}
+        if len(values) != count:
+            raise _unexpected(cls, template, kwargs)
+        if required:
+            for name in required:
+                if values[name] is MISSING:
+                    raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if factories:
+            for name, factory in factories:
+                if values[name] is _FACTORY:
+                    values[name] = factory()
+        object.__setattr__(self, "__dict__", values)
+        if post_init:
+            self.__post_init__()
+
+    key = _values_of(tuple(entry.name for entry in table if entry.compare))
+
+    def __eq__(self: Any, other: Any) -> Any:
+        if other.__class__ is self.__class__:
+            return key(self.__dict__) == key(other.__dict__)
+        return NotImplemented
+
+    shown = tuple(entry.name for entry in table if entry.repr)
+
+    @recursive_repr()
+    def __repr__(self: Any) -> str:
+        values = self.__dict__
+        body = ", ".join([f"{name}={values[name]!r}" for name in shown])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __hash__(self: Any) -> int:
+        return hash(key(self.__dict__))
+
+    # As with @dataclass, a method the class body defines is kept.  A body
+    # that defines __eq__ alone gets __hash__ = None from Python itself,
+    # which is not a choice.  The hash is set on every class, never
+    # inherited: a frozen class under a mutable base stays hashable.
+    own = dict(cls.__dict__)
+    body_hash = own.get("__hash__", MISSING)
+    if body_hash is MISSING or (body_hash is None and "__eq__" in own):
+        cls.__hash__ = __hash__ if frozen else None  # type: ignore[assignment]
+    for method in (__init__, __eq__, __repr__):
+        if method.__name__ not in own:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    if frozen:
+        cls.__setattr__ = _frozen_setattr  # type: ignore[assignment]
+        cls.__delattr__ = _frozen_delattr  # type: ignore[assignment]
+
+
+def _values_of(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
+    """A function from an instance ``__dict__`` to the tuple of ``names``'
+    values: what ``==`` and the hash compare, as ``@dataclass`` does."""
+    if len(names) == 1:
+        (name,) = names
+        return lambda values: (values[name],)
+    return itemgetter(*names) if names else lambda values: ()
+
+
+def _bind(cls: type, names: Tuple[str, ...], args: tuple, kwargs: Dict[str, Any]) -> Dict[str, Any]:
+    """Positional arguments as keywords, in field order."""
+    if len(args) > len(names):
+        raise TypeError(
+            f"{cls.__name__}() takes {len(names)} positional arguments "
+            f"but {len(args)} were given"
+        )
+    bound = dict(zip(names, args))
+    for name in kwargs:
+        if name in bound:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    bound.update(kwargs)
+    return bound
+
+
+def _unexpected(cls: type, template: Dict[str, Any], kwargs: Dict[str, Any]) -> TypeError:
+    name = next(name for name in kwargs if name not in template)
+    return TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+
+
+def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# The codec
+# ---------------------------------------------------------------------------
+
 
 #: Class attributes that, when they are strings and not fields, tag a
 #: class's wire form (the handshake frames' ``type``, the requests' and
@@ -81,8 +347,8 @@ Convert = Optional[Callable[[Any], Any]]
 _CODECS: Dict[type, Tuple[Callable[[Any], Dict[str, Any]], Callable[[Any], Any]]] = {}
 
 
-class Wire:
-    """Base of every wire dataclass: the derived ``to_dict`` / ``from_dict``."""
+class Wire(Record):
+    """Base of every wire record: the derived ``to_dict`` / ``from_dict``."""
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-ready wire form."""
@@ -136,8 +402,9 @@ def _fail(expected: str, value: Any) -> NoReturn:
 def _build(cls: type):
     """Resolve ``cls``'s annotations once; return its encoder and decoder."""
     hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.compare]
-    names = {f.name for f in dataclasses.fields(cls)}
+    table = fields(cls)
+    compared = [f for f in table if f.compare]
+    names = {f.name for f in table}
     tags = {
         key: getattr(cls, key)
         for key in _TAGS
@@ -145,7 +412,7 @@ def _build(cls: type):
     }
     encoders = [
         (f.name, f.metadata.get("wire_key", f.name), _encoder(hints[f.name]))
-        for f in fields
+        for f in compared
     ]
 
     def encode(obj: Any) -> Dict[str, Any]:
@@ -160,10 +427,10 @@ def _build(cls: type):
         return encode, _union(_variants(cls))
 
     steps = []
-    for f in fields:
+    for f in compared:
         if "wire_default" in f.metadata:
             fallback: Any = f.metadata["wire_default"]
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        elif f.default is MISSING and f.default_factory is MISSING:
             fallback = _REQUIRED
         else:
             fallback = _OMIT

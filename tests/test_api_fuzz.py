@@ -10,7 +10,6 @@ escaping the service or the wire dispatcher.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import string
@@ -19,6 +18,7 @@ import typing
 import pytest
 
 from repro import wire
+from repro.wire import fields
 from repro.api import (
     AttributePredicate,
     BatchRequest,
@@ -751,7 +751,7 @@ def _wrong_value(hint):
 def _request_fields():
     for kind, request_type in sorted(REQUEST_TYPES.items()):
         hints = typing.get_type_hints(request_type)
-        for item in dataclasses.fields(request_type):
+        for item in fields(request_type):
             wrong = _wrong_value(hints[item.name])
             if wrong is not None:
                 yield kind, item.name, wrong
@@ -775,7 +775,7 @@ def test_a_wrong_json_type_in_any_request_field_answers_bad_request(fuzz_service
         assert label in response["error"]["message"], (label, response)
         checked += 1
     # No request field is typed Any, so every one of them was probed.
-    assert checked == sum(len(dataclasses.fields(t)) for t in REQUEST_TYPES.values())
+    assert checked == sum(len(fields(t)) for t in REQUEST_TYPES.values())
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ComponentService
 from repro.constraints import (
     ConstraintError,
     Constraints,
@@ -29,6 +30,7 @@ from repro.db import (
     new_database,
 )
 from repro.db.store import TextPieces
+from repro.wire import fields
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,31 @@ def test_table_update_is_all_or_nothing():
     with pytest.raises(DatabaseError):
         table.update({"name": "ada"}, age="not-an-int")
     assert table.rows == before
+
+
+def test_a_key_miss_is_answered_from_the_key_index(tmp_path, monkeypatch):
+    visited = []
+    matches = Table._matches
+
+    def counted(row, where):
+        visited.append(row)
+        return matches(row, where)
+
+    monkeypatch.setattr(Table, "_matches", staticmethod(counted))
+    # Loading the catalog into a fresh database looks up 114 names that
+    # are all absent; each lookup used to scan its table.
+    ComponentService(store_root=tmp_path)
+    assert visited == []
+    table = _people_table()
+    table.insert(name="ada", age=36)
+    assert table.get(name="grace") is None and visited == []
+    assert table.get(name="ada")["age"] == 36  # a hit still reads its row
+    table.update({"name": "ada"}, name="lovelace")
+    assert table.get(name="ada") is None
+    assert table.get(name="lovelace")["age"] == 36
+    # Another predicate, or an unhashable key value, keeps the scan.
+    assert table.get(name="lovelace", age=36)["name"] == "lovelace"
+    assert table.get(name=["ada"]) is None
 
 
 def test_table_select_ordering_and_callable_predicates():
@@ -264,3 +291,28 @@ def test_constraints_lookup_and_updates():
     assert updated.clock_width == 30.0
     assert constraints.clock_width is None
     assert not Constraints().has_delay_constraints()
+
+
+def test_constraints_with_updates_keeps_every_field():
+    values = {
+        "clock_width": 30.0,
+        "comb_delay": {"O[1]": 12.0},
+        "default_comb_delay": 20.0,
+        "setup_time": 1.5,
+        "output_loads": {"O[1]": 5.0},
+        "default_output_load": 2.0,
+        "strategy": STRATEGY_FASTEST,
+        "strips": 3,
+        "aspect_ratio": 0.5,
+        "port_positions": (PortPosition("CLK", "left", 1.0),),
+    }
+    # A field added to Constraints must be added here too.
+    assert set(values) == {entry.name for entry in fields(Constraints)}
+    default = Constraints()
+    assert all(getattr(default, name) != value for name, value in values.items())
+    original = Constraints(**values)
+    copy = original.with_updates()
+    assert copy == original
+    assert copy.comb_delay is not original.comb_delay
+    assert copy.output_loads is not original.output_loads
+    assert original.with_updates(strips=4) == Constraints(**dict(values, strips=4))

@@ -9,7 +9,6 @@ The SIGKILL-every-child-mid-generation story lives in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -33,6 +32,7 @@ from repro.fleet import dispatcher as dispatcher_module
 from repro.fleet.worker import READY
 from repro.techlib import standard_cells
 from repro.techlib.cells import CellLibraryError
+from repro.wire import fields
 
 
 def _service(tmp_path, tag="store", **kwargs):
@@ -425,7 +425,9 @@ def test_failed_install_is_a_counted_fallback(fleet_rig, tmp_path, monkeypatch):
 def test_error_answer_falls_back_without_retry(fleet_rig):
     """A task the child cannot compute would fail locally too: no retry."""
     service, fleet = fleet_rig
-    ghost = dataclasses.replace(service.catalog.get("alu"), name="no_such_alu")
+    alu = service.catalog.get("alu")
+    values = {f.name: getattr(alu, f.name) for f in fields(alu)}
+    ghost = type(alu)(**dict(values, name="no_such_alu"))
     assert fleet.prewarm(ghost, {"size": 4}, None) is False
     stats = fleet.stats()
     assert stats["completed"] == 1

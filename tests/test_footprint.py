@@ -390,6 +390,17 @@ _BOOT_PROBE = """
 import json
 import sys
 
+compiled = []
+
+def audit(event, args):
+    # Code compiled from a string: per-class generated methods, typing's
+    # forward references.  A module compiled from its own source file
+    # (no cached bytecode) is an import, counted by boot_modules.
+    if event == "compile" and not str(args[1]).endswith(".py"):
+        compiled.append(str(args[1]))
+
+sys.addaudithook(audit)
+
 import repro.net.server
 
 def loaded():
@@ -409,7 +420,12 @@ welcome = dispatcher.dispatch({"type": "hello", "protocol": PROTOCOL_VERSION})
 def send(request):
     return dispatcher.dispatch({"type": "request", "request": request.to_dict()})["response"]
 
-answers = [send(Ping()), send(ComponentQuery(component="Counter"))]
+ping = send(Ping())
+pinged = {
+    "compiles": len(compiled),
+    "modules": [m for m in ("dataclasses", "inspect") if m in sys.modules],
+}
+answers = [ping, send(ComponentQuery(component="Counter"))]
 error = send(InstanceQuery(name="no_such_instance"))
 lean_modules = loaded()
 reply = send(ComponentRequest(implementation="counter", attributes={"size": 4}))
@@ -421,6 +437,7 @@ print(json.dumps({
     "error": error["error"]["code"],
     "cached": reply["value"]["cached"],
     "boot_modules": len(boot_modules),
+    "pinged": pinged,
     "lean_modules": lean_modules,
     "loaded": [m for m in ("_hashlib", "hashlib", "hmac", "ssl") if m in sys.modules],
 }))
@@ -449,6 +466,12 @@ def test_booted_server_loads_no_openssl_and_no_extra_modules(tmp_path):
     assert result["cached"] is False
     assert result["loaded"] == []
     assert result["boot_modules"] <= 39
+    # Up to the first ping no class compiles methods of its own (records
+    # serve theirs from a field table; what is counted is the codecs'
+    # typing forward references and stdlib namedtuples) and nothing
+    # loads dataclasses or inspect.
+    assert result["pinged"]["modules"] == []
+    assert result["pinged"]["compiles"] <= 40
 
 
 @pytest.mark.parametrize(
