@@ -18,7 +18,6 @@ the generator receives the caller's parameter overrides as given.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..components.catalog import ComponentImplementation
@@ -32,6 +31,7 @@ from ..netlist.gates import GateNetlist
 from ..netlist.structural import flatten_to_gates
 from ..sizing import SizingOptions, size_for_constraints
 from ..techlib import CellLibrary, standard_cells
+from ..wire import fields
 from .gencache import GenerationCache
 from .instances import ComponentInstance, TARGET_LAYOUT, TARGET_LOGIC
 from .progress import checkpoint
@@ -54,6 +54,12 @@ def _area_record(
     if constraints.aspect_ratio is not None:
         return shape.best_for_aspect_ratio(constraints.aspect_ratio)
     return shape.min_area()
+
+
+def _field_values(options: object) -> Tuple:
+    """An options record's field values, in field order (every options
+    field is a scalar, so this is what ``dataclasses.astuple`` gave)."""
+    return tuple(getattr(options, entry.name) for entry in fields(options))
 
 
 def _flat_with_name(template: FlatComponent, name: str) -> FlatComponent:
@@ -110,17 +116,17 @@ class EmbeddedGenerator:
     def _synthesis_signature(self) -> Tuple:
         """Everything besides the flat component that synthesis reads.
 
-        Derived from the options dataclass itself, so a future
+        Derived from the options record's field table, so a future
         ``SynthesisOptions`` field is part of the key automatically
         instead of silently poisoning the cache.
         """
         return (
-            astuple(self.synthesis_options),
+            _field_values(self.synthesis_options),
             self.cell_library.fingerprint(),
         )
 
     def _sizing_signature(self) -> Tuple:
-        return astuple(self.sizing_options)
+        return _field_values(self.sizing_options)
 
     def expand_key(
         self,

@@ -23,17 +23,16 @@ calls against the same server concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..api.service import Session
 from ..core.icdb import ICDB
+from ..wire import Record, field
 from .executor import CqlExecutionError, CqlExecutor
 from .parser import CqlCommand, VariableSlot, parse_command
 
 
-@dataclass
-class OutParam:
+class OutParam(Record):
     """A mutable output holder, the analogue of passing ``&variable`` in C."""
 
     value: Any = None

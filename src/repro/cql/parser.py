@@ -12,8 +12,9 @@ second character gives the type (``s`` string, ``d`` integer, ``r`` float,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from ..wire import Record, field
 
 
 class CqlSyntaxError(ValueError):
@@ -26,8 +27,7 @@ VARIABLE_TYPES = {"s": str, "d": int, "r": float, "f": str}
 _VARIABLE_RE = re.compile(r"^([%?])([sdrf])(\[\])?$")
 
 
-@dataclass(frozen=True)
-class VariableSlot:
+class VariableSlot(Record, frozen=True):
     """A ``%``/``?`` variable description found in a command term."""
 
     direction: str  # "in" for %, "out" for ?
@@ -46,8 +46,7 @@ class VariableSlot:
 Value = Union[str, int, float, List[str], Dict[str, str], VariableSlot]
 
 
-@dataclass
-class CqlTerm:
+class CqlTerm(Record):
     """One ``keyword: value`` term of a command."""
 
     keyword: str
@@ -63,8 +62,7 @@ class CqlTerm:
         return isinstance(self.value, VariableSlot) and self.value.direction == "out"
 
 
-@dataclass
-class CqlCommand:
+class CqlCommand(Record):
     """A parsed CQL command."""
 
     command: str

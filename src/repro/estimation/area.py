@@ -15,15 +15,14 @@ experiments on its layout tool; here it is a fitted synthetic curve).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateInstance, GateNetlist
 from ..techlib import BASE_STRIP_HEIGHT_UM, TRACK_PITCH_UM
+from ..wire import Record, field
 
 
-@dataclass(frozen=True)
-class AreaRecord:
+class AreaRecord(Record, frozen=True):
     """One layout alternative: the component laid out in ``strips`` strips."""
 
     strips: int

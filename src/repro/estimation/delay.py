@@ -22,19 +22,18 @@ the path.  This module computes, for a mapped gate netlist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..constraints import Constraints
 from ..logic.expr import shared_name
 from ..netlist.gates import GateInstance, GateNetlist
 from ..netlist.graph import combinational_order
+from ..wire import Record, field
 
 _NEG_INF = float("-inf")
 
 
-@dataclass
-class DelayReport:
+class DelayReport(Record):
     """The result of delay estimation for one component instance."""
 
     component: str

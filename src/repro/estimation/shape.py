@@ -9,15 +9,14 @@ available; ICDB returns the whole list from an instance query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateNetlist
+from ..wire import Record, field
 from .area import AreaEstimator, AreaRecord
 
 
-@dataclass
-class ShapeFunction:
+class ShapeFunction(Record):
     """An ordered list of layout alternatives for one component."""
 
     component: str

@@ -23,7 +23,7 @@ def stable_fingerprint(*parts: object) -> int:
     """A 64-bit content digest of ``parts``, identical across processes.
 
     Parts are folded in via their ``repr`` (strings, numbers, tuples and
-    frozen dataclasses all have stable, content-determined reprs), with a
+    frozen records all have stable, content-determined reprs), with a
     separator so adjacent parts cannot collide by concatenation.
     """
     digest = blake2b(digest_size=8)

@@ -19,8 +19,9 @@ module with concrete parameter values into a flat component
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
+
+from ..wire import Record, field
 
 
 class IifSyntaxError(ValueError):
@@ -44,23 +45,20 @@ class Node:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Num(Node):
+class Num(Node, Record, frozen=True):
     """Integer literal."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class Name(Node):
+class Name(Node, Record, frozen=True):
     """A signal or variable reference, possibly indexed: ``Q[i+1]``."""
 
     ident: str
     indices: Tuple[Node, ...] = ()
 
 
-@dataclass(frozen=True)
-class Unary(Node):
+class Unary(Node, Record, frozen=True):
     """Unary operator application.
 
     ``op`` is one of ``!`` (NOT), ``~b`` (buffer), ``~s`` (schmitt),
@@ -71,8 +69,7 @@ class Unary(Node):
     operand: Node
 
 
-@dataclass(frozen=True)
-class Binary(Node):
+class Binary(Node, Record, frozen=True):
     """Binary operator application.
 
     Boolean operators: ``+`` (OR), ``*`` (AND), ``(+)`` (XOR), ``(.)``
@@ -89,8 +86,7 @@ class Binary(Node):
     right: Node
 
 
-@dataclass(frozen=True)
-class CallExpr(Node):
+class CallExpr(Node, Record, frozen=True):
     """A C-style function call appearing inside an expression (rare)."""
 
     func: str
@@ -111,8 +107,7 @@ class Stmt:
     __slots__ = ()
 
 
-@dataclass
-class Assign(Stmt):
+class Assign(Stmt, Record):
     """A signal assignment or an arithmetic ``#c_line`` assignment.
 
     ``op`` is ``=`` or one of the aggregate operators.
@@ -124,16 +119,14 @@ class Assign(Stmt):
     line: int = 0
 
 
-@dataclass
-class CLine(Stmt):
+class CLine(Stmt, Record):
     """A ``#c_line`` statement: arithmetic executed at expansion time."""
 
     assign: Assign
     line: int = 0
 
 
-@dataclass
-class If(Stmt):
+class If(Stmt, Record):
     """``#if (cond) stmt [#else stmt]`` -- evaluated at expansion time."""
 
     cond: Node
@@ -142,8 +135,7 @@ class If(Stmt):
     line: int = 0
 
 
-@dataclass
-class For(Stmt):
+class For(Stmt, Record):
     """``#for(init; cond; step) stmt`` -- unrolled at expansion time."""
 
     init: Assign
@@ -153,16 +145,14 @@ class For(Stmt):
     line: int = 0
 
 
-@dataclass
-class Block(Stmt):
+class Block(Stmt, Record):
     """A ``{ ... }`` sequence of statements."""
 
     statements: List[Stmt] = field(default_factory=list)
     line: int = 0
 
 
-@dataclass
-class SubCall(Stmt):
+class SubCall(Stmt, Record):
     """A sub-function macro call: ``#ADDER(size, A, B1, ADDSUB, O, Cout, C);``.
 
     Arguments are bound *call-by-name* to the callee's declaration entries in
@@ -179,8 +169,7 @@ class SubCall(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeclItem:
+class DeclItem(Record, frozen=True):
     """A declared name with optional dimension expressions: ``D[size]``."""
 
     ident: str
@@ -201,8 +190,7 @@ DECL_KEYWORDS = (
 )
 
 
-@dataclass
-class IifModule:
+class IifModule(Record):
     """A parsed IIF design: declarations plus the body block.
 
     ``subfunctions`` lists the names of sub-functions the body calls; the

@@ -14,10 +14,10 @@ assignments (``O *= IO[i]``), and rewrites indexed signals into flat names
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic import expr as E
+from ..wire import Record, field
 from .ast import (
     Assign,
     Binary,
@@ -48,8 +48,7 @@ MAX_LOOP_ITERATIONS = 65536
 _CLOCK_OPS = {"~r": "r", "~f": "f", "~h": "h", "~l": "l"}
 
 
-@dataclass
-class _Context:
+class _Context(Record):
     """Expansion context: integer environment plus signal renaming."""
 
     env: Dict[str, int]

@@ -18,10 +18,10 @@ Two kinds of assignments exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..logic import expr as E
+from ..wire import Record, field
 
 
 class FlatIifError(ValueError):
@@ -32,9 +32,8 @@ class FlatIifError(ValueError):
 CLOCK_EDGES = ("r", "f", "h", "l")
 
 
-# The three assignment records below are frozen dataclasses with
-# hand-written ``__slots__`` (``dataclass(slots=True)`` needs Python
-# 3.10): a component holds one per assignment, and every cached or
+# The three assignment records below are frozen records that declare
+# ``__slots__``: a component holds one per assignment, and every cached or
 # unpickled component holds its own, so a per-record ``__dict__`` would
 # outweigh the record.  A frozen slotted class cannot restore its slots
 # through ``__setattr__`` on unpickling, hence ``__reduce__``.  The
@@ -51,8 +50,7 @@ def _seq_assign(target, data, clock, edge, asyncs) -> "SeqAssign":
     return SeqAssign(E.shared_name(target), data, clock, edge, asyncs)
 
 
-@dataclass(frozen=True)
-class AsyncTerm:
+class AsyncTerm(Record, frozen=True):
     """One ``value/condition`` entry of an asynchronous set/reset list."""
 
     __slots__ = ("value", "condition")
@@ -68,8 +66,7 @@ class AsyncTerm:
         return (AsyncTerm, (self.value, self.condition))
 
 
-@dataclass(frozen=True)
-class CombAssign:
+class CombAssign(Record, frozen=True):
     """A combinational assignment ``target = expr``."""
 
     __slots__ = ("target", "expr")
@@ -85,8 +82,7 @@ class CombAssign:
         return False
 
 
-@dataclass(frozen=True)
-class SeqAssign:
+class SeqAssign(Record, frozen=True):
     """A clocked assignment describing a flip-flop or latch bit."""
 
     __slots__ = ("target", "data", "clock", "edge", "asyncs")
@@ -130,8 +126,7 @@ def _flat_component(name, inputs, outputs, internals, assigns, functions, parame
     )
 
 
-@dataclass
-class FlatComponent:
+class FlatComponent(Record):
     """A fully elaborated component: flat signals plus assignments."""
 
     name: str

@@ -9,14 +9,13 @@ assignment operators) and the ``#``-prefixed expansion directives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
+from ..wire import Record
 from .ast import IifSyntaxError
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record, frozen=True):
     """A single lexical token."""
 
     kind: str

@@ -10,18 +10,17 @@ ratios).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import PortPosition
 from ..core.progress import checkpoint
 from ..netlist.gates import GateNetlist
 from ..techlib import BASE_STRIP_HEIGHT_UM, TRACK_PITCH_UM
+from ..wire import Record, field
 from .strips import PlacedCell, StripPlacement, place_in_strips, routing_tracks_per_strip
 
 
-@dataclass
-class PlacedPort:
+class PlacedPort(Record):
     """A component port pinned to a point on the layout boundary."""
 
     name: str
@@ -30,8 +29,7 @@ class PlacedPort:
     y: float
 
 
-@dataclass
-class LayoutRect:
+class LayoutRect(Record):
     """An axis-aligned rectangle on a named layer (for CIF emission)."""
 
     layer: str
@@ -42,8 +40,7 @@ class LayoutRect:
     label: str = ""
 
 
-@dataclass
-class ComponentLayout:
+class ComponentLayout(Record):
     """A generated strip layout of one component instance."""
 
     name: str

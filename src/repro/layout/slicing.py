@@ -13,15 +13,14 @@ minimizes the composite bounding box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..estimation.area import AreaRecord
 from ..estimation.shape import ShapeFunction
+from ..wire import Record, field
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record, frozen=True):
     """A concrete (width, height) option of a block."""
 
     width: float
@@ -32,8 +31,7 @@ class Shape:
         return self.width * self.height
 
 
-@dataclass
-class Block:
+class Block(Record):
     """A floorplan leaf: a named block with one or more shape options."""
 
     name: str
@@ -52,8 +50,7 @@ class Block:
         return self.shapes
 
 
-@dataclass
-class Placement:
+class Placement(Record):
     """Final position of one block in the floorplan."""
 
     name: str
@@ -63,8 +60,7 @@ class Placement:
     height: float
 
 
-@dataclass
-class FloorplanResult:
+class FloorplanResult(Record):
     """Bounding box and block placements of a slicing floorplan."""
 
     width: float
@@ -106,8 +102,7 @@ class FloorplanResult:
 Node = Union[Block, "Slice"]
 
 
-@dataclass
-class Slice:
+class Slice(Record):
     """A slicing-tree internal node: horizontal or vertical composition.
 
     ``direction`` is ``"h"`` for side-by-side (widths add, heights max) and

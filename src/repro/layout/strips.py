@@ -9,14 +9,13 @@ cell instances to strips and ordering them inside each strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateInstance, GateNetlist
+from ..wire import Record, field
 
 
-@dataclass
-class PlacedCell:
+class PlacedCell(Record):
     """One placed cell: its strip index and x interval inside the strip."""
 
     instance: str
@@ -34,8 +33,7 @@ class PlacedCell:
         return self.x + self.width / 2.0
 
 
-@dataclass
-class StripPlacement:
+class StripPlacement(Record):
     """Assignment of every instance to a strip, with x coordinates."""
 
     strips: int

@@ -12,11 +12,11 @@ several equations is built only once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.gates import GateNetlist
 from ..techlib import Cell, CellLibrary
+from ..wire import Record
 from . import expr as E
 
 
@@ -24,8 +24,7 @@ class MappingError(ValueError):
     """Raised when an expression cannot be mapped onto the library."""
 
 
-@dataclass
-class MappingOptions:
+class MappingOptions(Record):
     """Mapping options (the ablation benches toggle ``use_complex_gates``)."""
 
     use_complex_gates: bool = True

@@ -19,12 +19,12 @@ area estimation, sizing and layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..iif.flat import AsyncTerm, CombAssign, FlatComponent, SeqAssign
 from ..netlist.gates import GateNetlist
 from ..techlib import CellLibrary, standard_cells
+from ..wire import Record, field
 from . import expr as E
 from .factor import factor
 from .mapping import MappingOptions, TechnologyMapper
@@ -35,8 +35,7 @@ class SynthesisError(ValueError):
     """Raised when a flat component cannot be synthesized."""
 
 
-@dataclass
-class SynthesisOptions:
+class SynthesisOptions(Record):
     """Options of the MILO-like flow (ablation benches toggle these)."""
 
     minimize: bool = True

@@ -14,7 +14,6 @@ technology mapper can still use XOR cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import expr as E

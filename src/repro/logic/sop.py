@@ -9,14 +9,13 @@ structures and the conversions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
+from ..wire import Record
 from . import expr as E
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(Record, frozen=True):
     """A product term: mapping of variable name to required value (0 or 1).
 
     An empty cube is the constant-1 term.
@@ -70,8 +69,7 @@ class Cube:
         )
 
 
-@dataclass
-class SumOfProducts:
+class SumOfProducts(Record):
     """A disjunction of cubes over an explicit variable order."""
 
     order: Tuple[str, ...]

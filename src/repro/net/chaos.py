@@ -33,9 +33,9 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
+from ..wire import Record
 from .protocol import FRAME_REQUEST
 
 _CHUNK = 4096
@@ -48,8 +48,7 @@ RECOVERY = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(Record, frozen=True):
     """What the proxy injects, and how often.
 
     Rates are per forwarded chunk and independent; the first fault rolled

@@ -44,13 +44,13 @@ import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..api.errors import E_BUSY, E_NOT_FOUND, E_UNAVAILABLE, IcdbErrorInfo
 from ..api.messages import IDEMPOTENT_KINDS, Request, Response
 from ..core.icdb import IcdbError
 from ..obs.metrics import Clock, MetricsRegistry, SYSTEM_CLOCK
+from ..wire import Record
 from .client import RemoteClient, ServerDrained, SocketTransport
 from .protocol import (
     FRAME_ATTACH,
@@ -62,8 +62,7 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Record, frozen=True):
     """How (and how long) a resilient transport keeps trying.
 
     Backoff is capped exponential with **full jitter**: attempt ``n``

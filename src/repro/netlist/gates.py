@@ -3,11 +3,11 @@ stage and consumed by the sizing, estimation, layout and simulation tools."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..logic.expr import shared_name
 from ..techlib import Cell, CellLibrary
+from ..wire import Record, field
 
 
 class NetlistError(ValueError):
@@ -109,8 +109,7 @@ def _gate(name: str, cell: Cell, nets: Tuple[str, ...], size: float) -> GateInst
     return GateInstance(shared_name(name), cell, tuple(map(shared_name, nets)), size)
 
 
-@dataclass
-class NetInfo:
+class NetInfo(Record):
     """Connectivity of one net: its driver and its sink pins."""
 
     name: str

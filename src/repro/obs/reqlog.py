@@ -11,13 +11,14 @@ text -- the proactor event style of the gridworks exemplar):
 * :func:`get_logger` / :class:`StructuredLogger` -- JSON event records
   routed through the stdlib :mod:`logging` tree (``repro.net.server``
   etc.), used where errors were previously swallowed silently: dropped
-  job-event pushes, shutdown failures.
+  job-event pushes, shutdown failures.  :mod:`logging` is imported on
+  the first event that can reach a handler, not at load.
 """
 
 from __future__ import annotations
 
 import json
-import logging
+import sys
 import threading
 import time
 from typing import Any, Dict, IO, List, Optional, TextIO, Tuple, Union
@@ -33,6 +34,11 @@ def _jsonable(value: Any) -> Any:
         return repr(value)
 
 
+#: The stdlib levels (``logging.DEBUG`` ...), so that an event can be
+#: judged before :mod:`logging` is imported.
+_DEBUG, _INFO, _WARNING = 10, 20, 30
+
+
 class StructuredLogger:
     """JSON event records through a stdlib logger.
 
@@ -41,27 +47,41 @@ class StructuredLogger:
     DEBUG level on the named stdlib logger, so deployments keep their
     existing handler / level configuration while every record stays
     machine-parseable.
+
+    The stdlib logger is looked up on the first event that needs it.
+    While :mod:`logging` is not imported, nothing has configured it: the
+    root level is its default WARNING, so a DEBUG or INFO event is
+    dropped without importing it, and a WARNING imports it and reaches
+    whatever handles it then (with no handler configured, ``lastResort``
+    on stderr).
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._logger = logging.getLogger(name)
+        self._logger: Any = None
 
     def _emit(self, level: int, event: str, fields: Dict[str, Any]) -> None:
-        if not self._logger.isEnabledFor(level):
+        logger = self._logger
+        if logger is None:
+            if level < _WARNING and "logging" not in sys.modules:
+                return
+            import logging
+
+            logger = self._logger = logging.getLogger(self.name)
+        if not logger.isEnabledFor(level):
             return
         record = {"event": event}
         record.update({key: _jsonable(value) for key, value in fields.items()})
-        self._logger.log(level, json.dumps(record, sort_keys=True))
+        logger.log(level, json.dumps(record, sort_keys=True))
 
     def debug(self, event: str, **fields: Any) -> None:
-        self._emit(logging.DEBUG, event, fields)
+        self._emit(_DEBUG, event, fields)
 
     def info(self, event: str, **fields: Any) -> None:
-        self._emit(logging.INFO, event, fields)
+        self._emit(_INFO, event, fields)
 
     def warning(self, event: str, **fields: Any) -> None:
-        self._emit(logging.WARNING, event, fields)
+        self._emit(_WARNING, event, fields)
 
 
 _LOGGERS: Dict[str, StructuredLogger] = {}

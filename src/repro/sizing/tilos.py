@@ -12,17 +12,16 @@ constraint ranges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import Constraints
 from ..estimation.delay import DelayAnalysis, DelayReport, estimate_delay
 from ..netlist.gates import GateInstance, GateNetlist
 from ..techlib import MAX_SIZE
+from ..wire import Record, field
 
 
-@dataclass
-class SizingResult:
+class SizingResult(Record):
     """Outcome of a sizing run."""
 
     netlist: GateNetlist
@@ -42,8 +41,7 @@ class SizingResult:
         return histogram
 
 
-@dataclass
-class SizingOptions:
+class SizingOptions(Record):
     """Knobs of the greedy sizing loop (ablation benches vary these)."""
 
     step: float = 1.3

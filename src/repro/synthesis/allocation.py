@@ -12,12 +12,12 @@ across functions whenever possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..constraints import Constraints
 from ..core.icdb import ICDB
 from ..core.instances import ComponentInstance
+from ..wire import Record, field
 from .dfg import DataFlowGraph, Operation
 from .scheduling import Schedule
 
@@ -26,8 +26,7 @@ class AllocationError(RuntimeError):
     """Raised when operations cannot be bound to components."""
 
 
-@dataclass
-class FunctionalUnit:
+class FunctionalUnit(Record):
     """One allocated component instance and the operations bound to it."""
 
     name: str
@@ -41,8 +40,7 @@ class FunctionalUnit:
         return self.instance.area
 
 
-@dataclass
-class Allocation:
+class Allocation(Record):
     """The result of binding a schedule to ICDB component instances."""
 
     schedule: Schedule

@@ -18,7 +18,6 @@ Two builders live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, TYPE_CHECKING, Tuple, Union
 
 from ..components.counters import counter_parameters, TYPE_SYNCHRONOUS, UP_ONLY
@@ -28,6 +27,7 @@ from ..core.instances import ComponentInstance
 from ..estimation.shape import ShapeFunction
 from ..layout.slicing import Block, FloorplanResult, floorplan, row, stack
 from ..structure import StructuralNetlist
+from ..wire import Record, field
 from .allocation import Allocation, storage_requirements
 from .dfg import DataFlowGraph
 from .scheduling import Schedule
@@ -45,8 +45,7 @@ class DatapathError(RuntimeError):
     """Raised when a microarchitecture cannot be assembled."""
 
 
-@dataclass
-class Datapath:
+class Datapath(Record):
     """A built microarchitecture: instances, structure and control logic."""
 
     name: str
@@ -246,8 +245,7 @@ def build_datapath(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SimpleComputer:
+class SimpleComputer(Record):
     """The components of the Figure 13 example and its floorplans."""
 
     datapath_parts: Dict[str, ComponentInstance]

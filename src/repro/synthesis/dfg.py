@@ -9,18 +9,17 @@ turn it into a microarchitecture using components requested from ICDB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..components import genus
+from ..wire import Record, field
 
 
 class DfgError(ValueError):
     """Raised on malformed data-flow graphs."""
 
 
-@dataclass
-class Operation:
+class Operation(Record):
     """One operation node: a GENUS function applied to named values."""
 
     name: str
@@ -33,8 +32,7 @@ class Operation:
         self.function = genus.normalize_function(self.function)
 
 
-@dataclass
-class DataFlowGraph:
+class DataFlowGraph(Record):
     """A behavioural description: primary values and operations over them."""
 
     name: str

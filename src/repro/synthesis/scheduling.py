@@ -14,11 +14,11 @@ clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints import Constraints
 from ..core.icdb import ICDB
+from ..wire import Record, field
 from .dfg import DataFlowGraph, Operation
 
 
@@ -26,8 +26,7 @@ class SchedulingError(RuntimeError):
     """Raised when a schedule cannot be built."""
 
 
-@dataclass
-class ScheduledOperation:
+class ScheduledOperation(Record):
     """One operation with its control-step assignment."""
 
     operation: Operation
@@ -41,8 +40,7 @@ class ScheduledOperation:
         return self.end_step - self.start_step + 1
 
 
-@dataclass
-class Schedule:
+class Schedule(Record):
     """The result of scheduling a data-flow graph."""
 
     dfg: DataFlowGraph

@@ -20,10 +20,10 @@ DESIGN.md for the substitution note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..fingerprint import stable_fingerprint
+from ..wire import Record
 
 
 class CellLibraryError(KeyError):
@@ -40,8 +40,7 @@ MIN_SIZE = 1.0
 MAX_SIZE = 8.0
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record, frozen=True):
     """A library cell.
 
     ``load_delay`` / ``intrinsic_delay`` / ``fanout_delay`` are the paper's
@@ -71,14 +70,13 @@ class Cell:
     #: Every pin once, in the one order a gate stores its nets in and the
     #: VHDL port map lists them in.  Empty means inputs, then outputs.
     pins: Tuple[str, ...] = ()
-    # Derived from ``pins`` once, so gate readers index nets directly:
-    # each pin's position, and the positions of ``inputs`` (in their
-    # declared order) and of ``outputs``.
-    pin_index: Dict[str, int] = field(init=False, repr=False, compare=False)
-    input_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    output_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Derived from ``pins`` once, so gate readers index nets directly.
+        # They are attributes, not fields, so neither compared nor shown:
+        # ``pin_index`` maps each pin to its position, ``input_indices`` /
+        # ``output_indices`` are the positions of ``inputs`` (in their
+        # declared order) and of ``outputs``.
         pins = self.pins or self.inputs + self.outputs
         if sorted(pins) != sorted(self.inputs + self.outputs):
             raise ValueError(
@@ -163,8 +161,9 @@ class CellLibrary:
     def fingerprint(self) -> int:
         """A stable identity of the library's full parameter set.
 
-        Cells are frozen dataclasses, so the fingerprint is a content
-        digest of the (name-ordered) cell tuple plus the library name.
+        Cells are frozen records with content-determined reprs, so the
+        fingerprint is a content digest of the (name-ordered) cell tuple
+        plus the library name.
         The generation cache keys synthesized netlists on it: two
         services sharing a cache (or a library mutated through
         :meth:`add`) can never serve each other's mappings for a

@@ -26,8 +26,19 @@ compared fields for a frozen class, ``None`` for a mutable one.
 instance raises :class:`FrozenInstanceError`, and ``__post_init__``
 normalises through ``object.__setattr__``.  A method the class body
 defines itself is kept.  Nothing is compiled per class: every method is
-a closure over the table, so a booted server imports neither
-``dataclasses`` nor ``inspect``.
+a closure over the table, so a process that defines records imports
+neither ``dataclasses`` nor ``inspect``.
+
+**Storage.**  A record costs what the ``@dataclass`` it stands for
+costs.  ``__init__`` sets every field, in field order, as an ordinary
+instance attribute, as ``@dataclass`` does, so instances keep CPython's
+shared-key instance values; ``==``, the hash, ``repr`` and the codec
+read fields by attribute, never through ``__dict__``.  A class that
+declares ``__slots__`` naming its fields has no ``__dict__`` (a slotted
+field takes no default, and a frozen slotted class pickles through its
+own ``__reduce__``).  An attribute ``__post_init__`` derives from the
+fields without annotating it is not a field: it takes no part in
+``==``, the hash, ``repr`` or the wire form.
 
 The codec turns a :class:`Wire` class's field annotations into one
 encoder and one decoder per class, built on first use.
@@ -71,7 +82,7 @@ to an object built in process.
 from __future__ import annotations
 
 import typing
-from operator import itemgetter
+from operator import attrgetter
 from reprlib import recursive_repr
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, NoReturn, Optional, Tuple, Union
@@ -153,6 +164,7 @@ class Record:
     """Base of a class declared by its annotated fields (see the module
     docstring); ``class X(Record, frozen=True)`` makes it immutable."""
 
+    __slots__ = ()
     __record_fields__ = ()
     __record_frozen__ = False
 
@@ -166,12 +178,16 @@ class Record:
         for base in reversed(cls.__mro__[1:]):
             for entry in base.__dict__.get("__record_fields__", ()):
                 table[entry.name] = entry
+        slots = cls.__dict__.get("__slots__", ())
+        if isinstance(slots, str):
+            slots = (slots,)
         # The class's own annotations: on Python 3.9 cls.__annotations__
         # falls through to a base's when the class declares none.
         for name, annotation in cls.__dict__.get("__annotations__", {}).items():
             if _is_class_var(annotation):
                 continue
-            value = cls.__dict__.get(name, MISSING)
+            # A slot's class attribute is its descriptor, never a default.
+            value = MISSING if name in slots else cls.__dict__.get(name, MISSING)
             if isinstance(value, Field):
                 entry = value
             elif value.__class__ in (list, dict, set):
@@ -185,7 +201,7 @@ class Record:
             # As with @dataclass: the class attribute is the default, if any.
             if entry.default is not MISSING:
                 setattr(cls, name, entry.default)
-            elif name in cls.__dict__:
+            elif name in cls.__dict__ and name not in slots:
                 delattr(cls, name)
             table[name] = entry
         cls.__record_fields__ = tuple(table.values())
@@ -218,6 +234,9 @@ def _serve(cls: type, table: Tuple[Field, ...], frozen: bool) -> None:
         if entry.default_factory is not MISSING
     )
     post_init = hasattr(cls, "__post_init__")
+    # As with @dataclass: a frozen class sets its fields through
+    # object.__setattr__, a mutable one through its own __setattr__.
+    put = object.__setattr__ if frozen else setattr
 
     def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
         if args:
@@ -233,7 +252,11 @@ def _serve(cls: type, table: Tuple[Field, ...], frozen: bool) -> None:
             for name, factory in factories:
                 if values[name] is _FACTORY:
                     values[name] = factory()
-        object.__setattr__(self, "__dict__", values)
+        # Every field becomes an ordinary instance attribute (a slot, or
+        # CPython's shared-key instance values), set in field order as
+        # @dataclass sets it, so every instance shares its class's keys.
+        for name in names:
+            put(self, name, values[name])
         if post_init:
             self.__post_init__()
 
@@ -241,19 +264,19 @@ def _serve(cls: type, table: Tuple[Field, ...], frozen: bool) -> None:
 
     def __eq__(self: Any, other: Any) -> Any:
         if other.__class__ is self.__class__:
-            return key(self.__dict__) == key(other.__dict__)
+            return key(self) == key(other)
         return NotImplemented
 
     shown = tuple(entry.name for entry in table if entry.repr)
+    shown_values = _values_of(shown)
 
     @recursive_repr()
     def __repr__(self: Any) -> str:
-        values = self.__dict__
-        body = ", ".join([f"{name}={values[name]!r}" for name in shown])
+        body = ", ".join([f"{name}={value!r}" for name, value in zip(shown, shown_values(self))])
         return f"{self.__class__.__qualname__}({body})"
 
     def __hash__(self: Any) -> int:
-        return hash(key(self.__dict__))
+        return hash(key(self))
 
     # As with @dataclass, a method the class body defines is kept.  A body
     # that defines __eq__ alone gets __hash__ = None from Python itself,
@@ -272,13 +295,13 @@ def _serve(cls: type, table: Tuple[Field, ...], frozen: bool) -> None:
         cls.__delattr__ = _frozen_delattr  # type: ignore[assignment]
 
 
-def _values_of(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
-    """A function from an instance ``__dict__`` to the tuple of ``names``'
-    values: what ``==`` and the hash compare, as ``@dataclass`` does."""
+def _values_of(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A function from an instance to the tuple of its ``names`` fields'
+    values, read by attribute: what ``==`` and the hash compare, as
+    ``@dataclass`` does."""
     if len(names) == 1:
-        (name,) = names
-        return lambda values: (values[name],)
-    return itemgetter(*names) if names else lambda values: ()
+        return lambda record, get=attrgetter(names[0]): (get(record),)
+    return attrgetter(*names) if names else lambda record: ()
 
 
 def _bind(cls: type, names: Tuple[str, ...], args: tuple, kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -411,15 +434,13 @@ def _build(cls: type):
         if key not in names and isinstance(getattr(cls, key, None), str)
     }
     encoders = [
-        (f.name, f.metadata.get("wire_key", f.name), _encoder(hints[f.name]))
-        for f in compared
+        (f.metadata.get("wire_key", f.name), _encoder(hints[f.name])) for f in compared
     ]
+    values_of = _values_of(tuple(f.name for f in compared))
 
     def encode(obj: Any) -> Dict[str, Any]:
         data = dict(tags)
-        values = obj.__dict__  # every field lives there; one lookup each
-        for name, key, convert in encoders:
-            value = values[name]
+        for (key, convert), value in zip(encoders, values_of(obj)):
             data[key] = value if convert is None else convert(value)
         return data
 

@@ -14,8 +14,11 @@ it, and its intern entry is keyed by an object it already holds.
 They also pin what the server process does not hold at all: OpenSSL
 (no module it imports loads ``_hashlib``), the Figure-8 flow before a
 request needs it (a booted server that has answered queries, pings and
-errors has imported no flow module), and a second in-memory copy of the
-artifact text a generated instance has already written to disk.
+errors has imported no flow module), ``dataclasses``, ``inspect`` and
+``logging`` even once it has generated (a static guard fails on any
+module that imports ``dataclasses``, or ``logging`` at load), and a
+second in-memory copy of the artifact text a generated instance has
+already written to disk.
 
 And what a cold request does not build: the Figure-8 flow derives its
 connectivity per pass without ``GateNetlist.nets()`` tables, designs
@@ -26,9 +29,10 @@ objects and calls, never time.
 
 from __future__ import annotations
 
-import dataclasses
+import ast
 import gc
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -44,13 +48,15 @@ from repro.api.messages import ComponentRequest
 from repro.components import standard_catalog
 from repro.constraints import Constraints
 from repro.fingerprint import stable_fingerprint
+from repro.fleet.worker import READY
 from repro.iif import printer
-from repro.iif.flat import AsyncTerm, CombAssign, SeqAssign
+from repro.iif.flat import AsyncTerm, CombAssign, FlatComponent, SeqAssign
 from repro.iif.printer import flat_to_milo
 from repro.logic import expr as E
 from repro.netlist import vhdl
 from repro.netlist.gates import GateNetlist
 from repro.netlist.vhdl import gate_netlist_to_vhdl
+from repro.wire import fields
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -420,15 +426,17 @@ welcome = dispatcher.dispatch({"type": "hello", "protocol": PROTOCOL_VERSION})
 def send(request):
     return dispatcher.dispatch({"type": "request", "request": request.to_dict()})["response"]
 
+def stdlib_modules():
+    return [m for m in ("dataclasses", "inspect", "logging") if m in sys.modules]
+
 ping = send(Ping())
-pinged = {
-    "compiles": len(compiled),
-    "modules": [m for m in ("dataclasses", "inspect") if m in sys.modules],
-}
+pinged = {"compiles": len(compiled), "modules": stdlib_modules()}
 answers = [ping, send(ComponentQuery(component="Counter"))]
 error = send(InstanceQuery(name="no_such_instance"))
 lean_modules = loaded()
+before = len(compiled)
 reply = send(ComponentRequest(implementation="counter", attributes={"size": 4}))
+generated = {"compiles": len(compiled) - before, "modules": stdlib_modules()}
 dispatcher.close()
 durable.close()
 print(json.dumps({
@@ -438,6 +446,7 @@ print(json.dumps({
     "cached": reply["value"]["cached"],
     "boot_modules": len(boot_modules),
     "pinged": pinged,
+    "generated": generated,
     "lean_modules": lean_modules,
     "loaded": [m for m in ("_hashlib", "hashlib", "hmac", "ssl") if m in sys.modules],
 }))
@@ -469,9 +478,87 @@ def test_booted_server_loads_no_openssl_and_no_extra_modules(tmp_path):
     # Up to the first ping no class compiles methods of its own (records
     # serve theirs from a field table; what is counted is the codecs'
     # typing forward references and stdlib namedtuples) and nothing
-    # loads dataclasses or inspect.
+    # loads dataclasses, inspect or logging.
     assert result["pinged"]["modules"] == []
     assert result["pinged"]["compiles"] <= 40
+    # Nor does the first generation: the Figure-8 flow's records are
+    # records too, and no event of the request reached a log handler.
+    # Its compiles are the request codec's forward references (179 when
+    # the flow's 54 classes were @dataclasses).
+    assert result["generated"]["modules"] == []
+    assert result["generated"]["compiles"] <= 40
+
+
+def _imports(node):
+    """The top-level package names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def _load_time(tree):
+    """The statements a module runs when it is imported: its body, and the
+    bodies of its classes and of its if / try / with / loop blocks, but
+    not of its functions."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.stmt, ast.ExceptHandler)):
+                pending.append(child)
+
+
+def test_no_module_imports_dataclasses_or_logging_at_load():
+    """A static guard for every module, the ones a server never loads (the
+    CQL front end, behavioural synthesis) included: records are
+    ``repro.wire.Record`` s, never ``@dataclass`` es, and a logger imports
+    ``logging`` on the first event it must hand over, not at load."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=name)
+        if any("dataclasses" in _imports(node) for node in ast.walk(tree)):
+            offenders.append(f"{name} imports dataclasses")
+        if any("logging" in _imports(node) for node in _load_time(tree)):
+            offenders.append(f"{name} imports logging at load")
+    assert offenders == []
+
+
+#: Runs a fleet child on the task fed to its stdin, then reports what it
+#: loaded (on stderr: the child points its stdout there once it starts).
+_FLEET_CHILD_PROBE = """
+import json
+import sys
+
+from repro.fleet import worker
+
+status = worker.main()
+modules = [m for m in ("dataclasses", "inspect", "logging") if m in sys.modules]
+print(json.dumps({"status": status, "modules": modules}), file=sys.stderr)
+"""
+
+
+def test_a_fleet_child_that_computed_a_bundle_loads_no_dataclasses_or_logging():
+    task = ("counter", {"size": 4}, Constraints(clock_width=30.0), "counter_1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLEET_CHILD_PROBE],
+        input=pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL),
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    answers = io.BytesIO(proc.stdout)
+    assert pickle.load(answers) == READY
+    ok, bundle = pickle.load(answers)
+    assert ok is True and isinstance(bundle, bytes), bundle
+    report = json.loads(proc.stderr.decode().splitlines()[-1])
+    assert report == {"status": 0, "modules": []}
 
 
 @pytest.mark.parametrize(
@@ -512,7 +599,10 @@ def test_lazy_clone_materializes_the_bytes_of_a_fresh_render(tmp_path):
     assert service.materialize_artifacts(clone.name) == [clone.name]
     fresh = {
         "vhdl": gate_netlist_to_vhdl(clone.netlist, name=clone.name),
-        "flat_iif": flat_to_milo(dataclasses.replace(clone.flat, name=clone.name)),
+        "flat_iif": flat_to_milo(FlatComponent(**{
+            **{f.name: getattr(clone.flat, f.name) for f in fields(clone.flat)},
+            "name": clone.name,
+        })),
     }
     for kind, text in fresh.items():
         assert Path(clone.files[kind]).read_bytes() == text.encode()

@@ -14,8 +14,12 @@ from __future__ import annotations
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,42 @@ def test_structured_logger_emits_json_events(caplog):
     assert records[0]["peer"] == "1.2.3.4"
     assert records[1]["event"] == "slow"
     assert "object" in records[1]["weird"]  # non-JSON values fall back to repr
+
+
+#: A process that never imports logging itself: what a server is.
+_LAZY_LOGGER_PROBE = """
+import sys
+
+from repro.obs.reqlog import get_logger
+
+logger = get_logger("repro.probe")
+before = set(sys.modules)
+logger.debug("quiet", n=1)
+logger.info("quiet", n=2)
+print(sorted(set(sys.modules) - before), flush=True)
+logger.warning("loud", n=3, weird=object())
+print("logging" in sys.modules, flush=True)
+"""
+
+
+def test_a_logger_imports_logging_for_the_first_event_a_handler_can_see():
+    # While nothing has imported logging nothing has configured it, so the
+    # root level is WARNING: debug and info events are dropped unseen, and
+    # a warning reaches logging's last-resort handler on stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_LOGGER_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+    (line,) = proc.stderr.splitlines()
+    record = json.loads(line)
+    assert record["weird"].startswith("<object object at ")
+    assert line == json.dumps({"event": "loud", "n": 3, "weird": record["weird"]}, sort_keys=True)
 
 
 def test_request_log_lines_and_slow_threshold():

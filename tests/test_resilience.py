@@ -19,7 +19,6 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import time
@@ -49,6 +48,7 @@ from repro.net.resilience import (
 )
 from repro.net.server import EXPENSIVE_KINDS, LoadShedder
 from repro.obs.metrics import ManualClock, MetricsRegistry
+from repro.wire import fields
 
 #: A schedule fast enough for tests but still exercising real backoff.
 FAST = RetryPolicy(max_attempts=6, base_backoff_s=0.002, max_backoff_s=0.02, seed=11)
@@ -495,7 +495,8 @@ def test_chaos_proxy_no_duplicates_no_lost_writes(seed, tmp_path):
     service = ComponentService(store_root=tmp_path / "chaos")
     server = serve(service=service)
     proxy = ChaosProxy(
-        server.host, server.port, dataclasses.replace(CHAOS, seed=seed)
+        server.host, server.port,
+        ChaosConfig(**{**{f.name: getattr(CHAOS, f.name) for f in fields(CHAOS)}, "seed": seed}),
     )
     try:
         client = ResilientClient.connect(
