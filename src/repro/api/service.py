@@ -533,15 +533,15 @@ def _request_layout(service: "ComponentService", session: Session, request: Layo
     instance.target = TARGET_LAYOUT
     cif = layout_to_cif(layout)
     cif_path = service.store.write(name, "cif", cif)
-    instance.files["cif"] = str(cif_path)
+    instance.files["cif"] = cif_path
     with service.lock:
         files_table = service.database.table(DESIGN_FILES)
         # One DESIGN_FILES row per (instance, kind): a regenerated layout
         # replaces the recorded path instead of inserting a duplicate.
         if files_table.select({"instance": name, "kind": "cif"}):
-            files_table.update({"instance": name, "kind": "cif"}, path=str(cif_path))
+            files_table.update({"instance": name, "kind": "cif"}, path=cif_path)
         else:
-            files_table.insert(instance=name, kind="cif", path=str(cif_path))
+            files_table.insert(instance=name, kind="cif", path=cif_path)
         service.database.table(INSTANCES).update(
             {"name": name},
             area=float(layout.area),
@@ -1270,7 +1270,7 @@ class ComponentService:
                 self._pending_artifacts[instance.name] = instance
         else:
             instance.files = {
-                kind: str(self.store.write(instance.name, kind, produce()))
+                kind: self.store.write(instance.name, kind, produce())
                 for kind, produce in self._artifact_producers(instance).items()
             }
 
@@ -1338,8 +1338,8 @@ class ComponentService:
                 )
                 if registered:
                     files_table = self.database.table(DESIGN_FILES)
-                    for kind in producers:
-                        path = str(self.store.path_for(instance.name, kind))
+                    paths = self.store.paths_for(instance.name, producers)
+                    for kind, path in paths.items():
                         if files_table.select(
                             {"instance": instance.name, "kind": kind}
                         ):

@@ -14,10 +14,12 @@ still share whatever work they have in common:
   :class:`~repro.netlist.gates.GateNetlist` templates per (flat structural
   signature, :class:`~repro.logic.milo.SynthesisOptions`, cell-library
   fingerprint) -- constraints do not matter to synthesis, so a parameter
-  sweep over clock widths synthesizes once;
+  sweep over clock widths synthesizes once -- each with the shape
+  function of the unit-drive netlist (a :class:`SynthEntry`);
 * **flows** -- sized netlist + delay report + shape function + area record
   per (synthesis signature, constraints, sizing options, catalog
-  identity): the full estimate bundle of one cold generation;
+  identity): the full estimate bundle of one cold generation.  A flow the
+  sizer leaves at unit drive holds its synth entry's netlist and shape;
 * **optimize** -- per-equation minimize/factor results keyed by the
   *canonical form* of the equation (support renamed to position-stable
   placeholders), which is how the n regular bit slices of a counter or
@@ -39,7 +41,33 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional
 
-__all__ = ["CountedLruCache", "GenerationCache"]
+__all__ = ["CountedLruCache", "GenerationCache", "SynthEntry"]
+
+
+class SynthEntry:
+    """A ``synth`` memo value: the synthesized netlist, which stays at
+    unit drive, and its shape function once a flow that leaves the
+    netlist at unit drive has computed it (``None`` until then).
+
+    Every such flow shares both, and they are evicted together.
+    """
+
+    __slots__ = ("netlist", "shape")
+
+    #: Serializes :meth:`share` (two flows may finish estimating at once).
+    _sharing = threading.Lock()
+
+    def __init__(self, netlist: Any):
+        self.netlist = netlist
+        self.shape = None
+
+    def share(self, shape: Any) -> Any:
+        """The entry's shape function: ``shape`` unless another flow
+        stored one first."""
+        with SynthEntry._sharing:
+            if self.shape is None:
+                self.shape = shape
+            return self.shape
 
 
 class CountedLruCache:

@@ -32,7 +32,7 @@ from ..netlist.structural import flatten_to_gates
 from ..sizing import SizingOptions, size_for_constraints
 from ..techlib import CellLibrary, standard_cells
 from ..wire import fields
-from .gencache import GenerationCache
+from .gencache import GenerationCache, SynthEntry
 from .instances import ComponentInstance, TARGET_LAYOUT, TARGET_LOGIC
 from .progress import checkpoint
 from .tools import EMBEDDED_GENERATOR, GenerationError  # noqa: F401 - re-exported
@@ -63,21 +63,22 @@ def _field_values(options: object) -> Tuple:
 
 
 def _flat_with_name(template: FlatComponent, name: str) -> FlatComponent:
-    """A light per-instance view of a cached flat-component template.
+    """A per-instance view of a cached flat-component template.
 
-    The assignment objects (and their interned expressions) are shared;
-    only the name and the mutable top-level lists are private.
+    The view owns only its name: it shares the template's lists and
+    parameters, which nothing changes after expansion (synthesis builds
+    a new flat), and messages about the instance quote the view's name.
     """
     if template.name == name:
         return template
     return FlatComponent(
         name=name,
-        inputs=list(template.inputs),
-        outputs=list(template.outputs),
-        internals=list(template.internals),
-        assigns=list(template.assigns),
-        functions=list(template.functions),
-        parameters=dict(template.parameters),
+        inputs=template.inputs,
+        outputs=template.outputs,
+        internals=template.internals,
+        assigns=template.assigns,
+        functions=template.functions,
+        parameters=template.parameters,
     )
 
 
@@ -230,25 +231,33 @@ class EmbeddedGenerator:
                 list(violations),
                 renders,
             )
-        netlist = cache.synth.lookup(synth_key)
-        if netlist is None:
-            netlist = synthesize(
-                flat,
-                self.cell_library,
-                self.synthesis_options,
-                optimize_cache=cache.optimize,
+        synthesized = cache.synth.lookup(synth_key)
+        if synthesized is None:
+            synthesized = SynthEntry(
+                synthesize(
+                    flat,
+                    self.cell_library,
+                    self.synthesis_options,
+                    optimize_cache=cache.optimize,
+                )
             )
-            cache.synth.store(synth_key, netlist)
+            cache.synth.store(synth_key, synthesized)
         checkpoint("size", 0.45)
         # Copy on write: the synthesized netlist is the synth memo's
-        # template, shared as is by every flow that leaves it at unit drive.
+        # template, shared as is, with its one shape function, by every
+        # flow that leaves it at unit drive.
         sizing = size_for_constraints(
-            netlist, constraints, self.sizing_options, in_place=False
+            synthesized.netlist, constraints, self.sizing_options, in_place=False
         )
         netlist = sizing.netlist
         report = sizing.report
         checkpoint("estimate", 0.70)
-        shape = shape_function(netlist)
+        if netlist is not synthesized.netlist:
+            shape = shape_function(netlist)
+        else:
+            shape = synthesized.shape
+            if shape is None:
+                shape = synthesized.share(shape_function(netlist))
         area_record = _area_record(netlist, shape, constraints)
         violations = report.violations(constraints)
         renders: Dict[str, object] = {}

@@ -63,8 +63,8 @@ class ComponentInstance(Record):
     #: originally synthesized template).
     cached: bool = False
     #: Memoized name-independent derivations of the shared netlist / report
-    #: objects: report renders (delay, shape, area), the transistor count,
-    #: summary fragments, and -- from their second render on -- the
+    #: objects: the transistor count, summary fragments, and -- from their
+    #: second render on -- the report renders (delay, shape, area) and the
     #: artifact bodies (VHDL architecture and ports, flat IIF).  Cache
     #: clones share this dict with their template, so each value is
     #: computed once per synthesized netlist.
@@ -124,19 +124,13 @@ class ComponentInstance(Record):
 
     # -------------------------------------------------------------- renderings
 
-    def _render(self, kind: str, producer) -> str:
-        text = self.render_cache.get(kind)
-        if text is None:
-            text = producer()
-            self.render_cache[kind] = text
-        return text
-
     def _render_body(self, kind: str, producer) -> str:
-        # An artifact body is memoized from its second render on.  Most
-        # families render it once, for their eager files, and keeping that
-        # render would only duplicate text already on disk; a body that is
-        # read again (a VHDL instance query, a flow hit's persist, a clone)
-        # is kept.  The first render leaves a None marker, read as missing.
+        # An artifact body or report is memoized from its second render
+        # on.  Most families render it once, for their eager files, and
+        # keeping that render would only duplicate text already on disk;
+        # one that is read again (an instance query, a full wire summary,
+        # a flow hit's persist, a clone) is kept.  The first render leaves
+        # a None marker, read as missing.
         text = self.render_cache.get(kind)
         if text is None:
             text = producer()
@@ -145,15 +139,15 @@ class ComponentInstance(Record):
 
     def render_delay(self) -> str:
         """Delay information in the paper's instance-query format."""
-        return self._render("delay", self.delay_report.render)
+        return self._render_body("delay", self.delay_report.render)
 
     def render_shape(self) -> str:
         """Shape function in the ``Alternative=...`` format."""
-        return self._render("shape", self.shape.render)
+        return self._render_body("shape", self.shape.render)
 
     def render_area_records(self) -> str:
         """Area records in the ``strip = ...`` format."""
-        return self._render(
+        return self._render_body(
             "area",
             lambda: "\n".join(record.render() for record in self.shape.alternatives),
         )

@@ -82,7 +82,7 @@ class KnowledgeServer:
             description=implementation.description,
             format="iif",
             parameters=dict(implementation.default_parameters),
-            iif_file=str(iif_path),
+            iif_file=iif_path,
             fixed=implementation.fixed,
         )
         link_table = self.database.table(IMPLEMENTATION_FUNCTIONS)

@@ -10,6 +10,7 @@ returns their paths, which the database records per instance.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import tempfile
@@ -121,7 +122,7 @@ class DesignDataStore:
             paths[kind] = base + extension
         return paths
 
-    def write(self, instance: str, kind: str, text: Union[str, TextPieces]) -> Path:
+    def write(self, instance: str, kind: str, text: Union[str, TextPieces]) -> str:
         """Store one artifact; returns the file path.
 
         ``text`` is the artifact's text, or its :class:`TextPieces` (a VHDL
@@ -129,26 +130,33 @@ class DesignDataStore:
         beside the artifact, which then replaces it: a reader sees the old
         file or the whole new one, never a file still being rendered, and a
         render that raises leaves the old file in place.
+
+        Paths are plain strings, as in :meth:`paths_for`: ``pathlib``
+        passes every part through ``sys.intern``, and interned strings are
+        immortal on Python 3.12, so a server would keep every instance
+        name it ever wrote.
         """
         if kind not in ARTIFACT_EXTENSIONS:
             raise StoreError(
                 f"unknown artifact kind {kind!r}; expected one of {sorted(ARTIFACT_EXTENSIONS)}"
             )
-        directory = self.root / _safe_name(instance)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{_safe_name(instance)}{ARTIFACT_EXTENSIONS[kind]}"
+        safe = _safe_name(instance)
+        directory = f"{self._root_str}{os.sep}{safe}"
+        os.makedirs(directory, exist_ok=True)
+        path = f"{directory}{os.sep}{safe}{ARTIFACT_EXTENSIONS[kind]}"
         # One name per writing thread: the same artifact may be rewritten
         # concurrently (see ComponentService.materialize_artifacts).
-        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
-            with tmp.open("w") as handle:
+            with open(tmp, "w") as handle:
                 if isinstance(text, str):
                     handle.write(text)
                 else:
                     handle.writelines(text)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
         return path
 
@@ -178,16 +186,17 @@ class DesignDataStore:
 
     def remove_instance(self, instance: str) -> int:
         """Delete every artifact of an instance; returns the file count."""
-        directory = self.root / _safe_name(instance)
-        if not directory.exists():
+        directory = f"{self._root_str}{os.sep}{_safe_name(instance)}"
+        if not os.path.exists(directory):
             return 0
         count = 0
-        for path in sorted(directory.iterdir()):
-            if path.is_file():
-                path.unlink()
+        for name in sorted(os.listdir(directory)):
+            path = f"{directory}{os.sep}{name}"
+            if os.path.isfile(path):
+                os.unlink(path)
                 count += 1
         try:
-            directory.rmdir()
+            os.rmdir(directory)
         except OSError:
             pass
         return count

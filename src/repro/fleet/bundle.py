@@ -11,10 +11,11 @@ original request locally as a warm hit.
 The merge makes a fleet-generated design cost the server what a local
 one does.  The server computes the memo keys itself, over its own
 expand entry; it keeps the expand and synth entries it already holds
-(their copies in the bundle are not even unpickled); and it rebuilds a
-sized flow as a ``clone()`` of its synth netlist with the shipped sizes,
-as local sizing builds it (sizing only resizes gates).  Names unpickle
-through reconstructors that pass them through
+(their copies in the bundle are not even unpickled); it rebuilds a sized
+flow as a ``clone()`` of its synth netlist with the shipped sizes, as
+local sizing builds it (sizing only resizes gates); and it installs an
+unsized flow onto its synth netlist and that netlist's one shape
+function.  Names unpickle through reconstructors that pass them through
 :func:`~repro.logic.expr.shared_name`, and expression nodes re-intern,
 so an installed design holds the server's one object per name and per
 expression.  Standard cells pickle as references that resolve to the
@@ -34,9 +35,12 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 from ..components.catalog import ComponentImplementation
 from ..constraints import Constraints
+from ..core.gencache import SynthEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.generation import EmbeddedGenerator
+    from ..estimation.area import AreaRecord
+    from ..estimation.shape import ShapeFunction
     from ..netlist.gates import GateNetlist
 
 __all__ = ["BUNDLE_STAGES", "compute_bundle", "install_bundle"]
@@ -69,13 +73,14 @@ def compute_bundle(
     generator.generate_from_implementation(
         implementation, parameters, constraints, name or implementation.name
     )
-    flat, netlist, flow = (
+    flat, synthesized, flow = (
         cache.stage(stage).peek(key) for stage, key in zip(BUNDLE_STAGES, keys)
     )
-    if flat is None or netlist is None or flow is None:
+    if flat is None or synthesized is None or flow is None:
         # An earlier task's flow hit outlived its synth entry; the server
         # generates this one itself.
         raise LookupError(f"{implementation.name}: stage entries evicted before packing")
+    netlist = synthesized.netlist
     sized, report, shape, area_record, iterations, violations, _renders = flow
     sizes = None
     if sized is not netlist:
@@ -127,31 +132,29 @@ def install_bundle(
     cache = generator.generation_cache
     constraints = constraints if constraints is not None else Constraints()
     expand_key = generator.expand_key(implementation, parameters)
-    new_flat = new_netlist = new_flow = None
+    new_flat = new_synthesized = new_flow = None
     flat = cache.expand.peek(expand_key)
     if flat is None:
         flat = new_flat = pickle.loads(flat_pickle)
     _, synth_key, flow_key = generator.stage_keys(
         implementation, parameters, constraints, flat=flat
     )
-    netlist = cache.synth.peek(synth_key)
-    if netlist is None:
-        netlist = new_netlist = pickle.loads(netlist_pickle)
+    synthesized = cache.synth.peek(synth_key)
+    if synthesized is None:
+        synthesized = new_synthesized = SynthEntry(pickle.loads(netlist_pickle))
     if cache.flows.peek(flow_key) is None:
         sizes, report, shape, area_record, iterations, violations = flow
-        new_flow = (
-            _sized(netlist, sizes),
-            report,
-            shape,
-            area_record,
-            iterations,
-            violations,
-            {},
-        )
+        if sizes is not None:
+            netlist = _sized(synthesized.netlist, sizes)
+        else:
+            netlist, shipped = synthesized.netlist, shape
+            shape = synthesized.share(shipped)
+            area_record = _alternative_of(shape, shipped, area_record)
+        new_flow = (netlist, report, shape, area_record, iterations, violations, {})
     installed = 0
     for store, key, value in (
         (cache.expand, expand_key, new_flat),
-        (cache.synth, synth_key, new_netlist),
+        (cache.synth, synth_key, new_synthesized),
         (cache.flows, flow_key, new_flow),
     ):
         if value is not None and store.peek(key) is None:
@@ -160,17 +163,22 @@ def install_bundle(
     return installed
 
 
-def _sized(
-    netlist: GateNetlist, sizes: Optional[Sequence[Tuple[str, float]]]
-) -> GateNetlist:
-    """The flow's netlist, as ``size_for_constraints(in_place=False)`` left it.
-
-    ``None`` means the sizer handed the synthesized netlist back as is;
-    otherwise it sized a clone, whose resized gates ``sizes`` lists.
-    """
-    if sizes is None:
-        return netlist
+def _sized(netlist: GateNetlist, sizes: Sequence[Tuple[str, float]]) -> GateNetlist:
+    """The clone ``size_for_constraints(in_place=False)`` sized, rebuilt
+    from the synthesized netlist and the gates it resized."""
     sized = netlist.clone()
     for name, size in sizes:
         sized.instance(name).size = size
     return sized
+
+
+def _alternative_of(
+    shape: ShapeFunction, shipped: ShapeFunction, record: AreaRecord
+) -> AreaRecord:
+    """``record`` as ``shape`` holds it, when it is one of the shipped
+    shape's alternatives (the two shapes list equal records in one order);
+    a record estimated on its own (an explicit strip count) as shipped."""
+    for mine, theirs in zip(shape.alternatives, shipped.alternatives):
+        if theirs is record:
+            return mine
+    return record

@@ -129,28 +129,32 @@ def size_for_constraints(
 
     Returns a :class:`SizingResult`; ``met_constraints`` is False when the
     greedy loop ran out of useful moves (the paper's ICDB relaxes the
-    constraints in that case and still returns the component).
+    constraints in that case and still returns the component).  A
+    netlist whose report already meets every constraint is returned as
+    is, with no iteration.
 
     With ``in_place=False`` the caller's netlist is never touched: it is
-    cloned only when there are delay constraints to size for, and
-    ``SizingResult.netlist`` is the copy (or ``netlist`` itself).
+    cloned just before the first gate is resized, and
+    ``SizingResult.netlist`` is the copy, or ``netlist`` itself when no
+    gate moved.
     """
     options = options or SizingOptions()
     loads = _external_loads(netlist, constraints)
     initial_report = estimate_delay(netlist, constraints=constraints)
 
-    if not constraints.has_delay_constraints():
+    if _worst_violation(initial_report, constraints) <= 1e-9:
         return SizingResult(
             netlist=netlist,
             report=initial_report,
             iterations=0,
             met_constraints=True,
+            violations=initial_report.violations(constraints),
             initial_report=initial_report,
         )
-    if not in_place:
-        netlist = netlist.clone()
 
     if options.uniform:
+        if not in_place:
+            netlist = netlist.clone()
         return _uniform_sizing(netlist, constraints, options, initial_report)
 
     report = initial_report
@@ -162,6 +166,9 @@ def size_for_constraints(
         candidate = _pick_candidate(analysis, options)
         if candidate is None:
             break
+        if not in_place:
+            netlist, in_place = netlist.clone(), True
+            candidate = netlist.instance(candidate.name)
         candidate.size = min(options.max_size, candidate.size * options.step)
         iterations += 1
         report = estimate_delay(netlist, constraints=constraints)

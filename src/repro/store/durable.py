@@ -20,7 +20,6 @@ there are new events) and compacts segments the snapshot fully covers.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -38,7 +37,7 @@ from .journal import (
     scan_segment,
     segment_first_seq,
 )
-from .snapshot import latest_snapshot, list_snapshots, write_snapshot
+from .snapshot import canonical_payload, latest_snapshot, list_snapshots, write_snapshot_text
 
 #: Default seconds between automatic snapshots (None disables the thread).
 DEFAULT_SNAPSHOT_INTERVAL = 30.0
@@ -302,10 +301,9 @@ class DurableStore:
             # durable than the journal it supersedes.
             if self.fsync != "never":
                 self._writer.sync()
-            serialized = json.dumps(self._database.to_payload(), sort_keys=True)
-        payload = json.loads(serialized)
-        path = write_snapshot(
-            snapshot_dir(self.data_dir), payload, seq,
+            payload_text = canonical_payload(self._database.to_payload())
+        path = write_snapshot_text(
+            snapshot_dir(self.data_dir), payload_text, seq,
             durable=self.fsync != "never",
         )
         with self._lock:

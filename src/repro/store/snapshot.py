@@ -11,7 +11,11 @@ a temporary file in the same directory and renamed into place
 The embedded CRC covers the canonical ``{"seq", "database"}`` JSON, so a
 snapshot damaged on disk (partial write survived a rename-less crash,
 bit rot) is detected and *skipped*, falling back to the previous one
-plus a longer journal replay, instead of resurrecting garbage.
+plus a longer journal replay, instead of resurrecting garbage.  The file
+itself is canonical JSON too (sorted keys, compact separators), so the
+payload is serialized once: the checksum and the file are both made from
+that one text.  Files written with ``json.dump``'s default separators
+load the same way.
 """
 
 from __future__ import annotations
@@ -65,26 +69,49 @@ def _checksum(seq: int, database_payload: Mapping[str, Any]) -> int:
     return zlib.crc32(canonical)
 
 
-def write_snapshot(
+#: Characters encoded at a time while a snapshot's text is checksummed
+#: and written, so neither step holds an encoded copy of the whole text.
+_CHUNK = 1 << 16
+
+
+def canonical_payload(database_payload: Mapping[str, Any]) -> str:
+    """The database payload as the canonical JSON text a snapshot holds:
+    sorted keys, compact separators (the payload's keys are strings, as
+    :meth:`~repro.db.engine.Database.to_payload` makes them)."""
+    return json.dumps(database_payload, sort_keys=True, separators=(",", ":"))
+
+
+def _chunks(text: str):
+    for start in range(0, len(text), _CHUNK):
+        yield text[start:start + _CHUNK]
+
+
+def write_snapshot_text(
     directory: Union[str, Path],
-    database_payload: Mapping[str, Any],
+    payload_text: str,
     seq: int,
     durable: bool = True,
 ) -> Path:
-    """Atomically persist ``database_payload`` as the state at ``seq``."""
+    """Atomically persist the :func:`canonical_payload` text
+    ``payload_text`` as the state at ``seq``.
+
+    The checksum is :func:`_checksum`'s, computed over the text itself:
+    the canonical ``{"seq", "database"}`` JSON is the payload text between
+    two fixed pieces.  The file is that text inside the canonical body.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = snapshot_path(directory, seq)
-    body = {
-        "version": SNAPSHOT_VERSION,
-        "seq": int(seq),
-        "crc": _checksum(seq, database_payload),
-        "database": database_payload,
-    }
+    seq = int(seq)
+    crc = zlib.crc32(b'{"database":')
+    for chunk in _chunks(payload_text):
+        crc = zlib.crc32(chunk.encode("utf-8"), crc)
+    crc = zlib.crc32(b',"seq":%d}' % seq, crc)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(body, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write('{"crc":%d,"database":' % crc)
+        handle.writelines(_chunks(payload_text))
+        handle.write(',"seq":%d,"version":%d}\n' % (seq, SNAPSHOT_VERSION))
         handle.flush()
         if durable:
             os.fsync(handle.fileno())
@@ -92,6 +119,18 @@ def write_snapshot(
     if durable:
         fsync_directory(directory)
     return path
+
+
+def write_snapshot(
+    directory: Union[str, Path],
+    database_payload: Mapping[str, Any],
+    seq: int,
+    durable: bool = True,
+) -> Path:
+    """Atomically persist ``database_payload`` as the state at ``seq``."""
+    return write_snapshot_text(
+        directory, canonical_payload(database_payload), seq, durable=durable
+    )
 
 
 def load_snapshot(path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -406,11 +407,63 @@ def test_sizing_copies_on_write_leaving_the_synth_template_at_unit_drive(
     _, synth_key, _ = service.generator.stage_keys(
         service.catalog.get("counter"), {"size": 5}, Constraints()
     )
-    template = service.generator.generation_cache.synth.peek(synth_key)
+    template = service.generator.generation_cache.synth.peek(synth_key).netlist
     assert instances["free"].netlist is template
     assert all(gate.size == 1.0 for gate in template.all_instances())
     assert any(gate.size > 1.0 for gate in instances["tight"].netlist.all_instances())
     assert service.generation_stats()["synth"]["hits"] == 1
+
+
+#: ``counter``/4 runs at a 19.03 ns clock width as synthesized, so its
+#: unit-drive netlist meets every width of the first tuple, and TILOS must
+#: upsize gates to reach the second.
+UNIT_DRIVE_WIDTHS = (None, 20.0, 25.0, 30.0, 40.0)
+TIGHT_WIDTH = 18.0
+
+
+def test_clock_widths_met_at_unit_drive_share_one_netlist_and_shape(service, golden):
+    """Every clock width the synthesized netlist already meets shares the
+    synth memo's netlist and one shape function; a width the sizer must
+    work for gets a private clone with upsized gates, and the synth
+    netlist stays at unit drive.  The persisted files are the goldens
+    recorded before the flows shared anything."""
+    session = service.create_session()
+    instances = {}
+    for width in UNIT_DRIVE_WIDTHS + (TIGHT_WIDTH,):
+        name = f"c4_cw{int(width)}" if width else "c4_free"
+        instances[width] = session.request_component(
+            implementation="counter",
+            parameters={"size": 4},
+            constraints=Constraints(clock_width=width) if width else None,
+            instance_name=name,
+        )
+    digests = []
+    for instance in instances.values():
+        for kind, path in sorted(instance.files.items()):
+            with open(path, "rb") as handle:
+                digest = hashlib.blake2b(handle.read(), digest_size=8).hexdigest()
+            digests.append(f"{instance.name} {kind} {digest}")
+    golden.check("counter4_clock_widths.txt", "\n".join(digests))
+
+    generator = service.generator
+    counter = service.catalog.get("counter")
+    expand_key, synth_key, _ = generator.stage_keys(counter, {"size": 4}, Constraints())
+    template = generator.generation_cache.expand.peek(expand_key)
+    for instance in instances.values():
+        # Each flat view owns its name and nothing else.
+        assert instance.flat.name == instance.name
+        for part in ("inputs", "outputs", "internals", "assigns", "functions", "parameters"):
+            assert getattr(instance.flat, part) is getattr(template, part)
+    entry = generator.generation_cache.synth.peek(synth_key)
+    unit_drive = [instances[width] for width in UNIT_DRIVE_WIDTHS]
+    assert all(instance.netlist is entry.netlist for instance in unit_drive)
+    assert all(instance.shape is entry.shape for instance in unit_drive)
+    assert all(instance.sizing_iterations == 0 for instance in unit_drive)
+    tight = instances[TIGHT_WIDTH]
+    assert tight.netlist is not entry.netlist and tight.shape is not entry.shape
+    assert tight.sizing_iterations > 0
+    assert any(gate.size > 1.0 for gate in tight.netlist.all_instances())
+    assert all(gate.size == 1.0 for gate in entry.netlist.all_instances())
 
 
 def test_expansion_memo_tolerates_stray_default_parameters(service):

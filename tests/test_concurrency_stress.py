@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import ComponentRequest, ComponentService
 from repro.components import standard_catalog
+from repro.constraints import Constraints
 from repro.net import connect, serve
 
 CLIENTS = 16
@@ -241,6 +242,40 @@ def test_generation_cache_invariants_under_worker_pool(tmp_path):
     # At worst each lane generated once per concurrent first-arrival, and
     # the remaining requests were memo hits.
     assert stats["flows"]["hits"] >= len(handles) - 3 * 4  # lanes x workers
+
+
+def test_racing_unit_drive_flows_share_one_shape_function(tmp_path):
+    """Flows that leave one synthesized netlist at unit drive and estimate
+    at the same time on several workers still share one shape function:
+    the first one stored wins."""
+    service = ComponentService(
+        catalog=standard_catalog(fresh=True),
+        store_root=tmp_path / "shapes",
+        job_workers=6,
+    )
+    counter = dict(implementation="counter", parameters={"size": 4}, detail="summary")
+    # A width the sizer must work for synthesizes the netlist and leaves
+    # its unit-drive shape function to the racing flows.
+    service.execute(ComponentRequest(constraints=Constraints(clock_width=18.0), **counter))
+    widths = (None, 20.0, 22.0, 25.0, 30.0, 35.0, 40.0, 50.0, 60.0, 80.0, 100.0, 120.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        handles = [
+            service.create_session(client=f"width-{index}").submit(
+                ComponentRequest(
+                    constraints=Constraints(clock_width=width) if width else None, **counter
+                )
+            )
+            for index, width in enumerate(widths)
+        ]
+        names = [handle.result(timeout=60)["instance"] for handle in handles]
+    finally:
+        sys.setswitchinterval(interval)
+        service.jobs.shutdown()
+    instances = [service.instances.get(name) for name in names]
+    assert len({id(instance.netlist) for instance in instances}) == 1
+    assert len({id(instance.shape) for instance in instances}) == 1
 
 
 def test_local_handles_hold_every_event_of_their_jobs(tmp_path):

@@ -3,6 +3,7 @@ and the constraint parsers."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,7 +166,7 @@ def test_icdb_schema_created():
 def test_store_write_read_and_listing(tmp_path):
     store = DesignDataStore(tmp_path / "root")
     path = store.write("counter_1", "iif", "NAME: X;\n")
-    assert path.exists()
+    assert Path(path).exists()
     assert store.read("counter_1", "iif") == "NAME: X;\n"
     store.write("counter_1", "delay", "CW 10.0\n")
     artifacts = store.artifacts_of("counter_1")
@@ -188,8 +189,8 @@ def test_store_rejects_unknown_kind(tmp_path):
 def test_store_sanitizes_instance_names(tmp_path):
     store = DesignDataStore(tmp_path)
     path = store.write("weird/name with spaces", "iif", "x")
-    assert path.exists()
-    assert "/" not in path.parent.name
+    assert Path(path).exists()
+    assert "/" not in Path(path).parent.name
 
 
 def test_store_never_escapes_its_root(tmp_path):
@@ -199,7 +200,7 @@ def test_store_never_escapes_its_root(tmp_path):
     store = DesignDataStore(root)
     for hostile in ("..", ".", "...", "../..", "a/../.."):
         written = store.write(hostile, "iif", "x")
-        assert root.resolve() in written.resolve().parents, hostile
+        assert root.resolve() in Path(written).resolve().parents, hostile
         assert str(store.path_for(hostile, "vhdl").resolve()).startswith(
             str(root.resolve())
         )
@@ -209,7 +210,7 @@ def test_store_never_escapes_its_root(tmp_path):
 
 def test_a_streamed_write_replaces_the_old_file_only_once_complete(tmp_path):
     store = DesignDataStore(tmp_path)
-    path = store.write("adder_1", "vhdl", "old text\n")
+    path = Path(store.write("adder_1", "vhdl", "old text\n"))
     seen_mid_render = []
 
     def failing_render():
@@ -223,15 +224,31 @@ def test_a_streamed_write_replaces_the_old_file_only_once_complete(tmp_path):
     assert path.read_text() == "old text\n"
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     pieces = TextPieces(iter(["new ", "text\n"]))
-    assert store.write("adder_1", "vhdl", pieces) == path
+    assert Path(store.write("adder_1", "vhdl", pieces)) == path
     assert path.read_text() == "new text\n"
     assert len(pieces) == len("new text\n")
+
+
+def test_store_never_interns_an_instance_name(tmp_path, monkeypatch):
+    """Interned strings are immortal on Python 3.12, so a store that
+    passed instance names through ``sys.intern`` (``pathlib`` interns
+    every path part) would keep each name it ever wrote or removed."""
+    store = DesignDataStore(tmp_path)
+    name = "fresh_instance_4c1d"
+    interned = []
+    intern = sys.intern
+    monkeypatch.setattr(sys, "intern", lambda text: interned.append(text) or intern(text))
+    path = store.write(name, "vhdl", "text\n")
+    assert store.remove_instance(name) == 1
+    monkeypatch.undo()
+    assert not Path(path).exists()
+    assert [text for text in interned if name in text] == []
 
 
 def test_store_uses_temporary_directory_by_default():
     store = DesignDataStore()
     path = store.write("a", "iif", "x")
-    assert path.exists()
+    assert Path(path).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,11 @@ def test_bundles_of_one_family_merge_onto_one_synth_netlist(tmp_path, widths):
         width: generator.stage_keys(counter, {"size": 6}, _constraints(width) or Constraints())
         for width in widths
     }
-    synth = cache.synth.peek(keys[None][1])
-    unsized, sized = (cache.flows.peek(keys[width][2])[0] for width in (None, 20.0))
+    synthesized = cache.synth.peek(keys[None][1])
+    synth = synthesized.netlist
+    unsized, sized = (cache.flows.peek(keys[width][2]) for width in (None, 20.0))
+    assert unsized[2] is synthesized.shape and sized[2] is not synthesized.shape
+    unsized, sized = unsized[0], sized[0]
     nets = {gate.name: gate.nets for gate in synth.all_instances()}
     assert unsized is synth
     assert sized is not synth and sized.instances.keys() == nets.keys()
@@ -263,36 +266,58 @@ def test_bundle_installs_after_its_family_was_evicted(tmp_path):
 
 
 #: Plans whose families recur at several clock widths, so bundles of one
-#: family arrive while the server already holds its expansion.
+#: family arrive while the server already holds its expansion.  The
+#: synthesized counters meet every width but the last, for which the
+#: sizer upsizes gates.
 CENSUS_PLANS = (
     ("Counter", None), ("ALU", None), ("Counter", 20.0), ("ALU", 30.0), ("Counter", 40.0),
+    ("Counter", 18.0),
 )
+
+
+def _census_plan(family, clock_width):
+    return PlanQuery(
+        query=QuerySpec(
+            select=(TypePredicate(component=family),),
+            sweep=(("size", (2, 4)),),
+            constraints=_constraints(clock_width),
+            objective=pareto("area", "delay"),
+        )
+    )
 
 
 def _census(service):
     """Distinct objects behind the designs ``service`` holds: its stage
     memos (keys and values) and its registered instances."""
     cache = service.generator.generation_cache
-    netlists, flats, reports, records = {}, {}, {}, {}
+    netlists, flats, reports, records, shapes, areas = {}, {}, {}, {}, {}, {}
 
     def keep(table, *objects):
         table.update((id(obj), obj) for obj in objects)
 
     keep(flats, *cache.expand._entries.values())
-    for (signature, _), netlist in cache.synth._entries.items():
-        keep(netlists, netlist)
+    for (signature, _), synthesized in cache.synth._entries.items():
+        keep(netlists, synthesized.netlist)
+        if synthesized.shape is not None:
+            keep(shapes, synthesized.shape)
         keep(records, *signature[3])
     for ((signature, _), *_), flow in cache.flows._entries.items():
         keep(netlists, flow[0])
         keep(reports, flow[1])
+        keep(shapes, flow[2])
+        keep(areas, flow[3])
         keep(records, *signature[3])
     for name in service.instances.names():
         instance = service.instances.get(name)
         keep(netlists, instance.netlist)
         keep(flats, instance.flat)
         keep(reports, instance.delay_report)
+        keep(shapes, instance.shape)
+        keep(areas, instance.area_record)
     for flat in flats.values():
         keep(records, *flat.assigns)
+    for shape in shapes.values():
+        keep(areas, *shape.alternatives)
     gates = {id(gate): gate for netlist in netlists.values() for gate in netlist.all_instances()}
     names = {}
     strings = []
@@ -321,25 +346,21 @@ def _census(service):
         "net tuples": len({id(gate.nets) for gate in gates.values()}),
         "CombAssign": sum(isinstance(r, CombAssign) for r in records.values()),
         "SeqAssign": sum(isinstance(r, SeqAssign) for r in records.values()),
+        "ShapeFunction": len(shapes),
+        "AreaRecord": len(areas),
     }
 
 
 def test_fleet_installed_designs_cost_what_local_ones_do(fleet_rig, tmp_path):
     """The same cold plans through a two-child fleet and in process leave
     the same objects behind: one string per gate or net name, and as many
-    netlists, gates, net tuples and assignment records."""
+    netlists, gates, net tuples, assignment records, shape functions and
+    area records."""
     service, fleet = fleet_rig
     twin = _service(tmp_path, "twin")
     try:
         for family, clock_width in CENSUS_PLANS:
-            request = PlanQuery(
-                query=QuerySpec(
-                    select=(TypePredicate(component=family),),
-                    sweep=(("size", (2, 4)),),
-                    constraints=_constraints(clock_width),
-                    objective=pareto("area", "delay"),
-                )
-            )
+            request = _census_plan(family, clock_width)
             assert _answer(service.execute(request)) == _answer(twin.execute(request))
         stats = fleet.stats()
         assert stats["dispatched"] == stats["completed"] > 0 and stats["fallbacks"] == 0
@@ -348,6 +369,28 @@ def test_fleet_installed_designs_cost_what_local_ones_do(fleet_rig, tmp_path):
         assert held == local
     finally:
         twin.jobs.shutdown()
+
+
+def test_flows_at_unit_drive_share_their_synthesized_netlist_and_shape(tmp_path):
+    """In process, the census plans leave one netlist per synthesis plus
+    one per flow whose sizer moved a gate, and one shape function per
+    netlist: every flow the sizer leaves at unit drive shares both."""
+    service = _service(tmp_path)
+    try:
+        for family, clock_width in CENSUS_PLANS:
+            assert service.execute(_census_plan(family, clock_width)).ok
+        cache = service.generator.generation_cache
+        moved = [
+            flow
+            for flow in cache.flows._entries.values()
+            if any(gate.size != 1.0 for gate in flow[0].all_instances())
+        ]
+        census = _census(service)
+        assert moved and len(cache.synth) == len(cache.expand)
+        assert census["GateNetlist"] == len(cache.synth) + len(moved)
+        assert census["ShapeFunction"] == census["GateNetlist"]
+    finally:
+        service.jobs.shutdown()
 
 
 # ---------------------------------------------------------------------------

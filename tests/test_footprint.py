@@ -63,6 +63,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Render-cache keys of the artifact bodies (VHDL architecture body and
 #: port blocks, flat-IIF body), memoized from their second render on.
 BODY_KINDS = ("vhdl_body", "vhdl_ports", "flat_iif_body", "vhdl_head_ports")
+#: The report renders, which follow the bodies' rule.
+REPORT_KINDS = ("delay", "shape", "area")
 
 PARITY_IIF = """
 NAME: PARITY;
@@ -587,6 +589,13 @@ def test_generated_instance_keeps_no_copy_of_its_persisted_bodies(generated):
         assert [instance.render_cache.get(kind) for kind in BODY_KINDS] == [None] * 4
 
 
+def test_generated_instance_keeps_no_copy_of_its_persisted_reports(generated):
+    for instance in generated:
+        assert set(instance.files) >= set(REPORT_KINDS)
+        assert [instance.render_cache.get(kind) for kind in REPORT_KINDS] == [None] * 3
+        assert [kind in instance.render_cache for kind in REPORT_KINDS] == [True] * 3
+
+
 def test_lazy_clone_materializes_the_bytes_of_a_fresh_render(tmp_path):
     service = ComponentService(
         catalog=standard_catalog(fresh=True), store_root=tmp_path
@@ -608,6 +617,7 @@ def test_lazy_clone_materializes_the_bytes_of_a_fresh_render(tmp_path):
         assert Path(clone.files[kind]).read_bytes() == text.encode()
     # The clone's render was the family's second, so the next clone reuses it.
     assert all(isinstance(clone.render_cache[kind], str) for kind in BODY_KINDS)
+    assert all(isinstance(clone.render_cache[kind], str) for kind in REPORT_KINDS)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zlib
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.store import (
     write_snapshot,
 )
 from repro.store.__main__ import main as store_main
+from repro.store import snapshot as snapshot_module
 from repro.store.snapshot import snapshot_path
 
 
@@ -172,6 +174,29 @@ def test_snapshot_roundtrip_and_corruption(tmp_path):
     latest = latest_snapshot(tmp_path)
     assert latest.payload is None
     assert len(latest.skipped) == 1
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_snapshots_load_in_the_compact_and_the_spaced_layout(tmp_path, monkeypatch, chunk):
+    """A snapshot file is the compact canonical JSON its checksum covers,
+    checksummed and written in chunks from one serialization; a file
+    written with ``json.dump``'s default separators, as snapshots used to
+    be, loads to the same state."""
+    monkeypatch.setattr(snapshot_module, "_CHUNK", chunk)
+    database = Database("icdb")
+    seed_rows(database, 12)
+    payload = json.loads(payload_of(database))
+    canonical = json.dumps({"seq": 7, "database": payload}, sort_keys=True, separators=(",", ":"))
+    body = {"version": 1, "seq": 7, "crc": zlib.crc32(canonical.encode()), "database": payload}
+
+    compact = write_snapshot(tmp_path / "compact", database.to_payload(), 7)
+    assert compact.read_text() == json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+    spaced = snapshot_path(tmp_path / "spaced", 7)
+    spaced.parent.mkdir()
+    with open(spaced, "w", encoding="utf-8") as handle:
+        json.dump(body, handle, sort_keys=True)
+        handle.write("\n")
+    assert load_snapshot(compact) == load_snapshot(spaced) == (7, payload)
 
 
 def test_latest_snapshot_falls_back_to_older_valid(tmp_path):
